@@ -58,7 +58,7 @@ class AlgebraSpec:
 _SECTIONS = ("algebra", "g0", "recipe", "options")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
-_ENTRY_RE = re.compile(r"B\((\d+),(\d+)\)")
+_ENTRY_RE = re.compile(r"([+-]?)\s*(B\((\d+),(\d+)\))")
 
 
 def _parse_terms(expr: str, filename: str, lineno: int, base_col: int):
@@ -89,7 +89,11 @@ def _parse_terms(expr: str, filename: str, lineno: int, base_col: int):
         m = _RATIONAL_RE.match(expr, pos)
         coeff = Fraction(1)
         if m and not expr[pos].isalpha():
-            coeff = Fraction(m.group(0))
+            try:
+                coeff = Fraction(m.group(0))
+            except ZeroDivisionError:
+                raise ParseError(filename, lineno, base_col + pos + 1,
+                                 "zero denominator in coefficient") from None
             pos = m.end()
             while pos < len(expr) and expr[pos].isspace():
                 pos += 1
@@ -111,6 +115,7 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
     spec = AlgebraSpec()
     section = None
     declared_layers: dict[int, list[str]] = {}
+    entry_positions: list[tuple[int, int, int, int]] = []  # line, column, r, c of each B(r,c)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -162,12 +167,11 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
             m = re.match(r"condition\s*=\s*(.*)", stripped)
             if m:
                 row: dict = {}
-                expr = m.group(1)
-                for sign, entry in re.findall(r"([+-]?)\s*(B\(\d+,\d+\))", expr):
-                    em = _ENTRY_RE.fullmatch(entry)
-                    r, c = int(em.group(1)) - 1, int(em.group(2)) - 1
-                    coeff = Fraction(-1 if sign == "-" else 1)
+                for em in _ENTRY_RE.finditer(m.group(1)):
+                    r, c = int(em.group(3)) - 1, int(em.group(4)) - 1
+                    coeff = Fraction(-1 if em.group(1) == "-" else 1)
                     row[(r, c)] = row.get((r, c), Fraction(0)) + coeff
+                    entry_positions.append((lineno, col + m.start(1) + em.start(2), r, c))
                 if not row:
                     raise ParseError(filename, lineno, col, "empty condition")
                 spec.g0_conditions.append(row)
@@ -193,6 +197,13 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
     if depths != list(range(1, len(depths) + 1)):
         raise ParseError(filename, 1, 1, "layer depths must be -1, -2, ... without gaps")
     spec.layers = [declared_layers[d] for d in depths]
+    if spec.g0_kind == "explicit":
+        width = len(spec.layers[0])
+        for lineno, entry_col, r, c in entry_positions:
+            if not (0 <= r < width and 0 <= c < width):
+                raise ParseError(filename, lineno, entry_col,
+                                 f"condition entry B({r + 1},{c + 1}) outside the "
+                                 f"{width}x{width} first-layer block")
     return spec
 
 
@@ -510,6 +521,13 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
     return exit_code
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="carnot",
@@ -524,9 +542,11 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="algebra spec file (.alg)")
         p.add_argument("--format", choices=("text", "struct"), default="text")
-        p.add_argument("--max-k", type=int, default=None, help="prolongation cutoff")
+        p.add_argument("--max-k", type=_nonnegative_int, default=None,
+                       help="prolongation cutoff")
         if name == "oracle":
-            p.add_argument("--degree", type=int, default=None, help="ansatz degree bound")
+            p.add_argument("--degree", type=_nonnegative_int, default=None,
+                           help="ansatz degree bound")
     args = parser.parse_args(argv)
     try:
         spec = parse_spec_file(args.file)

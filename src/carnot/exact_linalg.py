@@ -31,18 +31,6 @@ def vec_zero(n: int) -> list[Fraction]:
     return [ZERO] * n
 
 
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    return [x + y for x, y in zip(a, b)]
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    return [x - y for x, y in zip(a, b)]
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> list[Fraction]:
-    return [c * x for x in a]
-
-
 def vec_is_zero(a: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in a)
 
@@ -81,10 +69,6 @@ class Matrix:
 
     def col(self, j: int) -> list[Fraction]:
         return [r[j] for r in self.entries]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                      cols=self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -237,10 +221,12 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient_dim}")
         coords = [Fraction(v[p]) for p in self.pivots]
-        residue = list(map(Fraction, v))
+        residue = list(v)
         for c, row in zip(coords, self.basis):
             if c:
-                residue = [x - c * y for x, y in zip(residue, row)]
+                for i, y in enumerate(row):
+                    if y:
+                        residue[i] -= c * y
         return coords if vec_is_zero(residue) else None
 
     def contains(self, v: Sequence[Fraction]) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exact_linalg import Subspace, vec_is_zero
+from .exact_linalg import Subspace
 
 
 class InvalidAlgebra(ValueError):
@@ -44,8 +44,9 @@ class GradedLieAlgebra:
 
     ``structure[i][j]`` is the coefficient vector of ``[e_i, e_j]``.
     Construction verifies antisymmetry, the grading and the Jacobi
-    identity; generation of the lower layers by layer -1 is enforced by
-    :func:`build_algebra` and queried via :func:`check_generation`.
+    identity with :func:`table_violation`; generation of the lower layers
+    by layer -1 is enforced by :func:`build_algebra` and queried via
+    :func:`check_generation`.
     """
 
     __slots__ = ("names", "weights", "structure", "dim", "step", "_index", "_nonzero")
@@ -74,43 +75,24 @@ class GradedLieAlgebra:
                 if len(self.structure[i][j]) != n:
                     raise InvalidAlgebra("structure vectors must have basis length")
         self._index = {name: i for i, name in enumerate(self.names)}
-        self._check_antisymmetry()
-        self._check_grading()
-        self._nonzero = [(i, j, self.structure[i][j])
-                         for i in range(n) for j in range(i + 1, n)
-                         if not vec_is_zero(self.structure[i][j])]
-        self._check_jacobi()
+        rows = [[tuple((k, c) for k, c in enumerate(self.structure[i][j]) if c)
+                 for j in range(n)] for i in range(n)]
+        violation = table_violation(rows, self.weights)
+        if violation is not None:
+            raise self._violation(*violation)
+        self._nonzero = [(i, j, rows[i][j])
+                         for i in range(n) for j in range(i + 1, n) if rows[i][j]]
 
-    def _check_antisymmetry(self) -> None:
-        for i in range(self.dim):
-            if not vec_is_zero(self.structure[i][i]):
-                raise AntisymmetryViolation(f"[{self.names[i]},{self.names[i]}] != 0")
-            for j in range(i + 1, self.dim):
-                if any(a != -b for a, b in zip(self.structure[i][j], self.structure[j][i])):
-                    raise AntisymmetryViolation(
-                        f"[{self.names[i]},{self.names[j]}] != -[{self.names[j]},{self.names[i]}]")
-
-    def _check_grading(self) -> None:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                target = self.weights[i] + self.weights[j]
-                for k, c in enumerate(self.structure[i][j]):
-                    if c != 0 and self.weights[k] != target:
-                        raise GradingViolation(
-                            f"[{self.names[i]},{self.names[j]}] has component "
-                            f"{self.names[k]} of weight {self.weights[k]}, expected {target}")
-
-    def _check_jacobi(self) -> None:
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    s = self.bracket(self.basis_vector(i), self.bracket_basis(j, k))
-                    t = self.bracket(self.basis_vector(j), self.bracket_basis(k, i))
-                    u = self.bracket(self.basis_vector(k), self.bracket_basis(i, j))
-                    total = [a + b + c for a, b, c in zip(s, t, u)]
-                    if not all(x == 0 for x in total):
-                        raise JacobiViolation(
-                            f"Jacobi fails on ({self.names[i]},{self.names[j]},{self.names[k]})")
+    def _violation(self, kind: str, a: int, b: int, c: int) -> InvalidAlgebra:
+        na, nb, nc = self.names[a], self.names[b], self.names[c]
+        if kind == "jacobi":
+            return JacobiViolation(f"Jacobi fails on ({na},{nb},{nc})")
+        if kind == "grading":
+            return GradingViolation(f"[{na},{nb}] has component {nc} of weight {self.weights[c]}, "
+                                    f"expected {self.weights[a] + self.weights[b]}")
+        if a == b:
+            return AntisymmetryViolation(f"[{na},{na}] != 0")
+        return AntisymmetryViolation(f"[{na},{nb}] != -[{nb},{na}]")
 
     # -- queries ------------------------------------------------------
 
@@ -140,15 +122,60 @@ class GradedLieAlgebra:
         addition and multiplication by Fractions (e.g. polynomials).
         """
         out = [Fraction(0)] * self.dim
-        for i, j, cvec in self._nonzero:
+        for i, j, row in self._nonzero:
             term = a[i] * b[j] - a[j] * b[i]
-            for k, c in enumerate(cvec):
-                if c:
-                    out[k] = out[k] + c * term
+            for k, c in row:
+                out[k] = out[k] + c * term
         return out
 
     def __repr__(self) -> str:
         return f"GradedLieAlgebra({'|'.join(self.names)}, step={self.step})"
+
+
+def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
+                    weights: Sequence[int]) -> tuple[str, int, int, int] | None:
+    """First failure of the graded Lie algebra laws in a sparse bracket table.
+
+    ``rows[a][b]`` is the tuple of nonzero ``(k, c)`` terms of ``[e_a, e_b]``
+    sorted by ``k``.  Checks antisymmetry on pairs ``a <= b``, then the
+    grading on pairs ``a < b``, then Jacobi on triples ``a < b < c``, each in
+    lexicographic order, and returns ``(kind, a, b, c)`` for the first
+    failure (``c`` is the offending component for "grading", equal to ``b``
+    for "antisymmetry"), or None.  Jacobi stays exhaustive: a triple is
+    skipped only when ``w_a + w_b + w_c`` is not a basis weight, and then the
+    grading, already checked, forces all three double brackets to vanish.
+    """
+    n = len(rows)
+    for a in range(n):
+        if rows[a][a]:
+            return ("antisymmetry", a, a, a)
+        for b in range(a + 1, n):
+            if tuple(rows[b][a]) != tuple((k, -c) for k, c in rows[a][b]):
+                return ("antisymmetry", a, b, b)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k, _ in rows[a][b]:
+                if weights[k] != weights[a] + weights[b]:
+                    return ("grading", a, b, k)
+    live = set(weights)
+    for a in range(n):
+        ra = rows[a]
+        for b in range(a + 1, n):
+            rb = rows[b]
+            wab = weights[a] + weights[b]
+            for c in range(b + 1, n):
+                if wab + weights[c] not in live:
+                    continue
+                rc = rows[c]
+                total: dict[int, Fraction] = {}
+                # [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]]
+                for outer, inner in ((ra, rb[c]), (rb, rc[a]), (rc, ra[b])):
+                    for m, x in inner:
+                        for k, y in outer[m]:
+                            total[k] = total.get(k, 0) + x * y
+                if any(total.values()):
+                    return ("jacobi", a, b, c)
+    return None
 
 
 def build_algebra(layers: Sequence[Sequence[str]],

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import Matrix, Subspace, nullspace, vec_zero
-from .graded_lie import GenerationFailure, GradedLieAlgebra, check_generation
+from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
+                         table_violation)
 from .derivations import DegreeZeroMap, DegreeZeroSpace
 
 
@@ -25,30 +26,6 @@ class PriorLevelsMissing(ValueError):
 
 class JacobiAssemblyFailure(RuntimeError):
     """Internal inconsistency while assembling the prolongation algebra."""
-
-
-@dataclass(frozen=True)
-class GradedMap:
-    """A degree-k element: its value on each negative basis element.
-
-    ``values[j]`` holds local coordinates in the target space of degree
-    weight(j)+k, which is a negative layer of the algebra (coordinates in
-    that layer's basis) or one of the previously computed levels
-    (coordinates in its canonical basis).
-    """
-
-    algebra: GradedLieAlgebra
-    degree: int
-    values: tuple[tuple[Fraction, ...], ...]
-
-    def packed(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for v in self.values:
-            out.extend(v)
-        return out
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in v) for v in self.values)
 
 
 class Level:
@@ -105,9 +82,6 @@ class Level:
             for v in values:
                 packed.extend(v)
         return self.subspace.coordinates_of(packed)
-
-    def graded_maps(self) -> list[GradedMap]:
-        return [GradedMap(self.algebra, self.k, per) for per in self.actions]
 
     def __repr__(self) -> str:
         return f"Level(k={self.k}, dim={self.dim})"
@@ -229,8 +203,11 @@ class ProlongationAlgebra:
     """The assembled graded algebra s = g + g_0 + g_1 + ...
 
     Basis ordering: negative layers deepest first, then the levels; within
-    a level the canonical echelon order.  ``bracket_table`` is only built
-    for terminating prolongations (a cutoff leaves it as None).
+    a level the canonical echelon order, so each degree occupies one
+    contiguous block.  ``bracket_table[a][b]`` is the sparse bracket
+    ``[e_a, e_b]``: a tuple of ``(k, c)`` with ``c != 0``, sorted by ``k``.
+    It is only built for terminating prolongations (a cutoff leaves it as
+    None).
     """
 
     def __init__(self, negative: GradedLieAlgebra, levels: Sequence[Level],
@@ -258,14 +235,14 @@ class ProlongationAlgebra:
         self.weights = tuple(weights)
         self.dim = len(sbasis)
         self._pos = {key: i for i, key in enumerate(sbasis)}
-        self.bracket_table: list[list[tuple[Fraction, ...]]] | None = None
+        self._block: dict[int, list[int]] = {}  # s-indices of each degree, in local order
+        for i, w in enumerate(weights):
+            self._block.setdefault(w, []).append(i)
+        self.bracket_table: list[list[tuple[tuple[int, Fraction], ...]]] | None = None
         if build_table:
             self._assemble_table()
 
     # -- coordinate plumbing -----------------------------------------
-
-    def s_index(self, key: tuple) -> int:
-        return self._pos[key]
 
     def index_of_name(self, label: str) -> int:
         return self.labels.index(label)
@@ -273,27 +250,13 @@ class ProlongationAlgebra:
     def _embed_value(self, local: Sequence[Fraction], d: int) -> list[Fraction]:
         """Local coordinates of the degree-d space into an s-vector."""
         out = vec_zero(self.dim)
-        g = self.negative
-        if d < 0:
-            if d < -g.step:
-                return out
-            for local_i, gi in enumerate(g.layer_indices(-d)):
-                out[self._pos[("neg", gi)]] = local[local_i]
-            return out
-        if d < len(self.levels):
-            for b, c in enumerate(local):
-                out[self._pos[("lev", d, b)]] = c
+        for i, c in zip(self._block.get(d, ()), local):
+            out[i] = c
         return out
 
-    def _extract_value(self, svec: Sequence[Fraction], d: int) -> list[Fraction]:
-        g = self.negative
-        if d < 0:
-            if d < -g.step:
-                return []
-            return [svec[self._pos[("neg", gi)]] for gi in g.layer_indices(-d)]
-        if d < len(self.levels):
-            return [svec[self._pos[("lev", d, b)]] for b in range(self.levels[d].dim)]
-        return []
+    def _sparse_value(self, local: Sequence[Fraction], d: int) -> tuple:
+        """Local coordinates of the degree-d space as a sparse s-row."""
+        return tuple((i, c) for i, c in zip(self._block.get(d, ()), local) if c)
 
     def top_level(self) -> int:
         return len(self.levels) - 1
@@ -303,94 +266,98 @@ class ProlongationAlgebra:
     def _assemble_table(self) -> None:
         g = self.negative
         n = self.dim
-        table = [[None] * n for _ in range(n)]
+        table: list[list] = [[None] * n for _ in range(n)]
         for a in range(n):
-            table[a][a] = tuple(vec_zero(n))
+            table[a][a] = ()
+
+        def put(a: int, b: int, row: tuple) -> None:
+            table[a][b] = row
+            table[b][a] = tuple((k, -c) for k, c in row)
+
         negs = [i for i, key in enumerate(self.sbasis) if key[0] == "neg"]
         levs = [i for i, key in enumerate(self.sbasis) if key[0] == "lev"]
         for a in negs:
             for b in negs:
-                if a >= b:
-                    continue
-                full = g.bracket_basis(self.sbasis[a][1], self.sbasis[b][1])
-                v = vec_zero(n)
-                for gi, c in enumerate(full):
-                    if c:
-                        v[self._pos[("neg", gi)]] = c
-                table[a][b] = tuple(v)
-                table[b][a] = tuple(-x for x in v)
+                if a < b:
+                    full = g.bracket_basis(self.sbasis[a][1], self.sbasis[b][1])
+                    put(a, b, tuple(sorted((self._pos[("neg", gi)], c)
+                                           for gi, c in enumerate(full) if c)))
         for a in levs:
             _, k, p = self.sbasis[a]
             for b in negs:
                 j = self.sbasis[b][1]
-                local = self.levels[k].action(p, j)
-                v = self._embed_value(local, g.weights[j] + k)
-                table[a][b] = tuple(v)
-                table[b][a] = tuple(-x for x in v)
+                put(a, b, self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k))
         # positive-positive brackets, built by total level so the recursive
         # action formula only consults already-filled entries
         lev_pairs = [(a, b) for a in levs for b in levs if a < b]
         lev_pairs.sort(key=lambda ab: self.sbasis[ab[0]][1] + self.sbasis[ab[1]][1])
         for a, b in lev_pairs:
-            v = self._lev_lev_bracket(table, a, b)
-            table[a][b] = tuple(v)
-            table[b][a] = tuple(-x for x in v)
-        self.bracket_table = [[list(table[a][b]) for b in range(n)] for a in range(n)]
+            put(a, b, self._lev_lev_bracket(table, a, b))
+        self.bracket_table = table
 
-    def _act_elem_on_value(self, table, a: int, local: Sequence[Fraction],
-                           d: int) -> list[Fraction]:
-        """[basis element a (a level), value in degree-d space] as local coords."""
+    def _act_elem_on_value(self, table, a: int, local: Sequence[Fraction], d: int,
+                           out: list[Fraction], sign: int) -> None:
+        """Add sign * [basis element a (a level), value in degree-d space] to ``out``.
+
+        ``out`` holds local coordinates of the degree d + level(a) space.
+        """
         g = self.negative
         _, k, p = self.sbasis[a]
-        target = d + k
-        out = vec_zero(_space_dim(g, self.levels, target))
         if d < 0:
-            for local_i, gi in enumerate(g.layer_indices(-d)):
-                c = local[local_i]
+            for gi, c in zip(g.layer_indices(-d), local):
                 if c:
-                    act = self.levels[k].action(p, gi)
-                    out = [x + c * y for x, y in zip(out, act)]
-            return out
-        for b_local, c in enumerate(local):
+                    c = sign * c
+                    for t, y in enumerate(self.levels[k].action(p, gi)):
+                        if y:
+                            out[t] += c * y
+            return
+        start = self._block.get(d + k, [0])[0]
+        for i, c in zip(self._block.get(d, ()), local):
             if c:
-                svec = table[a][self._pos[("lev", d, b_local)]]
-                if svec is None:
+                row = table[a][i]
+                if row is None:
                     raise JacobiAssemblyFailure("bracket table filled out of order")
-                piece = self._extract_value(svec, target)
-                out = [x + c * y for x, y in zip(out, piece)]
-        return out
+                c = sign * c
+                for m, y in row:
+                    out[m - start] += c * y
 
-    def _lev_lev_bracket(self, table, a: int, b: int) -> list[Fraction]:
+    def _lev_lev_bracket(self, table, a: int, b: int) -> tuple:
         g = self.negative
-        _, ka, _ = self.sbasis[a]
+        _, ka, qa = self.sbasis[a]
         _, kb, qb = self.sbasis[b]
         level_sum = ka + kb
         values = []
         for t in range(g.dim):
-            y_b = self.levels[kb].action(qb, t)
-            term1 = self._act_elem_on_value(table, a, y_b, g.weights[t] + kb)
-            y_a = self.levels[ka].action(self.sbasis[a][2], t)
-            term2 = self._act_elem_on_value(table, b, y_a, g.weights[t] + ka)
-            values.append([x - y for x, y in zip(term1, term2)])
+            value = vec_zero(len(self._block.get(g.weights[t] + level_sum, ())))
+            self._act_elem_on_value(table, a, self.levels[kb].action(qb, t),
+                                    g.weights[t] + kb, value, 1)
+            self._act_elem_on_value(table, b, self.levels[ka].action(qa, t),
+                                    g.weights[t] + ka, value, -1)
+            values.append(value)
         if level_sum <= self.top_level():
             coords = self.levels[level_sum].coordinates_of_values(values)
             if coords is None:
                 raise JacobiAssemblyFailure(
                     f"[level {ka}, level {kb}] leaves the computed level {level_sum}")
-            return self._embed_value(coords, level_sum)
+            return self._sparse_value(coords, level_sum)
         if any(x != 0 for v in values for x in v):
             raise JacobiAssemblyFailure(
                 f"[level {ka}, level {kb}] is nonzero but level {level_sum} vanished")
-        return vec_zero(self.dim)
+        return ()
 
     # -- algebra operations -------------------------------------------
 
     def bracket(self, a: int, b: int) -> list[Fraction]:
+        """Dense coefficient vector of [e_a, e_b]."""
         if self.bracket_table is None:
             raise JacobiAssemblyFailure("bracket table unavailable (cutoff prolongation)")
-        return list(self.bracket_table[a][b])
+        out = vec_zero(self.dim)
+        for k, c in self.bracket_table[a][b]:
+            out[k] = c
+        return out
 
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+        """Bracket of two dense s-vectors, summed over the sparse table rows."""
         out = vec_zero(self.dim)
         for a, ua in enumerate(u):
             if not ua:
@@ -399,23 +366,14 @@ class ProlongationAlgebra:
             for b, vb in enumerate(v):
                 if vb:
                     coeff = ua * vb
-                    out = [x + coeff * y for x, y in zip(out, row[b])]
+                    for k, c in row[b]:
+                        out[k] += coeff * c
         return out
 
     def verify(self) -> None:
-        """Check antisymmetry, grading, action consistency and Jacobi exactly."""
+        """Check [u,X] = u(X) via :meth:`bracket_vec`, then :func:`table_violation`."""
         if self.bracket_table is None:
             raise JacobiAssemblyFailure("nothing to verify: no bracket table")
-        n = self.dim
-        tbl = self.bracket_table
-        for a in range(n):
-            for b in range(n):
-                if any(x + y != 0 for x, y in zip(tbl[a][b], tbl[b][a])):
-                    raise JacobiAssemblyFailure(f"antisymmetry fails at ({a},{b})")
-                w = self.weights[a] + self.weights[b]
-                for i, c in enumerate(tbl[a][b]):
-                    if c != 0 and self.weights[i] != w:
-                        raise JacobiAssemblyFailure(f"grading fails at ({a},{b})")
         g = self.negative
         for a, key in enumerate(self.sbasis):
             if key[0] != "lev":
@@ -426,17 +384,16 @@ class ProlongationAlgebra:
                     continue
                 j = bkey[1]
                 expect = self._embed_value(self.levels[k].action(p, j), g.weights[j] + k)
-                if list(tbl[a][b]) != expect:
+                if self.bracket_vec(self._unit(a), self._unit(b)) != expect:
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    j1 = self.bracket_vec(self._unit(a), tbl[b][c])
-                    j2 = self.bracket_vec(self._unit(b), tbl[c][a])
-                    j3 = self.bracket_vec(self._unit(c), tbl[a][b])
-                    if any(x + y + z != 0 for x, y, z in zip(j1, j2, j3)):
-                        raise JacobiAssemblyFailure(
-                            f"Jacobi fails on ({self.labels[a]},{self.labels[b]},{self.labels[c]})")
+        violation = table_violation(self.bracket_table, self.weights)
+        if violation is None:
+            return
+        kind, a, b, c = violation
+        if kind == "jacobi":
+            raise JacobiAssemblyFailure(
+                f"Jacobi fails on ({self.labels[a]},{self.labels[b]},{self.labels[c]})")
+        raise JacobiAssemblyFailure(f"{kind} fails at ({a},{b})")
 
     def _unit(self, a: int) -> list[Fraction]:
         v = vec_zero(self.dim)

@@ -215,3 +215,58 @@ def test_text_and_struct_agree_on_numbers():
     for key in ("g0_dim", "total_dim", "terminated_at", "derivations_dim"):
         assert d[key] == str(obj[key])
     assert d["levels"] == str(obj["levels"]).replace("'", "")
+
+
+# -- input boundary: located parse errors and usage errors -----------------
+
+
+def test_zero_denominator_is_a_located_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("[algebra]\nlayer -1 = X1 X2\nlayer -2 = Y\n[X1,X2] = 1/0 Y\n")
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(str(bad))
+    assert (err.value.line, err.value.col) == (4, 11)
+    assert main(["validate", str(bad)]) == 2
+    assert re.search(r"bad\.alg:4:11: zero denominator", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("condition, entry, col", [
+    ("B(0,0)", "B(0,0)", 13),
+    ("B(1,2) - B(5,1)", "B(5,1)", 22),
+])
+def test_condition_outside_first_layer_is_a_parse_error(tmp_path, capsys, condition, entry, col):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("[algebra]\nlayer -1 = X1 X2\n[g0]\nconstraint = explicit\n"
+                   f"condition = B(1,1) - B(2,2)\ncondition = {condition}\n")
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(str(bad))
+    assert (err.value.line, err.value.col) == (6, col)
+    assert f"{entry} outside the 2x2 first-layer block" in str(err.value)
+    assert main(["prolong", str(bad)]) == 2
+    assert f"bad.alg:6:{col}:" in capsys.readouterr().err
+
+
+def test_condition_range_is_only_checked_under_explicit_constraint():
+    spec = parse_spec_text("[algebra]\nlayer -1 = X1 X2\n[g0]\ncondition = B(5,1)\n")
+    assert spec.g0_kind == "conformal"
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "ENGEL", "--max-k", "-1"],
+    ["oracle", "ENGEL", "--degree", "-3"],
+    ["oracle", "ENGEL", "--max-k", "x"],
+])
+def test_negative_or_malformed_counts_are_usage_errors(argv, capsys):
+    argv = [a if a != "ENGEL" else spec_path("engel.alg") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "--max-k" in err or "--degree" in err
+
+
+def test_zero_max_k_is_accepted():
+    code, out = run_cli(["prolong", spec_path("r1.alg"), "--max-k", "0"])
+    assert code == 0
+    assert as_dict(out)["status"] == "cutoff_reached"

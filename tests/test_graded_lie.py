@@ -56,7 +56,7 @@ def test_jacobi_checked_on_all_triples(engel):
 
 def test_jacobi_violation_rejected():
     # [X3,[X1,X2]] = Z has no compensating term
-    with pytest.raises(JacobiViolation):
+    with pytest.raises(JacobiViolation, match=r"^Jacobi fails on \(X1,X2,X3\)$"):
         build_algebra(
             [["X1", "X2", "X3"], ["Y12", "Y13"], ["Z"]],
             {("X1", "X2"): [(1, "Y12")], ("X1", "X3"): [(1, "Y13")],
@@ -108,3 +108,35 @@ def test_abelian_layers():
     g = make_abelian(3)
     assert g.layer_dims == [3]
     assert check_generation(g)
+
+
+def _structure(n, entries):
+    st = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in entries.items():
+        st[i][j][k] = Fraction(c)
+    return st
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ({(0, 0, 2): 1}, AntisymmetryViolation, "[A,A] != 0"),
+    ({(0, 1, 2): 1}, AntisymmetryViolation, "[A,B] != -[B,A]"),
+    ({(1, 0, 2): 1}, AntisymmetryViolation, "[A,B] != -[B,A]"),
+    ({(0, 1, 0): 1, (1, 0, 0): -1}, GradingViolation,
+     "[A,B] has component A of weight -1, expected -2"),
+    # antisymmetry is checked on every pair before the grading
+    ({(0, 2, 1): 1, (2, 0, 1): -1, (1, 2, 2): 5}, AntisymmetryViolation, "[B,C] != -[C,B]"),
+])
+def test_direct_construction_violation_messages(entries, error, message):
+    with pytest.raises(error) as exc:
+        GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], _structure(3, entries))
+    assert str(exc.value) == message
+
+
+def test_bracket_accepts_polynomial_coefficients(engel):
+    from carnot.polynomials import PolyRing
+    ring = PolyRing(("x", "y"), (1, 1))
+    x, y = ring.var(0), ring.var(1)
+    zero = ring.zero()
+    out = engel.bracket([x, y, zero, zero], [zero, ring.one(), x, zero])
+    assert out[2] == x
+    assert out[3] == x * x

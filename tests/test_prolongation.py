@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from carnot.graded_lie import GenerationFailure, GradedLieAlgebra
+from carnot.graded_lie import GenerationFailure, GradedLieAlgebra, build_algebra, table_violation
 from carnot.prolongation import (JacobiAssemblyFailure, Level, PriorLevelsMissing,
                                  full_prolongation, prolong_step, termination_valid)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
@@ -181,3 +182,149 @@ def test_closed_g0_required_for_assembly():
     lvl0 = Level.from_degree_zero(DegreeZeroSpace(g, Subspace.from_vectors(vectors, 4)))
     with pytest.raises(JacobiAssemblyFailure):
         ProlongationAlgebra(g, [lvl0], build_table=True)
+
+
+# -- closed forms on whole families ------------------------------------------
+
+
+def make_heisenberg_n(n):
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    ys = [f"Y{i}" for i in range(1, n + 1)]
+    return build_algebra([xs + ys, ["T"]], {(x, y): [(1, "T")] for x, y in zip(xs, ys)})
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_liouville_closed_form(n):
+    # R^n with co(n) prolongs to so(n+1,1)
+    g = make_abelian(n)
+    s, rep = full_prolongation(g, conformal_g0(g))
+    assert rep.level_dims == (n * (n - 1) // 2 + 1, n, 0)
+    assert rep.total_dim == s.dim == (n + 1) * (n + 2) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_koranyi_reimann_closed_form(n):
+    # H_n with the conformal g0 prolongs to su(n+1,1)
+    g = make_heisenberg_n(n)
+    s, rep = full_prolongation(g, conformal_g0(g))
+    assert rep.level_dims == (n * n + 1, 2 * n, 1, 0)
+    assert rep.total_dim == s.dim == (n + 2) ** 2 - 1
+
+
+# -- the sparse table and its exhaustive, weight-pruned check ----------------
+
+
+def _r3_algebra():
+    g = make_abelian(3)
+    s, _ = full_prolongation(g, conformal_g0(g))
+    s.bracket_table = [list(row) for row in s.bracket_table]
+    return s
+
+
+def _put(s, a, b, row, both=True):
+    s.bracket_table[a][b] = row
+    if both:
+        s.bracket_table[b][a] = tuple((k, -c) for k, c in row)
+
+
+def _add_term(row, k, c):
+    terms = dict(row)
+    terms[k] = terms.get(k, 0) + c
+    return tuple(sorted((i, x) for i, x in terms.items() if x))
+
+
+def test_bracket_table_is_sparse_and_sorted():
+    s = _r3_algebra()
+    for a in range(s.dim):
+        for b in range(s.dim):
+            row = s.bracket_table[a][b]
+            assert [k for k, _ in row] == sorted({k for k, _ in row})
+            assert all(c != 0 for _, c in row)
+            assert s.bracket(a, b) == [dict(row).get(k, 0) for k in range(s.dim)]
+
+
+def test_verify_rejects_live_level_slot_perturbation():
+    s = _r3_algebra()
+    a = s.index_of_name("D1")
+    b = s.index_of_name("u1_1")
+    target = s.weights.index(s.weights[a] + s.weights[b])
+    _put(s, a, b, _add_term(s.bracket_table[a][b], target, Fraction(1)))
+    with pytest.raises(JacobiAssemblyFailure, match="Jacobi fails on"):
+        s.verify()
+
+
+def test_verify_rejects_wrong_weight_slot():
+    s = _r3_algebra()
+    wrong = s.weights.index(0)  # [X1,X2] must have weight -2
+    _put(s, 0, 1, ((wrong, Fraction(1)),))
+    with pytest.raises(JacobiAssemblyFailure, match=r"grading fails at \(0,1\)"):
+        s.verify()
+
+
+def test_verify_rejects_broken_antisymmetry():
+    s = _r3_algebra()
+    _put(s, 0, 1, ((0, Fraction(1)),), both=False)
+    with pytest.raises(JacobiAssemblyFailure, match=r"antisymmetry fails at \(0,1\)"):
+        s.verify()
+
+
+def _dense_violation(rows, weights):
+    """Unpruned dense reference for ``table_violation``."""
+    n = len(rows)
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for k, c in rows[a][b]:
+                dense[a][b][k] = c
+    for a in range(n):
+        if any(dense[a][a]):
+            return ("antisymmetry", a, a, a)
+        for b in range(a + 1, n):
+            if any(x + y for x, y in zip(dense[a][b], dense[b][a])):
+                return ("antisymmetry", a, b, b)
+    for a in range(n):
+        for b in range(n):
+            for k in range(n):
+                if dense[a][b][k] and weights[k] != weights[a] + weights[b]:
+                    return ("grading", a, b, k)
+
+    def outer(a, v):
+        out = [0] * n
+        for m, x in enumerate(v):
+            for k in range(n):
+                out[k] += x * dense[a][m][k]
+        return out
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                terms = zip(outer(a, dense[b][c]), outer(b, dense[c][a]), outer(c, dense[a][b]))
+                if any(x + y + z for x, y, z in terms):
+                    return ("jacobi", a, b, c)
+    return None
+
+
+@pytest.mark.parametrize("make", [lambda: make_abelian(3), make_heisenberg])
+def test_pruned_check_matches_dense_reference(make):
+    g = make()
+    s, _ = full_prolongation(g, conformal_g0(g))
+    weights = s.weights
+    rng = random.Random(7)
+    assert table_violation(s.bracket_table, weights) is None
+    assert _dense_violation(s.bracket_table, weights) is None
+    outcomes = set()
+    for _ in range(40):
+        rows = [list(r) for r in s.bracket_table]
+        a, b = sorted(rng.sample(range(s.dim), 2))
+        if rng.random() < 0.8:
+            live = [k for k, w in enumerate(weights) if w == weights[a] + weights[b]]
+            k = rng.choice(live or range(s.dim))
+        else:
+            k = rng.randrange(s.dim)
+        rows[a][b] = _add_term(rows[a][b], k, Fraction(rng.choice([-2, -1, 1, 3])))
+        if rng.random() < 0.9:
+            rows[b][a] = tuple((i, -c) for i, c in rows[a][b])
+        found = table_violation(rows, weights)
+        assert found == _dense_violation(rows, weights)
+        outcomes.add(found and found[0])
+    assert {"antisymmetry", "grading", "jacobi"} <= outcomes
