@@ -9,9 +9,9 @@ independent bounded-degree PDE solver cross-checks the dimensions.
 
 from .exact_linalg import Matrix, Rational, Subspace, nullspace, rref, span_equal
 from .graded_lie import GradedLieAlgebra, build_algebra, check_generation
-from .derivations import DegreeZeroMap, DegreeZeroSpace, GZeroConstraint, constrain_g0, strata_derivations
-from .prolongation import (Level, ProlongationAlgebra, TerminationReport, full_prolongation,
-                           prolong_step, termination_valid)
+from .prolongation import (DegreeZeroMap, GZeroConstraint, Level, ProlongationAlgebra,
+                           TerminationReport, constrain_g0, full_prolongation, prolong_step,
+                           strata_derivations)
 from .group_realization import (CoordinateRecipe, Frame, PolyMap, PolyVectorField,
                                 bch, dilation, group_product, left_invariant_frame,
                                 left_translation, realize_tau, similarity_check)

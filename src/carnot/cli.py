@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .exact_linalg import Matrix, Subspace, span_equal
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra, check_generation
-from .derivations import GZeroConstraint, constrain_g0, strata_derivations
-from .prolongation import full_prolongation
+from .prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
+                           strata_derivations)
 from .group_realization import (CoordinateRecipe, NotRealizable, PolyVectorField,
-                                dilation, extend_first_layer_automorphism,
+                                UnsupportedStep, dilation, extend_first_layer_automorphism,
                                 graded_automorphism, left_invariant_frame, left_translation,
                                 realize_tau, similarity_check)
 from .contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check,
@@ -326,7 +326,8 @@ def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     report.add("derivations_dim", ders.dim)
     report.add("g0_constraint", spec.g0_kind)
     report.add("g0_dim", g0.dim)
-    for i, m in enumerate(g0.maps, start=1):
+    for i, values in enumerate(g0.actions, start=1):
+        m = DegreeZeroMap.from_values(g, values)
         report.add(f"g0_basis_{i}", _matrix_rows(m.full_matrix()))
     report.add("levels", list(rep.level_dims))
     report.add("status", rep.status)
@@ -397,7 +398,7 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
                 points.add(tuple(_rand_point(rng, g.dim)))
             for pt in sorted(points):
                 jt = jet(fld, frame, list(pt))
-                if not g0.subspace.contains(jt.zero_part.packed()):
+                if g0.coordinates_of_values(jt.zero_part.values()) is None:
                     jets_zero_ok = False
                     failures.append(f"zero-part of {label} jet leaves g0 at {pt}")
                 if not jt.one_part.is_zero():
@@ -574,6 +575,11 @@ def main(argv: list[str] | None = None) -> int:
         report.add("name", spec.name)
         report.add("valid", False)
         report.add("violation", f"{type(exc).__name__}: {exc}")
+        code = 1
+    except UnsupportedStep as exc:
+        # verify and oracle need the group law; what was computed before it stays
+        report.add("overall", "FAIL")
+        report.add("failure", f"UnsupportedStep: {exc}")
         code = 1
     sys.stdout.write(report.render(args.format))
     return code

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .exact_linalg import Matrix, Subspace, nullspace, vec_zero
 from .graded_lie import GradedLieAlgebra
-from .derivations import DegreeZeroMap
+from .prolongation import DegreeZeroMap
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
 

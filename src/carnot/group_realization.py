@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .exact_linalg import Matrix, solve
 from .graded_lie import GradedLieAlgebra
-from .derivations import DegreeZeroMap
+from .prolongation import DegreeZeroMap
 from .polynomials import Poly, PolyRing
 
 HALF = Fraction(1, 2)
@@ -338,7 +338,8 @@ def realize_tau(s, recipe: CoordinateRecipe) -> list[PolyVectorField]:
             coords = _translation_generator(recipe, key[1])
         else:
             _, k, b = key
-            coords = _automorphism_generator(recipe, s.levels[k].zero_maps[b])
+            dmap = DegreeZeroMap.from_values(g, s.levels[k].actions[b])
+            coords = _automorphism_generator(recipe, dmap)
         fields.append(frame.field_in_frame(coords))
     return fields
 

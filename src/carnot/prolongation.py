@@ -1,23 +1,27 @@
-"""Tanaka prolongation spaces and assembly of the full graded algebra.
+"""Tanaka prolongation: the degree-zero algebra, the tower of levels, and
+assembly of the full graded algebra.
 
-Level k >= 1 consists of degree-raising maps u on the negative part with
-u(g_j) inside the previously computed space of degree j+k, subject to the
-Leibniz law u[S,T] = [u(S),T] - [u(T),S] on all negative pairs.  Each
-level is the exact nullspace of that linear system.  Once a level is
-zero, generation by layer -1 forces all later levels to vanish, and the
-finite algebra s = g + g_0 + ... is assembled with a full bracket table.
+Level k >= 0 consists of maps u on the negative part with u(g_j) inside the
+space of degree j+k (a negative layer when k = 0, a previously computed
+level when k >= 1), subject to the Leibniz law u[S,T] = [u(S),T] - [u(T),S]
+on all negative pairs.  Each level is the exact nullspace of that linear
+system, built by :func:`prolong_step` for every degree.  Level 0 is the
+algebra of strata-preserving derivations; intersecting it with a linear
+condition on the first-layer block (conformal by default) gives g0.  Once
+a level is zero, generation by layer -1 forces all later levels to vanish,
+and the finite algebra s = g + g_0 + ... is assembled with a full bracket
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .exact_linalg import Matrix, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
-from .derivations import DegreeZeroMap, DegreeZeroSpace
 
 
 class PriorLevelsMissing(ValueError):
@@ -29,31 +33,21 @@ class JacobiAssemblyFailure(RuntimeError):
 
 
 class Level:
-    """One prolongation space g_k together with its action on g_-."""
+    """One prolongation space g_k together with its action on g_-.
+
+    ``columns[j][t]`` is the coordinate of ``subspace`` that holds
+    component t of u(e_j), the value of u on negative basis element j in
+    local coordinates of the degree weight(j)+k space.
+    """
 
     def __init__(self, algebra: GradedLieAlgebra, k: int, subspace: Subspace,
-                 actions: Sequence[Sequence[Sequence[Fraction]]],
-                 zero_maps: Sequence[DegreeZeroMap] | None = None):
+                 columns: Sequence[Sequence[int]]):
         self.algebra = algebra
         self.k = k
         self.subspace = subspace
-        self.actions = tuple(tuple(tuple(v) for v in per_basis) for per_basis in actions)
-        self.zero_maps = tuple(zero_maps) if zero_maps is not None else None
-
-    @classmethod
-    def from_degree_zero(cls, space: DegreeZeroSpace) -> "Level":
-        g = space.algebra
-        actions = []
-        for m in space.maps:
-            per = []
-            for j in range(g.dim):
-                depth = -g.weights[j]
-                layer = g.layer_indices(depth)
-                local = layer.index(j)
-                per.append(tuple(m.blocks[depth - 1].entries[r][local]
-                                 for r in range(len(layer))))
-            actions.append(per)
-        return cls(g, 0, space.subspace, actions, zero_maps=space.maps)
+        self.columns = tuple(tuple(cols) for cols in columns)
+        self.actions = tuple(tuple(tuple(v[c] for c in cols) for cols in self.columns)
+                             for v in subspace.basis)
 
     @property
     def dim(self) -> int:
@@ -64,32 +58,131 @@ class Level:
         return self.actions[b][j]
 
     def coordinates_of_values(self, values: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-        """Coordinates in this level's basis of a map given by its values on g_-.
-
-        Level 0 is canonicalized in packed block-entry coordinates, levels
-        k >= 1 in concatenated action coordinates; this repacks accordingly.
-        """
-        g = self.algebra
-        if self.k == 0:
-            packed: list[Fraction] = []
-            for depth in range(1, g.step + 1):
-                layer = g.layer_indices(depth)
-                for r in range(len(layer)):
-                    for j in layer:
-                        packed.append(values[j][r])
-        else:
-            packed = []
-            for v in values:
-                packed.extend(v)
-        return self.subspace.coordinates_of(packed)
+        """Coordinates in this level's basis of a map given by its values on g_-."""
+        v = vec_zero(self.subspace.ambient_dim)
+        for cols, value in zip(self.columns, values):
+            for c, x in zip(cols, value):
+                v[c] = x
+        return self.subspace.coordinates_of(v)
 
     def __repr__(self) -> str:
         return f"Level(k={self.k}, dim={self.dim})"
 
 
-def termination_valid(g: GradedLieAlgebra) -> bool:
-    """Whether a zero level licenses stopping: exactly the generation property."""
-    return check_generation(g)
+class DegreeZeroMap:
+    """Layer-preserving linear map given by one square block per layer.
+
+    Entry (r, c) of a layer's block is component r of the image of the
+    layer's c-th basis element.  A level-0 element is viewed this way
+    through its values (:meth:`from_values`).
+    """
+
+    __slots__ = ("algebra", "blocks", "_full")
+
+    def __init__(self, algebra: GradedLieAlgebra, blocks: Sequence[Matrix]):
+        self.algebra = algebra
+        dims = algebra.layer_dims
+        if len(blocks) != len(dims):
+            raise ValueError("one block per layer required")
+        for blk, d in zip(blocks, dims):
+            if blk.rows != d or blk.cols != d:
+                raise ValueError("block shape does not match layer dimension")
+        self.blocks = tuple(blocks)
+        self._full = None
+
+    @classmethod
+    def from_values(cls, algebra: GradedLieAlgebra,
+                    values: Sequence[Sequence[Fraction]]) -> "DegreeZeroMap":
+        """The map sending e_j to ``values[j]`` (local coordinates of its layer)."""
+        blocks = []
+        for depth in range(1, algebra.step + 1):
+            layer = algebra.layer_indices(depth)
+            blocks.append(Matrix([[values[j][r] for j in layer] for r in range(len(layer))],
+                                 cols=len(layer)))
+        return cls(algebra, blocks)
+
+    def values(self) -> list[tuple[Fraction, ...]]:
+        """Image of each basis element in local coordinates of its layer."""
+        out: list = [()] * self.algebra.dim
+        for depth, blk in enumerate(self.blocks, start=1):
+            for c, j in enumerate(self.algebra.layer_indices(depth)):
+                out[j] = tuple(row[c] for row in blk.entries)
+        return out
+
+    def full_matrix(self) -> Matrix:
+        if self._full is None:
+            n = self.algebra.dim
+            ent = [[Fraction(0)] * n for _ in range(n)]
+            for depth, blk in enumerate(self.blocks, start=1):
+                idx = self.algebra.layer_indices(depth)
+                for r, gi in enumerate(idx):
+                    for c, gj in enumerate(idx):
+                        ent[gi][gj] = blk.entries[r][c]
+            self._full = Matrix(ent)
+        return self._full
+
+    def apply(self, v: Sequence) -> list:
+        """Matrix action on a coefficient vector (Fraction or polynomial entries)."""
+        full = self.full_matrix()
+        n = self.algebra.dim
+        out = []
+        for i in range(n):
+            acc = Fraction(0)
+            for j in range(n):
+                c = full.entries[i][j]
+                if c:
+                    acc = acc + c * v[j]
+            out.append(acc)
+        return out
+
+    def __repr__(self) -> str:
+        return f"DegreeZeroMap({self.full_matrix().entries!r})"
+
+
+@dataclass(frozen=True)
+class GZeroConstraint:
+    """Linear constraint on the first-layer block of a derivation.
+
+    kinds: ``conformal`` (block in co(m): B + B^t = k I), ``full_derivations``
+    (no constraint), ``explicit`` (user-supplied rows over block entries).
+    """
+
+    kind: str
+    conditions: tuple = field(default=())
+
+    @classmethod
+    def conformal(cls) -> "GZeroConstraint":
+        return cls("conformal")
+
+    @classmethod
+    def full_derivations(cls) -> "GZeroConstraint":
+        return cls("full_derivations")
+
+    @classmethod
+    def explicit(cls, rows: Sequence[dict]) -> "GZeroConstraint":
+        return cls("explicit", tuple(dict(r) for r in rows))
+
+    def first_layer_rows(self, m: int) -> list[dict]:
+        """Condition rows as {(r,c): coeff} maps over the m x m block; each row sums to zero."""
+        if self.kind == "full_derivations":
+            return []
+        if self.kind == "conformal":
+            # B + B^t = k I for some scalar k: off-diagonal pairs cancel,
+            # all diagonal entries agree.  Vacuous for m = 1.
+            rows: list[dict] = []
+            for i in range(m):
+                for j in range(i + 1, m):
+                    rows.append({(i, j): Fraction(1), (j, i): Fraction(1)})
+            for i in range(1, m):
+                rows.append({(i, i): Fraction(1), (0, 0): Fraction(-1)})
+            return rows
+        if self.kind == "explicit":
+            for row in self.conditions:
+                for (r, c) in row:
+                    if not (0 <= r < m and 0 <= c < m):
+                        raise ValueError(f"condition entry ({r},{c}) outside {m}x{m} block")
+            return [dict(r) for r in self.conditions]
+        raise ValueError(f"unknown constraint kind {self.kind!r}")
 
 
 def _space_dim(g: GradedLieAlgebra, levels: Sequence[Level], d: int) -> int:
@@ -136,24 +229,27 @@ def _bracket_local(g: GradedLieAlgebra, levels: Sequence[Level],
 
 
 def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> Level:
-    """Exact solution space of the degree-k Leibniz system.
+    """Exact solution space of the degree-k Leibniz system, for any k >= 0.
 
-    ``prior_levels`` must be the computed levels g_0 .. g_{k-1}.  The
-    unknowns are the values of u on every negative basis element; every
-    unordered pair of negative basis elements contributes one vector
-    equation in the degree weight(S)+weight(T)+k space.
+    ``prior_levels`` must be the computed levels g_0 .. g_{k-1} (none for
+    k = 0).  The unknowns are the values of u on every negative basis
+    element; every unordered pair of negative basis elements contributes
+    one vector equation in the degree weight(S)+weight(T)+k space.
     """
-    if k < 1:
-        raise ValueError("prolongation degree must be >= 1")
+    if k < 0:
+        raise ValueError("prolongation degree must be >= 0")
     if len(prior_levels) != k or any(lvl.k != i for i, lvl in enumerate(prior_levels)):
-        raise PriorLevelsMissing(f"need levels g_0..g_{k-1} to compute g_{k}")
+        raise PriorLevelsMissing(f"g_{k} needs exactly the {k} levels below it")
     sizes = [_space_dim(g, prior_levels, g.weights[j] + k) for j in range(g.dim)]
-    offsets = []
-    pos = 0
-    for s in sizes:
-        offsets.append(pos)
-        pos += s
-    total = pos
+    cells = [(j, t) for j in range(g.dim) for t in range(sizes[j])]
+    if k == 0:
+        # each layer's block row by row: the canonical g0 basis is that of
+        # the block-entry layout its reports have always been printed in
+        cells.sort(key=lambda cell: (-g.weights[cell[0]], cell[1]))
+    columns = [[0] * s for s in sizes]
+    for col, (j, t) in enumerate(cells):
+        columns[j][t] = col
+    total = len(cells)
     rows: list[list[Fraction]] = []
     for j1 in range(g.dim):
         for j2 in range(j1 + 1, g.dim):
@@ -165,7 +261,7 @@ def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> 
             for r, c in enumerate(g.bracket_basis(j1, j2)):
                 if c:
                     for t in range(tdim):
-                        block[t][offsets[r] + t] += c
+                        block[t][columns[r][t]] += c
             # -[u(S),T] and +[u(T),S], one column per unknown coordinate
             for (src, other, sign) in ((j1, j2, -1), (j2, j1, 1)):
                 d = g.weights[src] + k
@@ -175,16 +271,38 @@ def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> 
                     image = _bracket_local(g, prior_levels, unit, d, other)
                     for t, val in enumerate(image):
                         if val:
-                            block[t][offsets[src] + i] += sign * val
+                            block[t][columns[src][i]] += sign * val
             rows.extend(block)
-    space = nullspace(Matrix(rows, cols=total))
-    actions = []
-    for v in space.basis:
-        per = []
-        for j in range(g.dim):
-            per.append(tuple(v[offsets[j] + t] for t in range(sizes[j])))
-        actions.append(per)
-    return Level(g, k, space, actions)
+    return Level(g, k, nullspace(Matrix(rows, cols=total)), columns)
+
+
+def strata_derivations(g: GradedLieAlgebra) -> Level:
+    """All layer-preserving maps D with D[S,T] = [DS,T] + [S,DT]: level 0 of the tower."""
+    return prolong_step(g, [], 0)
+
+
+def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
+    """Intersect the derivation level with a first-layer-block constraint."""
+    if constraint.kind == "full_derivations":
+        return ders
+    g = ders.algebra
+    first = g.layer_indices(1)
+    cond_rows = constraint.first_layer_rows(len(first))
+    if not cond_rows or ders.dim == 0:
+        return ders
+    # block entry (r, c) is component r of the value on the c-th generator
+    rows = [[sum((coeff * per[first[c]][r] for (r, c), coeff in cond.items()), Fraction(0))
+             for per in ders.actions]
+            for cond in cond_rows]
+    coeffs = nullspace(Matrix(rows, cols=ders.dim))
+    vectors = []
+    for combo in coeffs.basis:
+        v = vec_zero(ders.subspace.ambient_dim)
+        for t, bvec in zip(combo, ders.subspace.basis):
+            if t:
+                v = [x + t * y for x, y in zip(v, bvec)]
+        vectors.append(v)
+    return Level(g, 0, Subspace.from_vectors(vectors, ders.subspace.ambient_dim), ders.columns)
 
 
 @dataclass(frozen=True)
@@ -405,7 +523,7 @@ class ProlongationAlgebra:
         return f"ProlongationAlgebra(dim={self.dim}, levels=[{lev}])"
 
 
-def full_prolongation(g: GradedLieAlgebra, g0: DegreeZeroSpace,
+def full_prolongation(g: GradedLieAlgebra, g0: Level,
                       max_k: int = 10) -> tuple[ProlongationAlgebra, TerminationReport]:
     """Iterate prolongation steps until a level vanishes or the cutoff hits.
 
@@ -413,9 +531,9 @@ def full_prolongation(g: GradedLieAlgebra, g0: DegreeZeroSpace,
     justify stopping.  On termination the assembled algebra carries the
     complete bracket table and passes :meth:`ProlongationAlgebra.verify`.
     """
-    if not termination_valid(g):
+    if not check_generation(g):
         raise GenerationFailure("prolongation requires layer -1 to generate the algebra")
-    levels = [Level.from_degree_zero(g0)]
+    levels = [g0]
     dims = [levels[0].dim]
     terminated_at = None
     for k in range(1, max_k + 1):

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from carnot.graded_lie import build_algebra
-from carnot.derivations import GZeroConstraint, constrain_g0, strata_derivations
-from carnot.prolongation import full_prolongation
+from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
+                                 strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame, realize_tau
 
 
@@ -24,6 +24,11 @@ def make_abelian(n):
 
 def conformal_g0(g):
     return constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
+
+
+def zero_maps(level):
+    """The basis of a level-0 space as block maps."""
+    return [DegreeZeroMap.from_values(level.algebra, values) for values in level.actions]
 
 
 def rand_point(rng, n):

@@ -2,6 +2,7 @@ import io
 import json
 import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,42 @@ def test_outputs_are_byte_identical(argv):
     code1, out1 = run_cli(argv)
     code2, out2 = run_cli(argv)
     assert (code1, out1) == (code2, out2)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("prolong", "engel"),
+    ("prolong", "heisenberg"),
+    ("prolong", "r1"),
+    ("prolong", "r2_co2"),
+    ("prolong", "r3_co3"),
+    ("verify", "engel"),
+])
+def test_report_matches_saved_copy(command, name):
+    # the saved copies pin basis order and signs, which two runs of the
+    # same code cannot
+    code, out = run_cli([command, spec_path(name + ".alg")])
+    assert code == 0
+    assert out == (GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
+
+
+FILIFORM = ("[algebra]\nname = filiform\nlayer -1 = X1 X2\nlayer -2 = Y\nlayer -3 = Z\n"
+            "layer -4 = W\n[X1,X2] = Y\n[X1,Y] = Z\n[X1,Z] = W\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_step_four_is_a_structured_failure(tmp_path, command):
+    spec = tmp_path / "filiform.alg"
+    spec.write_text(FILIFORM)
+    for fmt in ("text", "struct"):
+        code, out = run_cli([command, str(spec), "--format", fmt])
+        assert code == 1
+        d = as_dict(out) if fmt == "text" else json.loads(out)
+        assert d["overall"] == "FAIL"
+        assert d["failure"] == "UnsupportedStep: step 4 exceeds the supported truncation (3)"
+    assert run_cli(["prolong", str(spec)])[0] == 0
 
 
 def test_missing_file_exit_2(capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from carnot.exact_linalg import Matrix, Subspace, span_equal
-from carnot.derivations import DegreeZeroMap
 from carnot.group_realization import CoordinateRecipe, PolyVectorField, left_invariant_frame
+from carnot.prolongation import DegreeZeroMap
 from carnot.contact_pde import (NotContact, conformal_defect, conformal_fields_of_degree,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 solve_h_system, solve_polynomial_conformal)
@@ -144,7 +144,7 @@ def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_tau, rng):
     for field in engel_tau:
         for _ in range(2):
             jt = jet(field, engel_frame, rand_point(rng, 4))
-            assert g0.subspace.contains(jt.zero_part.packed())
+            assert g0.coordinates_of_values(jt.zero_part.values()) is not None
 
 
 def test_weighted_derivative_identities_of_conformal_fields(engel_frame, engel_tau):

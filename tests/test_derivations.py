@@ -2,15 +2,41 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix, nullspace, span_equal, span_sum, vec_zero
-from carnot.derivations import (DegreeZeroMap, GZeroConstraint, constrain_g0, packed_dim,
-                                strata_derivations)
-from .conftest import make_abelian, make_engel, make_heisenberg
+from carnot.exact_linalg import Matrix, Subspace, nullspace, span_equal, span_sum, vec_zero
+from carnot.graded_lie import build_algebra
+from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, prolong_step,
+                                 strata_derivations)
+from .conftest import make_abelian, make_engel, make_heisenberg, zero_maps
+
+
+def packed_dim(g):
+    return sum(d * d for d in g.layer_dims)
+
+
+def from_packed(g, v):
+    """The block map whose blocks, layer by layer and row by row, are ``v``."""
+    blocks = []
+    pos = 0
+    for d in g.layer_dims:
+        blocks.append(Matrix([[v[pos + r * d + c] for c in range(d)] for r in range(d)], cols=d))
+        pos += d * d
+    return DegreeZeroMap(g, blocks)
+
+
+def packed(g, values):
+    """Values on g_- written in the packed layout of :func:`from_packed`."""
+    out = []
+    for depth in range(1, g.step + 1):
+        layer = g.layer_indices(depth)
+        for r in range(len(layer)):
+            out.extend(values[j][r] for j in layer)
+    return out
 
 
 def brute_force_derivations(g):
     """Independent oracle: assemble the derivation system over ALL ordered
-    pairs (including diagonal) straight from the definition."""
+    pairs (including diagonal) straight from the definition, one
+    elementary block map per unknown."""
     total = packed_dim(g)
     rows = []
     for i in range(g.dim):
@@ -20,7 +46,7 @@ def brute_force_derivations(g):
                 for u in range(total):
                     v = vec_zero(total)
                     v[u] = Fraction(1)
-                    d = DegreeZeroMap.from_packed(g, v)
+                    d = from_packed(g, v)
                     lhs = d.apply(g.bracket_basis(i, j))[comp]
                     r1 = g.bracket(d.apply(g.basis_vector(i)), g.basis_vector(j))[comp]
                     r2 = g.bracket(g.basis_vector(i), d.apply(g.basis_vector(j)))[comp]
@@ -30,21 +56,44 @@ def brute_force_derivations(g):
     return nullspace(Matrix(rows, cols=total))
 
 
+def make_h2():
+    return build_algebra([["X1", "X2", "Y1", "Y2"], ["T"]],
+                         {("X1", "Y1"): [(1, "T")], ("X2", "Y2"): [(1, "T")]})
+
+
+def make_free_3_2():
+    return build_algebra([["X1", "X2", "X3"], ["Y12", "Y13", "Y23"]],
+                         {("X1", "X2"): [(1, "Y12")], ("X1", "X3"): [(1, "Y13")],
+                          ("X2", "X3"): [(1, "Y23")]})
+
+
+def commutator(a, b):
+    blocks = []
+    for x, y in zip(a.blocks, b.blocks):
+        xy, yx = x.mul(y), y.mul(x)
+        blocks.append(Matrix([[p - q for p, q in zip(r1, r2)]
+                              for r1, r2 in zip(xy.entries, yx.entries)], cols=x.cols))
+    return DegreeZeroMap(a.algebra, blocks)
+
+
 @pytest.mark.parametrize("maker,expected_dim", [
     (make_engel, 3),
     (make_heisenberg, 4),
     (lambda: make_abelian(2), 4),
+    (make_h2, 11),
+    (make_free_3_2, 9),
 ])
 def test_derivation_dims_against_brute_force(maker, expected_dim):
     g = maker()
-    ders = strata_derivations(g)
+    ders = prolong_step(g, [], 0)
     assert ders.dim == expected_dim
-    assert span_equal(ders.subspace, brute_force_derivations(g))
+    vectors = [packed(g, m.values()) for m in zero_maps(ders)]
+    assert span_equal(Subspace.from_vectors(vectors, packed_dim(g)), brute_force_derivations(g))
 
 
 def test_engel_derivation_shape(engel):
     ders = strata_derivations(engel)
-    for m in ders.maps:
+    for m in zero_maps(ders):
         full = m.full_matrix().entries
         d11, d12, d21, d22 = full[0][0], full[0][1], full[1][0], full[1][1]
         assert d12 == 0
@@ -53,7 +102,7 @@ def test_engel_derivation_shape(engel):
 
 
 def test_derivation_law_holds_exactly(engel):
-    for m in strata_derivations(engel).maps:
+    for m in zero_maps(strata_derivations(engel)):
         for i in range(engel.dim):
             for j in range(engel.dim):
                 lhs = m.apply(engel.bracket_basis(i, j))
@@ -66,7 +115,7 @@ def test_engel_conformal_g0_is_the_weight_map(engel):
     g0 = constrain_g0(strata_derivations(engel), GZeroConstraint.conformal())
     assert g0.dim == 1
     expected = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
-    assert g0.maps[0].full_matrix() == expected
+    assert zero_maps(g0)[0].full_matrix() == expected
 
 
 def test_heisenberg_conformal_g0_dim():
@@ -86,7 +135,7 @@ def test_conformal_block_identity():
         g = maker()
         m = g.layer_dims[0]
         g0 = constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
-        for dm in g0.maps:
+        for dm in zero_maps(g0):
             b = dm.blocks[0]
             tr = sum((b.entries[i][i] for i in range(m)), Fraction(0))
             for i in range(m):
@@ -108,7 +157,7 @@ def test_explicit_constraint():
     # force the block to be lower triangular
     g0 = constrain_g0(ders, GZeroConstraint.explicit([{(0, 1): Fraction(1)}]))
     assert g0.dim == 3
-    for m in g0.maps:
+    for m in zero_maps(g0):
         assert m.blocks[0].entries[0][1] == 0
 
 
@@ -120,12 +169,19 @@ def test_co1_is_vacuous():
 
 
 def test_commutator_of_degree_zero_maps(engel):
-    g0 = constrain_g0(strata_derivations(engel), GZeroConstraint.conformal())
-    d = g0.maps[0]
-    assert all(all(x == 0 for x in row) for row in d.commutator(d).full_matrix().entries)
+    d = zero_maps(constrain_g0(strata_derivations(engel), GZeroConstraint.conformal()))[0]
+    assert all(all(x == 0 for x in row) for row in commutator(d, d).full_matrix().entries)
+    # g0 is a subalgebra: commutators of its basis maps stay inside it
+    for g in (make_heisenberg(), make_h2(), make_abelian(3)):
+        g0 = constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
+        maps = zero_maps(g0)
+        for a in maps:
+            for b in maps:
+                assert g0.coordinates_of_values(commutator(a, b).values()) is not None
 
 
-def test_packed_roundtrip(engel):
+def test_values_roundtrip(engel):
     ders = strata_derivations(engel)
-    for m in ders.maps:
-        assert DegreeZeroMap.from_packed(engel, m.packed()) == m
+    for b, m in enumerate(zero_maps(ders)):
+        assert DegreeZeroMap.from_values(engel, m.values()).blocks == m.blocks
+        assert ders.coordinates_of_values(m.values()) == [int(i == b) for i in range(ders.dim)]

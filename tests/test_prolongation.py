@@ -3,22 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.graded_lie import GenerationFailure, GradedLieAlgebra, build_algebra, table_violation
+from carnot.graded_lie import (GenerationFailure, GradedLieAlgebra, build_algebra,
+                               check_generation, table_violation)
 from carnot.prolongation import (JacobiAssemblyFailure, Level, PriorLevelsMissing,
-                                 full_prolongation, prolong_step, termination_valid)
+                                 full_prolongation, prolong_step)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
 from .conftest import conformal_g0, make_abelian, make_engel, make_heisenberg
 
 
 def test_engel_first_level_vanishes(engel):
-    lvl0 = Level.from_degree_zero(conformal_g0(engel))
+    lvl0 = conformal_g0(engel)
     assert prolong_step(engel, [lvl0], 1).dim == 0
 
 
 def test_abelian_r3_first_level():
     g = make_abelian(3)
-    lvl0 = Level.from_degree_zero(conformal_g0(g))
+    lvl0 = conformal_g0(g)
     lvl1 = prolong_step(g, [lvl0], 1)
     assert lvl1.dim == 3
     # oracle: homogeneous conformal fields of matching graded degree
@@ -28,7 +29,7 @@ def test_abelian_r3_first_level():
 
 def test_abelian_r1_levels_never_die():
     g = make_abelian(1)
-    levels = [Level.from_degree_zero(conformal_g0(g))]
+    levels = [conformal_g0(g)]
     for k in range(1, 5):
         lvl = prolong_step(g, levels, k)
         assert lvl.dim == 1
@@ -37,14 +38,18 @@ def test_abelian_r1_levels_never_die():
 
 def test_prior_levels_missing():
     g = make_engel()
-    lvl0 = Level.from_degree_zero(conformal_g0(g))
+    lvl0 = conformal_g0(g)
     with pytest.raises(PriorLevelsMissing):
         prolong_step(g, [lvl0], 2)
+    with pytest.raises(PriorLevelsMissing):
+        prolong_step(g, [lvl0], 0)
+    with pytest.raises(ValueError):
+        prolong_step(g, [], -1)
 
 
 def test_leibniz_law_on_computed_levels():
     g = make_heisenberg()
-    levels = [Level.from_degree_zero(conformal_g0(g))]
+    levels = [conformal_g0(g)]
     for k in (1, 2):
         lvl = prolong_step(g, levels, k)
         from carnot.prolongation import _bracket_local
@@ -150,11 +155,12 @@ def test_engel_bracket_table_values(engel):
 
 
 def test_termination_valid():
-    assert termination_valid(make_engel())
-    assert termination_valid(make_heisenberg())
+    # a zero level licenses stopping exactly when layer -1 generates
+    assert check_generation(make_engel())
+    assert check_generation(make_heisenberg())
     structure = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
     bad = GradedLieAlgebra(["A", "B"], [-1, -2], structure)
-    assert not termination_valid(bad)
+    assert not check_generation(bad)
     with pytest.raises(GenerationFailure):
         full_prolongation(bad, conformal_g0(make_abelian(1)))
 
@@ -173,13 +179,14 @@ def test_determinism_of_levels():
 def test_closed_g0_required_for_assembly():
     # a degree-zero space that is not closed under commutators must be
     # detected while the bracket table is assembled
-    from carnot.derivations import DegreeZeroSpace
     from carnot.exact_linalg import Subspace
     from carnot.prolongation import ProlongationAlgebra
     g = make_abelian(2)
-    # span{E12, E21}: the commutator diag(1,-1) leaves the span
+    # span{E12, E21} in the level-0 layout (the block row by row): the
+    # commutator diag(1,-1) leaves the span
+    ders = prolong_step(g, [], 0)
     vectors = [[0, 1, 0, 0], [0, 0, 1, 0]]
-    lvl0 = Level.from_degree_zero(DegreeZeroSpace(g, Subspace.from_vectors(vectors, 4)))
+    lvl0 = Level(g, 0, Subspace.from_vectors(vectors, 4), ders.columns)
     with pytest.raises(JacobiAssemblyFailure):
         ProlongationAlgebra(g, [lvl0], build_table=True)
 
