@@ -20,10 +20,11 @@ from .exact_linalg import Matrix, Subspace, span_equal
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra, check_generation
 from .prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
                            strata_derivations)
-from .group_realization import (CoordinateRecipe, NotRealizable, PolyVectorField,
-                                UnsupportedStep, dilation, extend_first_layer_automorphism,
-                                graded_automorphism, left_invariant_frame, left_translation,
-                                realize_tau, similarity_check)
+from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealizable,
+                                PolyVectorField, UnsupportedStep, dilation,
+                                extend_first_layer_automorphism, graded_automorphism,
+                                left_invariant_frame, left_translation, realize_tau,
+                                similarity_check)
 from .contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check,
                           solve_polynomial_conformal, vf_bracket)
 
@@ -116,6 +117,7 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
     section = None
     declared_layers: dict[int, list[str]] = {}
     entry_positions: list[tuple[int, int, int, int]] = []  # line, column, r, c of each B(r,c)
+    factor_positions: list[tuple[int, int, str]] = []  # line, column, name of each factor entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -183,6 +185,9 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 if spec.recipe_factors is None:
                     spec.recipe_factors = []
                 spec.recipe_factors.append(m.group(1).split())
+                factor_line = (lineno, col)
+                factor_positions += [(lineno, col + m.start(1) + nm.start(), nm.group(0))
+                                     for nm in re.finditer(r"\S+", m.group(1))]
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized recipe line: {stripped!r}")
         if section == "options":
@@ -204,6 +209,15 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 raise ParseError(filename, lineno, entry_col,
                                  f"condition entry B({r + 1},{c + 1}) outside the "
                                  f"{width}x{width} first-layer block")
+    if spec.recipe_factors is not None:
+        unplaced = list(dict.fromkeys(name for layer in spec.layers for name in layer))
+        for lineno, name_col, name in factor_positions:
+            if name not in unplaced:
+                why = "listed twice" if any(name in ly for ly in spec.layers) else "no basis name"
+                raise ParseError(filename, lineno, name_col, f"factor entry {name!r} is {why}")
+            unplaced.remove(name)
+        if unplaced:
+            raise ParseError(filename, *factor_line, f"factors leave out {', '.join(unplaced)}")
     return spec
 
 
@@ -576,10 +590,10 @@ def main(argv: list[str] | None = None) -> int:
         report.add("valid", False)
         report.add("violation", f"{type(exc).__name__}: {exc}")
         code = 1
-    except UnsupportedStep as exc:
-        # verify and oracle need the group law; what was computed before it stays
+    except (UnsupportedStep, CoordinateCollision) as exc:
+        # verify and oracle need the group law in coordinates; what came before stays
         report.add("overall", "FAIL")
-        report.add("failure", f"UnsupportedStep: {exc}")
+        report.add("failure", f"{type(exc).__name__}: {exc}")
         code = 1
     sys.stdout.write(report.render(args.format))
     return code

@@ -214,7 +214,7 @@ def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:
     d = j.zero_part
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            lhs = d.apply(g.bracket_basis(a, b))
+            lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d.full_matrix().entries]
             rhs1 = g.bracket(d.apply(g.basis_vector(a)), g.basis_vector(b))
             rhs2 = g.bracket(d.apply(g.basis_vector(b)), g.basis_vector(a))
             if any(x != y - z for x, y, z in zip(lhs, rhs1, rhs2)):
@@ -228,18 +228,9 @@ def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:
 def _is_engel_pattern(g: GradedLieAlgebra) -> bool:
     if g.layer_dims != [2, 1, 1]:
         return False
-    expect = {
-        (0, 1): [0, 0, 1, 0],
-        (0, 2): [0, 0, 0, 1],
-        (1, 2): [0, 0, 0, 0],
-        (0, 3): [0, 0, 0, 0],
-        (1, 3): [0, 0, 0, 0],
-        (2, 3): [0, 0, 0, 0],
-    }
-    for (i, j), v in expect.items():
-        if g.bracket_basis(i, j) != [Fraction(x) for x in v]:
-            return False
-    return True
+    expect = {(0, 1): ((2, 1),), (0, 2): ((3, 1),)}
+    return all(g.rows[i][j] == expect.get((i, j), ())
+               for i in range(4) for j in range(i + 1, 4))
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 A :class:`GradedLieAlgebra` carries an ordered basis, a negative integer
 weight per basis element (the layer), and the full antisymmetric table of
-brackets.  Elements are plain coefficient vectors in the fixed basis; the
-bracket extends bilinearly and also accepts polynomial coefficients, which
-the group-realization code relies on.
+brackets as sparse rows: ``rows[i][j]`` lists the nonzero structure
+constants of ``[e_i, e_j]``.  Elements are plain coefficient vectors in
+the fixed basis; the bracket extends bilinearly and also accepts
+polynomial coefficients, which the group-realization code relies on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import Subspace
 
@@ -42,17 +44,19 @@ class DuplicateBracket(InvalidAlgebra):
 class GradedLieAlgebra:
     """Immutable stratified Lie algebra over the rationals.
 
-    ``structure[i][j]`` is the coefficient vector of ``[e_i, e_j]``.
-    Construction verifies antisymmetry, the grading and the Jacobi
+    ``rows[i][j]`` is ``[e_i, e_j]`` as a tuple of nonzero ``(k, c)`` terms
+    sorted by ``k``, the format of ``ProlongationAlgebra.bracket_table``;
+    the constructor accepts any such terms, sums repeated ``k`` and drops
+    zeros.  Construction verifies antisymmetry, the grading and the Jacobi
     identity with :func:`table_violation`; generation of the lower layers
     by layer -1 is enforced by :func:`build_algebra` and queried via
     :func:`check_generation`.
     """
 
-    __slots__ = ("names", "weights", "structure", "dim", "step", "_index", "_nonzero")
+    __slots__ = ("names", "weights", "rows", "dim", "step", "_index", "_nonzero")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int],
-                 structure: Sequence[Sequence[Sequence]]):
+                 rows: Sequence[Sequence[Iterable[tuple[int, object]]]]):
         self.names = tuple(names)
         self.weights = tuple(int(w) for w in weights)
         n = len(self.names)
@@ -67,21 +71,23 @@ class GradedLieAlgebra:
         for d in range(1, self.step + 1):
             if not any(w == -d for w in self.weights):
                 raise InvalidAlgebra(f"layer -{d} is empty")
-        self.structure = tuple(
-            tuple(tuple(Fraction(c) for c in structure[i][j]) for j in range(n))
-            for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                if len(self.structure[i][j]) != n:
-                    raise InvalidAlgebra("structure vectors must have basis length")
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise InvalidAlgebra(f"bracket table must be {n}x{n}")
+        sums: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+        for i, j in product(range(n), repeat=2):
+            for k, c in rows[i][j]:
+                if k not in range(n):
+                    raise InvalidAlgebra(f"[{self.names[i]},{self.names[j]}] has "
+                                         f"component index {k!r} outside the basis")
+                sums[i][j][k] = sums[i][j].get(k, 0) + Fraction(c)
+        self.rows = tuple(tuple(tuple(sorted((k, c) for k, c in terms.items() if c))
+                                for terms in row) for row in sums)
         self._index = {name: i for i, name in enumerate(self.names)}
-        rows = [[tuple((k, c) for k, c in enumerate(self.structure[i][j]) if c)
-                 for j in range(n)] for i in range(n)]
-        violation = table_violation(rows, self.weights)
+        violation = table_violation(self.rows, self.weights)
         if violation is not None:
             raise self._violation(*violation)
-        self._nonzero = [(i, j, rows[i][j])
-                         for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+        self._nonzero = [(i, j, self.rows[i][j])
+                         for i in range(n) for j in range(i + 1, n) if self.rows[i][j]]
 
     def _violation(self, kind: str, a: int, b: int, c: int) -> InvalidAlgebra:
         na, nb, nc = self.names[a], self.names[b], self.names[c]
@@ -111,9 +117,6 @@ class GradedLieAlgebra:
         v = [Fraction(0)] * self.dim
         v[i] = Fraction(1)
         return v
-
-    def bracket_basis(self, i: int, j: int) -> list:
-        return list(self.structure[i][j])
 
     def bracket(self, a: Sequence, b: Sequence) -> list:
         """Bilinear bracket of coefficient vectors.
@@ -196,7 +199,7 @@ def build_algebra(layers: Sequence[Sequence[str]],
             weights.append(-d)
     index = {name: i for i, name in enumerate(names)}
     n = len(names)
-    structure = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    rows: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for (a, b), terms in brackets.items():
         if a not in index or b not in index:
@@ -211,11 +214,9 @@ def build_algebra(layers: Sequence[Sequence[str]],
         for coeff, name in terms:
             if name not in index:
                 raise InvalidAlgebra(f"unknown basis name {name!r} in bracket [{a},{b}]")
-            k = index[name]
-            structure[i][j][k] += Fraction(coeff)
-        for k in range(n):
-            structure[j][i][k] = -structure[i][j][k]
-    g = GradedLieAlgebra(names, weights, structure)
+            rows[i][j].append((index[name], Fraction(coeff)))
+            rows[j][i].append((index[name], -Fraction(coeff)))
+    g = GradedLieAlgebra(names, weights, rows)
     if not check_generation(g):
         raise GenerationFailure("layer -1 does not generate the lower layers")
     return g
@@ -225,13 +226,10 @@ def check_generation(g: GradedLieAlgebra) -> bool:
     """True iff brackets of layer -1 with layer -(k-1) span layer -k for all k >= 2."""
     for depth in range(2, g.step + 1):
         targets = g.layer_indices(depth)
-        position = {idx: r for r, idx in enumerate(targets)}
-        produced = []
-        for i in g.layer_indices(1):
-            for j in g.layer_indices(depth - 1):
-                full = g.bracket_basis(i, j)
-                produced.append([full[idx] for idx in targets])
-        span = Subspace.from_vectors(produced, len(position))
+        products = [dict(g.rows[i][j])
+                    for i in g.layer_indices(1) for j in g.layer_indices(depth - 1)]
+        span = Subspace.from_vectors([[p.get(t, 0) for t in targets] for p in products],
+                                     len(targets))
         if span.dim != len(targets):
             return False
     return True

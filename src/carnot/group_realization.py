@@ -28,6 +28,10 @@ class UnsupportedStep(ValueError):
     """The truncated BCH series only covers nilpotency step <= 3."""
 
 
+class CoordinateCollision(ValueError):
+    """Two basis names lowercase to the same coordinate name."""
+
+
 class NonpositiveScale(ValueError):
     pass
 
@@ -83,7 +87,7 @@ class CoordinateRecipe:
             raise ValueError("factors must cover every basis element exactly once")
         names = self.coord_names
         if len(set(names)) != len(names):
-            raise ValueError("coordinate names collide after lowercasing")
+            raise CoordinateCollision("coordinate names collide after lowercasing")
 
     @classmethod
     def single_factor(cls, g: GradedLieAlgebra) -> "CoordinateRecipe":
@@ -405,7 +409,7 @@ def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = g.bracket(phi.col(i), phi.col(j))
-            rhs = phi.mul_vec(g.bracket_basis(i, j))
+            rhs = [sum(c * row[k] for k, c in g.rows[i][j]) for row in phi.entries]
             if lhs != rhs:
                 raise ValueError(
                     f"matrix does not respect the bracket on ({g.names[i]},{g.names[j]})")
@@ -429,8 +433,8 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
     for depth in range(2, g.step + 1):
         targets = g.layer_indices(depth)
         pairs = [(i, j) for i in g.layer_indices(1) for j in g.layer_indices(depth - 1)]
-        span = Matrix([[g.bracket_basis(i, j)[t] for (i, j) in pairs] for t in targets],
-                      cols=len(pairs))
+        products = [dict(g.rows[i][j]) for i, j in pairs]
+        span = Matrix([[p.get(t, 0) for p in products] for t in targets], cols=len(pairs))
         for local, gt in enumerate(targets):
             rhs = [Fraction(1) if t == local else Fraction(0) for t in range(len(targets))]
             combo = solve(span, rhs)

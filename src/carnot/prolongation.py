@@ -195,19 +195,6 @@ def _space_dim(g: GradedLieAlgebra, levels: Sequence[Level], d: int) -> int:
     return 0
 
 
-def _embed_layer(g: GradedLieAlgebra, local: Sequence[Fraction], d: int) -> list[Fraction]:
-    full = vec_zero(g.dim)
-    for local_i, gi in enumerate(g.layer_indices(-d)):
-        full[gi] = local[local_i]
-    return full
-
-
-def _extract_layer(g: GradedLieAlgebra, full: Sequence[Fraction], d: int) -> list[Fraction]:
-    if d < -g.step:
-        return []
-    return [full[gi] for gi in g.layer_indices(-d)]
-
-
 def _bracket_local(g: GradedLieAlgebra, levels: Sequence[Level],
                    coords: Sequence[Fraction], d: int, j: int) -> list[Fraction]:
     """[x, e_j] for x given by local coordinates in the degree-d space.
@@ -215,11 +202,13 @@ def _bracket_local(g: GradedLieAlgebra, levels: Sequence[Level],
     Result in local coordinates of degree d + weight(j).
     """
     target = d + g.weights[j]
-    if d < 0:
-        full = _embed_layer(g, coords, d)
-        out_full = g.bracket(full, g.basis_vector(j))
-        return _extract_layer(g, out_full, target)
     out = vec_zero(_space_dim(g, levels, target))
+    if d < 0:
+        position = {gi: t for t, gi in enumerate(g.layer_indices(-target))}
+        for gi, x in zip(g.layer_indices(-d), coords):
+            for k, c in g.rows[gi][j]:
+                out[position[k]] += x * c
+        return out
     lvl = levels[d]
     for b, cb in enumerate(coords):
         if cb:
@@ -258,10 +247,9 @@ def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> 
                 continue
             block = [vec_zero(total) for _ in range(tdim)]
             # u([S,T]) expands through the structure constants
-            for r, c in enumerate(g.bracket_basis(j1, j2)):
-                if c:
-                    for t in range(tdim):
-                        block[t][columns[r][t]] += c
+            for r, c in g.rows[j1][j2]:
+                for t in range(tdim):
+                    block[t][columns[r][t]] += c
             # -[u(S),T] and +[u(T),S], one column per unknown coordinate
             for (src, other, sign) in ((j1, j2, -1), (j2, j1, 1)):
                 d = g.weights[src] + k
@@ -295,14 +283,19 @@ def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
              for per in ders.actions]
             for cond in cond_rows]
     coeffs = nullspace(Matrix(rows, cols=ders.dim))
+    # both bases are reduced echelon, so their product is the canonical
+    # echelon basis of the intersection, with the composed pivots
+    terms = [[(i, y) for i, y in enumerate(bvec) if y] for bvec in ders.subspace.basis]
     vectors = []
     for combo in coeffs.basis:
         v = vec_zero(ders.subspace.ambient_dim)
-        for t, bvec in zip(combo, ders.subspace.basis):
-            if t:
-                v = [x + t * y for x, y in zip(v, bvec)]
+        for x, row in zip(combo, terms):
+            if x:
+                for i, y in row:
+                    v[i] += x * y
         vectors.append(v)
-    return Level(g, 0, Subspace.from_vectors(vectors, ders.subspace.ambient_dim), ders.columns)
+    pivots = [ders.subspace.pivots[q] for q in coeffs.pivots]
+    return Level(g, 0, Subspace(ders.subspace.ambient_dim, vectors, pivots), ders.columns)
 
 
 @dataclass(frozen=True)
@@ -395,11 +388,10 @@ class ProlongationAlgebra:
         negs = [i for i, key in enumerate(self.sbasis) if key[0] == "neg"]
         levs = [i for i, key in enumerate(self.sbasis) if key[0] == "lev"]
         for a in negs:
+            row = g.rows[self.sbasis[a][1]]
             for b in negs:
-                if a < b:
-                    full = g.bracket_basis(self.sbasis[a][1], self.sbasis[b][1])
-                    put(a, b, tuple(sorted((self._pos[("neg", gi)], c)
-                                           for gi, c in enumerate(full) if c)))
+                table[a][b] = tuple(sorted((self._pos[("neg", k)], c)
+                                           for k, c in row[self.sbasis[b][1]]))
         for a in levs:
             _, k, p = self.sbasis[a]
             for b in negs:

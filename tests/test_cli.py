@@ -307,3 +307,48 @@ def test_zero_max_k_is_accepted():
     code, out = run_cli(["prolong", spec_path("r1.alg"), "--max-k", "0"])
     assert code == 0
     assert as_dict(out)["status"] == "cutoff_reached"
+
+
+ENGEL_ALGEBRA = ("[algebra]\nname = engel\nlayer -1 = X1 X2\nlayer -2 = Y\nlayer -3 = Z\n"
+                 "[X1,X2] = Y\n[X1,Y] = Z\n[recipe]\nfactor = X2 Y Z\n")
+
+
+@pytest.mark.parametrize("last_factor, col, message", [
+    ("factor = X1 Q", 13, "factor entry 'Q' is no basis name"),
+    ("factor = X1 Y", 13, "factor entry 'Y' is listed twice"),
+    ("factor = X2", 10, "factor entry 'X2' is listed twice"),
+    ("  factor =", 3, "factors leave out X1"),
+])
+def test_recipe_factor_errors_are_located_parse_errors(tmp_path, capsys, last_factor, col,
+                                                       message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(ENGEL_ALGEBRA + last_factor + "\n")
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(str(bad))
+    assert (err.value.line, err.value.col) == (10, col)
+    assert str(err.value).endswith(message)
+    for command in ("validate", "prolong", "verify", "oracle"):
+        assert main([command, str(bad)]) == 2
+        assert f"bad.alg:10:{col}: {message}" in capsys.readouterr().err
+
+
+def test_recipe_over_a_repeated_basis_name_leaves_the_repeat_to_validation(tmp_path):
+    spec = tmp_path / "repeat.alg"
+    spec.write_text("[algebra]\nlayer -1 = X X\n[recipe]\nfactor = X\n")
+    code, out = run_cli(["validate", str(spec)])
+    assert code == 1
+    assert as_dict(out)["violation"] == "InvalidAlgebra: duplicate basis names"
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_colliding_coordinate_names_are_a_structured_failure(tmp_path, command):
+    spec = tmp_path / "collide.alg"
+    spec.write_text("[algebra]\nname = collide\nlayer -1 = X x\nlayer -2 = Y\n[X,x] = Y\n")
+    for fmt in ("text", "struct"):
+        code, out = run_cli([command, str(spec), "--format", fmt])
+        assert code == 1
+        d = as_dict(out) if fmt == "text" else json.loads(out)
+        assert d["overall"] == "FAIL"
+        assert d["failure"] == "CoordinateCollision: coordinate names collide after lowercasing"
+    for command in ("validate", "prolong"):
+        assert run_cli([command, str(spec)])[0] == 0

@@ -47,7 +47,7 @@ def brute_force_derivations(g):
                     v = vec_zero(total)
                     v[u] = Fraction(1)
                     d = from_packed(g, v)
-                    lhs = d.apply(g.bracket_basis(i, j))[comp]
+                    lhs = d.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))[comp]
                     r1 = g.bracket(d.apply(g.basis_vector(i)), g.basis_vector(j))[comp]
                     r2 = g.bracket(g.basis_vector(i), d.apply(g.basis_vector(j)))[comp]
                     row[u] = lhs - r1 - r2
@@ -105,7 +105,7 @@ def test_derivation_law_holds_exactly(engel):
     for m in zero_maps(strata_derivations(engel)):
         for i in range(engel.dim):
             for j in range(engel.dim):
-                lhs = m.apply(engel.bracket_basis(i, j))
+                lhs = m.apply(engel.bracket(engel.basis_vector(i), engel.basis_vector(j)))
                 rhs1 = engel.bracket(m.apply(engel.basis_vector(i)), engel.basis_vector(j))
                 rhs2 = engel.bracket(engel.basis_vector(i), m.apply(engel.basis_vector(j)))
                 assert lhs == [a + b for a, b in zip(rhs1, rhs2)]
@@ -149,6 +149,34 @@ def test_constrained_space_inside_derivations(engel):
     ders = strata_derivations(engel)
     g0 = constrain_g0(ders, GZeroConstraint.conformal())
     assert span_equal(span_sum(ders.subspace, g0.subspace), ders.subspace)
+
+
+def _bundled(name):
+    from carnot import bundled_spec
+    from carnot.cli import parse_spec_file, spec_algebra, spec_constraint
+    spec = parse_spec_file(bundled_spec(name + ".alg"))
+    return spec_algebra(spec), spec_constraint(spec)
+
+
+G0_CASES = {
+    **{name: lambda name=name: _bundled(name)
+       for name in ("engel", "heisenberg", "r1", "r2_co2", "r3_co3")},
+    **{f"r{n}_co": lambda n=n: (make_abelian(n), GZeroConstraint.conformal())
+       for n in range(3, 7)},
+    "h2_co": lambda: (make_h2(), GZeroConstraint.conformal()),
+    "r3_explicit": lambda: (make_abelian(3), GZeroConstraint.explicit(
+        [{(0, 1): Fraction(1)}, {(2, 2): Fraction(1)}])),
+}
+
+
+@pytest.mark.parametrize("case", G0_CASES)
+def test_constrained_basis_is_canonical_echelon(case):
+    # constrain_g0 composes two echelon bases instead of re-eliminating
+    g, constraint = G0_CASES[case]()
+    g0 = constrain_g0(strata_derivations(g), constraint)
+    again = Subspace.from_vectors(g0.subspace.basis, g0.subspace.ambient_dim)
+    assert again == g0.subspace
+    assert again.pivots == g0.subspace.pivots
 
 
 def test_explicit_constraint():

@@ -1,4 +1,4 @@
-"""Property test of the command line over small generated spec files.
+"""Property tests of the command line over generated and mutated spec files.
 
 Every input must end in a report or a located message, with exit code 0,
 1 or 2, never in a traceback, and the report must not change between runs.
@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from carnot import bundled_spec
 from carnot.cli import main
 
 COMMANDS = (["validate"], ["prolong"], ["verify"], ["oracle", "--degree", "2"])
@@ -49,6 +50,58 @@ def spec_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+# Pieces of the spec language that malformed files are made of: section
+# headers, recipe factors, first-layer conditions and degenerate numbers.
+TOKENS = ("[recipe]", "[algebra]", "[g0]", "[options]", "factor", "=", "factor =", "B(1,2)",
+          "B(3,1)", "B(0,0)", "1/0", "0", "1/2", "-", "+", "X1", "X2", "x1", "Y", "Z", "Q",
+          "layer", "-1", "-4", "[X1,Y]", "explicit", "condition", "max_k", "#")
+LINES = ("[recipe]", "factor = X1 Q", "factor = X2 Y Z", "factor = X1", "factor =",
+         "[recipe]\nfactor = X1 X2 Y", "[recipe]\nfactor = X2 x1", "[X1,X2] = 1/0 Y",
+         "[X1,X2] = Y + Y", "[X2,Y] = Z", "[X1,Z] = Y", "constraint = explicit",
+         "condition = B(1,2) - B(3,1)", "condition = B(1,1)", "layer -2 = x1", "layer -3 = Z",
+         "layer -4 = W", "oracle_degree = 1")
+
+
+def _statements(name):
+    with open(bundled_spec(name), encoding="utf-8") as fh:
+        return tuple(line for line in fh.read().splitlines() if line and line[0] != "#")
+
+
+BUNDLED = tuple(_statements(name) for name in ("engel.alg", "heisenberg.alg", "r1.alg",
+                                               "r2_co2.alg", "r3_co3.alg"))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A bundled spec with a few lines or tokens inserted, deleted or duplicated."""
+    lines = list(draw(st.sampled_from(BUNDLED)))
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(("line", "token")))
+        op = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if kind == "line" or i == len(lines):
+            if op == "insert" or i == len(lines):
+                lines.insert(i, draw(st.sampled_from(LINES)))
+            elif op == "delete":
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+            continue
+        # token edits go to the value side of "key = value" lines, where
+        # names, factors, conditions and coefficients are
+        key, sep, value = lines[i].rpartition(" = ")
+        tokens = value.split()
+        j = draw(st.integers(0, len(tokens)))
+        if op == "insert" or j == len(tokens):
+            tokens.insert(j, draw(st.sampled_from(TOKENS)))
+        elif op == "delete":
+            del tokens[j]
+        else:
+            tokens.insert(j, tokens[j])
+        lines[i] = key + sep + " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
 def run(argv):
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
@@ -69,3 +122,17 @@ def test_every_command_ends_in_a_report_or_a_located_error(text):
             code, out = run(argv)
             assert code in (0, 1, 2), (argv, text)
             assert run(argv) == (code, out), (argv, text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_specs())
+def test_malformed_spec_text_ends_in_a_report_or_a_located_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in COMMANDS:
+            argv = [command[0], path, "--max-k", "2", *command[1:]]
+            code, _ = run(argv)
+            assert code in (0, 1, 2), (argv, text)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from carnot.graded_lie import (AntisymmetryViolation, DuplicateBracket, GenerationFailure,
-                               GradedLieAlgebra, GradingViolation, JacobiViolation,
-                               build_algebra, check_generation)
+                               GradedLieAlgebra, GradingViolation, InvalidAlgebra,
+                               JacobiViolation, build_algebra, check_generation)
 from .conftest import make_abelian, make_engel, make_heisenberg
 
 
@@ -38,19 +38,19 @@ def test_bracket_bilinear(engel):
     manual = [Fraction(0)] * 4
     for i in range(4):
         for j in range(4):
-            if a[i] and b[j]:
-                coeff = a[i] * b[j]
-                manual = [x + coeff * c for x, c in zip(manual, engel.bracket_basis(i, j))]
+            for k, c in engel.rows[i][j]:
+                manual[k] += a[i] * b[j] * c
     assert left == manual
 
 
 def test_jacobi_checked_on_all_triples(engel):
+    e = engel.basis_vector
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                s = engel.bracket(engel.basis_vector(i), engel.bracket_basis(j, k))
-                t = engel.bracket(engel.basis_vector(j), engel.bracket_basis(k, i))
-                u = engel.bracket(engel.basis_vector(k), engel.bracket_basis(i, j))
+                s = engel.bracket(e(i), engel.bracket(e(j), e(k)))
+                t = engel.bracket(e(j), engel.bracket(e(k), e(i)))
+                u = engel.bracket(e(k), engel.bracket(e(i), e(j)))
                 assert all(x + y + z == 0 for x, y, z in zip(s, t, u))
 
 
@@ -87,8 +87,7 @@ def test_generation_failure_on_disconnected_sum():
 def test_check_generation_false_on_direct_construction():
     # the constructor checks only the pointwise laws, so the non-generated
     # example is constructible and reports False
-    structure = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-    g = GradedLieAlgebra(["A", "B"], [-1, -2], structure)
+    g = GradedLieAlgebra(["A", "B"], [-1, -2], [[(), ()], [(), ()]])
     assert not check_generation(g)
 
 
@@ -100,7 +99,7 @@ def test_rational_coefficients_in_brackets():
 def test_deterministic_structure():
     a = make_engel()
     b = make_engel()
-    assert a.structure == b.structure
+    assert a.rows == b.rows
     assert a.names == b.names
 
 
@@ -110,11 +109,11 @@ def test_abelian_layers():
     assert check_generation(g)
 
 
-def _structure(n, entries):
-    st = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+def _rows(n, entries):
+    rows = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in entries.items():
-        st[i][j][k] = Fraction(c)
-    return st
+        rows[i][j].append((k, c))
+    return rows
 
 
 @pytest.mark.parametrize("entries, error, message", [
@@ -128,7 +127,37 @@ def _structure(n, entries):
 ])
 def test_direct_construction_violation_messages(entries, error, message):
     with pytest.raises(error) as exc:
-        GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], _structure(3, entries))
+        GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], _rows(3, entries))
+    assert str(exc.value) == message
+
+
+def test_engel_rows():
+    # [X1,X2] = Y and [X1,Y] = Z, stored once per orientation
+    rows = make_engel().rows
+    nonzero = {(i, j): row for i, r in enumerate(rows) for j, row in enumerate(r) if row}
+    assert nonzero == {(0, 1): ((2, 1),), (1, 0): ((2, -1),),
+                       (0, 2): ((3, 1),), (2, 0): ((3, -1),)}
+
+
+def test_direct_construction_normalizes_rows():
+    # coefficients become Fractions, repeated components add up, zeros drop
+    rows = _rows(3, {(0, 1, 2): "1/2", (1, 0, 2): -1})
+    rows[0][1] += [(2, Fraction(1, 2)), (0, 0)]
+    g = GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], rows)
+    assert g.rows[0][1] == ((2, Fraction(1)),)
+    assert all(type(c) is Fraction for row in g.rows for entry in row for _, c in entry)
+    assert g.rows[2] == ((), (), ())
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[(), ()], [(), ()]], "bracket table must be 3x3"),
+    ([[(), (), ()], [(), ()], [(), (), ()]], "bracket table must be 3x3"),
+    (_rows(3, {(0, 1, 3): 1, (1, 0, 3): -1}), "[A,B] has component index 3 outside the basis"),
+    (_rows(3, {(0, 1, -1): 1}), "[A,B] has component index -1 outside the basis"),
+])
+def test_direct_construction_rejects_malformed_tables(rows, message):
+    with pytest.raises(InvalidAlgebra) as exc:
+        GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], rows)
     assert str(exc.value) == message
 
 

@@ -58,11 +58,9 @@ def test_leibniz_law_on_computed_levels():
                 for j2 in range(j1 + 1, g.dim):
                     lhs_target = g.weights[j1] + g.weights[j2] + k
                     lhs = None
-                    br = g.bracket_basis(j1, j2)
-                    for r, c in enumerate(br):
-                        if c:
-                            term = [c * x for x in lvl.action(b, r)]
-                            lhs = term if lhs is None else [p + q for p, q in zip(lhs, term)]
+                    for r, c in g.rows[j1][j2]:
+                        term = [c * x for x in lvl.action(b, r)]
+                        lhs = term if lhs is None else [p + q for p, q in zip(lhs, term)]
                     rhs1 = _bracket_local(g, levels, lvl.action(b, j1),
                                           g.weights[j1] + k, j2)
                     rhs2 = _bracket_local(g, levels, lvl.action(b, j2),
@@ -158,8 +156,7 @@ def test_termination_valid():
     # a zero level licenses stopping exactly when layer -1 generates
     assert check_generation(make_engel())
     assert check_generation(make_heisenberg())
-    structure = [[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)]
-    bad = GradedLieAlgebra(["A", "B"], [-1, -2], structure)
+    bad = GradedLieAlgebra(["A", "B"], [-1, -2], [[(), ()], [(), ()]])
     assert not check_generation(bad)
     with pytest.raises(GenerationFailure):
         full_prolongation(bad, conformal_g0(make_abelian(1)))
@@ -189,6 +186,37 @@ def test_closed_g0_required_for_assembly():
     lvl0 = Level(g, 0, Subspace.from_vectors(vectors, 4), ders.columns)
     with pytest.raises(JacobiAssemblyFailure):
         ProlongationAlgebra(g, [lvl0], build_table=True)
+
+
+def _permuted(g, order):
+    """The same algebra with its basis declared in the given order."""
+    new = {old: i for i, old in enumerate(order)}
+    rows = [[[(new[k], c) for k, c in g.rows[a][b]] for b in order] for a in order]
+    return GradedLieAlgebra([g.names[i] for i in order], [g.weights[i] for i in order], rows)
+
+
+def make_cartan_235():
+    return build_algebra([["X1", "X2"], ["Y"], ["Z1", "Z2"]],
+                         {("X1", "X2"): [(1, "Y")], ("X1", "Y"): [(1, "Z1")],
+                          ("X2", "Y"): [(1, "Z2")]})
+
+
+@pytest.mark.parametrize("make, order", [
+    (make_engel, [0, 3, 1, 2]),       # X1 Z X2 Y
+    (make_heisenberg, [2, 0, 1]),     # Y X1 X2
+    (make_heisenberg, [1, 2, 0]),     # X2 Y X1
+    (make_cartan_235, [3, 0, 2, 4, 1]),   # Z1 X1 Y Z2 X2
+    (make_cartan_235, [4, 1, 2, 0, 3]),   # Z2 X2 Y X1 Z1
+])
+def test_interleaved_layers_prolong_like_contiguous_ones(make, order):
+    # layers need not be contiguous blocks of the basis of a directly built algebra
+    g = make()
+    shuffled = _permuted(g, order)
+    assert check_generation(shuffled)
+    s, rep = full_prolongation(shuffled, conformal_g0(shuffled))
+    ref_s, ref = full_prolongation(g, conformal_g0(g))
+    assert rep == ref
+    assert sorted(s.labels) == sorted(ref_s.labels)
 
 
 # -- closed forms on whole families ------------------------------------------
