@@ -7,7 +7,7 @@ vector fields on the group, everything in exact rational arithmetic.  An
 independent bounded-degree PDE solver cross-checks the dimensions.
 """
 
-from .exact_linalg import Matrix, Rational, Subspace, nullspace, rref, span_equal
+from .exact_linalg import Matrix, Rational, SparseRows, Subspace, nullspace, rref, span_equal
 from .graded_lie import GradedLieAlgebra, build_algebra, check_generation
 from .prolongation import (DegreeZeroMap, GZeroConstraint, Level, ProlongationAlgebra,
                            TerminationReport, constrain_g0, full_prolongation, prolong_step,

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .exact_linalg import Matrix, Subspace, nullspace, vec_zero
+from .exact_linalg import Matrix, SparseRows, Subspace, dense_row, nullspace, vec_zero
 from .graded_lie import GradedLieAlgebra
 from .prolongation import DegreeZeroMap
 from .polynomials import Poly
@@ -63,61 +63,24 @@ def _frame_components(V: PolyVectorField, frame: Frame) -> list[Poly]:
     return frame.to_frame(list(V.components))
 
 
-def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
-    """Non-horizontal frame components of [V, X] for each horizontal X."""
-    g = frame.algebra
-    m = frame.horizontal
-    comps = _frame_components(V, frame)
-    coords = frame.to_coords(comps)
-    residuals = []
-    for i in range(m):
-        br = vf_bracket(coords, list(frame.columns[i]))
-        br_frame = frame.to_frame(br)
-        for j in range(m, len(frame)):
-            residuals.append((f"[V,~{g.names[i]}]@~{g.names[j]}", br_frame[j]))
-    return DefectReport(tuple(residuals))
-
-
-def _horizontal_derivative_matrix(comps: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
-    m = frame.horizontal
-    return [[frame.apply(j, comps[i]) for j in range(m)] for i in range(m)]
-
-
-def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
-    """Residuals of M + M^t = (2/m) tr(M) I on the horizontal derivative matrix."""
-    if not contact_defect(V, frame).all_zero:
-        raise NotContact("conformality is only defined for contact fields")
-    g = frame.algebra
-    m = frame.horizontal
-    comps = _frame_components(V, frame)
-    mat = _horizontal_derivative_matrix(comps, frame)
-    trace = frame.ring.zero()
-    for i in range(m):
-        trace = trace + mat[i][i]
-    residuals = []
-    for i in range(m):
-        for j in range(i, m):
-            r = mat[i][j] + mat[j][i]
-            if i == j:
-                r = r - Fraction(2, m) * trace
-            residuals.append((f"co({g.names[i]},{g.names[j]})", r))
-    return DefectReport(tuple(residuals))
-
-
-def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Joint contact + conformal residual list, linear in the field."""
-    g = frame.algebra
+def _contact_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
+    """Frame components j >= m of [V, X_i] for each horizontal X_i, i-major."""
     m = frame.horizontal
     coords = frame.to_coords(list(comps))
     out = []
     for i in range(m):
-        br = vf_bracket(coords, list(frame.columns[i]))
-        br_frame = frame.to_frame(br)
-        out.extend(br_frame[m:])
-    mat = _horizontal_derivative_matrix(comps, frame)
+        out.extend(frame.to_frame(vf_bracket(coords, list(frame.columns[i])))[m:])
+    return out
+
+
+def _conformal_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
+    """Entries i <= j of M + M^t - (2/m) tr(M) I, M the horizontal derivative matrix."""
+    m = frame.horizontal
+    mat = [[frame.apply(j, comps[i]) for j in range(m)] for i in range(m)]
     trace = frame.ring.zero()
     for i in range(m):
         trace = trace + mat[i][i]
+    out = []
     for i in range(m):
         for j in range(i, m):
             r = mat[i][j] + mat[j][i]
@@ -125,6 +88,43 @@ def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly
                 r = r - Fraction(2, m) * trace
             out.append(r)
     return out
+
+
+def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
+    """Joint contact + conformal residual list, linear in the field."""
+    return _contact_residuals(comps, frame) + _conformal_residuals(comps, frame)
+
+
+def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
+    """Non-horizontal frame components of [V, X] for each horizontal X."""
+    names = frame.algebra.names
+    m = frame.horizontal
+    labels = [f"[V,~{names[i]}]@~{names[j]}" for i in range(m) for j in range(m, len(frame))]
+    residuals = _contact_residuals(_frame_components(V, frame), frame)
+    return DefectReport(tuple(zip(labels, residuals)))
+
+
+def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
+    """Residuals of M + M^t = (2/m) tr(M) I on the horizontal derivative matrix."""
+    if not contact_defect(V, frame).all_zero:
+        raise NotContact("conformality is only defined for contact fields")
+    names = frame.algebra.names
+    m = frame.horizontal
+    labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
+    residuals = _conformal_residuals(_frame_components(V, frame), frame)
+    return DefectReport(tuple(zip(labels, residuals)))
+
+
+def _residual_rows(residuals: Iterable[Sequence[Poly]]) -> list[dict[int, Fraction]]:
+    """One sparse row per (equation, monomial) pair that occurs: column
+    ``col`` holds the coefficient of the monomial in equation ``eq`` of the
+    col-th residual list."""
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for col, res in enumerate(residuals):
+        for eq, r in enumerate(res):
+            for term, c in r.terms.items():
+                rows.setdefault((eq, term), {})[col] = c
+    return list(rows.values())
 
 
 # -- pointwise jets ----------------------------------------------------
@@ -284,24 +284,8 @@ def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
             out.append(frame.apply(x2, f1) + frame.apply(x1, f2))
         return out
 
-    columns = []
-    slots: set = set()
-    residuals_per_mono = []
-    for exp in monos:
-        p = Poly(ring, {exp: Fraction(1)})
-        res = ops(p)
-        residuals_per_mono.append(res)
-        for eq, r in enumerate(res):
-            for term in r.terms:
-                slots.add((eq, term))
-    slot_list = sorted(slots)
-    slot_index = {s: i for i, s in enumerate(slot_list)}
-    rows = [vec_zero(len(monos)) for _ in slot_list]
-    for col, res in enumerate(residuals_per_mono):
-        for eq, r in enumerate(res):
-            for term, c in r.terms.items():
-                rows[slot_index[(eq, term)]][col] = c
-    space = nullspace(Matrix(rows, cols=len(monos)))
+    rows = _residual_rows(ops(Poly(ring, {exp: Fraction(1)})) for exp in monos)
+    space = nullspace(SparseRows(rows, len(monos)))
     h_basis = []
     for v in space.basis:
         h_basis.append(Poly(ring, {exp: c for exp, c in zip(monos, v) if c}))
@@ -338,10 +322,11 @@ class AnsatzLayout:
             for k, exp in enumerate(monos):
                 self._index[(i, exp)] = self.offsets[i] + k
 
-    def embed(self, field: PolyVectorField) -> list[Fraction] | None:
+    def embed(self, field: PolyVectorField) -> dict[int, Fraction] | None:
+        """The field as a sparse row over the ansatz, or None outside it."""
         comps = field.components if field.basis == "frame" else tuple(
             self.frame.to_frame(list(field.components)))
-        v = vec_zero(self.total)
+        v = {}
         for i, comp in enumerate(comps):
             for exp, c in comp.terms.items():
                 key = (i, exp)
@@ -378,24 +363,10 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
             basis.append((i, exp))
     if not basis:
         return []
-    residual_cols = []
-    slots: set = set()
-    for i, exp in basis:
-        comps = [ring.zero()] * g.dim
-        comps[i] = Poly(ring, {exp: Fraction(1)})
-        res = conformal_system_residuals(comps, frame)
-        residual_cols.append(res)
-        for eq, r in enumerate(res):
-            for term in r.terms:
-                slots.add((eq, term))
-    slot_list = sorted(slots)
-    slot_index = {s: k for k, s in enumerate(slot_list)}
-    rows = [vec_zero(len(basis)) for _ in slot_list]
-    for col, res in enumerate(residual_cols):
-        for eq, r in enumerate(res):
-            for term, c in r.terms.items():
-                rows[slot_index[(eq, term)]][col] = c
-    space = nullspace(Matrix(rows, cols=len(basis)))
+    zero = [ring.zero()] * g.dim
+    unit_fields = (zero[:i] + [Poly(ring, {exp: Fraction(1)})] + zero[i + 1:] for i, exp in basis)
+    rows = _residual_rows(conformal_system_residuals(comps, frame) for comps in unit_fields)
+    space = nullspace(SparseRows(rows, len(basis)))
     fields = []
     for v in space.basis:
         comps = [dict() for _ in range(g.dim)]
@@ -427,13 +398,17 @@ def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> Co
     """
     g = frame.algebra
     layout = AnsatzLayout(frame, max_weighted_degree)
-    vectors = []
+    rows = []
     for delta in range(-g.step, max_weighted_degree + 1):
         for field in conformal_fields_of_degree(frame, delta):
             v = layout.embed(field)
             if v is None:
                 raise AssertionError("homogeneous block escaped the ansatz layout")
-            vectors.append(v)
-    space = Subspace.from_vectors(vectors, layout.total)
+            rows.append(v)
+    # the blocks have disjoint supports and each keeps its column order in
+    # the layout, so their echelon bases, sorted by pivot, are already the
+    # echelon basis of the sum
+    rows.sort(key=min)
+    space = Subspace(layout.total, [dense_row(v, layout.total) for v in rows], map(min, rows))
     fields = tuple(layout.field(v) for v in space.basis)
     return ConformalSolution(layout, space, fields)

@@ -1,17 +1,22 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Every rank and dimension decision downstream is a nullspace computation,
-so the arithmetic here is exact: matrices hold ``fractions.Fraction``
-entries and elimination runs on gcd-reduced integer rows.  Subspaces are
+so the arithmetic here is exact.  A linear system is a :class:`SparseRows`:
+each row is a mapping ``{column: coefficient}`` of its nonzero entries,
+together with the column count.  Elimination scales each row to a
+primitive integer row and touches nonzero entries only.  Subspaces are
 stored in reduced row-echelon form, which is unique per row space, so
-span equality is a tuple comparison.
+span equality is a tuple comparison.  :class:`Matrix` is the dense value
+type of linear maps (layer blocks, jets, automorphisms); it is not an
+input to elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Rational = Fraction
 
@@ -21,10 +26,6 @@ ONE = Fraction(1)
 
 class AmbientMismatch(ValueError):
     """Raised when two subspaces of different ambient dimension are compared."""
-
-
-def vec(values: Iterable) -> list[Fraction]:
-    return [Fraction(v) for v in values]
 
 
 def vec_zero(n: int) -> list[Fraction]:
@@ -41,7 +42,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence], cols: int | None = None):
-        self.entries = [vec(row) for row in entries]
+        self.entries = [[Fraction(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         if self.rows:
             widths = {len(r) for r in self.entries}
@@ -57,35 +58,11 @@ class Matrix:
             self.cols = cols
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
-    def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i])
-
     def col(self, j: int) -> list[Fraction]:
         return [r[j] for r in self.entries]
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append([sum((ri[k] * other.entries[k][j] for k in range(self.cols)), ZERO)
-                        for j in range(other.cols)])
-        return Matrix(out, cols=other.cols)
-
-    __matmul__ = mul
-
-    def mul_vec(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [sum((row[k] * v[k] for k in range(self.cols)), ZERO) for row in self.entries]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -95,91 +72,139 @@ class Matrix:
         return f"Matrix({self.entries!r})"
 
 
-def _scaled_int_rows(m: Matrix) -> list[list[int]]:
-    out = []
-    for row in m.entries:
-        mult = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * mult) for f in row])
-    return out
+class SparseRows:
+    """A linear system: ``entries[i]`` maps columns to the nonzero
+    coefficients (ints or Fractions) of row i, over ``cols`` columns.
+
+    The column count belongs to the system: a column no row mentions is
+    still an unknown, free in the kernel.
+    """
+
+    __slots__ = ("entries", "rows", "cols")
+
+    def __init__(self, entries: Iterable[Mapping[int, Rational]], cols: int):
+        self.entries = list(entries)
+        self.rows = len(self.entries)
+        self.cols = cols
+
+    def __repr__(self) -> str:
+        return f"SparseRows({self.entries!r}, cols={self.cols})"
 
 
-def _reduce_primitive(row: list[int]) -> None:
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-        if g == 1:
-            return
+def sparse_row(v: Sequence[Rational]) -> dict[int, Rational]:
+    """The nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense_row(row: Mapping[int, Rational], n: int) -> list[Fraction]:
+    """The length-n vector with the entries of a sparse row."""
+    v = vec_zero(n)
+    for c, x in row.items():
+        v[c] = Fraction(x)
+    return v
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
     if g > 1:
-        for i, a in enumerate(row):
-            row[i] = a // g
+        for c in row:
+            row[c] //= g
+    return row
 
 
-def _combine(target: list[int], source: list[int], col: int) -> None:
+def _integer_row(row: Mapping[int, Rational], ncols: int) -> dict[int, int]:
+    """``row`` times the lcm of its denominators, divided by its content."""
+    mult = lcm(*(x.denominator for x in row.values()))
+    out = {}
+    for c, x in row.items():
+        if not 0 <= c < ncols:
+            raise ValueError(f"column {c} outside a system of {ncols} columns")
+        if x:
+            out[c] = x.numerator * (mult // x.denominator)
+    return _primitive(out)
+
+
+def _combine(target: dict[int, int], source: dict[int, int], col: int) -> None:
     # target <- (p/g)*target - (e/g)*source, killing target[col]; stays integral
     p = source[col]
     e = target[col]
     g = gcd(p, e)
     m1 = p // g
     m2 = e // g
-    for i in range(len(target)):
-        target[i] = m1 * target[i] - m2 * source[i]
-    _reduce_primitive(target)
+    if m1 != 1:
+        for c in target:
+            target[c] *= m1
+    for c, s in source.items():
+        v = target.get(c, 0) - m2 * s
+        if v:
+            target[c] = v
+        else:
+            del target[c]
+    _primitive(target)
 
 
-def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
+def _reduce(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> None:
+    """Clear from ``row`` every column that is the pivot of a row in ``pivot_rows``.
+
+    The pivot of each such row is its smallest column, so clearing pivots
+    in increasing order never brings back one already cleared.
+    """
+    todo = [c for c in row if c in pivot_rows]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        if c in row:
+            source = pivot_rows[c]
+            _combine(row, source, c)
+            for d in source:
+                if d > c and d in pivot_rows:
+                    heappush(todo, d)
+
+
+def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     """Reduced row-echelon form of ``m``.
 
     Returns ``(echelon, rank, pivots)`` where ``pivots`` lists the pivot
-    column of each nonzero row, leftmost first.  The echelon matrix has
-    the shape of ``m`` and is the unique RREF of its row space.
+    column of each nonzero row, leftmost first.  The echelon system has
+    the shape of ``m``, its zero rows last, and is the unique RREF of the
+    row space; it does not depend on the order of the rows of ``m``.
     """
-    work = _scaled_int_rows(m)
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    piv = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(piv, nrows):
-            if work[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[piv], work[sel] = work[sel], work[piv]
-        for r in range(piv + 1, nrows):
-            if work[r][col]:
-                _combine(work[r], work[piv], col)
-        pivots.append(col)
-        piv += 1
-        if piv == nrows:
-            break
-    rank = piv
-    for i in range(rank - 1, -1, -1):
-        col = pivots[i]
-        for r in range(i):
-            if work[r][col]:
-                _combine(work[r], work[i], col)
+    ncols = m.cols
+    # forward: each row is cleared of the pivots found so far, and its
+    # smallest remaining column becomes a new pivot
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in m.entries:
+        work = _integer_row(row, ncols)
+        _reduce(work, pivot_rows)
+        if work:
+            pivot_rows[min(work)] = work
+    # backward: rows cleared of every larger pivot, largest pivot first
+    pivots = sorted(pivot_rows)
+    reduced: dict[int, dict[int, int]] = {}
+    for p in reversed(pivots):
+        _reduce(pivot_rows[p], reduced)
+        reduced[p] = pivot_rows[p]
     out = []
-    for i in range(nrows):
-        if i < rank:
-            p = work[i][pivots[i]]
-            out.append([Fraction(a, p) for a in work[i]])
-        else:
-            out.append([ZERO] * ncols)
-    return Matrix(out, cols=ncols), rank, pivots
+    for p in pivots:
+        row = reduced[p]
+        lead = row[p]
+        out.append({c: Fraction(row[c], lead) for c in sorted(row)})
+    out.extend({} for _ in range(m.rows - len(pivots)))
+    return SparseRows(out, ncols), len(pivots), pivots
 
 
-def solve(m: Matrix, rhs: Sequence[Fraction]) -> list[Fraction] | None:
+def solve(m: SparseRows, rhs: Sequence[Rational]) -> list[Fraction] | None:
     """One exact solution of ``m x = rhs`` (free variables at zero), or None."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix([list(row) + [rhs[i]] for i, row in enumerate(m.entries)], cols=m.cols + 1)
-    ech, rank, pivots = rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    aug = [{**row, n: b} if b else row for row, b in zip(m.entries, rhs)]
+    ech, rank, pivots = rref(SparseRows(aug, n + 1))
+    if n in pivots:
         return None
-    x = vec_zero(m.cols)
-    for i, col in enumerate(pivots):
-        x[col] = ech.entries[i][m.cols]
+    x = vec_zero(n)
+    for col, row in zip(pivots, ech.entries):
+        x[col] = row.get(n, ZERO)
     return x
 
 
@@ -199,10 +224,11 @@ class Subspace:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_vectors(cls, vectors: Sequence[Sequence], ambient_dim: int) -> "Subspace":
-        m = Matrix(list(vectors), cols=ambient_dim)
-        ech, rank, pivots = rref(m)
-        return cls(ambient_dim, ech.entries[:rank], pivots)
+    def from_vectors(cls, rows: Iterable[Mapping[int, Rational]], ambient_dim: int) -> "Subspace":
+        """The span of sparse rows ``{column: coefficient}`` in Q^ambient_dim."""
+        ech, rank, pivots = rref(SparseRows(rows, ambient_dim))
+        basis = [dense_row(row, ambient_dim) for row in ech.entries[:rank]]
+        return cls(ambient_dim, basis, pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -210,7 +236,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(Matrix.identity(ambient_dim).entries, ambient_dim)
+        return cls.from_vectors([{i: ONE} for i in range(ambient_dim)], ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -240,18 +266,18 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def nullspace(m: Matrix) -> Subspace:
+def nullspace(m: SparseRows) -> Subspace:
     """Exact kernel of ``m`` with canonical echelon basis."""
     ech, rank, pivots = rref(m)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = vec_zero(m.cols)
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -ech.entries[i][f]
-        vectors.append(v)
+    vectors = [{f: ONE} for f in free]
+    slot = {f: i for i, f in enumerate(free)}
+    # a reduced row is nonzero off its pivot only in free columns
+    for p, row in zip(pivots, ech.entries):
+        for c, x in row.items():
+            if c != p:
+                vectors[slot[c]][p] = -x
     return Subspace.from_vectors(vectors, m.cols)
 
 
@@ -265,4 +291,4 @@ def span_equal(a: Subspace, b: Subspace) -> bool:
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient {a.ambient_dim} != {b.ambient_dim}")
-    return Subspace.from_vectors(list(a.basis) + list(b.basis), a.ambient_dim)
+    return Subspace.from_vectors([sparse_row(v) for v in a.basis + b.basis], a.ambient_dim)

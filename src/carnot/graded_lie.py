@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import Subspace
+from .exact_linalg import SparseRows, Subspace
 
 
 class InvalidAlgebra(ValueError):
@@ -222,14 +222,25 @@ def build_algebra(layers: Sequence[Sequence[str]],
     return g
 
 
+def generation_matrix(g: GradedLieAlgebra, depth: int) -> tuple[list[tuple[int, int]], SparseRows]:
+    """The products of layer -1 with layer -(depth-1), read in layer -depth.
+
+    Column p of the matrix holds the layer -depth coordinates of
+    ``[e_i, e_j]`` for ``(i, j) = pairs[p]``; ``pairs`` is returned with it.
+    """
+    position = {gt: t for t, gt in enumerate(g.layer_indices(depth))}
+    pairs = [(i, j) for i in g.layer_indices(1) for j in g.layer_indices(depth - 1)]
+    rows: list[dict[int, Fraction]] = [{} for _ in position]
+    for p, (i, j) in enumerate(pairs):
+        for k, c in g.rows[i][j]:
+            rows[position[k]][p] = c
+    return pairs, SparseRows(rows, len(pairs))
+
+
 def check_generation(g: GradedLieAlgebra) -> bool:
     """True iff brackets of layer -1 with layer -(k-1) span layer -k for all k >= 2."""
     for depth in range(2, g.step + 1):
-        targets = g.layer_indices(depth)
-        products = [dict(g.rows[i][j])
-                    for i in g.layer_indices(1) for j in g.layer_indices(depth - 1)]
-        span = Subspace.from_vectors([[p.get(t, 0) for t in targets] for p in products],
-                                     len(targets))
-        if span.dim != len(targets):
+        _, products = generation_matrix(g, depth)
+        if Subspace.from_vectors(products.entries, products.cols).dim != products.rows:
             return False
     return True

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .exact_linalg import Matrix, solve
-from .graded_lie import GradedLieAlgebra
+from .exact_linalg import Matrix, Subspace, solve, sparse_row
+from .graded_lie import GradedLieAlgebra, generation_matrix
 from .prolongation import DegreeZeroMap
 from .polynomials import Poly, PolyRing
 
@@ -402,9 +402,7 @@ def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
 
 
 def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:
-    from .exact_linalg import rref
-
-    if rref(phi)[1] != g.dim:
+    if Subspace.from_vectors(map(sparse_row, phi.entries), phi.cols).dim != g.dim:
         raise ValueError("matrix is singular, not an automorphism")
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -432,12 +430,10 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
         images[gi] = col
     for depth in range(2, g.step + 1):
         targets = g.layer_indices(depth)
-        pairs = [(i, j) for i in g.layer_indices(1) for j in g.layer_indices(depth - 1)]
-        products = [dict(g.rows[i][j]) for i, j in pairs]
-        span = Matrix([[p.get(t, 0) for p in products] for t in targets], cols=len(pairs))
+        pairs, products = generation_matrix(g, depth)
         for local, gt in enumerate(targets):
             rhs = [Fraction(1) if t == local else Fraction(0) for t in range(len(targets))]
-            combo = solve(span, rhs)
+            combo = solve(products, rhs)
             if combo is None:
                 raise ValueError("layer -1 does not generate; cannot extend")
             img = [Fraction(0)] * g.dim

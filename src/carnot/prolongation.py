@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import Matrix, Subspace, nullspace, vec_zero
+from .exact_linalg import Matrix, SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
 
@@ -195,26 +195,15 @@ def _space_dim(g: GradedLieAlgebra, levels: Sequence[Level], d: int) -> int:
     return 0
 
 
-def _bracket_local(g: GradedLieAlgebra, levels: Sequence[Level],
-                   coords: Sequence[Fraction], d: int, j: int) -> list[Fraction]:
-    """[x, e_j] for x given by local coordinates in the degree-d space.
-
-    Result in local coordinates of degree d + weight(j).
-    """
-    target = d + g.weights[j]
-    out = vec_zero(_space_dim(g, levels, target))
-    if d < 0:
-        position = {gi: t for t, gi in enumerate(g.layer_indices(-target))}
-        for gi, x in zip(g.layer_indices(-d), coords):
-            for k, c in g.rows[gi][j]:
-                out[position[k]] += x * c
-        return out
-    lvl = levels[d]
-    for b, cb in enumerate(coords):
-        if cb:
-            act = lvl.action(b, j)
-            out = [x + cb * y for x, y in zip(out, act)]
-    return out
+def _unit_brackets(g: GradedLieAlgebra, levels: Sequence[Level], d: int,
+                   j: int) -> list[list[tuple[int, Fraction]]]:
+    """Nonzero terms ``(t, c)`` of [x_i, e_j] for each basis element x_i of
+    the degree-d space, in local coordinates of degree d + weight(j)."""
+    if d >= 0:
+        return [[(t, c) for t, c in enumerate(levels[d].action(i, j)) if c]
+                for i in range(levels[d].dim)]
+    position = {gi: t for t, gi in enumerate(g.layer_indices(-d - g.weights[j]))}
+    return [[(position[k], c) for k, c in g.rows[gi][j]] for gi in g.layer_indices(-d)]
 
 
 def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> Level:
@@ -238,30 +227,27 @@ def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> 
     columns = [[0] * s for s in sizes]
     for col, (j, t) in enumerate(cells):
         columns[j][t] = col
-    total = len(cells)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for j1 in range(g.dim):
         for j2 in range(j1 + 1, g.dim):
             tdim = _space_dim(g, prior_levels, g.weights[j1] + g.weights[j2] + k)
             if tdim == 0:
                 continue
-            block = [vec_zero(total) for _ in range(tdim)]
+            # the three terms own disjoint columns (those of the values
+            # of u on [S,T], on S and on T), so no entry is written twice
+            block: list[dict[int, Fraction]] = [{} for _ in range(tdim)]
             # u([S,T]) expands through the structure constants
             for r, c in g.rows[j1][j2]:
-                for t in range(tdim):
-                    block[t][columns[r][t]] += c
+                for t, col in enumerate(columns[r]):
+                    block[t][col] = c
             # -[u(S),T] and +[u(T),S], one column per unknown coordinate
             for (src, other, sign) in ((j1, j2, -1), (j2, j1, 1)):
-                d = g.weights[src] + k
-                for i in range(sizes[src]):
-                    unit = vec_zero(sizes[src])
-                    unit[i] = Fraction(1)
-                    image = _bracket_local(g, prior_levels, unit, d, other)
-                    for t, val in enumerate(image):
-                        if val:
-                            block[t][columns[src][i]] += sign * val
+                images = _unit_brackets(g, prior_levels, g.weights[src] + k, other)
+                for col, terms in zip(columns[src], images):
+                    for t, val in terms:
+                        block[t][col] = sign * val
             rows.extend(block)
-    return Level(g, k, nullspace(Matrix(rows, cols=total)), columns)
+    return Level(g, k, nullspace(SparseRows(rows, len(cells))), columns)
 
 
 def strata_derivations(g: GradedLieAlgebra) -> Level:
@@ -279,10 +265,15 @@ def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
     if not cond_rows or ders.dim == 0:
         return ders
     # block entry (r, c) is component r of the value on the c-th generator
-    rows = [[sum((coeff * per[first[c]][r] for (r, c), coeff in cond.items()), Fraction(0))
-             for per in ders.actions]
-            for cond in cond_rows]
-    coeffs = nullspace(Matrix(rows, cols=ders.dim))
+    rows = []
+    for cond in cond_rows:
+        row: dict[int, Fraction] = {}
+        for b, per in enumerate(ders.actions):
+            for (r, c), coeff in cond.items():
+                if per[first[c]][r]:
+                    row[b] = row.get(b, 0) + coeff * per[first[c]][r]
+        rows.append(row)
+    coeffs = nullspace(SparseRows(rows, ders.dim))
     # both bases are reduced echelon, so their product is the canonical
     # echelon basis of the intersection, with the composed pivots
     terms = [[(i, y) for i, y in enumerate(bvec) if y] for bvec in ders.subspace.basis]

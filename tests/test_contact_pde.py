@@ -244,3 +244,21 @@ def test_ansatz_determinism(engel_frame):
     b = solve_polynomial_conformal(engel_frame, 4)
     assert a.subspace == b.subspace
     assert a.fields == b.fields
+
+
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "r3_co3"])
+def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
+    # the block bases are put together without a second elimination
+    from carnot import bundled_spec
+    from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
+    spec = parse_spec_file(bundled_spec(name + ".alg"))
+    g = spec_algebra(spec)
+    frame = left_invariant_frame(g, spec_recipe(spec, g))
+    degree = 4
+    sol = solve_polynomial_conformal(frame, degree)
+    vectors = [sol.layout.embed(f) for delta in range(-g.step, degree + 1)
+               for f in conformal_fields_of_degree(frame, delta)]
+    again = Subspace.from_vectors(vectors, sol.layout.total)
+    assert sol.dim > 0
+    assert again == sol.subspace
+    assert again.pivots == sol.subspace.pivots

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from carnot.exact_linalg import Matrix, Subspace, nullspace, span_equal, span_sum, vec_zero
+from carnot.exact_linalg import Matrix, Subspace, span_equal, span_sum, sparse_row, vec_zero
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, prolong_step,
                                  strata_derivations)
@@ -36,7 +37,9 @@ def packed(g, values):
 def brute_force_derivations(g):
     """Independent oracle: assemble the derivation system over ALL ordered
     pairs (including diagonal) straight from the definition, one
-    elementary block map per unknown."""
+    elementary block map per unknown.  Its kernel and the echelon basis of
+    that kernel come from sympy, so no elimination code is shared with
+    carnot."""
     total = packed_dim(g)
     rows = []
     for i in range(g.dim):
@@ -53,7 +56,13 @@ def brute_force_derivations(g):
                     row[u] = lhs - r1 - r2
                 if any(row):
                     rows.append(row)
-    return nullspace(Matrix(rows, cols=total))
+    kernel = sympy.Matrix(len(rows), total, [sympy.Rational(x.numerator, x.denominator)
+                                            for row in rows for x in row]).nullspace()
+    if not kernel:
+        return Subspace.zero(total)
+    echelon, pivots = sympy.Matrix.hstack(*kernel).T.rref()
+    basis = [[Fraction(int(x.p), int(x.q)) for x in echelon.row(r)] for r in range(len(kernel))]
+    return Subspace(total, basis, pivots)
 
 
 def make_h2():
@@ -68,11 +77,15 @@ def make_free_3_2():
 
 
 def commutator(a, b):
+    def product(x, y):
+        return [[sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols))
+                 for j in range(y.cols)] for i in range(x.rows)]
+
     blocks = []
     for x, y in zip(a.blocks, b.blocks):
-        xy, yx = x.mul(y), y.mul(x)
+        xy, yx = product(x, y), product(y, x)
         blocks.append(Matrix([[p - q for p, q in zip(r1, r2)]
-                              for r1, r2 in zip(xy.entries, yx.entries)], cols=x.cols))
+                              for r1, r2 in zip(xy, yx)], cols=x.cols))
     return DegreeZeroMap(a.algebra, blocks)
 
 
@@ -87,7 +100,7 @@ def test_derivation_dims_against_brute_force(maker, expected_dim):
     g = maker()
     ders = prolong_step(g, [], 0)
     assert ders.dim == expected_dim
-    vectors = [packed(g, m.values()) for m in zero_maps(ders)]
+    vectors = [sparse_row(packed(g, m.values())) for m in zero_maps(ders)]
     assert span_equal(Subspace.from_vectors(vectors, packed_dim(g)), brute_force_derivations(g))
 
 
@@ -174,7 +187,7 @@ def test_constrained_basis_is_canonical_echelon(case):
     # constrain_g0 composes two echelon bases instead of re-eliminating
     g, constraint = G0_CASES[case]()
     g0 = constrain_g0(strata_derivations(g), constraint)
-    again = Subspace.from_vectors(g0.subspace.basis, g0.subspace.ambient_dim)
+    again = Subspace.from_vectors(map(sparse_row, g0.subspace.basis), g0.subspace.ambient_dim)
     assert again == g0.subspace
     assert again.pivots == g0.subspace.pivots
 

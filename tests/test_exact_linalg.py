@@ -4,36 +4,59 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnot.exact_linalg import (AmbientMismatch, Matrix, Subspace, nullspace, rref,
-                                 solve, span_equal, span_sum)
+import sympy
+
+from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, dense_row,
+                                 nullspace, rref, solve, sparse_row, span_equal, span_sum)
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def sparse(rows, cols):
+    """A system given by dense rows."""
+    return SparseRows([sparse_row(r) for r in rows], cols)
+
+
+def dense(m):
+    return [dense_row(r, m.cols) for r in m.entries]
+
+
+def identity(n):
+    return SparseRows([{i: 1} for i in range(n)], n)
+
+
+def zeros(rows, cols):
+    return SparseRows([{} for _ in range(rows)], cols)
 
 
 def matrices(max_rows=4, max_cols=4):
     return st.integers(1, max_rows).flatmap(
         lambda r: st.integers(1, max_cols).flatmap(
             lambda c: st.lists(st.lists(fractions_st, min_size=c, max_size=c),
-                               min_size=r, max_size=r).map(Matrix)))
+                               min_size=r, max_size=r).map(lambda rows: sparse(rows, c))))
+
+
+def mul_vec(m, v):
+    return [sum((c * v[j] for j, c in row.items()), Fraction(0)) for row in m.entries]
 
 
 def test_rref_identity():
-    ech, rank, pivots = rref(Matrix.identity(3))
-    assert ech == Matrix.identity(3)
+    ech, rank, pivots = rref(identity(3))
+    assert dense(ech) == dense(identity(3))
     assert rank == 3
     assert pivots == [0, 1, 2]
 
 
 def test_rref_zero():
-    ech, rank, pivots = rref(Matrix.zeros(2, 2))
-    assert ech == Matrix.zeros(2, 2)
+    ech, rank, pivots = rref(zeros(2, 2))
+    assert dense(ech) == dense(zeros(2, 2))
     assert rank == 0
     assert pivots == []
 
 
 def test_rref_proportional_rows():
-    ech, rank, pivots = rref(Matrix([[1, 2], [2, 4]]))
-    assert ech == Matrix([[1, 2], [0, 0]])
+    ech, rank, pivots = rref(sparse([[1, 2], [2, 4]], 2))
+    assert dense(ech) == [[1, 2], [0, 0]]
     assert rank == 1
     assert pivots == [0]
 
@@ -43,7 +66,7 @@ def test_rref_proportional_rows():
 def test_rref_idempotent(m):
     ech, rank, pivots = rref(m)
     again, rank2, pivots2 = rref(ech)
-    assert again == ech
+    assert dense(again) == dense(ech)
     assert (rank2, pivots2) == (rank, pivots)
 
 
@@ -59,7 +82,7 @@ def test_rank_nullity(m):
 def test_nullspace_vectors_are_in_kernel(m):
     ns = nullspace(m)
     for v in ns.basis:
-        assert all(x == 0 for x in m.mul_vec(list(v)))
+        assert all(x == 0 for x in mul_vec(m, list(v)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,36 +95,36 @@ def test_fraction_addition_cross_multiplication(a, b):
 
 
 def test_nullspace_identity_is_zero():
-    assert nullspace(Matrix.identity(4)).dim == 0
+    assert nullspace(identity(4)).dim == 0
 
 
 def test_nullspace_zero_matrix_is_full():
-    ns = nullspace(Matrix.zeros(2, 3))
+    ns = nullspace(zeros(2, 3))
     assert ns.dim == 3
     assert span_equal(ns, Subspace.full(3))
 
 
 def test_nullspace_single_constraint():
-    ns = nullspace(Matrix([[1, 1, 0]]))
+    ns = nullspace(sparse([[1, 1, 0]], 3))
     assert ns.dim == 2
     assert ns.contains([1, -1, 0])
     assert ns.contains([0, 0, 1])
 
 
 def test_span_equal_scaling_invariance():
-    a = Subspace.from_vectors([[1, 0]], 2)
-    b = Subspace.from_vectors([[2, 0]], 2)
+    a = Subspace.from_vectors([{0: 1}], 2)
+    b = Subspace.from_vectors([{0: 2}], 2)
     assert span_equal(a, b)
 
 
 def test_span_equal_distinct_lines():
-    a = Subspace.from_vectors([[1, 0]], 2)
-    b = Subspace.from_vectors([[0, 1]], 2)
+    a = Subspace.from_vectors([{0: 1}], 2)
+    b = Subspace.from_vectors([{1: 1}], 2)
     assert not span_equal(a, b)
 
 
 def test_span_equal_full_plane():
-    a = Subspace.from_vectors([[1, 1], [1, -1]], 2)
+    a = Subspace.from_vectors([{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
     assert span_equal(a, Subspace.full(2))
 
 
@@ -111,30 +134,77 @@ def test_span_equal_ambient_mismatch():
 
 
 def test_coordinates_of_reconstructs():
-    s = Subspace.from_vectors([[1, 0, 2], [0, 1, -1]], 3)
+    s = Subspace.from_vectors([{0: 1, 2: 2}, {1: 1, 2: -1}], 3)
     coords = s.coordinates_of([3, 4, 2])
     assert coords == [Fraction(3), Fraction(4)]
     assert s.coordinates_of([0, 0, 1]) is None
 
 
 def test_solve_consistent_and_inconsistent():
-    m = Matrix([[1, 2], [3, 4]])
+    m = sparse([[1, 2], [3, 4]], 2)
     x = solve(m, [Fraction(5), Fraction(11)])
-    assert m.mul_vec(x) == [Fraction(5), Fraction(11)]
-    m2 = Matrix([[1, 1], [2, 2]])
+    assert mul_vec(m, x) == [Fraction(5), Fraction(11)]
+    m2 = sparse([[1, 1], [2, 2]], 2)
     assert solve(m2, [Fraction(1), Fraction(3)]) is None
 
 
 def test_zero_row_matrix_needs_cols():
     with pytest.raises(ValueError):
         Matrix([])
-    m = Matrix([], cols=3)
+    m = SparseRows([], 3)
     assert nullspace(m).dim == 3
 
 
 def test_span_sum_containment():
-    a = Subspace.from_vectors([[1, 0, 0]], 3)
-    b = Subspace.from_vectors([[1, 1, 0]], 3)
+    a = Subspace.from_vectors([{0: 1}], 3)
+    b = Subspace.from_vectors([{0: 1, 1: 1}], 3)
     total = span_sum(a, b)
     assert total.dim == 2
     assert total.contains([0, 1, 0])
+
+
+# -- independent reference: sympy's rref and nullspace ---------------------
+
+
+@st.composite
+def wide_systems(draw):
+    """Wide sparse systems with zero columns, empty rows and repeated rows."""
+    cols = draw(st.integers(1, 16))
+    used = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols, unique=True))
+    row_st = st.dictionaries(st.sampled_from(used), fractions_st.filter(bool), max_size=5)
+    rows = draw(st.lists(row_st, min_size=1, max_size=8))
+    repeats = draw(st.lists(st.tuples(st.sampled_from(rows), fractions_st.filter(bool)),
+                            max_size=3))
+    rows += [{c: k * x for c, x in row.items()} for row, k in repeats] + [{}]
+    return SparseRows(draw(st.permutations(rows)), cols)
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for x in (v for r in dense(m) for v in r)])
+
+
+def from_sympy(mat):
+    return [[Fraction(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(wide_systems())
+def test_rref_matches_sympy(m):
+    ech, rank, pivots = rref(m)
+    ref, ref_pivots = to_sympy(m).rref()
+    assert dense(ech) == from_sympy(ref)
+    assert pivots == list(ref_pivots)
+    assert rank == len(ref_pivots)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(wide_systems())
+def test_nullspace_matches_sympy(m):
+    ns = nullspace(m)
+    kernel = to_sympy(m).nullspace()
+    assert ns.dim == len(kernel)
+    if kernel:
+        ref, ref_pivots = sympy.Matrix.hstack(*kernel).T.rref()
+        assert [list(v) for v in ns.basis] == from_sympy(ref)
+        assert list(ns.pivots) == list(ref_pivots)

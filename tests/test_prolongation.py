@@ -47,12 +47,21 @@ def test_prior_levels_missing():
         prolong_step(g, [], -1)
 
 
+def bracket_local(g, levels, coords, d, j):
+    """[x, e_j] for x given by local coordinates in the degree-d space."""
+    from carnot.prolongation import _space_dim, _unit_brackets
+    out = [Fraction(0)] * _space_dim(g, levels, d + g.weights[j])
+    for x, terms in zip(coords, _unit_brackets(g, levels, d, j)):
+        for t, c in terms:
+            out[t] += x * c
+    return out
+
+
 def test_leibniz_law_on_computed_levels():
     g = make_heisenberg()
     levels = [conformal_g0(g)]
     for k in (1, 2):
         lvl = prolong_step(g, levels, k)
-        from carnot.prolongation import _bracket_local
         for b in range(lvl.dim):
             for j1 in range(g.dim):
                 for j2 in range(j1 + 1, g.dim):
@@ -61,9 +70,9 @@ def test_leibniz_law_on_computed_levels():
                     for r, c in g.rows[j1][j2]:
                         term = [c * x for x in lvl.action(b, r)]
                         lhs = term if lhs is None else [p + q for p, q in zip(lhs, term)]
-                    rhs1 = _bracket_local(g, levels, lvl.action(b, j1),
+                    rhs1 = bracket_local(g, levels, lvl.action(b, j1),
                                           g.weights[j1] + k, j2)
-                    rhs2 = _bracket_local(g, levels, lvl.action(b, j2),
+                    rhs2 = bracket_local(g, levels, lvl.action(b, j2),
                                           g.weights[j2] + k, j1)
                     rhs = [p - q for p, q in zip(rhs1, rhs2)]
                     if lhs is None:
@@ -182,7 +191,7 @@ def test_closed_g0_required_for_assembly():
     # span{E12, E21} in the level-0 layout (the block row by row): the
     # commutator diag(1,-1) leaves the span
     ders = prolong_step(g, [], 0)
-    vectors = [[0, 1, 0, 0], [0, 0, 1, 0]]
+    vectors = [{1: 1}, {2: 1}]
     lvl0 = Level(g, 0, Subspace.from_vectors(vectors, 4), ders.columns)
     with pytest.raises(JacobiAssemblyFailure):
         ProlongationAlgebra(g, [lvl0], build_table=True)
