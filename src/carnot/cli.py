@@ -504,10 +504,15 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
     frame = left_invariant_frame(g, recipe)
     solution = solve_polynomial_conformal(frame, degree)
     report.add("ansatz_dim", solution.dim)
+    report.add("ansatz_dims_by_degree", list(solution.block_dims))
     report.add("prolongation_status", rep.status)
     exit_code = 0
     if rep.terminated:
         report.add("prolongation_total", rep.total_dim)
+        levels = list(rep.level_dims)
+        while levels and not levels[-1]:
+            levels.pop()
+        report.add("prolongation_dims_by_degree", g.layer_dims[::-1] + levels)
         agree = solution.dim == rep.total_dim
         report.add("dims_agree", agree)
         if not agree:

@@ -7,6 +7,17 @@ trace-plus-skew matrix.  Residuals are kept as full polynomials, never
 point samples, so every verdict is an identity check.  The bounded-degree
 ansatz solver at the end is the brute-force cross-check for prolongation
 dimensions.
+
+The contact residuals are computed in frame components, without
+coordinates.  The left-invariant frame realizes the algebra,
+``[X_j, X_i] = sum_k c_ji^k X_k`` with ``c`` read from ``g.rows``, so for
+``V = sum_j f_j X_j`` and horizontal ``X_i``
+
+    [V, X_i] = sum_k (sum_j f_j c_ji^k - X_i(f_k)) X_k,
+
+and the residuals are the components ``k`` outside layer -1.  The
+premise is checked on every bundled and generated spec by
+``test_frame_brackets`` in ``tests/test_group_realization.py``.
 """
 
 from __future__ import annotations
@@ -64,12 +75,22 @@ def _frame_components(V: PolyVectorField, frame: Frame) -> list[Poly]:
 
 
 def _contact_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Frame components j >= m of [V, X_i] for each horizontal X_i, i-major."""
+    """Frame components k >= m of [V, X_i] for each horizontal X_i, i-major.
+
+    Component k is ``sum_j f_j c_ji^k - X_i(f_k)`` for ``V = sum_j f_j X_j``.
+    """
+    g = frame.algebra
     m = frame.horizontal
-    coords = frame.to_coords(list(comps))
     out = []
     for i in range(m):
-        out.extend(frame.to_frame(vf_bracket(coords, list(frame.columns[i])))[m:])
+        acc = [-frame.apply(i, comps[k]) for k in range(m, g.dim)]
+        for j, f in enumerate(comps):
+            if f.is_zero():
+                continue
+            # [X_j, X_i] lies in layers -2 and deeper, so every k >= m
+            for k, c in g.rows[j][i]:
+                acc[k - m] = acc[k - m] + c * f
+        out.extend(acc)
     return out
 
 
@@ -206,18 +227,28 @@ def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
 
 
 def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:
-    """Check [D,[S,T]] = [D(S),T] - [D(T),S] for the zero-part on all basis pairs.
+    """Check D[e_a,e_b] = [D e_a, e_b] - [D e_b, e_a] for the zero-part D on
+    all basis pairs a < b.
 
     Passing certifies that the degree-zero jet is a strata-preserving
-    derivation.
+    derivation.  Both sides are summed from the sparse bracket rows and
+    the nonzero entries of the columns of D.
     """
-    d = j.zero_part
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d.full_matrix().entries]
-            rhs1 = g.bracket(d.apply(g.basis_vector(a)), g.basis_vector(b))
-            rhs2 = g.bracket(d.apply(g.basis_vector(b)), g.basis_vector(a))
-            if any(x != y - z for x, y, z in zip(lhs, rhs1, rhs2)):
+    n = g.dim
+    ent = j.zero_part.full_matrix().entries
+    cols = [[(r, ent[r][c]) for r in range(n) if ent[r][c]] for c in range(n)]
+    rows = g.rows
+    for a in range(n):
+        for b in range(a + 1, n):
+            total: dict[int, Fraction] = {}
+            for k, c in rows[a][b]:
+                for r, x in cols[k]:
+                    total[r] = total.get(r, 0) + c * x
+            for src, other, sign in ((a, b, -1), (b, a, 1)):
+                for i, x in cols[src]:
+                    for k, c in rows[i][other]:
+                        total[k] = total.get(k, 0) + sign * x * c
+            if any(total.values()):
                 return False
     return True
 
@@ -379,9 +410,13 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
 
 @dataclass(frozen=True)
 class ConformalSolution:
+    """The ansatz solution; ``block_dims`` counts the fields of each
+    homogeneous block, graded degree ``-step`` first."""
+
     layout: AnsatzLayout
     subspace: Subspace
     fields: tuple[PolyVectorField, ...]
+    block_dims: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -399,8 +434,11 @@ def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> Co
     g = frame.algebra
     layout = AnsatzLayout(frame, max_weighted_degree)
     rows = []
+    block_dims = []
     for delta in range(-g.step, max_weighted_degree + 1):
-        for field in conformal_fields_of_degree(frame, delta):
+        block = conformal_fields_of_degree(frame, delta)
+        block_dims.append(len(block))
+        for field in block:
             v = layout.embed(field)
             if v is None:
                 raise AssertionError("homogeneous block escaped the ansatz layout")
@@ -411,4 +449,4 @@ def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> Co
     rows.sort(key=min)
     space = Subspace(layout.total, [dense_row(v, layout.total) for v in rows], map(min, rows))
     fields = tuple(layout.field(v) for v in space.basis)
-    return ConformalSolution(layout, space, fields)
+    return ConformalSolution(layout, space, fields, tuple(block_dims))

@@ -193,7 +193,9 @@ class Frame:
     ``matrix[c][j]`` is the d/dx_c coefficient of the frame field of basis
     element j; it is unit lower triangular in declaration order, which
     makes conversion between coordinate and frame components a
-    back-substitution.
+    back-substitution.  :meth:`apply` reads ``X_j(x^a)`` from a table of
+    monomials that the frame fills the first time each ``(j, a)`` is asked
+    for.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, recipe: CoordinateRecipe,
@@ -205,6 +207,11 @@ class Frame:
         n = algebra.dim
         self.matrix = tuple(tuple(self.columns[j][c] for j in range(n)) for c in range(n))
         self.horizontal = len(algebra.layer_indices(1))
+        # the contact and conformal residuals read the horizontal frame
+        # fields as the first ``horizontal`` basis elements
+        if algebra.layer_indices(1) != list(range(self.horizontal)):
+            raise ValueError("a frame needs layer -1 first in the basis")
+        self._monomial_derivatives: dict[tuple[int, tuple[int, ...]], tuple] = {}
         one = ring.one()
         for c in range(n):
             for j in range(n):
@@ -229,12 +236,28 @@ class Frame:
 
     def apply(self, j: int, f: Poly) -> Poly:
         """Derivative of the function f along frame field j."""
-        out = self.ring.zero()
-        for c in range(len(self)):
-            coeff = self.matrix[c][j]
-            if not coeff.is_zero():
-                out = out + coeff * f.diff(c)
-        return out
+        table = self._monomial_derivatives
+        out: dict = {}
+        for exp, c in f.terms.items():
+            terms = table.get((j, exp))
+            if terms is None:
+                terms = table[(j, exp)] = self._monomial_derivative(j, exp)
+            for e, d in terms:
+                out[e] = out[e] + c * d if e in out else c * d
+        return Poly(self.ring, out)
+
+    def _monomial_derivative(self, j: int, exp: tuple[int, ...]) -> tuple:
+        """Terms of X_j(x^exp) = sum over c of matrix[c][j] * d/dx_c x^exp."""
+        out: dict = {}
+        for c, coeff in enumerate(self.columns[j]):
+            a = exp[c]
+            if not a:
+                continue
+            lowered = exp[:c] + (a - 1,) + exp[c + 1:]
+            for e, x in coeff.terms.items():
+                e = tuple(p + q for p, q in zip(lowered, e))
+                out[e] = out[e] + a * x if e in out else a * x
+        return tuple((e, x) for e, x in out.items() if x)
 
     def to_frame(self, coord_components: Sequence[Poly]) -> list[Poly]:
         """Frame components of a coordinate vector field (triangular solve)."""

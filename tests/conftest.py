@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from carnot.graded_lie import build_algebra
+from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
                                  strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame, realize_tau
@@ -20,6 +21,42 @@ def make_heisenberg():
 
 def make_abelian(n):
     return build_algebra([[f"X{i + 1}" for i in range(n)]], {})
+
+
+def make_heisenberg_n(n):
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    ys = [f"Y{i}" for i in range(1, n + 1)]
+    return build_algebra([xs + ys, ["T"]], {(x, y): [(1, "T")] for x, y in zip(xs, ys)})
+
+
+def permuted(g, order):
+    """The same algebra with its basis declared in the given order."""
+    new = {old: i for i, old in enumerate(order)}
+    rows = [[[(new[k], c) for k, c in g.rows[a][b]] for b in order] for a in order]
+    return GradedLieAlgebra([g.names[i] for i in order], [g.weights[i] for i in order], rows)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+BUNDLED = ("engel", "heisenberg", "r1", "r2_co2", "r3_co3")
+# generated specs whose text is stored in tests/golden
+GENERATED = ("heis_x_r", "free_3_2", "cartan_235", "two_centre")
+
+
+def named_algebra_frame(name):
+    """Algebra and left-invariant frame of a bundled or stored spec, or of
+    ``h<n>`` / ``r<n>`` (H_n, R^n in one exponential factor)."""
+    from carnot import bundled_spec
+    from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
+    if name in BUNDLED or name in GENERATED:
+        path = bundled_spec(name + ".alg") if name in BUNDLED else str(GOLDEN / f"{name}.alg")
+        spec = parse_spec_file(path)
+        g = spec_algebra(spec)
+        recipe = spec_recipe(spec, g)
+    else:
+        n = int(name[1:])
+        g = make_heisenberg_n(n) if name[0] == "h" else make_abelian(n)
+        recipe = CoordinateRecipe.single_factor(g)
+    return g, left_invariant_frame(g, recipe)
 
 
 def conformal_g0(g):

@@ -2,13 +2,13 @@ import io
 import json
 import re
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
 from carnot import bundled_spec as spec_path
 from carnot.cli import ParseError, Report, main, parse_spec_text, run_verify, parse_spec_file
 from carnot.group_realization import PolyVectorField
+from .conftest import GOLDEN
 
 
 def run_cli(argv):
@@ -182,6 +182,31 @@ def test_oracle_heisenberg_agrees():
     assert d["tau_available"] == "false"
 
 
+@pytest.mark.parametrize("name, degree, ansatz, prolongation, agree", [
+    ("engel", 6, [1, 1, 2, 1, 0, 0, 0, 0, 0, 0], [1, 1, 2, 1], "true"),
+    # level 2 has weighted degree 2, out of reach of the degree-1 ansatz
+    ("heisenberg", 1, [1, 2, 2, 2], [1, 2, 2, 2, 1], "false"),
+])
+def test_oracle_reports_dims_by_degree(name, degree, ansatz, prolongation, agree):
+    code, out = run_cli(["oracle", spec_path(name + ".alg"), "--degree", str(degree)])
+    d = as_dict(out)
+    assert d["ansatz_dims_by_degree"] == str(ansatz)
+    assert d["prolongation_dims_by_degree"] == str(prolongation)
+    assert d["ansatz_dim"] == str(sum(ansatz))
+    assert d["dims_agree"] == agree
+    assert code == (0 if agree == "true" else 1)
+    keys = list(d)
+    assert keys.index("ansatz_dims_by_degree") == keys.index("ansatz_dim") + 1
+    assert keys.index("prolongation_dims_by_degree") == keys.index("prolongation_total") + 1
+
+
+def test_oracle_cutoff_reports_no_prolongation_dims():
+    code, out = run_cli(["oracle", spec_path("r1.alg"), "--degree", "2"])
+    d = as_dict(out)
+    assert d["ansatz_dims_by_degree"] == "[1, 1, 1, 1]"
+    assert "prolongation_dims_by_degree" not in d
+
+
 def test_struct_format_is_json():
     code, out = run_cli(["validate", spec_path("engel.alg"), "--format", "struct"])
     assert code == 0
@@ -204,9 +229,6 @@ def test_outputs_are_byte_identical(argv):
     assert (code1, out1) == (code2, out2)
 
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
 @pytest.mark.parametrize("command, name", [
     ("prolong", "engel"),
     ("prolong", "heisenberg"),
@@ -214,11 +236,17 @@ GOLDEN = Path(__file__).parent / "golden"
     ("prolong", "r2_co2"),
     ("prolong", "r3_co3"),
     ("verify", "engel"),
+    # generated specs, stored next to their reports
+    ("verify", "heis_x_r"),
+    ("verify", "free_3_2"),
+    ("verify", "cartan_235"),
+    ("verify", "two_centre"),
 ])
 def test_report_matches_saved_copy(command, name):
     # the saved copies pin basis order and signs, which two runs of the
     # same code cannot
-    code, out = run_cli([command, spec_path(name + ".alg")])
+    stored = GOLDEN / f"{name}.alg"
+    code, out = run_cli([command, str(stored) if stored.exists() else spec_path(name + ".alg")])
     assert code == 0
     assert out == (GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
 

@@ -5,10 +5,12 @@ import pytest
 from carnot.exact_linalg import Matrix, Subspace, span_equal
 from carnot.group_realization import CoordinateRecipe, PolyVectorField, left_invariant_frame
 from carnot.prolongation import DegreeZeroMap
-from carnot.contact_pde import (NotContact, conformal_defect, conformal_fields_of_degree,
+from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
+                                conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
-                                solve_h_system, solve_polynomial_conformal)
-from .conftest import conformal_g0, make_abelian, rand_point
+                                solve_h_system, solve_polynomial_conformal, vf_bracket)
+from carnot.polynomials import Poly
+from .conftest import conformal_g0, make_abelian, named_algebra_frame, rand_point, zero_maps
 
 
 def unit_frame_field(frame, j):
@@ -56,6 +58,55 @@ def test_family_with_flipped_vertical_sign_fails(engel_frame):
     for k in (1, 2, 3):
         bad = monomial_family(engel_frame, k, sign=Fraction(1))
         assert not contact_defect(bad, engel_frame).all_zero
+
+
+# -- residuals against the coordinate reference --------------------------
+
+
+def plain_apply(frame, j, f):
+    """X_j f as sum_c matrix[c][j] d/dx_c f, with no table."""
+    out = frame.ring.zero()
+    for c in range(len(frame)):
+        out = out + frame.matrix[c][j] * f.diff(c)
+    return out
+
+
+def reference_residuals(comps, frame):
+    """Contact residuals through coordinates and vf_bracket, then the
+    conformal residuals over the untabulated derivative."""
+    m = frame.horizontal
+    coords = frame.to_coords(list(comps))
+    out = []
+    for i in range(m):
+        out.extend(frame.to_frame(vf_bracket(coords, list(frame.columns[i])))[m:])
+    mat = [[plain_apply(frame, j, comps[i]) for j in range(m)] for i in range(m)]
+    trace = frame.ring.zero()
+    for i in range(m):
+        trace = trace + mat[i][i]
+    for i in range(m):
+        for j in range(i, m):
+            r = mat[i][j] + mat[j][i]
+            if i == j:
+                r = r - Fraction(2, m) * trace
+            out.append(r)
+    return out
+
+
+def test_residuals_match_the_coordinate_reference():
+    # every unit monomial field of graded degree -step..2
+    fields = 0
+    for name in ("engel", "cartan_235", "two_centre", "h2"):
+        g, frame = named_algebra_frame(name)
+        ring = frame.ring
+        for delta in range(-g.step, 3):
+            for i in range(g.dim):
+                for exp in ring.monomials_exact(delta - g.weights[i]):
+                    comps = [ring.zero()] * g.dim
+                    comps[i] = Poly(ring, {exp: Fraction(1)})
+                    assert conformal_system_residuals(comps, frame) == \
+                        reference_residuals(comps, frame)
+                    fields += 1
+    assert fields == 880
 
 
 # -- conformal defect ----------------------------------------------------
@@ -137,6 +188,49 @@ def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
     blocks[0].entries[0][1] = Fraction(1)
     corrupted = jt.__class__(jt.point, jt.minus_parts, DegreeZeroMap(engel, blocks), jt.one_part)
     assert not jet_jacobi_check(corrupted, engel)
+
+
+def dense_jet_jacobi_check(j, g):
+    """The dense form of the derivation law, kept as the reference."""
+    d = j.zero_part
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d.full_matrix().entries]
+            rhs1 = g.bracket(d.apply(g.basis_vector(a)), g.basis_vector(b))
+            rhs2 = g.bracket(d.apply(g.basis_vector(b)), g.basis_vector(a))
+            if any(x != y - z for x, y, z in zip(lhs, rhs1, rhs2)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["engel", "cartan_235", "free_3_2", "two_centre"])
+def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
+    g, _ = named_algebra_frame(name)
+    basis = zero_maps(conformal_g0(g))
+    for dmap in basis:
+        jt = ContactJet((), (), dmap, None)
+        assert jet_jacobi_check(jt, g) and dense_jet_jacobi_check(jt, g)
+    verdicts = set()
+    for t in range(40):
+        coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
+        blocks = []
+        for depth, dim in enumerate(g.layer_dims, start=1):
+            if t % 2:
+                # a random block map, almost never a derivation
+                ent = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
+            else:
+                # a random combination of g0, sometimes with one entry moved
+                ent = [[sum(c * m.blocks[depth - 1].entries[r][k]
+                            for c, m in zip(coeffs, basis)) for k in range(dim)]
+                       for r in range(dim)]
+                if t % 4 == 2:
+                    ent[rng.randrange(dim)][rng.randrange(dim)] += 1
+            blocks.append(Matrix(ent, cols=dim))
+        jt = ContactJet((), (), DegreeZeroMap(g, blocks), None)
+        verdict = jet_jacobi_check(jt, g)
+        assert verdict == dense_jet_jacobi_check(jt, g)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_tau, rng):

@@ -9,9 +9,11 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInv
                                       NotRealizable, NotTerminated, PolyMap, UnsupportedStep,
                                       bch, dilation, extend_first_layer_automorphism,
                                       graded_automorphism, group_inverse, group_product,
-                                      left_translation, realize_tau,
+                                      left_invariant_frame, left_translation, realize_tau,
                                       similarity_check, pushforward_in_frame)
-from .conftest import conformal_g0, make_abelian, make_heisenberg, rand_point
+from carnot.polynomials import Poly
+from .conftest import (BUNDLED, GENERATED, conformal_g0, make_abelian, make_heisenberg,
+                       named_algebra_frame, permuted, rand_point)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -96,8 +98,14 @@ def test_engel_frame_matches_display(engel, engel_frame):
         assert list(engel_frame.columns[j]) == expected[name]
 
 
-def frame_bracket_reproduces_structure(g, frame):
+# The structure-constant contact residuals of contact_pde rest on this
+# identity, [X~_i, X~_j] = X~_[e_i,e_j], so it is checked on every spec the
+# fields layer runs on.  H_2 and R^4 stand for the conformal scale families;
+# g0 does not enter the frame.
+@pytest.mark.parametrize("name", BUNDLED + GENERATED + ("h2", "r4"))
+def test_frame_brackets(name):
     from carnot.contact_pde import vf_bracket
+    g, frame = named_algebra_frame(name)
     for i in range(g.dim):
         for j in range(g.dim):
             br = vf_bracket(list(frame.columns[i]), list(frame.columns[j]))
@@ -107,12 +115,31 @@ def frame_bracket_reproduces_structure(g, frame):
             assert br == expect
 
 
-def test_frame_brackets_engel(engel, engel_frame):
-    frame_bracket_reproduces_structure(engel, engel_frame)
+def test_frame_rejects_a_basis_with_layer_one_after_a_deeper_element():
+    # X1 X2 Y X3: the frame matrix is still triangular, but the residuals
+    # would read Y as horizontal
+    g = build_algebra([["X1", "X2", "X3"], ["Y"]], {("X1", "X2"): [(1, "Y")]})
+    shuffled = permuted(g, [0, 1, 3, 2])
+    with pytest.raises(ValueError, match="layer -1 first"):
+        left_invariant_frame(shuffled, CoordinateRecipe.single_factor(shuffled))
 
 
-def test_frame_brackets_heisenberg(heisenberg, heisenberg_frame):
-    frame_bracket_reproduces_structure(heisenberg, heisenberg_frame)
+def test_apply_matches_the_derivative_sum(rng):
+    # the monomial table against sum_c matrix[c][j] d/dx_c f, on repeated
+    # calls too, so that table hits are checked as well as misses
+    for name in ("engel", "cartan_235", "two_centre"):
+        g, frame = named_algebra_frame(name)
+        ring = frame.ring
+        monos = ring.monomials_upto(4)
+        for _ in range(2):
+            for _ in range(10):
+                f = Poly(ring, {m: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                for m in rng.sample(monos, 6)})
+                for j in range(g.dim):
+                    expect = ring.zero()
+                    for c in range(g.dim):
+                        expect = expect + frame.matrix[c][j] * f.diff(c)
+                    assert frame.apply(j, f) == expect
 
 
 def test_frame_conversion_roundtrip(engel_frame, rng):

@@ -9,7 +9,8 @@ from carnot.prolongation import (JacobiAssemblyFailure, Level, PriorLevelsMissin
                                  full_prolongation, prolong_step)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import conformal_g0, make_abelian, make_engel, make_heisenberg
+from .conftest import (conformal_g0, make_abelian, make_engel, make_heisenberg, make_heisenberg_n,
+                       permuted)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -197,13 +198,6 @@ def test_closed_g0_required_for_assembly():
         ProlongationAlgebra(g, [lvl0], build_table=True)
 
 
-def _permuted(g, order):
-    """The same algebra with its basis declared in the given order."""
-    new = {old: i for i, old in enumerate(order)}
-    rows = [[[(new[k], c) for k, c in g.rows[a][b]] for b in order] for a in order]
-    return GradedLieAlgebra([g.names[i] for i in order], [g.weights[i] for i in order], rows)
-
-
 def make_cartan_235():
     return build_algebra([["X1", "X2"], ["Y"], ["Z1", "Z2"]],
                          {("X1", "X2"): [(1, "Y")], ("X1", "Y"): [(1, "Z1")],
@@ -220,7 +214,7 @@ def make_cartan_235():
 def test_interleaved_layers_prolong_like_contiguous_ones(make, order):
     # layers need not be contiguous blocks of the basis of a directly built algebra
     g = make()
-    shuffled = _permuted(g, order)
+    shuffled = permuted(g, order)
     assert check_generation(shuffled)
     s, rep = full_prolongation(shuffled, conformal_g0(shuffled))
     ref_s, ref = full_prolongation(g, conformal_g0(g))
@@ -229,12 +223,6 @@ def test_interleaved_layers_prolong_like_contiguous_ones(make, order):
 
 
 # -- closed forms on whole families ------------------------------------------
-
-
-def make_heisenberg_n(n):
-    xs = [f"X{i}" for i in range(1, n + 1)]
-    ys = [f"Y{i}" for i in range(1, n + 1)]
-    return build_algebra([xs + ys, ["T"]], {(x, y): [(1, "T")] for x, y in zip(xs, ys)})
 
 
 @pytest.mark.parametrize("n", range(3, 7))
