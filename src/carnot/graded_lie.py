@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import SparseRows, Subspace
@@ -53,7 +54,7 @@ class GradedLieAlgebra:
     :func:`check_generation`.
     """
 
-    __slots__ = ("names", "weights", "rows", "dim", "step", "_index", "_nonzero")
+    __slots__ = ("names", "weights", "rows", "dim", "step", "_index", "_layers", "_nonzero")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int],
                  rows: Sequence[Sequence[Iterable[tuple[int, object]]]]):
@@ -83,6 +84,8 @@ class GradedLieAlgebra:
         self.rows = tuple(tuple(tuple(sorted((k, c) for k, c in terms.items() if c))
                                 for terms in row) for row in sums)
         self._index = {name: i for i, name in enumerate(self.names)}
+        self._layers = {d: tuple(i for i, w in enumerate(self.weights) if w == -d)
+                        for d in range(1, self.step + 1)}
         violation = table_violation(self.rows, self.weights)
         if violation is not None:
             raise self._violation(*violation)
@@ -105,9 +108,9 @@ class GradedLieAlgebra:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def layer_indices(self, depth: int) -> list[int]:
+    def layer_indices(self, depth: int) -> tuple[int, ...]:
         """Basis indices of layer ``-depth`` in declaration order."""
-        return [i for i, w in enumerate(self.weights) if w == -depth]
+        return self._layers.get(depth, ())
 
     @property
     def layer_dims(self) -> list[int]:
@@ -147,6 +150,11 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
     for "antisymmetry"), or None.  Jacobi stays exhaustive: a triple is
     skipped only when ``w_a + w_b + w_c`` is not a basis weight, and then the
     grading, already checked, forces all three double brackets to vanish.
+
+    The Jacobi sums run in integers.  Every coefficient is first multiplied
+    by the lcm ``L`` of their denominators.  The Jacobi expression is
+    bilinear in the table, so each sum of the scaled table is ``L**2``
+    times the sum of the given one, and is zero exactly when that one is.
     """
     n = len(rows)
     for a in range(n):
@@ -160,6 +168,9 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
             for k, _ in rows[a][b]:
                 if weights[k] != weights[a] + weights[b]:
                     return ("grading", a, b, k)
+    scale = lcm(*{c.denominator for row in rows for terms in row for _, c in terms})
+    rows = [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+             for terms in row] for row in rows]
     live = set(weights)
     for a in range(n):
         ra = rows[a]
@@ -170,7 +181,7 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
                 if wab + weights[c] not in live:
                     continue
                 rc = rows[c]
-                total: dict[int, Fraction] = {}
+                total: dict[int, int] = {}
                 # [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]]
                 for outer, inner in ((ra, rb[c]), (rb, rc[a]), (rc, ra[b])):
                     for m, x in inner:

@@ -209,7 +209,7 @@ class Frame:
         self.horizontal = len(algebra.layer_indices(1))
         # the contact and conformal residuals read the horizontal frame
         # fields as the first ``horizontal`` basis elements
-        if algebra.layer_indices(1) != list(range(self.horizontal)):
+        if algebra.layer_indices(1) != tuple(range(self.horizontal)):
             raise ValueError("a frame needs layer -1 first in the basis")
         self._monomial_derivatives: dict[tuple[int, tuple[int, ...]], tuple] = {}
         one = ring.one()

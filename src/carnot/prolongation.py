@@ -11,6 +11,12 @@ condition on the first-layer block (conformal by default) gives g0.  Once
 a level is zero, generation by layer -1 forces all later levels to vanish,
 and the finite algebra s = g + g_0 + ... is assembled with a full bracket
 table.
+
+The table is worked out in sparse rows of exact integers: a coefficient
+is an ``int`` when it is integral and a ``Fraction`` only otherwise.  A
+level-level bracket is summed from rows already in the table, and its
+coordinates are read at the pivot cells of the target level.  The
+finished table is converted once to ``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from typing import Sequence
 from .exact_linalg import Matrix, SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
+
+
+def _exact(x: Fraction) -> int | Fraction:
+    """``x`` as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class PriorLevelsMissing(ValueError):
@@ -307,7 +318,8 @@ class ProlongationAlgebra:
     Basis ordering: negative layers deepest first, then the levels; within
     a level the canonical echelon order, so each degree occupies one
     contiguous block.  ``bracket_table[a][b]`` is the sparse bracket
-    ``[e_a, e_b]``: a tuple of ``(k, c)`` with ``c != 0``, sorted by ``k``.
+    ``[e_a, e_b]``: a tuple of ``(k, c)`` with ``c`` a nonzero ``Fraction``,
+    sorted by ``k``.
     It is only built for terminating prolongations (a cutoff leaves it as
     None).
     """
@@ -381,70 +393,83 @@ class ProlongationAlgebra:
         for a in negs:
             row = g.rows[self.sbasis[a][1]]
             for b in negs:
-                table[a][b] = tuple(sorted((self._pos[("neg", k)], c)
+                table[a][b] = tuple(sorted((self._pos[("neg", k)], _exact(c))
                                            for k, c in row[self.sbasis[b][1]]))
+        # [u, e_j] = u(e_j): these rows are the sparse actions of the levels
         for a in levs:
             _, k, p = self.sbasis[a]
             for b in negs:
                 j = self.sbasis[b][1]
-                put(a, b, self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k))
+                value = self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k)
+                put(a, b, tuple((i, _exact(c)) for i, c in value))
+        # per level, the s-index of each basis element keyed by its pivot
+        # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
+        pivot_cells = []
+        for lvl in self.levels:
+            cell = {col: (self._pos[("neg", j)], self._block[g.weights[j] + lvl.k][t])
+                    for j, cols in enumerate(lvl.columns) for t, col in enumerate(cols)}
+            pivot_cells.append({cell[col]: i for col, i in
+                                zip(lvl.subspace.pivots, self._block.get(lvl.k, ()))})
         # positive-positive brackets, built by total level so the recursive
         # action formula only consults already-filled entries
         lev_pairs = [(a, b) for a in levs for b in levs if a < b]
         lev_pairs.sort(key=lambda ab: self.sbasis[ab[0]][1] + self.sbasis[ab[1]][1])
         for a, b in lev_pairs:
-            put(a, b, self._lev_lev_bracket(table, a, b))
+            put(a, b, self._lev_lev_bracket(table, negs, pivot_cells, a, b))
+        # one Fraction object per distinct coefficient
+        fractions = {c: Fraction(c) for rows in table for row in rows for _, c in row}
+        for rows in table:
+            rows[:] = [tuple((k, fractions[c]) for k, c in row) for row in rows]
         self.bracket_table = table
 
-    def _act_elem_on_value(self, table, a: int, local: Sequence[Fraction], d: int,
-                           out: list[Fraction], sign: int) -> None:
-        """Add sign * [basis element a (a level), value in degree-d space] to ``out``.
+    def _lev_lev_bracket(self, table, negs: Sequence[int],
+                         pivot_cells: Sequence[dict[tuple[int, int], int]],
+                         a: int, b: int) -> tuple:
+        """Sparse row of [u_a, u_b] from its values on g_-.
 
-        ``out`` holds local coordinates of the degree d + level(a) space.
+        [u_a, u_b](X) = [u_a, u_b(X)] - [u_b, u_a(X)] sums rows of the
+        table: those of the level-negative brackets and of level pairs of
+        smaller total level.  The target level's reduced echelon basis is
+        the identity at its pivot cells, so the coordinates are the values
+        there; the residue left after subtracting their combination must
+        vanish for the map to lie in that level.
         """
-        g = self.negative
-        _, k, p = self.sbasis[a]
-        if d < 0:
-            for gi, c in zip(g.layer_indices(-d), local):
-                if c:
-                    c = sign * c
-                    for t, y in enumerate(self.levels[k].action(p, gi)):
-                        if y:
-                            out[t] += c * y
-            return
-        start = self._block.get(d + k, [0])[0]
-        for i, c in zip(self._block.get(d, ()), local):
-            if c:
-                row = table[a][i]
-                if row is None:
-                    raise JacobiAssemblyFailure("bracket table filled out of order")
-                c = sign * c
-                for m, y in row:
-                    out[m - start] += c * y
-
-    def _lev_lev_bracket(self, table, a: int, b: int) -> tuple:
-        g = self.negative
-        _, ka, qa = self.sbasis[a]
-        _, kb, qb = self.sbasis[b]
+        ka = self.sbasis[a][1]
+        kb = self.sbasis[b][1]
         level_sum = ka + kb
-        values = []
-        for t in range(g.dim):
-            value = vec_zero(len(self._block.get(g.weights[t] + level_sum, ())))
-            self._act_elem_on_value(table, a, self.levels[kb].action(qb, t),
-                                    g.weights[t] + kb, value, 1)
-            self._act_elem_on_value(table, b, self.levels[ka].action(qa, t),
-                                    g.weights[t] + ka, value, -1)
-            values.append(value)
-        if level_sum <= self.top_level():
-            coords = self.levels[level_sum].coordinates_of_values(values)
-            if coords is None:
+        values = {}
+        for x in negs:
+            value = {}
+            for outer, inner, sign in ((a, table[b][x], 1), (b, table[a][x], -1)):
+                for i, c in inner:
+                    row = table[outer][i]
+                    if row is None:
+                        raise JacobiAssemblyFailure("bracket table filled out of order")
+                    c = sign * c
+                    for m, y in row:
+                        value[m] = value.get(m, 0) + c * y
+            values[x] = value
+        if level_sum > self.top_level():
+            if any(y for value in values.values() for y in value.values()):
                 raise JacobiAssemblyFailure(
-                    f"[level {ka}, level {kb}] leaves the computed level {level_sum}")
-            return self._sparse_value(coords, level_sum)
-        if any(x != 0 for v in values for x in v):
+                    f"[level {ka}, level {kb}] is nonzero but level {level_sum} vanished")
+            return ()
+        pivots = pivot_cells[level_sum]
+        coords = {}
+        for x, value in values.items():
+            for m, y in value.items():
+                i = pivots.get((x, m))
+                if i is not None and y:
+                    coords[i] = y
+        for i, c in coords.items():
+            for x in negs:
+                value = values[x]
+                for m, y in table[i][x]:
+                    value[m] = value.get(m, 0) - c * y
+        if any(y for value in values.values() for y in value.values()):
             raise JacobiAssemblyFailure(
-                f"[level {ka}, level {kb}] is nonzero but level {level_sum} vanished")
-        return ()
+                f"[level {ka}, level {kb}] leaves the computed level {level_sum}")
+        return tuple(sorted(coords.items()))
 
     # -- algebra operations -------------------------------------------
 
@@ -472,7 +497,7 @@ class ProlongationAlgebra:
         return out
 
     def verify(self) -> None:
-        """Check [u,X] = u(X) via :meth:`bracket_vec`, then :func:`table_violation`."""
+        """Check [u,X] = u(X) on the table rows, then :func:`table_violation`."""
         if self.bracket_table is None:
             raise JacobiAssemblyFailure("nothing to verify: no bracket table")
         g = self.negative
@@ -484,8 +509,8 @@ class ProlongationAlgebra:
                 if bkey[0] != "neg":
                     continue
                 j = bkey[1]
-                expect = self._embed_value(self.levels[k].action(p, j), g.weights[j] + k)
-                if self.bracket_vec(self._unit(a), self._unit(b)) != expect:
+                expect = self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k)
+                if tuple(self.bracket_table[a][b]) != expect:
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
         violation = table_violation(self.bracket_table, self.weights)
         if violation is None:

@@ -198,6 +198,25 @@ def test_closed_g0_required_for_assembly():
         ProlongationAlgebra(g, [lvl0], build_table=True)
 
 
+def test_assembly_errors_name_the_failing_levels():
+    from carnot.exact_linalg import Subspace
+    from carnot.prolongation import ProlongationAlgebra
+    g = make_abelian(2)
+    ders = prolong_step(g, [], 0)
+    lvl0 = Level(g, 0, Subspace.from_vectors([{1: 1}, {2: 1}], 4), ders.columns)
+    with pytest.raises(JacobiAssemblyFailure,
+                       match=r"\[level 0, level 0\] leaves the computed level 0"):
+        ProlongationAlgebra(g, [lvl0])
+    # the tower of R^1 never ends: [u_1, u_2] lies in level 3, absent from a cut tower
+    g = make_abelian(1)
+    levels = [conformal_g0(g)]
+    for k in (1, 2):
+        levels.append(prolong_step(g, levels, k))
+    with pytest.raises(JacobiAssemblyFailure,
+                       match=r"\[level 1, level 2\] is nonzero but level 3 vanished"):
+        ProlongationAlgebra(g, levels)
+
+
 def make_cartan_235():
     return build_algebra([["X1", "X2"], ["Y"], ["Z1", "Z2"]],
                          {("X1", "X2"): [(1, "Y")], ("X1", "Y"): [(1, "Z1")],
@@ -225,7 +244,7 @@ def test_interleaved_layers_prolong_like_contiguous_ones(make, order):
 # -- closed forms on whole families ------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_liouville_closed_form(n):
     # R^n with co(n) prolongs to so(n+1,1)
     g = make_abelian(n)
@@ -234,7 +253,7 @@ def test_liouville_closed_form(n):
     assert rep.total_dim == s.dim == (n + 1) * (n + 2) // 2
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", range(1, 5))
 def test_koranyi_reimann_closed_form(n):
     # H_n with the conformal g0 prolongs to su(n+1,1)
     g = make_heisenberg_n(n)
@@ -360,3 +379,140 @@ def test_pruned_check_matches_dense_reference(make):
         assert found == _dense_violation(rows, weights)
         outcomes.add(found and found[0])
     assert {"antisymmetry", "grading", "jacobi"} <= outcomes
+
+
+# -- the integer assembly and the scaled Jacobi check against Fraction paths --
+
+
+def _dense_reference_table(s):
+    """The bracket table of ``s`` assembled on dense Fraction vectors.
+
+    Each level-level bracket is densified on every negative basis element
+    and read in the target level through ``Level.coordinates_of_values``.
+    """
+    g = s.negative
+    n = s.dim
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        table[a][a] = ()
+
+    def put(a, b, row):
+        table[a][b] = row
+        table[b][a] = tuple((k, -c) for k, c in row)
+
+    negs = [i for i, key in enumerate(s.sbasis) if key[0] == "neg"]
+    levs = [i for i, key in enumerate(s.sbasis) if key[0] == "lev"]
+    for a in negs:
+        row = g.rows[s.sbasis[a][1]]
+        for b in negs:
+            table[a][b] = tuple(sorted((s._pos[("neg", k)], c) for k, c in row[s.sbasis[b][1]]))
+    for a in levs:
+        _, k, p = s.sbasis[a]
+        for b in negs:
+            j = s.sbasis[b][1]
+            put(a, b, s._sparse_value(s.levels[k].action(p, j), g.weights[j] + k))
+
+    def act(a, local, d, out, sign):
+        # add sign * [e_a, value] to out, the value given in the degree-d space
+        _, k, p = s.sbasis[a]
+        if d < 0:
+            for gi, c in zip(g.layer_indices(-d), local):
+                for t, y in enumerate(s.levels[k].action(p, gi)):
+                    out[t] += sign * c * y
+            return
+        start = s._block[d + k][0] if out else 0
+        for i, c in zip(s._block.get(d, ()), local):
+            for m, y in table[a][i]:
+                out[m - start] += sign * c * y
+
+    pairs = sorted(((a, b) for a in levs for b in levs if a < b),
+                   key=lambda ab: s.sbasis[ab[0]][1] + s.sbasis[ab[1]][1])
+    for a, b in pairs:
+        _, ka, qa = s.sbasis[a]
+        _, kb, qb = s.sbasis[b]
+        values = []
+        for t in range(g.dim):
+            value = [Fraction(0)] * len(s._block.get(g.weights[t] + ka + kb, ()))
+            act(a, s.levels[kb].action(qb, t), g.weights[t] + kb, value, 1)
+            act(b, s.levels[ka].action(qa, t), g.weights[t] + ka, value, -1)
+            values.append(value)
+        if ka + kb <= s.top_level():
+            coords = s.levels[ka + kb].coordinates_of_values(values)
+            assert coords is not None
+            put(a, b, s._sparse_value(coords, ka + kb))
+        else:
+            assert not any(x for value in values for x in value)
+            put(a, b, ())
+    return table
+
+
+REFERENCE_TOWERS = (
+    [(f"R{n}", lambda n=n: make_abelian(n)) for n in range(3, 7)]
+    + [(f"H{n}", lambda n=n: make_heisenberg_n(n)) for n in range(1, 4)]
+    + [("engel", make_engel),
+       ("engel_interleaved", lambda: permuted(make_engel(), [0, 3, 1, 2])),
+       ("heisenberg_interleaved", lambda: permuted(make_heisenberg(), [2, 0, 1])),
+       ("cartan_235_interleaved", lambda: permuted(make_cartan_235(), [3, 0, 2, 4, 1]))])
+
+
+@pytest.mark.parametrize("make", [m for _, m in REFERENCE_TOWERS],
+                         ids=[name for name, _ in REFERENCE_TOWERS])
+def test_assembled_table_matches_dense_reference(make):
+    g = make()
+    s, rep = full_prolongation(g, conformal_g0(g))
+    assert rep.terminated
+    assert s.bracket_table == _dense_reference_table(s)
+    assert all(type(c) is Fraction for row in s.bracket_table for terms in row for _, c in terms)
+
+
+def _fraction_violation(rows, weights):
+    """``table_violation`` with its Jacobi sums taken in Fractions, unscaled."""
+    n = len(rows)
+    for a in range(n):
+        if rows[a][a]:
+            return ("antisymmetry", a, a, a)
+        for b in range(a + 1, n):
+            if tuple(rows[b][a]) != tuple((k, -c) for k, c in rows[a][b]):
+                return ("antisymmetry", a, b, b)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k, _ in rows[a][b]:
+                if weights[k] != weights[a] + weights[b]:
+                    return ("grading", a, b, k)
+    live = set(weights)
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                if weights[a] + weights[b] + weights[c] not in live:
+                    continue
+                total = {}
+                for outer, inner in ((rows[a], rows[b][c]), (rows[b], rows[c][a]),
+                                     (rows[c], rows[a][b])):
+                    for m, x in inner:
+                        for k, y in outer[m]:
+                            total[k] = total.get(k, Fraction(0)) + x * y
+                if any(total.values()):
+                    return ("jacobi", a, b, c)
+    return None
+
+
+def test_scaled_jacobi_check_matches_fraction_reference():
+    g = make_heisenberg_n(2)
+    s, _ = full_prolongation(g, conformal_g0(g))
+    table, weights = s.bracket_table, s.weights
+    assert any(c.denominator > 1 for row in table for terms in row for _, c in terms)
+    assert table_violation(table, weights) is None
+    assert _fraction_violation(table, weights) is None
+    n = s.dim
+    slots = [(a, b, k) for a in range(n) for b in range(a + 1, n) for k in range(n)
+             if weights[k] == weights[a] + weights[b]]
+    kinds = set()
+    for delta in (Fraction(1, 3), Fraction(-1, 7)):
+        for a, b, k in slots:
+            rows = [list(r) for r in table]
+            rows[a][b] = _add_term(rows[a][b], k, delta)
+            rows[b][a] = tuple((i, -c) for i, c in rows[a][b])
+            found = table_violation(rows, weights)
+            assert found == _fraction_violation(rows, weights)
+            kinds.add(found and found[0])
+    assert "jacobi" in kinds
