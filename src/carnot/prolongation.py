@@ -497,7 +497,7 @@ class ProlongationAlgebra:
         return out
 
     def verify(self) -> None:
-        """Check [u,X] = u(X) on the table rows, then :func:`table_violation`."""
+        """Check [u,X] = u(X) via :meth:`bracket_vec`, then :func:`table_violation`."""
         if self.bracket_table is None:
             raise JacobiAssemblyFailure("nothing to verify: no bracket table")
         g = self.negative
@@ -509,8 +509,8 @@ class ProlongationAlgebra:
                 if bkey[0] != "neg":
                     continue
                 j = bkey[1]
-                expect = self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k)
-                if tuple(self.bracket_table[a][b]) != expect:
+                expect = self._embed_value(self.levels[k].action(p, j), g.weights[j] + k)
+                if self.bracket_vec(self._unit(a), self._unit(b)) != expect:
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
         violation = table_violation(self.bracket_table, self.weights)
         if violation is None:
