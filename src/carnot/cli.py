@@ -372,7 +372,7 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     recipe = spec_recipe(spec, g)
     frame = left_invariant_frame(g, recipe)
     try:
-        fields = realize_tau(algebra, recipe)
+        fields = realize_tau(algebra, frame)
     except NotRealizable as exc:
         report.add("overall", "FAIL")
         report.add("failure", f"NotRealizable: {exc}")
@@ -520,7 +520,7 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
                                   "prolongation total; raise --degree")
             exit_code = 1
         try:
-            fields = realize_tau(algebra, recipe)
+            fields = realize_tau(algebra, frame)
         except NotRealizable:
             report.add("tau_available", False)
         else:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import Matrix, SparseRows, Subspace, dense_row, nullspace, vec_zero
+from .exact_linalg import ZERO, Matrix, SparseRows, Subspace, dense_row, nullspace, vec_zero
 from .graded_lie import GradedLieAlgebra
 from .prolongation import DegreeZeroMap
 from .polynomials import Poly
@@ -74,40 +74,57 @@ def _frame_components(V: PolyVectorField, frame: Frame) -> list[Poly]:
     return frame.to_frame(list(V.components))
 
 
+def _plus(a: Poly, b: Poly) -> Poly:
+    """a + b, with no new polynomial when either term is zero."""
+    if b.is_zero():
+        return a
+    if a.is_zero():
+        return b
+    return a + b
+
+
 def _contact_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
     """Frame components k >= m of [V, X_i] for each horizontal X_i, i-major.
 
     Component k is ``sum_j f_j c_ji^k - X_i(f_k)`` for ``V = sum_j f_j X_j``.
+    Only the nonzero f_j are visited; every other entry is one shared zero.
     """
     g = frame.algebra
     m = frame.horizontal
+    zero = frame.ring.zero()
+    live = [(j, f) for j, f in enumerate(comps) if not f.is_zero()]
     out = []
     for i in range(m):
-        acc = [-frame.apply(i, comps[k]) for k in range(m, g.dim)]
-        for j, f in enumerate(comps):
-            if f.is_zero():
-                continue
+        acc = [zero] * (g.dim - m)
+        for k, f in live:
+            if k >= m:
+                acc[k - m] = -frame.apply(i, f)
+        for j, f in live:
             # [X_j, X_i] lies in layers -2 and deeper, so every k >= m
             for k, c in g.rows[j][i]:
-                acc[k - m] = acc[k - m] + c * f
+                acc[k - m] = _plus(acc[k - m], c * f)
         out.extend(acc)
     return out
 
 
 def _conformal_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Entries i <= j of M + M^t - (2/m) tr(M) I, M the horizontal derivative matrix."""
+    """Entries i <= j of M + M^t - (2/m) tr(M) I, M the horizontal derivative matrix.
+
+    Row i of M is zero when the horizontal component f_i is.
+    """
     m = frame.horizontal
-    mat = [[frame.apply(j, comps[i]) for j in range(m)] for i in range(m)]
-    trace = frame.ring.zero()
+    zero = frame.ring.zero()
+    mat = [[zero] * m if f.is_zero() else [frame.apply(j, f) for j in range(m)]
+           for f in comps[:m]]
+    trace = zero
     for i in range(m):
-        trace = trace + mat[i][i]
+        trace = _plus(trace, mat[i][i])
+    shift = Fraction(-2, m) * trace
     out = []
     for i in range(m):
         for j in range(i, m):
-            r = mat[i][j] + mat[j][i]
-            if i == j:
-                r = r - Fraction(2, m) * trace
-            out.append(r)
+            r = _plus(mat[i][j], mat[j][i])
+            out.append(_plus(r, shift) if i == j else r)
     return out
 
 
@@ -173,16 +190,24 @@ class ContactJet:
 
 def _zero_part_entries(comps: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
     """Symbolic entries of the degree-zero jet: block (r,c) is X_c applied
-    to the coefficient of basis element r, within each layer."""
+    to the coefficient of basis element r, within each layer.  Rows of zero
+    coefficients, and every entry off the blocks, are one shared zero."""
     g = frame.algebra
     n = g.dim
-    ent = [[frame.ring.zero() for _ in range(n)] for _ in range(n)]
+    zero = frame.ring.zero()
+    ent = [[zero] * n for _ in range(n)]
     for depth in range(1, g.step + 1):
         idx = g.layer_indices(depth)
         for r in idx:
-            for c in idx:
-                ent[r][c] = frame.apply(c, comps[r])
+            if not comps[r].is_zero():
+                for c in idx:
+                    ent[r][c] = frame.apply(c, comps[r])
     return ent
+
+
+def _derivative_at(frame: Frame, j: int, f: Poly, pt: Sequence[Fraction]) -> Fraction:
+    """X_j f at the point, with no work for f = 0."""
+    return ZERO if f.is_zero() else frame.apply(j, f).eval(pt)
 
 
 def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
@@ -212,15 +237,14 @@ def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
     if order == 1:
         matrices = []
         for c1 in g.layer_indices(1):
-            ent = [[frame.apply(c1, sym[r][c]).eval(pt) for c in range(g.dim)]
-                   for r in range(g.dim)]
+            ent = [[_derivative_at(frame, c1, p, pt) for p in row] for row in sym]
             matrices.append((c1, Matrix(ent, cols=g.dim)))
         vectors = []
         for depth in range(2, g.step + 1):
             for src in g.layer_indices(depth):
                 full = vec_zero(g.dim)
                 for i in g.layer_indices(depth - 1):
-                    full[i] = frame.apply(src, comps[i]).eval(pt)
+                    full[i] = _derivative_at(frame, src, comps[i], pt)
                 vectors.append((src, tuple(full)))
         one_part = JetOnePart(tuple(matrices), tuple(vectors))
     return ContactJet(tuple(pt), tuple(minus), zero_part, one_part)

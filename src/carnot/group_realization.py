@@ -345,12 +345,13 @@ def _automorphism_generator(recipe: CoordinateRecipe, dmap: DegreeZeroMap) -> li
     return _flow_derivative(recipe, ring_t, t_index, coords)
 
 
-def realize_tau(s, recipe: CoordinateRecipe) -> list[PolyVectorField]:
+def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     """One vector field per basis element of the prolongation algebra s.
 
     Negative elements generate left translations; degree-zero elements
     generate flows of graded automorphisms.  The fields are returned in
-    the basis order of s, expressed in the left-invariant frame.
+    the basis order of s, expressed in ``frame``, the left-invariant frame
+    of the recipe they are computed in.
     """
     if s.bracket_table is None:
         raise NotTerminated("realization needs a terminating prolongation")
@@ -358,7 +359,7 @@ def realize_tau(s, recipe: CoordinateRecipe) -> list[PolyVectorField]:
         raise NotRealizable(
             "positive-degree prolongation elements do not act by translations or automorphisms")
     g = s.negative
-    frame = left_invariant_frame(g, recipe)
+    recipe = frame.recipe
     fields = []
     for key in s.sbasis:
         if key[0] == "neg":
@@ -495,6 +496,25 @@ def _poly_det(rows: list[list[Poly]], ring: PolyRing) -> Poly:
     return out
 
 
+def _jacobian_probe(n: int) -> list[Fraction]:
+    """The fixed rational point at which a Jacobian is first evaluated."""
+    return [Fraction(1, c + 2) for c in range(n)]
+
+
+def _jacobian_singular(jac: list[list[Poly]], ring: PolyRing) -> bool:
+    """Whether det(jac) is the zero polynomial.
+
+    A nonzero determinant at :func:`_jacobian_probe` settles it by exact
+    elimination; only a zero there calls for the symbolic expansion.
+    """
+    n = len(jac)
+    point = _jacobian_probe(n)
+    values = (sparse_row([p.eval(point) for p in row]) for row in jac)
+    if Subspace.from_vectors(values, n).dim == n:
+        return False
+    return _poly_det(jac, ring).is_zero()
+
+
 def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     """Matrix P with P[j][i] = frame-j component of the pushforward of frame-i.
 
@@ -504,7 +524,7 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     ring = frame.ring
     n = len(frame)
     jac = pmap.jacobian()
-    if _poly_det(jac, ring).is_zero():
+    if _jacobian_singular(jac, ring):
         raise NotInvertible("map has identically singular Jacobian")
     subs_vals = list(pmap.components)
     f_img = [[frame.matrix[c][j].subs(subs_vals) for j in range(n)] for c in range(n)]

@@ -103,7 +103,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("polynomials from different rings")
             return other
         if isinstance(other, (int, Fraction)):
@@ -116,7 +116,7 @@ class Poly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in o.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out[e] + c if e in out else c
         return Poly(self.ring, out)
 
     __radd__ = __add__
@@ -134,6 +134,9 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            k = Fraction(other)
+            return Poly(self.ring, {e: c * k for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

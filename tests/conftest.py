@@ -93,9 +93,9 @@ def engel_prolongation(engel):
 
 
 @pytest.fixture(scope="session")
-def engel_tau(engel_prolongation, engel_recipe):
+def engel_tau(engel_prolongation, engel_frame):
     algebra, _ = engel_prolongation
-    return realize_tau(algebra, engel_recipe)
+    return realize_tau(algebra, engel_frame)
 
 
 @pytest.fixture(scope="session")

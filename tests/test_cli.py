@@ -139,6 +139,21 @@ def test_verify_engel_passes():
     assert d["translations_similar"] == "true"
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_one_frame_per_command(monkeypatch, command):
+    import carnot.cli as cli
+    import carnot.group_realization as group_realization
+    calls = []
+    for module in (cli, group_realization):
+        def counting(*args, _original=module.left_invariant_frame):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(module, "left_invariant_frame", counting)
+    code, _ = run_cli([command, spec_path("engel.alg")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_with_injected_field_fails():
     spec = parse_spec_file(spec_path("engel.alg"))
     from carnot.cli import spec_algebra, spec_recipe
@@ -241,12 +256,21 @@ def test_outputs_are_byte_identical(argv):
     ("verify", "free_3_2"),
     ("verify", "cartan_235"),
     ("verify", "two_centre"),
+    ("oracle", "engel"),
+    ("oracle", "heis_x_r"),
+    ("oracle", "free_3_2"),
+    ("oracle", "cartan_235"),
+    ("oracle", "two_centre"),
 ])
 def test_report_matches_saved_copy(command, name):
     # the saved copies pin basis order and signs, which two runs of the
-    # same code cannot
+    # same code cannot; the generated specs run the oracle at degree 3,
+    # engel at its bundled degree
     stored = GOLDEN / f"{name}.alg"
-    code, out = run_cli([command, str(stored) if stored.exists() else spec_path(name + ".alg")])
+    argv = [command, str(stored) if stored.exists() else spec_path(name + ".alg")]
+    if command == "oracle" and stored.exists():
+        argv += ["--degree", "3"]
+    code, out = run_cli(argv)
     assert code == 0
     assert out == (GOLDEN / f"{command}_{name}.txt").read_text(encoding="utf-8")
 

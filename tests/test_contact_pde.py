@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from carnot.exact_linalg import Matrix, Subspace, span_equal
-from carnot.group_realization import CoordinateRecipe, PolyVectorField, left_invariant_frame
-from carnot.prolongation import DegreeZeroMap
+from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
+                                      realize_tau)
+from carnot.prolongation import DegreeZeroMap, full_prolongation
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
@@ -107,6 +109,36 @@ def test_residuals_match_the_coordinate_reference():
                         reference_residuals(comps, frame)
                     fields += 1
     assert fields == 880
+    # fields on several components at once: seeded sums of unit monomial
+    # fields, the conformal fields of each block (whose residual terms all
+    # cancel), and their sums
+    rng = random.Random(20261018)
+    mixed = cancelling = 0
+    for name in ("engel", "cartan_235", "two_centre", "h2"):
+        g, frame = named_algebra_frame(name)
+        for delta in range(-g.step, 3):
+            sums = [seeded_sum(frame, delta, rng) for _ in range(4)]
+            solutions = [list(f.components) for f in conformal_fields_of_degree(frame, delta)]
+            for comps in solutions:
+                assert all(r.is_zero() for r in conformal_system_residuals(comps, frame))
+                cancelling += 1
+            for comps in sums + solutions + [[a + b for a, b in zip(x, y)]
+                                             for x, y in zip(sums, solutions)]:
+                residuals = conformal_system_residuals(comps, frame)
+                assert residuals == reference_residuals(comps, frame)
+                mixed += 1
+    assert (mixed, cancelling) == (162, 38)
+
+
+def seeded_sum(frame, delta, rng):
+    """Frame components of a sum of up to four unit monomial fields of
+    graded degree ``delta`` with small rational coefficients."""
+    g, ring = frame.algebra, frame.ring
+    units = [(i, exp) for i in range(g.dim) for exp in ring.monomials_exact(delta - g.weights[i])]
+    terms = [dict() for _ in range(g.dim)]
+    for i, exp in rng.sample(units, min(4, len(units))):
+        terms[i][exp] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+    return [Poly(ring, t) for t in terms]
 
 
 # -- conformal defect ----------------------------------------------------
@@ -176,6 +208,78 @@ def test_jet_minus_parts_split_coefficients(engel_frame, engel_tau, rng):
 def test_jet_requires_contact(engel_frame, rng):
     with pytest.raises(NotContact):
         jet(unit_frame_field(engel_frame, 2), engel_frame, rand_point(rng, 4))
+
+
+def dense_jet_parts(V, frame, pt, order):
+    """The dense form of the jet, kept as the reference: X_c applied to
+    every coefficient and to every entry of the n x n symbolic matrix."""
+    g = frame.algebra
+    n = g.dim
+    comps = list(V.components)
+    minus = []
+    for depth in range(1, g.step + 1):
+        full = [Fraction(0)] * n
+        for i in g.layer_indices(depth):
+            full[i] = comps[i].eval(pt)
+        minus.append((depth, tuple(full)))
+    sym = [[frame.ring.zero() for _ in range(n)] for _ in range(n)]
+    for depth in range(1, g.step + 1):
+        idx = g.layer_indices(depth)
+        for r in idx:
+            for c in idx:
+                sym[r][c] = frame.apply(c, comps[r])
+    blocks = tuple(Matrix([[sym[r][c].eval(pt) for c in g.layer_indices(d)]
+                           for r in g.layer_indices(d)], cols=len(g.layer_indices(d)))
+                   for d in range(1, g.step + 1))
+    if order == 0:
+        return tuple(minus), blocks, None
+    matrices = tuple((c1, Matrix([[frame.apply(c1, sym[r][c]).eval(pt) for c in range(n)]
+                                  for r in range(n)], cols=n))
+                     for c1 in g.layer_indices(1))
+    vectors = []
+    for depth in range(2, g.step + 1):
+        for src in g.layer_indices(depth):
+            full = [Fraction(0)] * n
+            for i in g.layer_indices(depth - 1):
+                full[i] = frame.apply(src, comps[i]).eval(pt)
+            vectors.append((src, tuple(full)))
+    return tuple(minus), blocks, (matrices, tuple(vectors))
+
+
+def assert_jet_matches_the_dense_reference(field, frame, rng):
+    for order in (0, 1):
+        pt = rand_point(rng, len(frame))
+        jt = jet(field, frame, pt, order)
+        minus, blocks, one = dense_jet_parts(field, frame, pt, order)
+        assert jt.point == tuple(pt)
+        assert jt.minus_parts == minus
+        assert jt.zero_part.blocks == blocks
+        if one is None:
+            assert jt.one_part is None
+        else:
+            assert (jt.one_part.matrices, jt.one_part.vectors) == one
+
+
+@pytest.mark.parametrize("name", ["engel", "heis_x_r", "free_3_2", "cartan_235", "two_centre"])
+def test_jet_matches_the_dense_reference(name, rng):
+    g, frame = named_algebra_frame(name)
+    s, _ = full_prolongation(g, conformal_g0(g))
+    fields = realize_tau(s, frame)
+    assert len(fields) == s.dim
+    for field in fields:
+        assert_jet_matches_the_dense_reference(field, frame, rng)
+
+
+def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel_frame, rng):
+    # the realized fields all have a zero one-part; these contact fields do not
+    g, frame = named_algebra_frame("r3")
+    ring = frame.ring
+    cubic = [ring.var(0) ** 3 - ring.var(1) * ring.var(2), ring.var(1) ** 2, ring.zero()]
+    cases = [(PolyVectorField(tuple(cubic), "frame"), frame)]
+    cases += [(monomial_family(engel_frame, k), engel_frame) for k in (4, 5)]
+    for field, frm in cases:
+        assert not jet(field, frm, rand_point(rng, len(frm))).one_part.is_zero()
+        assert_jet_matches_the_dense_reference(field, frm, rng)
 
 
 def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):

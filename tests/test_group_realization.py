@@ -211,14 +211,14 @@ def test_tau_requires_termination():
     g = make_abelian(2)
     s, rep = full_prolongation(g, conformal_g0(g), max_k=4)
     with pytest.raises(NotTerminated):
-        realize_tau(s, CoordinateRecipe.single_factor(g))
+        realize_tau(s, left_invariant_frame(g, CoordinateRecipe.single_factor(g)))
 
 
 def test_tau_rejects_positive_levels():
     g = make_heisenberg()
     s, rep = full_prolongation(g, conformal_g0(g))
     with pytest.raises(NotRealizable):
-        realize_tau(s, CoordinateRecipe.single_factor(g))
+        realize_tau(s, left_invariant_frame(g, CoordinateRecipe.single_factor(g)))
 
 
 # -- dilations ----------------------------------------------------------
@@ -295,6 +295,44 @@ def test_not_invertible(engel_recipe, engel_frame):
     comps = tuple(ring.var(0) for _ in range(4))
     with pytest.raises(NotInvertible):
         similarity_check(PolyMap(engel_recipe, comps), engel_frame)
+
+
+def counted_poly_det(monkeypatch):
+    """Record each call of the symbolic determinant expansion."""
+    from carnot import group_realization
+    calls = []
+    original = group_realization._poly_det
+
+    def counting(rows, ring):
+        calls.append(len(rows))
+        return original(rows, ring)
+
+    monkeypatch.setattr(group_realization, "_poly_det", counting)
+    return calls
+
+
+def test_jacobian_zero_at_the_probe_falls_back_to_the_expansion(engel_recipe, engel_frame,
+                                                                 monkeypatch):
+    from carnot.group_realization import _jacobian_probe
+    calls = counted_poly_det(monkeypatch)
+    ring = engel_recipe.ring
+    x = [ring.var(i) for i in range(4)]
+    a = _jacobian_probe(4)[0]
+    # det of the Jacobian is 2 (x1 - a): zero at the probe, not identically
+    pmap = PolyMap(engel_recipe, ((x[0] - a) ** 2, x[1], x[2], x[3]))
+    push = pushforward_in_frame(pmap, engel_frame)
+    # the expansion recurses through its minors
+    assert calls[:1] == [4]
+    assert push[0][0] == 2 * (x[0] - a)
+
+
+def test_jacobian_nonzero_at_the_probe_skips_the_expansion(engel_recipe, engel_frame, rng,
+                                                           monkeypatch):
+    calls = counted_poly_det(monkeypatch)
+    for pmap in (left_translation(engel_recipe, rand_point(rng, 4)),
+                 dilation(engel_recipe, Fraction(2, 3))):
+        assert similarity_check(pmap, engel_frame).ok
+    assert calls == []
 
 
 def test_recipe_partition_enforced(engel):
