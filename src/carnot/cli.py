@@ -252,7 +252,9 @@ def _render_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, tuple):  # a point
+        return "(" + ", ".join(_render_value(x) for x in v) + ")"
+    if isinstance(v, list):
         return "[" + ", ".join(_render_value(x) for x in v) + "]"
     return str(v)
 
@@ -412,15 +414,16 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
                 points.add(tuple(_rand_point(rng, g.dim)))
             for pt in sorted(points):
                 jt = jet(fld, frame, list(pt))
+                at = _render_value(pt)
                 if g0.coordinates_of_values(jt.zero_part.values()) is None:
                     jets_zero_ok = False
-                    failures.append(f"zero-part of {label} jet leaves g0 at {pt}")
+                    failures.append(f"zero-part of {label} jet leaves g0 at {at}")
                 if not jt.one_part.is_zero():
                     jets_one_ok = False
-                    failures.append(f"one-part of {label} jet nonzero at {pt}")
+                    failures.append(f"one-part of {label} jet nonzero at {at}")
                 if not jet_jacobi_check(jt, g):
                     jacobi_ok = False
-                    failures.append(f"jet of {label} fails the derivation law at {pt}")
+                    failures.append(f"jet of {label} fails the derivation law at {at}")
     report.add("jet_points_per_field", JET_POINTS_PER_FIELD)
     report.add("jet_zero_part_in_g0", jets_zero_ok)
     report.add("jet_one_part_zero", jets_one_ok)
@@ -462,7 +465,7 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         p = _rand_point(rng, g.dim)
         if not similarity_check(left_translation(recipe, p), frame).ok:
             translations_ok = False
-            failures.append(f"left translation by {p} not similar")
+            failures.append(f"left translation by {_render_value(tuple(p))} not similar")
     report.add("translations_checked", TRANSLATION_SAMPLES)
     report.add("translations_similar", translations_ok)
 

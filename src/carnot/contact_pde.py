@@ -68,12 +68,6 @@ def vf_bracket(a: Sequence[Poly], b: Sequence[Poly]) -> list[Poly]:
     return out
 
 
-def _frame_components(V: PolyVectorField, frame: Frame) -> list[Poly]:
-    if V.basis == "frame":
-        return list(V.components)
-    return frame.to_frame(list(V.components))
-
-
 def _plus(a: Poly, b: Poly) -> Poly:
     """a + b, with no new polynomial when either term is zero."""
     if b.is_zero():
@@ -138,7 +132,7 @@ def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
     names = frame.algebra.names
     m = frame.horizontal
     labels = [f"[V,~{names[i]}]@~{names[j]}" for i in range(m) for j in range(m, len(frame))]
-    residuals = _contact_residuals(_frame_components(V, frame), frame)
+    residuals = _contact_residuals(V.components, frame)
     return DefectReport(tuple(zip(labels, residuals)))
 
 
@@ -149,7 +143,7 @@ def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
     names = frame.algebra.names
     m = frame.horizontal
     labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
-    residuals = _conformal_residuals(_frame_components(V, frame), frame)
+    residuals = _conformal_residuals(V.components, frame)
     return DefectReport(tuple(zip(labels, residuals)))
 
 
@@ -219,7 +213,7 @@ def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
     pt = [Fraction(x) for x in point]
-    comps = _frame_components(V, frame)
+    comps = V.components
     minus = []
     for depth in range(1, g.step + 1):
         full = vec_zero(g.dim)
@@ -306,7 +300,7 @@ def reconstruct_from_h(frame: Frame, h: Poly) -> PolyVectorField:
     g_coeff = -frame.apply(x1, h)
     f1 = frame.apply(y, h)
     f2 = frame.apply(x1, frame.apply(x1, h))
-    return PolyVectorField((f1, f2, g_coeff, h), "frame")
+    return PolyVectorField((f1, f2, g_coeff, h))
 
 
 def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
@@ -379,10 +373,8 @@ class AnsatzLayout:
 
     def embed(self, field: PolyVectorField) -> dict[int, Fraction] | None:
         """The field as a sparse row over the ansatz, or None outside it."""
-        comps = field.components if field.basis == "frame" else tuple(
-            self.frame.to_frame(list(field.components)))
         v = {}
-        for i, comp in enumerate(comps):
+        for i, comp in enumerate(field.components):
             for exp, c in comp.terms.items():
                 key = (i, exp)
                 if key not in self._index:
@@ -400,7 +392,7 @@ class AnsatzLayout:
                 if c:
                     terms[exp] = c
             comps.append(Poly(ring, terms))
-        return PolyVectorField(tuple(comps), "frame")
+        return PolyVectorField(tuple(comps))
 
 
 def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField]:
@@ -428,7 +420,7 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
         for (i, exp), c in zip(basis, v):
             if c:
                 comps[i][exp] = c
-        fields.append(PolyVectorField(tuple(Poly(ring, t) for t in comps), "frame"))
+        fields.append(PolyVectorField(tuple(Poly(ring, t) for t in comps)))
     return fields
 
 

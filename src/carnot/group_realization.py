@@ -3,9 +3,15 @@
 The simply connected group of a stratified algebra is coordinatized by an
 ordered product of exponential factors (a :class:`CoordinateRecipe`); the
 group law is evaluated through the truncated Baker-Campbell-Hausdorff
-series, which is exact in step <= 3.  Frames, one-parameter flows of
-translations, and flows of degree-zero automorphisms are differentiated
-symbolically, so every coefficient is an exact polynomial.
+series, which is exact in step <= 3.  The left-invariant frame and the
+right-invariant fields (the generators of left translations) are the
+derivatives of one-parameter flows, taken symbolically, so every
+coefficient is an exact polynomial.  Every vector field is held by its
+components in the left-invariant frame.  The prolongation algebra is
+realized level by level: an element u of level k >= 0 is the unique
+field of degree k whose bracket with the right-invariant field of each
+X in layer -1 is minus the field of [u, X], found by an exact linear
+solve.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .exact_linalg import Matrix, Subspace, solve, sparse_row
+from .exact_linalg import Matrix, SparseRows, Subspace, solve, sparse_row
 from .graded_lie import GradedLieAlgebra, generation_matrix
-from .prolongation import DegreeZeroMap
 from .polynomials import Poly, PolyRing
 
 HALF = Fraction(1, 2)
@@ -45,7 +50,7 @@ class NotTerminated(ValueError):
 
 
 class NotRealizable(ValueError):
-    """Positive prolongation levels have no group translation/automorphism flow."""
+    """No polynomial field of the level's degree has the brackets the algebra asks for."""
 
 
 def bch(g: GradedLieAlgebra, a: Sequence, b: Sequence, step: int | None = None) -> list:
@@ -168,14 +173,10 @@ def group_inverse(recipe: CoordinateRecipe, p: Sequence) -> list:
 
 @dataclass(frozen=True)
 class PolyVectorField:
-    """A vector field with polynomial coefficients in a declared basis.
-
-    ``basis`` is "coordinate" (components multiply d/dx_c) or "frame"
-    (components multiply the left-invariant frame fields).
-    """
+    """A vector field with polynomial coefficients: component j multiplies
+    the left-invariant frame field of basis element j."""
 
     components: tuple[Poly, ...]
-    basis: str
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -187,13 +188,40 @@ def _as_poly(ring: PolyRing, x) -> Poly:
     return ring.const(x)
 
 
+def _derivative_terms(column: Sequence[Poly], exp: tuple[int, ...]) -> tuple:
+    """Terms of V(x^exp) = sum over c of column[c] * d/dx_c x^exp, for the
+    coordinate vector field V with components ``column``."""
+    out: dict = {}
+    for c, coeff in enumerate(column):
+        a = exp[c]
+        if not a:
+            continue
+        lowered = exp[:c] + (a - 1,) + exp[c + 1:]
+        for e, x in coeff.terms.items():
+            e = tuple(p + q for p, q in zip(lowered, e))
+            out[e] = out[e] + a * x if e in out else a * x
+    return tuple((e, x) for e, x in out.items() if x)
+
+
+def _unit_lower_solve(below: Sequence[Sequence[tuple[int, Poly]]],
+                      rhs: Sequence[Poly]) -> list[Poly]:
+    """Solve L a = rhs by forward substitution, for L unit lower triangular
+    with the nonzero entries ``(j, L[c][j])``, j < c, listed in ``below[c]``."""
+    a: list[Poly] = []
+    for c, acc in enumerate(rhs):
+        for j, x in below[c]:
+            acc = acc - x * a[j]
+        a.append(acc)
+    return a
+
+
 class Frame:
     """The left-invariant frame of a recipe, as coordinate vector fields.
 
     ``matrix[c][j]`` is the d/dx_c coefficient of the frame field of basis
     element j; it is unit lower triangular in declaration order, which
     makes conversion between coordinate and frame components a
-    back-substitution.  :meth:`apply` reads ``X_j(x^a)`` from a table of
+    forward substitution.  :meth:`apply` reads ``X_j(x^a)`` from a table of
     monomials that the frame fills the first time each ``(j, a)`` is asked
     for.
     """
@@ -220,19 +248,11 @@ class Frame:
                     raise AssertionError("frame matrix is not lower triangular")
                 if expected is not None and self.matrix[c][j] != expected:
                     raise AssertionError("frame matrix diagonal is not 1")
+        self._below = tuple(tuple((j, self.matrix[c][j]) for j in range(c)
+                                  if not self.matrix[c][j].is_zero()) for c in range(n))
 
     def __len__(self) -> int:
         return self.algebra.dim
-
-    def __iter__(self):
-        return iter(self.fields)
-
-    def __getitem__(self, j: int) -> PolyVectorField:
-        return PolyVectorField(self.columns[j], "coordinate")
-
-    @property
-    def fields(self) -> list[PolyVectorField]:
-        return [self[j] for j in range(len(self))]
 
     def apply(self, j: int, f: Poly) -> Poly:
         """Derivative of the function f along frame field j."""
@@ -241,35 +261,14 @@ class Frame:
         for exp, c in f.terms.items():
             terms = table.get((j, exp))
             if terms is None:
-                terms = table[(j, exp)] = self._monomial_derivative(j, exp)
+                terms = table[(j, exp)] = _derivative_terms(self.columns[j], exp)
             for e, d in terms:
                 out[e] = out[e] + c * d if e in out else c * d
         return Poly(self.ring, out)
 
-    def _monomial_derivative(self, j: int, exp: tuple[int, ...]) -> tuple:
-        """Terms of X_j(x^exp) = sum over c of matrix[c][j] * d/dx_c x^exp."""
-        out: dict = {}
-        for c, coeff in enumerate(self.columns[j]):
-            a = exp[c]
-            if not a:
-                continue
-            lowered = exp[:c] + (a - 1,) + exp[c + 1:]
-            for e, x in coeff.terms.items():
-                e = tuple(p + q for p, q in zip(lowered, e))
-                out[e] = out[e] + a * x if e in out else a * x
-        return tuple((e, x) for e, x in out.items() if x)
-
     def to_frame(self, coord_components: Sequence[Poly]) -> list[Poly]:
         """Frame components of a coordinate vector field (triangular solve)."""
-        n = len(self)
-        a: list[Poly] = []
-        for c in range(n):
-            acc = _as_poly(self.ring, coord_components[c])
-            for j in range(c):
-                if not self.matrix[c][j].is_zero():
-                    acc = acc - self.matrix[c][j] * a[j]
-            a.append(acc)
-        return a
+        return _unit_lower_solve(self._below, [_as_poly(self.ring, c) for c in coord_components])
 
     def to_coords(self, frame_components: Sequence[Poly]) -> list[Poly]:
         n = len(self)
@@ -283,21 +282,17 @@ class Frame:
             out.append(acc)
         return out
 
-    def field_in_frame(self, coord_components: Sequence[Poly]) -> PolyVectorField:
-        return PolyVectorField(tuple(self.to_frame(coord_components)), "frame")
 
+def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
+    """Coordinate fields d/dt at t=0 of p -> p * exp(t e_j), or of
+    p -> exp(t e_j) * p when ``right``, one per basis element j.
 
-def _flow_derivative(recipe: CoordinateRecipe, ring_t: PolyRing, t_index: int,
-                     product_coords: Sequence) -> list[Poly]:
-    """d/dt at t=0 of a coordinate curve: the t-linear part, projected to x."""
-    xring = recipe.ring
-    return [_as_poly(ring_t, c).coefficient_of(t_index, 1).project(xring)
-            for c in product_coords]
-
-
-def left_invariant_frame(g: GradedLieAlgebra, recipe: CoordinateRecipe) -> Frame:
-    """Frame field of each basis element X: p -> d/dt (p * exp(tX)) at t=0."""
+    The first are left-invariant: the frame.  The second are
+    right-invariant: the generators of left translations.
+    """
+    g = recipe.algebra
     ring_t, t_index = recipe.extended_ring()
+    xring = recipe.ring
     xs = [ring_t.var(i) for i in range(g.dim)]
     t = ring_t.var(t_index)
     zero = ring_t.zero()
@@ -305,70 +300,77 @@ def left_invariant_frame(g: GradedLieAlgebra, recipe: CoordinateRecipe) -> Frame
     for j in range(g.dim):
         q = [zero] * g.dim
         q[j] = t
-        prod = group_product(recipe, xs, q)
-        columns.append(_flow_derivative(recipe, ring_t, t_index, prod))
-    return Frame(g, recipe, recipe.ring, columns)
+        prod = group_product(recipe, q, xs) if right else group_product(recipe, xs, q)
+        # the t-linear part, projected to x
+        columns.append([c.coefficient_of(t_index, 1).project(xring) for c in prod])
+    return columns
 
 
-def _translation_generator(recipe: CoordinateRecipe, j: int) -> list[Poly]:
-    """Coordinate field of p -> d/dt (exp(t e_j) * p) at t=0."""
-    g = recipe.algebra
-    ring_t, t_index = recipe.extended_ring()
-    xs = [ring_t.var(i) for i in range(g.dim)]
-    t = ring_t.var(t_index)
-    zero = ring_t.zero()
-    q = [zero] * g.dim
-    q[j] = t
-    prod = group_product(recipe, q, xs)
-    return _flow_derivative(recipe, ring_t, t_index, prod)
+def left_invariant_frame(g: GradedLieAlgebra, recipe: CoordinateRecipe) -> Frame:
+    """Frame field of each basis element X: p -> d/dt (p * exp(tX)) at t=0."""
+    return Frame(g, recipe, recipe.ring, _flow_generators(recipe, right=False))
 
 
-def _automorphism_generator(recipe: CoordinateRecipe, dmap: DegreeZeroMap) -> list[Poly]:
-    """Coordinate field of the flow of exp(tD) acting by automorphisms.
-
-    Only the t-linear part of the flow matters, so exp(tD) is applied to
-    each factor argument as 1 + tD; higher t-orders cannot reach the
-    first derivative.
-    """
-    g = recipe.algebra
-    ring_t, t_index = recipe.extended_ring()
-    xs = [ring_t.var(i) for i in range(g.dim)]
-    t = ring_t.var(t_index)
-    zero = ring_t.zero()
-    args = _factor_args(recipe, xs, zero)
-    moved = []
-    for arg in args:
-        d_arg = dmap.apply(arg)
-        moved.append([a + t * b for a, b in zip(arg, d_arg)])
-    m = reduce(lambda a, b: bch(g, a, b), moved)
-    coords = factor_log(recipe, m)
-    return _flow_derivative(recipe, ring_t, t_index, coords)
+def _translation_system(generators: Sequence[Sequence[Poly]], ring: PolyRing,
+                        degree: int) -> tuple[list, SparseRows, dict]:
+    """The map f -> (R_i f)_i on polynomials of weighted degree ``degree``:
+    its columns are the monomials of that degree, and row ``index[(i, e)]``
+    holds the coefficient of x^e in R_i f.  Each R_i has degree -1."""
+    monos = ring.monomials_exact(degree)
+    lower = ring.monomials_exact(degree - 1)
+    index = {key: r for r, key in enumerate((i, e) for i in range(len(generators))
+                                            for e in lower)}
+    rows: list[dict] = [{} for _ in index]
+    for col, exp in enumerate(monos):
+        for i, column in enumerate(generators):
+            for e, x in _derivative_terms(column, exp):
+                rows[index[(i, e)]][col] = x
+    return monos, SparseRows(rows, len(monos)), index
 
 
 def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
-    """One vector field per basis element of the prolongation algebra s.
+    """One vector field per basis element of the prolongation algebra s, in
+    the basis order of s, in components of ``frame``.
 
-    Negative elements generate left translations; degree-zero elements
-    generate flows of graded automorphisms.  The fields are returned in
-    the basis order of s, expressed in ``frame``, the left-invariant frame
-    of the recipe they are computed in.
+    A negative element e_j is the right-invariant field R_j, the generator
+    of left translations by exp(t e_j).  An element u of level k >= 0 is
+    the unique field V_u of degree k with [V_u, R_X] = -V_[u,X] for every X
+    in layer -1 (unique, because a field commuting with every R_X is
+    left-invariant, of negative degree).  Left- and right-invariant fields commute, so for
+    V_u = sum_j f_j X_j this reads R_X(f_j) = (V_[u,X])_j, a linear system
+    over the monomials of weighted degree k + |w_j|.  Levels are solved in
+    increasing order, so V_[u,X] is summed from fields already found.
     """
     if s.bracket_table is None:
         raise NotTerminated("realization needs a terminating prolongation")
-    if any(lvl.k >= 1 and lvl.dim > 0 for lvl in s.levels):
-        raise NotRealizable(
-            "positive-degree prolongation elements do not act by translations or automorphisms")
     g = s.negative
-    recipe = frame.recipe
-    fields = []
-    for key in s.sbasis:
+    ring = frame.ring
+    generators = _flow_generators(frame.recipe, right=True)
+    horizontal = [generators[i] for i in g.layer_indices(1)]
+    xs = [s.sbasis.index(("neg", i)) for i in g.layer_indices(1)]  # the same X, in s
+    systems: dict[int, tuple] = {}
+    fields: list[PolyVectorField] = []
+    for a, key in enumerate(s.sbasis):
         if key[0] == "neg":
-            coords = _translation_generator(recipe, key[1])
-        else:
-            _, k, b = key
-            dmap = DegreeZeroMap.from_values(g, s.levels[k].actions[b])
-            coords = _automorphism_generator(recipe, dmap)
-        fields.append(frame.field_in_frame(coords))
+            fields.append(PolyVectorField(tuple(frame.to_frame(generators[key[1]]))))
+            continue
+        comps = []
+        for j in range(g.dim):
+            targets = [sum((c * fields[b].components[j] for b, c in s.bracket_table[a][x]),
+                           ring.zero()) for x in xs]
+            degree = key[1] - g.weights[j]
+            if degree not in systems:
+                systems[degree] = _translation_system(horizontal, ring, degree)
+            monos, system, index = systems[degree]
+            rhs = [0] * system.rows
+            for i, t in enumerate(targets):
+                for e, c in t.terms.items():
+                    rhs[index[(i, e)]] = c
+            coeffs = solve(system, rhs)
+            if coeffs is None:
+                raise NotRealizable(f"no field of degree {key[1]} realizes {s.labels[a]}")
+            comps.append(Poly(ring, dict(zip(monos, coeffs))))
+        fields.append(PolyVectorField(tuple(comps)))
     return fields
 
 
@@ -526,8 +528,9 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     jac = pmap.jacobian()
     if _jacobian_singular(jac, ring):
         raise NotInvertible("map has identically singular Jacobian")
+    # the frame matrix at the image point, below the diagonal: all the solve reads
     subs_vals = list(pmap.components)
-    f_img = [[frame.matrix[c][j].subs(subs_vals) for j in range(n)] for c in range(n)]
+    below = [[(j, x.subs(subs_vals)) for j, x in row] for row in frame._below]
     result: list[list[Poly]] = [[ring.zero() for _ in range(n)] for _ in range(n)]
     for i in range(n):
         push = []
@@ -537,14 +540,7 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
                 if not jac[c][d].is_zero() and not frame.matrix[d][i].is_zero():
                     acc = acc + jac[c][d] * frame.matrix[d][i]
             push.append(acc)
-        # triangular solve against the frame matrix at the image point
-        a: list[Poly] = []
-        for c in range(n):
-            acc = push[c]
-            for j in range(c):
-                if not f_img[c][j].is_zero():
-                    acc = acc - f_img[c][j] * a[j]
-            a.append(acc)
+        a = _unit_lower_solve(below, push)
         for j in range(n):
             result[j][i] = a[j]
     return result

@@ -171,7 +171,7 @@ def test_criterion_11_contact_family(engel_frame):
         df = engel_frame.apply(0, f)
         ddf = engel_frame.apply(0, df)
         # vertical-compatibility sign: the Y-slot carries -X1 f
-        field = PolyVectorField((ring.zero(), ddf, -df, f), "frame")
+        field = PolyVectorField((ring.zero(), ddf, -df, f))
         if not contact_defect(field, engel_frame).all_zero:
             ok = False
         conformal_ok = conformal_defect(field, engel_frame).all_zero

@@ -161,7 +161,7 @@ def test_verify_with_injected_field_fails():
     g = spec_algebra(spec)
     frame = left_invariant_frame(g, spec_recipe(spec, g))
     ring = frame.ring
-    bad = PolyVectorField((ring.zero(), ring.zero(), ring.one(), ring.zero()), "frame")
+    bad = PolyVectorField((ring.zero(), ring.zero(), ring.one(), ring.zero()))
     report = Report()
     code = run_verify(spec, report, max_k=10, extra_fields=[bad])
     assert code == 1
@@ -194,7 +194,53 @@ def test_oracle_heisenberg_agrees():
     assert d["ansatz_dim"] == "8"
     assert d["prolongation_total"] == "8"
     assert d["dims_agree"] == "true"
-    assert d["tau_available"] == "false"
+    assert d["tau_available"] == "true"
+    assert d["span_match"] == "true"
+
+
+def scale_family_spec(tmp_path, name):
+    """Spec file of H_n (``h<n>``) or R^n (``r<n>``) with the conformal g0."""
+    n = int(name[1:])
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    if name[0] == "h":
+        ys = [f"Y{i}" for i in range(1, n + 1)]
+        body = f"layer -1 = {' '.join(xs + ys)}\nlayer -2 = T\n"
+        body += "".join(f"[{x},{y}] = T\n" for x, y in zip(xs, ys))
+    else:
+        body = f"layer -1 = {' '.join(xs)}\n"
+    path = tmp_path / f"{name}.alg"
+    path.write_text(f"[algebra]\nname = {name}\n{body}[g0]\nconstraint = conformal\n")
+    return str(path)
+
+
+# dim su(n+1,1) = (n+2)^2 - 1 for H_n (Koranyi-Reimann) and dim so(n+1,1) =
+# (n+1)(n+2)/2 for R^n (Liouville); the top level has degree 2 and 1
+@pytest.mark.parametrize("name, total, degree", [
+    ("h1", 8, 2), ("h2", 15, 2), ("r3", 10, 1), ("r4", 15, 1), ("r5", 21, 1)])
+def test_scale_families_realize_every_level(tmp_path, name, total, degree):
+    spec = scale_family_spec(tmp_path, name)
+    _, out = run_cli(["verify", spec])
+    d = as_dict(out)
+    assert d["total_dim"] == d["fields"] == str(total)
+    assert d["contact_defects_zero"] == "true"
+    assert d["conformal_defects_zero"] == "true"
+    assert d["epsilon"] == "-1"
+    assert d["homomorphism_sign_uniform"] == "true"
+    code, out = run_cli(["oracle", spec, "--degree", str(degree)])
+    d = as_dict(out)
+    assert d["prolongation_total"] == d["ansatz_dim"] == str(total)
+    assert d["tau_available"] == "true"
+    assert d["span_match"] == "true"
+    assert code == 0
+
+
+def test_verify_failure_lines_show_exact_points():
+    _, out = run_cli(["verify", spec_path("heisenberg.alg")])
+    assert "Fraction(" not in out
+    failures = [v for k, v in as_dict(out).items() if k.startswith("failure_")]
+    assert failures
+    point = r"\((-?\d+(/\d+)?, ){2}-?\d+(/\d+)?\)"
+    assert all(re.fullmatch(r".* at " + point, f) for f in failures)
 
 
 @pytest.mark.parametrize("name, degree, ansatz, prolongation, agree", [

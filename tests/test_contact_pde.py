@@ -18,7 +18,7 @@ from .conftest import conformal_g0, make_abelian, named_algebra_frame, rand_poin
 def unit_frame_field(frame, j):
     comps = [frame.ring.zero()] * len(frame)
     comps[j] = frame.ring.one()
-    return PolyVectorField(tuple(comps), "frame")
+    return PolyVectorField(tuple(comps))
 
 
 def monomial_family(frame, k, sign=Fraction(-1)):
@@ -27,7 +27,7 @@ def monomial_family(frame, k, sign=Fraction(-1)):
     f = ring.var(0) ** k
     df = frame.apply(0, f)
     ddf = frame.apply(0, df)
-    return PolyVectorField((ring.zero(), ddf, sign * df, f), "frame")
+    return PolyVectorField((ring.zero(), ddf, sign * df, f))
 
 
 # -- contact defect ------------------------------------------------------
@@ -275,7 +275,7 @@ def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel_frame, rn
     g, frame = named_algebra_frame("r3")
     ring = frame.ring
     cubic = [ring.var(0) ** 3 - ring.var(1) * ring.var(2), ring.var(1) ** 2, ring.zero()]
-    cases = [(PolyVectorField(tuple(cubic), "frame"), frame)]
+    cases = [(PolyVectorField(tuple(cubic)), frame)]
     cases += [(monomial_family(engel_frame, k), engel_frame) for k in (4, 5)]
     for field, frm in cases:
         assert not jet(field, frm, rand_point(rng, len(frm))).one_part.is_zero()

@@ -122,6 +122,19 @@ def test_every_command_ends_in_a_report_or_a_located_error(text):
             code, out = run(argv)
             assert code in (0, 1, 2), (argv, text)
             assert run(argv) == (code, out), (argv, text)
+            if command[0] == "oracle":
+                check_realization(out, text)
+
+
+def check_realization(out, text):
+    """Every terminated tower is realized, and its fields span the ansatz
+    solution whenever the dimensions agree."""
+    report = dict(line.split(" = ", 1) for line in out.splitlines())
+    if report.get("prolongation_status") != "terminated" or "failure" in report:
+        return
+    assert report["tau_available"] == "true", text
+    if report["dims_agree"] == "true":
+        assert report["span_match"] == "true", text
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,

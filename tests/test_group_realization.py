@@ -1,18 +1,20 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from carnot.exact_linalg import Matrix
 from carnot.graded_lie import build_algebra
-from carnot.prolongation import full_prolongation
+from carnot.prolongation import (DegreeZeroMap, ProlongationAlgebra, constrain_g0,
+                                 full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInvertible,
-                                      NotRealizable, NotTerminated, PolyMap, UnsupportedStep,
-                                      bch, dilation, extend_first_layer_automorphism,
+                                      NotTerminated, PolyMap, UnsupportedStep, bch, dilation,
+                                      extend_first_layer_automorphism, factor_log,
                                       graded_automorphism, group_inverse, group_product,
                                       left_invariant_frame, left_translation, realize_tau,
                                       similarity_check, pushforward_in_frame)
 from carnot.polynomials import Poly
-from .conftest import (BUNDLED, GENERATED, conformal_g0, make_abelian, make_heisenberg,
+from .conftest import (BUNDLED, GENERATED, GOLDEN, conformal_g0, make_abelian,
                        named_algebra_frame, permuted, rand_point)
 
 
@@ -166,7 +168,6 @@ def test_tau_matches_table(engel, engel_prolongation, engel_tau):
                3 * z - 2 * x1 * y + Fraction(1, 2) * x1 ** 2 * x2),
     }
     for label, field in zip(algebra.labels, engel_tau):
-        assert field.basis == "frame"
         assert field.components == expected[label]
 
 
@@ -214,11 +215,71 @@ def test_tau_requires_termination():
         realize_tau(s, left_invariant_frame(g, CoordinateRecipe.single_factor(g)))
 
 
-def test_tau_rejects_positive_levels():
-    g = make_heisenberg()
-    s, rep = full_prolongation(g, conformal_g0(g))
-    with pytest.raises(NotRealizable):
-        realize_tau(s, left_invariant_frame(g, CoordinateRecipe.single_factor(g)))
+def test_tau_realizes_positive_levels():
+    # H_1 has levels (2, 2, 1) and R^3 has (4, 3): every field is contact
+    # and conformal, homogeneous of its level's degree, and
+    # [tau(a), tau(b)] = -tau([a, b]) holds on every pair, with the
+    # commutator of coordinate fields as the independent reference
+    from carnot.contact_pde import conformal_defect, contact_defect, vf_bracket
+    for name, levels in (("h1", (2, 2, 1, 0)), ("r3", (4, 3, 0))):
+        g, frame = named_algebra_frame(name)
+        s, rep = full_prolongation(g, conformal_g0(g))
+        assert rep.level_dims == levels
+        fields = realize_tau(s, frame)
+        ring = frame.ring
+        for field, weight in zip(fields, s.weights):
+            assert contact_defect(field, frame).all_zero
+            assert conformal_defect(field, frame).all_zero
+            for comp, w in zip(field.components, g.weights):
+                assert all(ring.term_degree(e) == weight - w for e in comp.terms)
+        coords = [frame.to_coords(list(f.components)) for f in fields]
+        for a in range(s.dim):
+            for b in range(a + 1, s.dim):
+                expect = [ring.zero()] * g.dim
+                for i, c in s.bracket_table[a][b]:
+                    expect = [x - c * y for x, y in zip(expect, coords[i])]
+                assert vf_bracket(coords[a], coords[b]) == expect, (name, s.labels[a], s.labels[b])
+
+
+def automorphism_flow_field(frame, dmap):
+    """Reference for the degree-zero fields: the generator of the flow of
+    exp(tD) acting on the group by automorphisms, in frame components.
+
+    Only the t-linear part of the flow matters, so exp(tD) is applied to
+    each factor argument as 1 + tD; higher t-orders cannot reach the first
+    derivative.
+    """
+    recipe = frame.recipe
+    g = recipe.algebra
+    ring_t, t_index = recipe.extended_ring()
+    xs = [ring_t.var(i) for i in range(g.dim)]
+    t = ring_t.var(t_index)
+    zero = ring_t.zero()
+    moved = []
+    for factor in recipe.factors:
+        arg = [xs[j] if j in factor else zero for j in range(g.dim)]
+        moved.append([a + t * b for a, b in zip(arg, dmap.apply(arg))])
+    coords = factor_log(recipe, reduce(lambda a, b: bch(g, a, b), moved))
+    return frame.to_frame([c.coefficient_of(t_index, 1).project(recipe.ring) for c in coords])
+
+
+@pytest.mark.parametrize("name", BUNDLED + GENERATED)
+def test_degree_zero_fields_are_the_automorphism_flows(name):
+    # on the level-0 truncation g_- + g_0, a Lie algebra for every spec,
+    # whether or not its tower terminates
+    from carnot.cli import parse_spec_file, spec_constraint
+    from carnot import bundled_spec
+    path = bundled_spec(name + ".alg") if name in BUNDLED else str(GOLDEN / f"{name}.alg")
+    spec = parse_spec_file(path)
+    g, frame = named_algebra_frame(name)
+    g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
+    s = ProlongationAlgebra(g, [g0])
+    fields = realize_tau(s, frame)
+    assert g0.dim > 0
+    for field, key in zip(fields, s.sbasis):
+        if key[0] == "lev":
+            dmap = DegreeZeroMap.from_values(g, g0.actions[key[2]])
+            assert list(field.components) == automorphism_flow_field(frame, dmap)
 
 
 # -- dilations ----------------------------------------------------------
