@@ -7,10 +7,10 @@ vector fields on the group, everything in exact rational arithmetic.  An
 independent bounded-degree PDE solver cross-checks the dimensions.
 """
 
-from .exact_linalg import Matrix, Rational, SparseRows, Subspace, nullspace, rref, span_equal
+from .exact_linalg import Rational, SparseRows, Subspace, nullspace, rref, span_equal
 from .graded_lie import GradedLieAlgebra, build_algebra, check_generation
-from .prolongation import (DegreeZeroMap, GZeroConstraint, Level, ProlongationAlgebra,
-                           TerminationReport, constrain_g0, full_prolongation, prolong_step,
+from .prolongation import (GZeroConstraint, Level, ProlongationAlgebra, TerminationReport,
+                           constrain_g0, degree_zero_matrix, full_prolongation, prolong_step,
                            strata_derivations)
 from .group_realization import (CoordinateRecipe, Frame, PolyMap, PolyVectorField,
                                 bch, dilation, group_product, left_invariant_frame,

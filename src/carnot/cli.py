@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .exact_linalg import Matrix, Subspace, span_equal
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra, check_generation
-from .prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
-                           strata_derivations)
+from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
+                           full_prolongation, strata_derivations)
 from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealizable,
                                 PolyVectorField, UnsupportedStep, dilation,
                                 extend_first_layer_automorphism, graded_automorphism,
@@ -343,8 +343,7 @@ def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     report.add("g0_constraint", spec.g0_kind)
     report.add("g0_dim", g0.dim)
     for i, values in enumerate(g0.actions, start=1):
-        m = DegreeZeroMap.from_values(g, values)
-        report.add(f"g0_basis_{i}", _matrix_rows(m.full_matrix()))
+        report.add(f"g0_basis_{i}", degree_zero_matrix(g, values))
     report.add("levels", list(rep.level_dims))
     report.add("status", rep.status)
     if rep.terminated_at is not None:
@@ -415,7 +414,7 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
             for pt in sorted(points):
                 jt = jet(fld, frame, list(pt))
                 at = _render_value(pt)
-                if g0.coordinates_of_values(jt.zero_part.values()) is None:
+                if g0.coordinates_of_values(jt.zero_part) is None:
                     jets_zero_ok = False
                     failures.append(f"zero-part of {label} jet leaves g0 at {at}")
                 if not jt.one_part.is_zero():
@@ -437,11 +436,9 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         for a in range(algebra.dim):
             for b in range(a + 1, algebra.dim):
                 lhs = vf_bracket(taucoords[a], taucoords[b])
-                tab = algebra.bracket(a, b)
                 rhs = [ring.zero()] * g.dim
-                for i, c in enumerate(tab):
-                    if c:
-                        rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
+                for i, c in algebra.bracket_table[a][b]:
+                    rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
                 if all(r.is_zero() for r in rhs) and all(l.is_zero() for l in lhs):
                     continue
                 matched = None

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ZERO, Matrix, SparseRows, Subspace, dense_row, nullspace, vec_zero
+from .exact_linalg import ZERO, SparseRows, Subspace, dense_row, nullspace, vec_zero
 from .graded_lie import GradedLieAlgebra
-from .prolongation import DegreeZeroMap
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
 
@@ -162,41 +161,46 @@ def _residual_rows(residuals: Iterable[Sequence[Poly]]) -> list[dict[int, Fracti
 # -- pointwise jets ----------------------------------------------------
 
 
+Values = tuple[tuple[Fraction, ...], ...]
+
+
 @dataclass(frozen=True)
 class JetOnePart:
-    """Degree-one jet data: a full matrix on layer -1 sources, vectors deeper."""
+    """Degree-one jet data: along each layer -1 direction c1, the X_c1
+    derivative of the zero-part values; vectors for deeper sources."""
 
-    matrices: tuple[tuple[int, Matrix], ...]
+    matrices: tuple[tuple[int, Values], ...]
     vectors: tuple[tuple[int, tuple[Fraction, ...]], ...]
 
     def is_zero(self) -> bool:
-        return (all(all(x == 0 for row in m.entries for x in row) for _, m in self.matrices)
+        return (all(x == 0 for _, values in self.matrices for value in values for x in value)
                 and all(all(x == 0 for x in v) for _, v in self.vectors))
 
 
 @dataclass(frozen=True)
 class ContactJet:
+    """Layered derivative data of a contact field at a point.
+
+    ``zero_part`` is a degree-zero map given by its values, the convention
+    of ``Level.actions``: entry j is the image of e_j in local coordinates
+    of e_j's layer, so ``g0.coordinates_of_values`` reads it directly.
+    """
+
     point: tuple[Fraction, ...]
     minus_parts: tuple[tuple[int, tuple[Fraction, ...]], ...]
-    zero_part: DegreeZeroMap
+    zero_part: Values
     one_part: JetOnePart | None
 
 
-def _zero_part_entries(comps: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
-    """Symbolic entries of the degree-zero jet: block (r,c) is X_c applied
-    to the coefficient of basis element r, within each layer.  Rows of zero
-    coefficients, and every entry off the blocks, are one shared zero."""
+def _zero_part_entries(comps: Sequence[Poly], frame: Frame) -> list[tuple[Poly, ...]]:
+    """Symbolic values of the degree-zero jet: entry c holds X_c applied to
+    the coefficient of each basis element of e_c's layer.  Zero
+    coefficients give one shared zero."""
     g = frame.algebra
-    n = g.dim
     zero = frame.ring.zero()
-    ent = [[zero] * n for _ in range(n)]
-    for depth in range(1, g.step + 1):
-        idx = g.layer_indices(depth)
-        for r in idx:
-            if not comps[r].is_zero():
-                for c in idx:
-                    ent[r][c] = frame.apply(c, comps[r])
-    return ent
+    return [tuple(zero if comps[r].is_zero() else frame.apply(c, comps[r])
+                  for r in g.layer_indices(-g.weights[c]))
+            for c in range(g.dim)]
 
 
 def _derivative_at(frame: Frame, j: int, f: Poly, pt: Sequence[Fraction]) -> Fraction:
@@ -221,18 +225,13 @@ def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
             full[i] = comps[i].eval(pt)
         minus.append((depth, tuple(full)))
     sym = _zero_part_entries(comps, frame)
-    blocks = []
-    for depth in range(1, g.step + 1):
-        idx = g.layer_indices(depth)
-        blocks.append(Matrix([[sym[r][c].eval(pt) for c in idx] for r in idx],
-                             cols=len(idx)))
-    zero_part = DegreeZeroMap(g, blocks)
+    zero_part = tuple(tuple(p.eval(pt) for p in entry) for entry in sym)
     one_part = None
     if order == 1:
         matrices = []
         for c1 in g.layer_indices(1):
-            ent = [[_derivative_at(frame, c1, p, pt) for p in row] for row in sym]
-            matrices.append((c1, Matrix(ent, cols=g.dim)))
+            matrices.append((c1, tuple(tuple(_derivative_at(frame, c1, p, pt) for p in entry)
+                                       for entry in sym)))
         vectors = []
         for depth in range(2, g.step + 1):
             for src in g.layer_indices(depth):
@@ -250,11 +249,11 @@ def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:
 
     Passing certifies that the degree-zero jet is a strata-preserving
     derivation.  Both sides are summed from the sparse bracket rows and
-    the nonzero entries of the columns of D.
+    the nonzero entries of the values of D.
     """
     n = g.dim
-    ent = j.zero_part.full_matrix().entries
-    cols = [[(r, ent[r][c]) for r in range(n) if ent[r][c]] for c in range(n)]
+    cols = [[(r, x) for r, x in zip(g.layer_indices(-g.weights[c]), value) if x]
+            for c, value in enumerate(j.zero_part)]
     rows = g.rows
     for a in range(n):
         for b in range(a + 1, n):

@@ -7,8 +7,8 @@ together with the column count.  Elimination scales each row to a
 primitive integer row and touches nonzero entries only.  Subspaces are
 stored in reduced row-echelon form, which is unique per row space, so
 span equality is a tuple comparison.  :class:`Matrix` is the dense value
-type of linear maps (layer blocks, jets, automorphisms); it is not an
-input to elimination.
+type of graded automorphisms; it is not an input to elimination.  A
+degree-zero map is kept as its values, not as a matrix.
 """
 
 from __future__ import annotations

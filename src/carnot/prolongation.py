@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import Matrix, SparseRows, Subspace, nullspace, vec_zero
+from .exact_linalg import SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
 
@@ -80,74 +80,16 @@ class Level:
         return f"Level(k={self.k}, dim={self.dim})"
 
 
-class DegreeZeroMap:
-    """Layer-preserving linear map given by one square block per layer.
-
-    Entry (r, c) of a layer's block is component r of the image of the
-    layer's c-th basis element.  A level-0 element is viewed this way
-    through its values (:meth:`from_values`).
-    """
-
-    __slots__ = ("algebra", "blocks", "_full")
-
-    def __init__(self, algebra: GradedLieAlgebra, blocks: Sequence[Matrix]):
-        self.algebra = algebra
-        dims = algebra.layer_dims
-        if len(blocks) != len(dims):
-            raise ValueError("one block per layer required")
-        for blk, d in zip(blocks, dims):
-            if blk.rows != d or blk.cols != d:
-                raise ValueError("block shape does not match layer dimension")
-        self.blocks = tuple(blocks)
-        self._full = None
-
-    @classmethod
-    def from_values(cls, algebra: GradedLieAlgebra,
-                    values: Sequence[Sequence[Fraction]]) -> "DegreeZeroMap":
-        """The map sending e_j to ``values[j]`` (local coordinates of its layer)."""
-        blocks = []
-        for depth in range(1, algebra.step + 1):
-            layer = algebra.layer_indices(depth)
-            blocks.append(Matrix([[values[j][r] for j in layer] for r in range(len(layer))],
-                                 cols=len(layer)))
-        return cls(algebra, blocks)
-
-    def values(self) -> list[tuple[Fraction, ...]]:
-        """Image of each basis element in local coordinates of its layer."""
-        out: list = [()] * self.algebra.dim
-        for depth, blk in enumerate(self.blocks, start=1):
-            for c, j in enumerate(self.algebra.layer_indices(depth)):
-                out[j] = tuple(row[c] for row in blk.entries)
-        return out
-
-    def full_matrix(self) -> Matrix:
-        if self._full is None:
-            n = self.algebra.dim
-            ent = [[Fraction(0)] * n for _ in range(n)]
-            for depth, blk in enumerate(self.blocks, start=1):
-                idx = self.algebra.layer_indices(depth)
-                for r, gi in enumerate(idx):
-                    for c, gj in enumerate(idx):
-                        ent[gi][gj] = blk.entries[r][c]
-            self._full = Matrix(ent)
-        return self._full
-
-    def apply(self, v: Sequence) -> list:
-        """Matrix action on a coefficient vector (Fraction or polynomial entries)."""
-        full = self.full_matrix()
-        n = self.algebra.dim
-        out = []
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(n):
-                c = full.entries[i][j]
-                if c:
-                    acc = acc + c * v[j]
-            out.append(acc)
-        return out
-
-    def __repr__(self) -> str:
-        return f"DegreeZeroMap({self.full_matrix().entries!r})"
+def degree_zero_matrix(g: GradedLieAlgebra,
+                       values: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Full n x n rows of the layer-preserving map sending e_j to
+    ``values[j]`` (local coordinates of e_j's layer, the convention of
+    :attr:`Level.actions`): entry (r, c) is component r of the image of e_c."""
+    rows = [vec_zero(g.dim) for _ in range(g.dim)]
+    for c, value in enumerate(values):
+        for r, x in zip(g.layer_indices(-g.weights[c]), value):
+            rows[r][c] = x
+    return rows
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
-from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, full_prolongation,
-                                 strata_derivations)
+from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
+                                 full_prolongation, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame, realize_tau
 
 
@@ -63,9 +63,27 @@ def conformal_g0(g):
     return constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
 
 
-def zero_maps(level):
-    """The basis of a level-0 space as block maps."""
-    return [DegreeZeroMap.from_values(level.algebra, values) for values in level.actions]
+def zero_matrices(level):
+    """The basis of a level-0 space as full n x n rows."""
+    return [degree_zero_matrix(level.algebra, values) for values in level.actions]
+
+
+def values_of(g, rows):
+    """The values of a layer-preserving map given by its full rows: entry c
+    is the image of e_c in local coordinates of its layer."""
+    return tuple(tuple(rows[r][c] for r in g.layer_indices(-g.weights[c])) for c in range(g.dim))
+
+
+def apply_rows(rows, v):
+    """The matrix action of full rows on a vector of Fraction or Poly entries."""
+    out = []
+    for row in rows:
+        acc = Fraction(0)
+        for c, x in zip(row, v):
+            if c:
+                acc = acc + c * x
+        out.append(acc)
+    return out
 
 
 def rand_point(rng, n):

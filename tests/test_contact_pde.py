@@ -6,13 +6,14 @@ import pytest
 from carnot.exact_linalg import Matrix, Subspace, span_equal
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import DegreeZeroMap, full_prolongation
+from carnot.prolongation import degree_zero_matrix, full_prolongation
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 solve_h_system, solve_polynomial_conformal, vf_bracket)
 from carnot.polynomials import Poly
-from .conftest import conformal_g0, make_abelian, named_algebra_frame, rand_point, zero_maps
+from .conftest import (apply_rows, conformal_g0, make_abelian, named_algebra_frame, rand_point,
+                       values_of)
 
 
 def unit_frame_field(frame, j):
@@ -175,23 +176,23 @@ def test_conformal_defect_requires_contact(engel_frame):
 
 def test_jet_of_weight_map_field(engel, engel_frame, engel_tau, rng):
     d_field = engel_tau[4]
-    expected = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
     for _ in range(3):
         p = rand_point(rng, 4)
         jt = jet(d_field, engel_frame, p)
-        assert jt.zero_part.full_matrix() == expected
+        assert degree_zero_matrix(engel, jt.zero_part) == expected
         assert jt.one_part.is_zero()
 
 
 def test_jet_of_constant_field_vanishes(engel_frame, engel_tau, rng):
     jt = jet(engel_tau[0], engel_frame, rand_point(rng, 4))
-    assert all(all(x == 0 for row in b.entries for x in row) for b in jt.zero_part.blocks)
+    assert all(x == 0 for value in jt.zero_part for x in value)
     assert jt.one_part.is_zero()
 
 
 def test_jet_of_x2_translation_at_origin(engel_frame, engel_tau):
     jt = jet(engel_tau[3], engel_frame, [0, 0, 0, 0], order=0)
-    assert all(all(x == 0 for row in b.entries for x in row) for b in jt.zero_part.blocks)
+    assert all(x == 0 for value in jt.zero_part for x in value)
     assert jt.one_part is None
 
 
@@ -246,18 +247,37 @@ def dense_jet_parts(V, frame, pt, order):
     return tuple(minus), blocks, (matrices, tuple(vectors))
 
 
+def block_values(g, blocks):
+    """The values of a map given by one square block per layer: block
+    entry (r, c) is component r of the image of the layer's c-th element."""
+    out = [None] * g.dim
+    for depth, blk in enumerate(blocks, start=1):
+        for c, j in enumerate(g.layer_indices(depth)):
+            out[j] = tuple(row[c] for row in blk.entries)
+    return tuple(out)
+
+
+def full_values(g, m):
+    """The values of an n x n matrix that preserves the layers."""
+    assert degree_zero_matrix(g, values_of(g, m.entries)) == m.entries
+    return values_of(g, m.entries)
+
+
 def assert_jet_matches_the_dense_reference(field, frame, rng):
+    g = frame.algebra
     for order in (0, 1):
         pt = rand_point(rng, len(frame))
         jt = jet(field, frame, pt, order)
         minus, blocks, one = dense_jet_parts(field, frame, pt, order)
         assert jt.point == tuple(pt)
         assert jt.minus_parts == minus
-        assert jt.zero_part.blocks == blocks
+        assert jt.zero_part == block_values(g, blocks)
         if one is None:
             assert jt.one_part is None
         else:
-            assert (jt.one_part.matrices, jt.one_part.vectors) == one
+            matrices, vectors = one
+            assert jt.one_part.matrices == tuple((c1, full_values(g, m)) for c1, m in matrices)
+            assert jt.one_part.vectors == vectors
 
 
 @pytest.mark.parametrize("name", ["engel", "heis_x_r", "free_3_2", "cartan_235", "two_centre"])
@@ -288,20 +308,20 @@ def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
         assert jet_jacobi_check(jt, engel)
     # corrupting the forbidden off-diagonal slot breaks the law
     jt = jet(engel_tau[4], engel_frame, rand_point(rng, 4))
-    blocks = [Matrix([list(r) for r in b.entries], cols=b.cols) for b in jt.zero_part.blocks]
-    blocks[0].entries[0][1] = Fraction(1)
-    corrupted = jt.__class__(jt.point, jt.minus_parts, DegreeZeroMap(engel, blocks), jt.one_part)
+    values = [list(value) for value in jt.zero_part]
+    values[1][0] = Fraction(1)  # component X1 of the image of X2
+    corrupted = jt.__class__(jt.point, jt.minus_parts, tuple(map(tuple, values)), jt.one_part)
     assert not jet_jacobi_check(corrupted, engel)
 
 
 def dense_jet_jacobi_check(j, g):
     """The dense form of the derivation law, kept as the reference."""
-    d = j.zero_part
+    d = degree_zero_matrix(g, j.zero_part)
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d.full_matrix().entries]
-            rhs1 = g.bracket(d.apply(g.basis_vector(a)), g.basis_vector(b))
-            rhs2 = g.bracket(d.apply(g.basis_vector(b)), g.basis_vector(a))
+            lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d]
+            rhs1 = g.bracket(apply_rows(d, g.basis_vector(a)), g.basis_vector(b))
+            rhs2 = g.bracket(apply_rows(d, g.basis_vector(b)), g.basis_vector(a))
             if any(x != y - z for x, y, z in zip(lhs, rhs1, rhs2)):
                 return False
     return True
@@ -310,27 +330,27 @@ def dense_jet_jacobi_check(j, g):
 @pytest.mark.parametrize("name", ["engel", "cartan_235", "free_3_2", "two_centre"])
 def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
     g, _ = named_algebra_frame(name)
-    basis = zero_maps(conformal_g0(g))
-    for dmap in basis:
-        jt = ContactJet((), (), dmap, None)
+    basis = conformal_g0(g).actions
+    for values in basis:
+        jt = ContactJet((), (), values, None)
         assert jet_jacobi_check(jt, g) and dense_jet_jacobi_check(jt, g)
     verdicts = set()
     for t in range(40):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
         blocks = []
         for depth, dim in enumerate(g.layer_dims, start=1):
+            layer = g.layer_indices(depth)
             if t % 2:
                 # a random block map, almost never a derivation
                 ent = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(dim)]
             else:
                 # a random combination of g0, sometimes with one entry moved
-                ent = [[sum(c * m.blocks[depth - 1].entries[r][k]
-                            for c, m in zip(coeffs, basis)) for k in range(dim)]
+                ent = [[sum(c * m[layer[k]][r] for c, m in zip(coeffs, basis)) for k in range(dim)]
                        for r in range(dim)]
                 if t % 4 == 2:
                     ent[rng.randrange(dim)][rng.randrange(dim)] += 1
             blocks.append(Matrix(ent, cols=dim))
-        jt = ContactJet((), (), DegreeZeroMap(g, blocks), None)
+        jt = ContactJet((), (), block_values(g, blocks), None)
         verdict = jet_jacobi_check(jt, g)
         assert verdict == dense_jet_jacobi_check(jt, g)
         verdicts.add(verdict)
@@ -342,7 +362,7 @@ def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_tau, rng):
     for field in engel_tau:
         for _ in range(2):
             jt = jet(field, engel_frame, rand_point(rng, 4))
-            assert g0.coordinates_of_values(jt.zero_part.values()) is not None
+            assert g0.coordinates_of_values(jt.zero_part) is not None
 
 
 def test_weighted_derivative_identities_of_conformal_fields(engel_frame, engel_tau):

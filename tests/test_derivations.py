@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from carnot.exact_linalg import Matrix, Subspace, span_equal, span_sum, sparse_row, vec_zero
+from carnot.exact_linalg import Subspace, span_equal, span_sum, sparse_row, vec_zero
 from carnot.graded_lie import build_algebra
-from carnot.prolongation import (DegreeZeroMap, GZeroConstraint, constrain_g0, prolong_step,
+from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix, prolong_step,
                                  strata_derivations)
-from .conftest import make_abelian, make_engel, make_heisenberg, zero_maps
+from .conftest import (apply_rows, make_abelian, make_engel, make_heisenberg, values_of,
+                       zero_matrices)
 
 
 def packed_dim(g):
@@ -15,13 +16,18 @@ def packed_dim(g):
 
 
 def from_packed(g, v):
-    """The block map whose blocks, layer by layer and row by row, are ``v``."""
-    blocks = []
+    """Full rows of the block map whose blocks, layer by layer and row by
+    row, are ``v``."""
+    rows = [vec_zero(g.dim) for _ in range(g.dim)]
     pos = 0
-    for d in g.layer_dims:
-        blocks.append(Matrix([[v[pos + r * d + c] for c in range(d)] for r in range(d)], cols=d))
+    for depth in range(1, g.step + 1):
+        layer = g.layer_indices(depth)
+        d = len(layer)
+        for r, gr in enumerate(layer):
+            for c, gc in enumerate(layer):
+                rows[gr][gc] = v[pos + r * d + c]
         pos += d * d
-    return DegreeZeroMap(g, blocks)
+    return rows
 
 
 def packed(g, values):
@@ -50,9 +56,9 @@ def brute_force_derivations(g):
                     v = vec_zero(total)
                     v[u] = Fraction(1)
                     d = from_packed(g, v)
-                    lhs = d.apply(g.bracket(g.basis_vector(i), g.basis_vector(j)))[comp]
-                    r1 = g.bracket(d.apply(g.basis_vector(i)), g.basis_vector(j))[comp]
-                    r2 = g.bracket(g.basis_vector(i), d.apply(g.basis_vector(j)))[comp]
+                    lhs = apply_rows(d, g.bracket(g.basis_vector(i), g.basis_vector(j)))[comp]
+                    r1 = g.bracket(apply_rows(d, g.basis_vector(i)), g.basis_vector(j))[comp]
+                    r2 = g.bracket(g.basis_vector(i), apply_rows(d, g.basis_vector(j)))[comp]
                     row[u] = lhs - r1 - r2
                 if any(row):
                     rows.append(row)
@@ -77,16 +83,13 @@ def make_free_3_2():
 
 
 def commutator(a, b):
+    """ab - ba of two maps given by full rows."""
     def product(x, y):
-        return [[sum(x.entries[i][k] * y.entries[k][j] for k in range(x.cols))
-                 for j in range(y.cols)] for i in range(x.rows)]
+        return [[sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+                for i in range(len(x))]
 
-    blocks = []
-    for x, y in zip(a.blocks, b.blocks):
-        xy, yx = product(x, y), product(y, x)
-        blocks.append(Matrix([[p - q for p, q in zip(r1, r2)]
-                              for r1, r2 in zip(xy, yx)], cols=x.cols))
-    return DegreeZeroMap(a.algebra, blocks)
+    xy, yx = product(a, b), product(b, a)
+    return [[p - q for p, q in zip(r1, r2)] for r1, r2 in zip(xy, yx)]
 
 
 @pytest.mark.parametrize("maker,expected_dim", [
@@ -100,14 +103,13 @@ def test_derivation_dims_against_brute_force(maker, expected_dim):
     g = maker()
     ders = prolong_step(g, [], 0)
     assert ders.dim == expected_dim
-    vectors = [sparse_row(packed(g, m.values())) for m in zero_maps(ders)]
+    vectors = [sparse_row(packed(g, values)) for values in ders.actions]
     assert span_equal(Subspace.from_vectors(vectors, packed_dim(g)), brute_force_derivations(g))
 
 
 def test_engel_derivation_shape(engel):
     ders = strata_derivations(engel)
-    for m in zero_maps(ders):
-        full = m.full_matrix().entries
+    for full in zero_matrices(ders):
         d11, d12, d21, d22 = full[0][0], full[0][1], full[1][0], full[1][1]
         assert d12 == 0
         assert full[2][2] == d11 + d22
@@ -115,20 +117,20 @@ def test_engel_derivation_shape(engel):
 
 
 def test_derivation_law_holds_exactly(engel):
-    for m in zero_maps(strata_derivations(engel)):
+    for m in zero_matrices(strata_derivations(engel)):
         for i in range(engel.dim):
             for j in range(engel.dim):
-                lhs = m.apply(engel.bracket(engel.basis_vector(i), engel.basis_vector(j)))
-                rhs1 = engel.bracket(m.apply(engel.basis_vector(i)), engel.basis_vector(j))
-                rhs2 = engel.bracket(engel.basis_vector(i), m.apply(engel.basis_vector(j)))
+                lhs = apply_rows(m, engel.bracket(engel.basis_vector(i), engel.basis_vector(j)))
+                rhs1 = engel.bracket(apply_rows(m, engel.basis_vector(i)), engel.basis_vector(j))
+                rhs2 = engel.bracket(engel.basis_vector(i), apply_rows(m, engel.basis_vector(j)))
                 assert lhs == [a + b for a, b in zip(rhs1, rhs2)]
 
 
 def test_engel_conformal_g0_is_the_weight_map(engel):
     g0 = constrain_g0(strata_derivations(engel), GZeroConstraint.conformal())
     assert g0.dim == 1
-    expected = Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
-    assert zero_maps(g0)[0].full_matrix() == expected
+    expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
+    assert zero_matrices(g0)[0] == expected
 
 
 def test_heisenberg_conformal_g0_dim():
@@ -146,14 +148,15 @@ def test_conformal_block_identity():
     # B + B^t = (2/m) tr(B) I for every constrained basis element
     for maker in (make_heisenberg, lambda: make_abelian(3)):
         g = maker()
-        m = g.layer_dims[0]
+        first = g.layer_indices(1)
+        m = len(first)
         g0 = constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
-        for dm in zero_maps(g0):
-            b = dm.blocks[0]
-            tr = sum((b.entries[i][i] for i in range(m)), Fraction(0))
+        for full in zero_matrices(g0):
+            b = [[full[r][c] for c in first] for r in first]
+            tr = sum((b[i][i] for i in range(m)), Fraction(0))
             for i in range(m):
                 for j in range(m):
-                    lhs = b.entries[i][j] + b.entries[j][i]
+                    lhs = b[i][j] + b[j][i]
                     rhs = Fraction(2, m) * tr if i == j else Fraction(0)
                     assert lhs == rhs
 
@@ -198,8 +201,8 @@ def test_explicit_constraint():
     # force the block to be lower triangular
     g0 = constrain_g0(ders, GZeroConstraint.explicit([{(0, 1): Fraction(1)}]))
     assert g0.dim == 3
-    for m in zero_maps(g0):
-        assert m.blocks[0].entries[0][1] == 0
+    for m in zero_matrices(g0):
+        assert m[0][1] == 0
 
 
 def test_co1_is_vacuous():
@@ -210,19 +213,19 @@ def test_co1_is_vacuous():
 
 
 def test_commutator_of_degree_zero_maps(engel):
-    d = zero_maps(constrain_g0(strata_derivations(engel), GZeroConstraint.conformal()))[0]
-    assert all(all(x == 0 for x in row) for row in commutator(d, d).full_matrix().entries)
+    d = zero_matrices(constrain_g0(strata_derivations(engel), GZeroConstraint.conformal()))[0]
+    assert all(all(x == 0 for x in row) for row in commutator(d, d))
     # g0 is a subalgebra: commutators of its basis maps stay inside it
     for g in (make_heisenberg(), make_h2(), make_abelian(3)):
         g0 = constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
-        maps = zero_maps(g0)
+        maps = zero_matrices(g0)
         for a in maps:
             for b in maps:
-                assert g0.coordinates_of_values(commutator(a, b).values()) is not None
+                assert g0.coordinates_of_values(values_of(g, commutator(a, b))) is not None
 
 
 def test_values_roundtrip(engel):
     ders = strata_derivations(engel)
-    for b, m in enumerate(zero_maps(ders)):
-        assert DegreeZeroMap.from_values(engel, m.values()).blocks == m.blocks
-        assert ders.coordinates_of_values(m.values()) == [int(i == b) for i in range(ders.dim)]
+    for b, values in enumerate(ders.actions):
+        assert values_of(engel, degree_zero_matrix(engel, values)) == values
+        assert ders.coordinates_of_values(values) == [int(i == b) for i in range(ders.dim)]

@@ -5,7 +5,7 @@ import pytest
 
 from carnot.exact_linalg import Matrix
 from carnot.graded_lie import build_algebra
-from carnot.prolongation import (DegreeZeroMap, ProlongationAlgebra, constrain_g0,
+from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInvertible,
                                       NotTerminated, PolyMap, UnsupportedStep, bch, dilation,
@@ -14,7 +14,7 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInv
                                       left_invariant_frame, left_translation, realize_tau,
                                       similarity_check, pushforward_in_frame)
 from carnot.polynomials import Poly
-from .conftest import (BUNDLED, GENERATED, GOLDEN, conformal_g0, make_abelian,
+from .conftest import (BUNDLED, GENERATED, GOLDEN, apply_rows, conformal_g0, make_abelian,
                        named_algebra_frame, permuted, rand_point)
 
 
@@ -244,6 +244,7 @@ def test_tau_realizes_positive_levels():
 def automorphism_flow_field(frame, dmap):
     """Reference for the degree-zero fields: the generator of the flow of
     exp(tD) acting on the group by automorphisms, in frame components.
+    ``dmap`` holds the full rows of D.
 
     Only the t-linear part of the flow matters, so exp(tD) is applied to
     each factor argument as 1 + tD; higher t-orders cannot reach the first
@@ -258,7 +259,7 @@ def automorphism_flow_field(frame, dmap):
     moved = []
     for factor in recipe.factors:
         arg = [xs[j] if j in factor else zero for j in range(g.dim)]
-        moved.append([a + t * b for a, b in zip(arg, dmap.apply(arg))])
+        moved.append([a + t * b for a, b in zip(arg, apply_rows(dmap, arg))])
     coords = factor_log(recipe, reduce(lambda a, b: bch(g, a, b), moved))
     return frame.to_frame([c.coefficient_of(t_index, 1).project(recipe.ring) for c in coords])
 
@@ -278,7 +279,7 @@ def test_degree_zero_fields_are_the_automorphism_flows(name):
     assert g0.dim > 0
     for field, key in zip(fields, s.sbasis):
         if key[0] == "lev":
-            dmap = DegreeZeroMap.from_values(g, g0.actions[key[2]])
+            dmap = degree_zero_matrix(g, g0.actions[key[2]])
             assert list(field.components) == automorphism_flow_field(frame, dmap)
 
 

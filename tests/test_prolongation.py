@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+import carnot.prolongation
 from carnot.graded_lie import (GenerationFailure, GradedLieAlgebra, build_algebra,
                                check_generation, table_violation)
-from carnot.prolongation import (JacobiAssemblyFailure, Level, PriorLevelsMissing,
-                                 full_prolongation, prolong_step)
+from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
+                                 PriorLevelsMissing, constrain_g0, full_prolongation,
+                                 prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
 from .conftest import (conformal_g0, make_abelian, make_engel, make_heisenberg, make_heisenberg_n,
@@ -35,6 +38,38 @@ def test_abelian_r1_levels_never_die():
         lvl = prolong_step(g, levels, k)
         assert lvl.dim == 1
         levels.append(lvl)
+
+
+LEIBNIZ_RANK_CASES = {
+    "r3": lambda: (make_abelian(3), GZeroConstraint.conformal()),
+    "h1": lambda: (make_heisenberg(), GZeroConstraint.conformal()),
+    "h2": lambda: (make_heisenberg_n(2), GZeroConstraint.conformal()),
+    "engel": lambda: (make_engel(), GZeroConstraint.conformal()),
+    "gl3": lambda: (make_abelian(3), GZeroConstraint.full_derivations()),
+}
+
+
+@pytest.mark.parametrize("case", LEIBNIZ_RANK_CASES)
+def test_leibniz_system_ranks_agree_with_sympy(case, monkeypatch):
+    # each level's dimension is cols - rank of its Leibniz system, with
+    # the rank taken by sympy rather than by carnot's elimination
+    g, constraint = LEIBNIZ_RANK_CASES[case]()
+    g0 = constrain_g0(strata_derivations(g), constraint)
+    systems = []
+    real_nullspace = carnot.prolongation.nullspace
+
+    def recording_nullspace(system):
+        systems.append(system)
+        return real_nullspace(system)
+
+    monkeypatch.setattr(carnot.prolongation, "nullspace", recording_nullspace)
+    _, rep = full_prolongation(g, g0, max_k=3)
+    monkeypatch.undo()
+    assert len(systems) == len(rep.level_dims) - 1
+    for system, dim in zip(systems, rep.level_dims[1:]):
+        dense = sympy.Matrix(system.rows, system.cols,
+                             lambda i, j: sympy.Rational(str(system.entries[i].get(j, 0))))
+        assert system.cols - dense.rank() == dim
 
 
 def test_prior_levels_missing():
