@@ -25,8 +25,8 @@ from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealiz
                                 extend_first_layer_automorphism, graded_automorphism,
                                 left_invariant_frame, left_translation, realize_tau,
                                 similarity_check)
-from .contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check,
-                          solve_polynomial_conformal, vf_bracket)
+from .contact_pde import (NotContact, conformal_defect, contact_defect, jet,
+                          jet_jacobi_check, solve_polynomial_conformal, vf_bracket)
 
 VERIFY_SEED = 271828
 JET_POINTS_PER_FIELD = 5
@@ -391,12 +391,14 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     contact_ok = True
     conformal_ok = True
     for label, fld in zip(labels, fields):
-        cd = contact_defect(fld, frame)
-        if not cd.all_zero:
+        # conformal_defect certifies contact; the defect is read on failure only
+        try:
+            cf = conformal_defect(fld, frame)
+        except NotContact:
             contact_ok = False
+            cd = contact_defect(fld, frame)
             failures.append(f"contact defect nonzero for {label}: {cd.nonzero()[0][0]}")
             continue
-        cf = conformal_defect(fld, frame)
         if not cf.all_zero:
             conformal_ok = False
             failures.append(f"conformal defect nonzero for {label}")
@@ -411,9 +413,8 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
             points = set()
             while len(points) < JET_POINTS_PER_FIELD:
                 points.add(tuple(_rand_point(rng, g.dim)))
-            for pt in sorted(points):
-                jt = jet(fld, frame, list(pt))
-                at = _render_value(pt)
+            for jt in jet(fld, frame, sorted(points)):
+                at = _render_value(jt.point)
                 if g0.coordinates_of_values(jt.zero_part) is None:
                     jets_zero_ok = False
                     failures.append(f"zero-part of {label} jet leaves g0 at {at}")

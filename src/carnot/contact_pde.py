@@ -192,55 +192,72 @@ class ContactJet:
     one_part: JetOnePart | None
 
 
+def _derivative(frame: Frame, j: int, f: Poly) -> Poly:
+    """X_j f, with no work for f = 0."""
+    return f if f.is_zero() else frame.apply(j, f)
+
+
 def _zero_part_entries(comps: Sequence[Poly], frame: Frame) -> list[tuple[Poly, ...]]:
     """Symbolic values of the degree-zero jet: entry c holds X_c applied to
-    the coefficient of each basis element of e_c's layer.  Zero
-    coefficients give one shared zero."""
+    the coefficient of each basis element of e_c's layer."""
     g = frame.algebra
-    zero = frame.ring.zero()
-    return [tuple(zero if comps[r].is_zero() else frame.apply(c, comps[r])
-                  for r in g.layer_indices(-g.weights[c]))
+    return [tuple(_derivative(frame, c, comps[r]) for r in g.layer_indices(-g.weights[c]))
             for c in range(g.dim)]
 
 
-def _derivative_at(frame: Frame, j: int, f: Poly, pt: Sequence[Fraction]) -> Fraction:
-    """X_j f at the point, with no work for f = 0."""
-    return ZERO if f.is_zero() else frame.apply(j, f).eval(pt)
+def _at(f: Poly, pt: Sequence[Fraction]) -> Fraction:
+    """f at the point, with no work for f = 0."""
+    return ZERO if f.is_zero() else f.eval(pt)
 
 
-def jet(V: PolyVectorField, frame: Frame, point: Sequence[Fraction],
-        order: int = 1) -> ContactJet:
-    """Layered derivative data of a contact field at a rational point."""
+def _values_at(entries: Sequence[Sequence[Poly]], pt: Sequence[Fraction]) -> Values:
+    return tuple(tuple(_at(p, pt) for p in entry) for entry in entries)
+
+
+def _placed_at(entries: dict[int, Poly], n: int, pt: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The length-n vector holding entry i's value at the point in slot i."""
+    full = vec_zero(n)
+    for i, p in entries.items():
+        full[i] = _at(p, pt)
+    return tuple(full)
+
+
+def jet(V: PolyVectorField, frame: Frame, points: Iterable[Sequence[Fraction]],
+        order: int = 1) -> list[ContactJet]:
+    """Layered derivative data of a contact field at each rational point.
+
+    Contact is certified once, and the symbolic entries of every part are
+    built once; each point only evaluates them.
+    """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
-    pt = [Fraction(x) for x in point]
     comps = V.components
-    minus = []
-    for depth in range(1, g.step + 1):
-        full = vec_zero(g.dim)
-        for i in g.layer_indices(depth):
-            full[i] = comps[i].eval(pt)
-        minus.append((depth, tuple(full)))
+    minus = [(depth, {i: comps[i] for i in g.layer_indices(depth)})
+             for depth in range(1, g.step + 1)]
     sym = _zero_part_entries(comps, frame)
-    zero_part = tuple(tuple(p.eval(pt) for p in entry) for entry in sym)
-    one_part = None
     if order == 1:
-        matrices = []
-        for c1 in g.layer_indices(1):
-            matrices.append((c1, tuple(tuple(_derivative_at(frame, c1, p, pt) for p in entry)
-                                       for entry in sym)))
-        vectors = []
-        for depth in range(2, g.step + 1):
-            for src in g.layer_indices(depth):
-                full = vec_zero(g.dim)
-                for i in g.layer_indices(depth - 1):
-                    full[i] = _derivative_at(frame, src, comps[i], pt)
-                vectors.append((src, tuple(full)))
-        one_part = JetOnePart(tuple(matrices), tuple(vectors))
-    return ContactJet(tuple(pt), tuple(minus), zero_part, one_part)
+        # X_c1 of each zero-part entry along layer -1; for a deeper source,
+        # X_src of each coefficient of the layer above it
+        one_matrices = [(c1, [[_derivative(frame, c1, p) for p in entry] for entry in sym])
+                        for c1 in g.layer_indices(1)]
+        one_vectors = [(src, {i: _derivative(frame, src, comps[i])
+                              for i in g.layer_indices(depth - 1)})
+                       for depth in range(2, g.step + 1) for src in g.layer_indices(depth)]
+    jets = []
+    for point in points:
+        pt = [Fraction(x) for x in point]
+        one_part = None
+        if order == 1:
+            one_part = JetOnePart(
+                tuple((c1, _values_at(entries, pt)) for c1, entries in one_matrices),
+                tuple((src, _placed_at(entries, g.dim, pt)) for src, entries in one_vectors))
+        jets.append(ContactJet(tuple(pt),
+                               tuple((d, _placed_at(entries, g.dim, pt)) for d, entries in minus),
+                               _values_at(sym, pt), one_part))
+    return jets
 
 
 def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:

@@ -3,18 +3,20 @@
 Every rank and dimension decision downstream is a nullspace computation,
 so the arithmetic here is exact.  A linear system is a :class:`SparseRows`:
 each row is a mapping ``{column: coefficient}`` of its nonzero entries,
-together with the column count.  Elimination scales each row to a
-primitive integer row and touches nonzero entries only.  Subspaces are
-stored in reduced row-echelon form, which is unique per row space, so
-span equality is a tuple comparison.  :class:`Matrix` is the dense value
-type of graded automorphisms; it is not an input to elimination.  A
-degree-zero map is kept as its values, not as a matrix.
+together with the column count.  One kernel, :func:`rref`, eliminates:
+``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it.
+It scales each row to a primitive integer row, touches nonzero entries
+only, and reduces in a single Gauss–Jordan pass, shortest rows first.
+The reduced row-echelon form is unique per row space, so the order in
+which rows are taken changes the work, not the result; and subspaces
+stored in that form compare by a tuple comparison.  :class:`Matrix` is
+the dense value type of graded automorphisms; it is not an input to
+elimination.  A degree-zero map is kept as its values, not as a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -143,50 +145,46 @@ def _combine(target: dict[int, int], source: dict[int, int], col: int) -> None:
     _primitive(target)
 
 
-def _reduce(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> None:
-    """Clear from ``row`` every column that is the pivot of a row in ``pivot_rows``.
-
-    The pivot of each such row is its smallest column, so clearing pivots
-    in increasing order never brings back one already cleared.
-    """
-    todo = [c for c in row if c in pivot_rows]
-    heapify(todo)
-    while todo:
-        c = heappop(todo)
-        if c in row:
-            source = pivot_rows[c]
-            _combine(row, source, c)
-            for d in source:
-                if d > c and d in pivot_rows:
-                    heappush(todo, d)
-
-
 def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
-    """Reduced row-echelon form of ``m``.
+    """Reduced row-echelon form of ``m``, in one Gauss–Jordan pass.
 
     Returns ``(echelon, rank, pivots)`` where ``pivots`` lists the pivot
     column of each nonzero row, leftmost first.  The echelon system has
-    the shape of ``m``, its zero rows last, and is the unique RREF of the
-    row space; it does not depend on the order of the rows of ``m``.
+    the shape of ``m``, its zero rows last.
+
+    Rows are taken shortest first.  Each is cleared of the pivots found
+    so far; its smallest remaining column becomes a new pivot, which is
+    cleared at once from the earlier pivot rows that hold it.  So every
+    pivot row keeps its smallest column as its pivot and never holds
+    another row's pivot: the rows are reduced throughout, and at the end
+    they are the RREF of the row space.  That form is unique, so the
+    order in which the rows are taken does not change the result.
     """
     ncols = m.cols
-    # forward: each row is cleared of the pivots found so far, and its
-    # smallest remaining column becomes a new pivot
     pivot_rows: dict[int, dict[int, int]] = {}
-    for row in m.entries:
+    # column -> pivots of the rows that have held it off their pivot
+    holders: dict[int, set[int]] = {}
+    for row in sorted(m.entries, key=len):
         work = _integer_row(row, ncols)
-        _reduce(work, pivot_rows)
-        if work:
-            pivot_rows[min(work)] = work
-    # backward: rows cleared of every larger pivot, largest pivot first
+        # a pivot row holds no other pivot, so clearing one pivot from
+        # ``work`` never brings back another
+        for c in [c for c in work if c in pivot_rows]:
+            _combine(work, pivot_rows[c], c)
+        if not work:
+            continue
+        p = min(work)
+        owners = [q for q in holders.pop(p, ()) if p in pivot_rows[q]]
+        for q in owners:
+            _combine(pivot_rows[q], work, p)
+        owners.append(p)
+        pivot_rows[p] = work
+        for c in work:
+            if c != p:
+                holders.setdefault(c, set()).update(owners)
     pivots = sorted(pivot_rows)
-    reduced: dict[int, dict[int, int]] = {}
-    for p in reversed(pivots):
-        _reduce(pivot_rows[p], reduced)
-        reduced[p] = pivot_rows[p]
     out = []
     for p in pivots:
-        row = reduced[p]
+        row = pivot_rows[p]
         lead = row[p]
         out.append({c: Fraction(row[c], lead) for c in sorted(row)})
     out.extend({} for _ in range(m.rows - len(pivots)))

@@ -81,8 +81,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
         points = set()
         while len(points) < 5:
             points.add(tuple(rand_point(rng, 4)))
-        for pt in sorted(points):
-            jt = jet(field, engel_frame, list(pt))
+        for jt in jet(field, engel_frame, sorted(points)):
             if g0.coordinates_of_values(jt.zero_part) is None:
                 ok = False
             if not jt.one_part.is_zero():

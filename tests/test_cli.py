@@ -154,6 +154,21 @@ def test_one_frame_per_command(monkeypatch, command):
     assert len(calls) == 1
 
 
+def test_verify_certifies_each_field_as_contact_twice(monkeypatch):
+    # once in conformal_defect, and once in jet for all of the field's points
+    import carnot.cli as cli
+    import carnot.contact_pde as contact_pde
+    calls = []
+    for module in (cli, contact_pde):
+        def counting(*args, _original=module.contact_defect):
+            calls.append(args)
+            return _original(*args)
+        monkeypatch.setattr(module, "contact_defect", counting)
+    code, out = run_cli(["verify", spec_path("engel.alg")])
+    assert code == 0
+    assert len(calls) == 2 * int(as_dict(out)["fields"]) == 10
+
+
 def test_verify_with_injected_field_fails():
     spec = parse_spec_file(spec_path("engel.alg"))
     from carnot.cli import spec_algebra, spec_recipe
@@ -168,6 +183,7 @@ def test_verify_with_injected_field_fails():
     d = dict(report.items)
     assert d["overall"] == "FAIL"
     assert d["contact_defects_zero"] is False
+    assert d["failure_1"].startswith("contact defect nonzero for injected_1: ")
 
 
 def test_oracle_engel():

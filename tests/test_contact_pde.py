@@ -177,28 +177,26 @@ def test_conformal_defect_requires_contact(engel_frame):
 def test_jet_of_weight_map_field(engel, engel_frame, engel_tau, rng):
     d_field = engel_tau[4]
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
-    for _ in range(3):
-        p = rand_point(rng, 4)
-        jt = jet(d_field, engel_frame, p)
+    for jt in jet(d_field, engel_frame, [rand_point(rng, 4) for _ in range(3)]):
         assert degree_zero_matrix(engel, jt.zero_part) == expected
         assert jt.one_part.is_zero()
 
 
 def test_jet_of_constant_field_vanishes(engel_frame, engel_tau, rng):
-    jt = jet(engel_tau[0], engel_frame, rand_point(rng, 4))
+    [jt] = jet(engel_tau[0], engel_frame, [rand_point(rng, 4)])
     assert all(x == 0 for value in jt.zero_part for x in value)
     assert jt.one_part.is_zero()
 
 
 def test_jet_of_x2_translation_at_origin(engel_frame, engel_tau):
-    jt = jet(engel_tau[3], engel_frame, [0, 0, 0, 0], order=0)
+    [jt] = jet(engel_tau[3], engel_frame, [[0, 0, 0, 0]], order=0)
     assert all(x == 0 for value in jt.zero_part for x in value)
     assert jt.one_part is None
 
 
 def test_jet_minus_parts_split_coefficients(engel_frame, engel_tau, rng):
     p = rand_point(rng, 4)
-    jt = jet(engel_tau[2], engel_frame, p)
+    [jt] = jet(engel_tau[2], engel_frame, [p])
     parts = dict(jt.minus_parts)
     comps = [c.eval(p) for c in engel_tau[2].components]
     assert list(parts[1]) == [comps[0], comps[1], 0, 0]
@@ -208,7 +206,21 @@ def test_jet_minus_parts_split_coefficients(engel_frame, engel_tau, rng):
 
 def test_jet_requires_contact(engel_frame, rng):
     with pytest.raises(NotContact):
-        jet(unit_frame_field(engel_frame, 2), engel_frame, rand_point(rng, 4))
+        jet(unit_frame_field(engel_frame, 2), engel_frame, [rand_point(rng, 4)])
+
+
+def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, engel_tau, rng):
+    import carnot.contact_pde as contact_pde
+    calls = []
+    original = contact_pde.contact_defect
+    monkeypatch.setattr(contact_pde, "contact_defect",
+                        lambda *args: calls.append(args) or original(*args))
+    points = [rand_point(rng, 4) for _ in range(5)]
+    jets = jet(engel_tau[4], engel_frame, points)
+    assert len(calls) == 1
+    assert [jt.point for jt in jets] == [tuple(p) for p in points]
+    for jt, p in zip(jets, points):
+        assert jt == jet(engel_tau[4], engel_frame, [p])[0]
 
 
 def dense_jet_parts(V, frame, pt, order):
@@ -267,7 +279,7 @@ def assert_jet_matches_the_dense_reference(field, frame, rng):
     g = frame.algebra
     for order in (0, 1):
         pt = rand_point(rng, len(frame))
-        jt = jet(field, frame, pt, order)
+        [jt] = jet(field, frame, [pt], order)
         minus, blocks, one = dense_jet_parts(field, frame, pt, order)
         assert jt.point == tuple(pt)
         assert jt.minus_parts == minus
@@ -298,16 +310,17 @@ def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel_frame, rn
     cases = [(PolyVectorField(tuple(cubic)), frame)]
     cases += [(monomial_family(engel_frame, k), engel_frame) for k in (4, 5)]
     for field, frm in cases:
-        assert not jet(field, frm, rand_point(rng, len(frm))).one_part.is_zero()
+        [jt] = jet(field, frm, [rand_point(rng, len(frm))])
+        assert not jt.one_part.is_zero()
         assert_jet_matches_the_dense_reference(field, frm, rng)
 
 
 def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
     for field in engel_tau:
-        jt = jet(field, engel_frame, rand_point(rng, 4))
+        [jt] = jet(field, engel_frame, [rand_point(rng, 4)])
         assert jet_jacobi_check(jt, engel)
     # corrupting the forbidden off-diagonal slot breaks the law
-    jt = jet(engel_tau[4], engel_frame, rand_point(rng, 4))
+    [jt] = jet(engel_tau[4], engel_frame, [rand_point(rng, 4)])
     values = [list(value) for value in jt.zero_part]
     values[1][0] = Fraction(1)  # component X1 of the image of X2
     corrupted = jt.__class__(jt.point, jt.minus_parts, tuple(map(tuple, values)), jt.one_part)
@@ -360,8 +373,7 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
 def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_tau, rng):
     g0 = conformal_g0(engel)
     for field in engel_tau:
-        for _ in range(2):
-            jt = jet(field, engel_frame, rand_point(rng, 4))
+        for jt in jet(field, engel_frame, [rand_point(rng, 4) for _ in range(2)]):
             assert g0.coordinates_of_values(jt.zero_part) is not None
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,24 @@ def wide_systems(draw):
     return SparseRows(draw(st.permutations(rows)), cols)
 
 
+@st.composite
+def overlapping_systems(draw):
+    """Rows of 2-6 entries over up to 24 columns, some followed by
+    combinations of earlier rows.  Taken shortest first, a row's new pivot
+    column is often already held by earlier pivot rows, which must then
+    be cleared of it."""
+    cols = draw(st.integers(2, 24))
+    row_st = st.dictionaries(st.integers(0, cols - 1), fractions_st.filter(bool),
+                             min_size=2, max_size=6)
+    rows = draw(st.lists(row_st, min_size=1, max_size=24))
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        k = draw(fractions_st.filter(bool))
+        combined = {c: a.get(c, 0) + k * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: x for c, x in combined.items() if x})
+    return SparseRows(rows, cols)
+
+
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
                                          for x in (v for r in dense(m) for v in r)])
@@ -188,9 +207,7 @@ def from_sympy(mat):
     return [[Fraction(int(x.p), int(x.q)) for x in mat.row(i)] for i in range(mat.rows)]
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(wide_systems())
-def test_rref_matches_sympy(m):
+def assert_rref_matches_sympy(m):
     ech, rank, pivots = rref(m)
     ref, ref_pivots = to_sympy(m).rref()
     assert dense(ech) == from_sympy(ref)
@@ -198,9 +215,7 @@ def test_rref_matches_sympy(m):
     assert rank == len(ref_pivots)
 
 
-@settings(max_examples=150, deadline=None, database=None)
-@given(wide_systems())
-def test_nullspace_matches_sympy(m):
+def assert_nullspace_matches_sympy(m):
     ns = nullspace(m)
     kernel = to_sympy(m).nullspace()
     assert ns.dim == len(kernel)
@@ -208,3 +223,84 @@ def test_nullspace_matches_sympy(m):
         ref, ref_pivots = sympy.Matrix.hstack(*kernel).T.rref()
         assert [list(v) for v in ns.basis] == from_sympy(ref)
         assert list(ns.pivots) == list(ref_pivots)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(wide_systems())
+def test_rref_matches_sympy(m):
+    assert_rref_matches_sympy(m)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(wide_systems())
+def test_nullspace_matches_sympy(m):
+    assert_nullspace_matches_sympy(m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(overlapping_systems())
+def test_rref_matches_sympy_on_overlapping_rows(m):
+    assert_rref_matches_sympy(m)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(overlapping_systems())
+def test_nullspace_matches_sympy_on_overlapping_rows(m):
+    assert_nullspace_matches_sympy(m)
+
+
+# -- row order and the one elimination kernel ------------------------------
+
+
+def cartan_residual_system(delta):
+    """The residual rows of the degree-``delta`` conformal block of cartan_235."""
+    import carnot.contact_pde as contact_pde
+    from .conftest import named_algebra_frame
+    _, frame = named_algebra_frame("cartan_235")
+    systems = []
+    original = contact_pde.nullspace
+    contact_pde.nullspace = lambda m: systems.append(m) or original(m)
+    try:
+        contact_pde.conformal_fields_of_degree(frame, delta)
+    finally:
+        contact_pde.nullspace = original
+    [m] = systems
+    return m
+
+
+# degree 3: 130 x 108 of full column rank; degree 0: 23 x 24 of rank 22
+# (the level g0), whose RREF is not the identity
+@pytest.mark.parametrize("delta, rank", [(3, 108), (0, 22)])
+def test_rref_does_not_depend_on_row_order(delta, rank):
+    m = cartan_residual_system(delta)
+    shuffled = list(m.entries)
+    random.Random(11).shuffle(shuffled)
+    expected = rref(m)
+    assert expected[1] == rank
+    for rows in (m.entries[::-1], shuffled):
+        got = rref(SparseRows(rows, m.cols))
+        assert (got[0].entries, got[1], got[2]) == (expected[0].entries, expected[1], expected[2])
+
+
+def test_column_out_of_range_raises_in_any_row():
+    m = cartan_residual_system(3)
+    bad = {m.cols: Fraction(1)}
+    for rows in ([bad] + m.entries, m.entries + [bad]):
+        with pytest.raises(ValueError):
+            rref(SparseRows(rows, m.cols))
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: nullspace(sparse([[1, 2], [3, 4]], 2)), (2, 2)),
+    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [Fraction(1), Fraction(2)]), (2, 3)),
+    (lambda: Subspace.from_vectors([{0: 1}, {1: 2}], 3), (2, 3)),
+], ids=["nullspace", "solve", "from_vectors"])
+def test_elimination_goes_through_the_module_rref(monkeypatch, call, shape):
+    # the benchmark times every elimination by wrapping exact_linalg.rref;
+    # the caller's own system (augmented, for solve) must be the first call
+    import carnot.exact_linalg as exact_linalg
+    calls = []
+    original = exact_linalg.rref
+    monkeypatch.setattr(exact_linalg, "rref", lambda m: calls.append(m) or original(m))
+    call()
+    assert (calls[0].rows, calls[0].cols) == shape
