@@ -4,9 +4,12 @@ A vector field V is contact when [V, X] stays horizontal for every
 horizontal frame field X, and conformal when additionally the matrix of
 first horizontal derivatives of its horizontal coefficients is a
 trace-plus-skew matrix.  Residuals are kept as full polynomials, never
-point samples, so every verdict is an identity check.  The bounded-degree
-ansatz solver at the end is the brute-force cross-check for prolongation
-dimensions.
+point samples, so every verdict is an identity check.  The jet of a field
+at a point is read in the ``Level.actions`` convention, so the levels of
+the tower decide membership and the derivation law.  The bounded-degree
+ansatz solver at the end is the brute-force cross-check for the
+prolongation: it returns the fields of each homogeneous block, and
+:func:`same_span` compares them with the realized fields.
 
 The contact residuals are computed in frame components, without
 coordinates.  The left-invariant frame realizes the algebra,
@@ -26,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ZERO, SparseRows, Subspace, dense_row, nullspace, vec_zero
+from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, span_equal, vec_zero
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
+from .prolongation import Level
 
 
 class NotContact(ValueError):
@@ -187,9 +191,8 @@ class ContactJet:
     """
 
     point: tuple[Fraction, ...]
-    minus_parts: tuple[tuple[int, tuple[Fraction, ...]], ...]
     zero_part: Values
-    one_part: JetOnePart | None
+    one_part: JetOnePart
 
 
 def _derivative(frame: Frame, j: int, f: Poly) -> Poly:
@@ -222,69 +225,43 @@ def _placed_at(entries: dict[int, Poly], n: int, pt: Sequence[Fraction]) -> tupl
     return tuple(full)
 
 
-def jet(V: PolyVectorField, frame: Frame, points: Iterable[Sequence[Fraction]],
-        order: int = 1) -> list[ContactJet]:
-    """Layered derivative data of a contact field at each rational point.
+def jet(V: PolyVectorField, frame: Frame,
+        points: Iterable[Sequence[Fraction]]) -> list[ContactJet]:
+    """Degree-zero and degree-one parts of a contact field's jet at each rational point.
 
     Contact is certified once, and the symbolic entries of every part are
     built once; each point only evaluates them.
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
     comps = V.components
-    minus = [(depth, {i: comps[i] for i in g.layer_indices(depth)})
-             for depth in range(1, g.step + 1)]
     sym = _zero_part_entries(comps, frame)
-    if order == 1:
-        # X_c1 of each zero-part entry along layer -1; for a deeper source,
-        # X_src of each coefficient of the layer above it
-        one_matrices = [(c1, [[_derivative(frame, c1, p) for p in entry] for entry in sym])
-                        for c1 in g.layer_indices(1)]
-        one_vectors = [(src, {i: _derivative(frame, src, comps[i])
-                              for i in g.layer_indices(depth - 1)})
-                       for depth in range(2, g.step + 1) for src in g.layer_indices(depth)]
+    # X_c1 of each zero-part entry along layer -1; for a deeper source,
+    # X_src of each coefficient of the layer above it
+    one_matrices = [(c1, [[_derivative(frame, c1, p) for p in entry] for entry in sym])
+                    for c1 in g.layer_indices(1)]
+    one_vectors = [(src, {i: _derivative(frame, src, comps[i])
+                          for i in g.layer_indices(depth - 1)})
+                   for depth in range(2, g.step + 1) for src in g.layer_indices(depth)]
     jets = []
     for point in points:
         pt = [Fraction(x) for x in point]
-        one_part = None
-        if order == 1:
-            one_part = JetOnePart(
-                tuple((c1, _values_at(entries, pt)) for c1, entries in one_matrices),
-                tuple((src, _placed_at(entries, g.dim, pt)) for src, entries in one_vectors))
-        jets.append(ContactJet(tuple(pt),
-                               tuple((d, _placed_at(entries, g.dim, pt)) for d, entries in minus),
-                               _values_at(sym, pt), one_part))
+        one_part = JetOnePart(
+            tuple((c1, _values_at(entries, pt)) for c1, entries in one_matrices),
+            tuple((src, _placed_at(entries, g.dim, pt)) for src, entries in one_vectors))
+        jets.append(ContactJet(tuple(pt), _values_at(sym, pt), one_part))
     return jets
 
 
-def jet_jacobi_check(j: ContactJet, g: GradedLieAlgebra) -> bool:
-    """Check D[e_a,e_b] = [D e_a, e_b] - [D e_b, e_a] for the zero-part D on
-    all basis pairs a < b.
+def jet_jacobi_check(j: ContactJet, ders: Level) -> bool:
+    """Check that the zero-part of the jet is a strata-preserving derivation.
 
-    Passing certifies that the degree-zero jet is a strata-preserving
-    derivation.  Both sides are summed from the sparse bracket rows and
-    the nonzero entries of the values of D.
+    ``ders`` is level 0 of the tower, the solution space of the degree-zero
+    Leibniz system, so the law holds exactly when ``ders`` has coordinates
+    for the values of the zero part.
     """
-    n = g.dim
-    cols = [[(r, x) for r, x in zip(g.layer_indices(-g.weights[c]), value) if x]
-            for c, value in enumerate(j.zero_part)]
-    rows = g.rows
-    for a in range(n):
-        for b in range(a + 1, n):
-            total: dict[int, Fraction] = {}
-            for k, c in rows[a][b]:
-                for r, x in cols[k]:
-                    total[r] = total.get(r, 0) + c * x
-            for src, other, sign in ((a, b, -1), (b, a, 1)):
-                for i, x in cols[src]:
-                    for k, c in rows[i][other]:
-                        total[k] = total.get(k, 0) + sign * x * c
-            if any(total.values()):
-                return False
-    return True
+    return ders.coordinates_of_values(j.zero_part) is not None
 
 
 # -- the Engel h-system ------------------------------------------------
@@ -361,56 +338,6 @@ def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
 # -- bounded-degree conformal ansatz solver -----------------------------
 
 
-class AnsatzLayout:
-    """Index bookkeeping for fields with per-component degree bounds.
-
-    The component along the frame field of weight w may use monomials of
-    weighted degree up to ``degree + |w|``.
-    """
-
-    def __init__(self, frame: Frame, degree: int):
-        self.frame = frame
-        self.degree = degree
-        g = frame.algebra
-        ring = frame.ring
-        self.monomials: list[list[tuple[int, ...]]] = []
-        self.offsets: list[int] = []
-        pos = 0
-        for i in range(g.dim):
-            monos = ring.monomials_upto(degree + (-g.weights[i]))
-            self.monomials.append(monos)
-            self.offsets.append(pos)
-            pos += len(monos)
-        self.total = pos
-        self._index = {}
-        for i, monos in enumerate(self.monomials):
-            for k, exp in enumerate(monos):
-                self._index[(i, exp)] = self.offsets[i] + k
-
-    def embed(self, field: PolyVectorField) -> dict[int, Fraction] | None:
-        """The field as a sparse row over the ansatz, or None outside it."""
-        v = {}
-        for i, comp in enumerate(field.components):
-            for exp, c in comp.terms.items():
-                key = (i, exp)
-                if key not in self._index:
-                    return None
-                v[self._index[key]] = c
-        return v
-
-    def field(self, v: Sequence[Fraction]) -> PolyVectorField:
-        ring = self.frame.ring
-        comps = []
-        for i, monos in enumerate(self.monomials):
-            terms = {}
-            for k, exp in enumerate(monos):
-                c = v[self.offsets[i] + k]
-                if c:
-                    terms[exp] = c
-            comps.append(Poly(ring, terms))
-        return PolyVectorField(tuple(comps))
-
-
 def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField]:
     """Homogeneous conformal fields of graded degree ``delta`` (exact nullspace).
 
@@ -442,43 +369,47 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
 
 @dataclass(frozen=True)
 class ConformalSolution:
-    """The ansatz solution; ``block_dims`` counts the fields of each
-    homogeneous block, graded degree ``-step`` first."""
+    """The ansatz solution: the fields of each homogeneous block, graded
+    degree ``-step`` first; ``block_dims`` counts them per block."""
 
-    layout: AnsatzLayout
-    subspace: Subspace
     fields: tuple[PolyVectorField, ...]
     block_dims: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.subspace.dim
+        return len(self.fields)
 
 
 def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> ConformalSolution:
     """All conformal fields within the bounded polynomial ansatz.
 
-    Solved block-by-block in the graded degree and re-canonicalized in the
-    global ansatz coordinates, so reruns give identical bases.  If the
-    cutoff is too small the result only bounds the true dimension from
-    below; stability under raising the cutoff is the sanity check.
+    The component along the frame field of weight w may use monomials of
+    weighted degree up to ``max_weighted_degree + |w|``.  The system
+    commutes with the weighted grading, so the solution is the sum of the
+    homogeneous blocks of graded degree ``-step .. max_weighted_degree``,
+    each with its canonical echelon basis.  If the cutoff is too small the
+    result only bounds the true dimension from below; stability under
+    raising the cutoff is the sanity check.
     """
-    g = frame.algebra
-    layout = AnsatzLayout(frame, max_weighted_degree)
-    rows = []
-    block_dims = []
-    for delta in range(-g.step, max_weighted_degree + 1):
-        block = conformal_fields_of_degree(frame, delta)
-        block_dims.append(len(block))
-        for field in block:
-            v = layout.embed(field)
-            if v is None:
-                raise AssertionError("homogeneous block escaped the ansatz layout")
-            rows.append(v)
-    # the blocks have disjoint supports and each keeps its column order in
-    # the layout, so their echelon bases, sorted by pivot, are already the
-    # echelon basis of the sum
-    rows.sort(key=min)
-    space = Subspace(layout.total, [dense_row(v, layout.total) for v in rows], map(min, rows))
-    fields = tuple(layout.field(v) for v in space.basis)
-    return ConformalSolution(layout, space, fields, tuple(block_dims))
+    blocks = [conformal_fields_of_degree(frame, delta)
+              for delta in range(-frame.algebra.step, max_weighted_degree + 1)]
+    return ConformalSolution(tuple(f for block in blocks for f in block),
+                             tuple(map(len, blocks)))
+
+
+def same_span(a: Sequence[PolyVectorField], b: Sequence[PolyVectorField]) -> bool:
+    """True iff the two lists of fields span the same space.
+
+    Each field is read on its own (component, monomial) terms, with the
+    columns numbered in the order the terms first appear.
+    """
+    columns: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def rows(fields: Sequence[PolyVectorField]) -> list[dict[int, Fraction]]:
+        return [{columns.setdefault((i, exp), len(columns)): c
+                 for i, comp in enumerate(f.components) for exp, c in comp.terms.items()}
+                for f in fields]
+
+    rows_a, rows_b = rows(a), rows(b)
+    n = len(columns)
+    return span_equal(Subspace.from_vectors(rows_a, n), Subspace.from_vectors(rows_b, n))

@@ -415,15 +415,6 @@ class ProlongationAlgebra:
 
     # -- algebra operations -------------------------------------------
 
-    def bracket(self, a: int, b: int) -> list[Fraction]:
-        """Dense coefficient vector of [e_a, e_b]."""
-        if self.bracket_table is None:
-            raise JacobiAssemblyFailure("bracket table unavailable (cutoff prolongation)")
-        out = vec_zero(self.dim)
-        for k, c in self.bracket_table[a][b]:
-            out[k] = c
-        return out
-
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         """Bracket of two dense s-vectors, summed over the sparse table rows."""
         out = vec_zero(self.dim)

@@ -86,6 +86,15 @@ def apply_rows(rows, v):
     return out
 
 
+def dense_bracket(s, a, b):
+    """The dense coefficient vector of [e_a, e_b], read from the bracket
+    table of a prolongation algebra."""
+    out = [Fraction(0)] * s.dim
+    for k, c in s.bracket_table[a][b]:
+        out[k] = c
+    return out
+
+
 def rand_point(rng, n):
     return [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
 

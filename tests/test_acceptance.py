@@ -7,15 +7,16 @@ per criterion.
 import random
 from fractions import Fraction
 
-from carnot.exact_linalg import Matrix, Subspace, span_equal
-from carnot.prolongation import full_prolongation
+from carnot.exact_linalg import Matrix
+from carnot.prolongation import full_prolongation, strata_derivations
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       left_invariant_frame, left_translation,
                                       similarity_check)
-from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check,
+from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check, same_span,
                                 solve_polynomial_conformal, vf_bracket)
-from .conftest import conformal_g0, make_abelian, make_heisenberg, rand_point, zero_matrices
+from .conftest import (conformal_g0, dense_bracket, make_abelian, make_heisenberg, rand_point,
+                       zero_matrices)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -71,6 +72,7 @@ def test_criterion_04_tau_table(engel_prolongation, engel_tau):
 
 def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, engel_tau):
     g0 = conformal_g0(engel)
+    ders = strata_derivations(engel)
     rng = random.Random(5)
     ok = True
     for field in engel_tau:
@@ -86,7 +88,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
                 ok = False
             if not jt.one_part.is_zero():
                 ok = False
-            if not jet_jacobi_check(jt, engel):
+            if not jet_jacobi_check(jt, ders):
                 ok = False
     report(5, ok, "defects identically zero; jets in span{diag(1,1,2,3)} with zero "
                   "degree-one part at 5 random points per field")
@@ -94,10 +96,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
 
 def test_criterion_06_engel_oracle(engel_frame, engel_tau):
     sol = solve_polynomial_conformal(engel_frame, 6)
-    vectors = [sol.layout.embed(f) for f in engel_tau]
-    ok = sol.dim == 5 and all(v is not None for v in vectors)
-    if ok:
-        ok = span_equal(sol.subspace, Subspace.from_vectors(vectors, sol.layout.total))
+    ok = sol.dim == 5 and same_span(sol.fields, engel_tau)
     for degree in (3, 4, 5):
         ok = ok and solve_polynomial_conformal(engel_frame, degree).dim == 5
     report(6, ok, "degree-6 ansatz space is 5-dimensional, equals the realized span, "
@@ -142,9 +141,9 @@ def test_criterion_10_jacobi_suite(engel_prolongation):
     triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
     ok = ok and len(triples) == 10
     for a, b, c in triples:
-        j1 = algebra.bracket_vec(algebra._unit(a), algebra.bracket(b, c))
-        j2 = algebra.bracket_vec(algebra._unit(b), algebra.bracket(c, a))
-        j3 = algebra.bracket_vec(algebra._unit(c), algebra.bracket(a, b))
+        j1 = algebra.bracket_vec(algebra._unit(a), dense_bracket(algebra, b, c))
+        j2 = algebra.bracket_vec(algebra._unit(b), dense_bracket(algebra, c, a))
+        j3 = algebra.bracket_vec(algebra._unit(c), dense_bracket(algebra, a, b))
         if any(x + y + z != 0 for x, y, z in zip(j1, j2, j3)):
             ok = False
     g = algebra.negative
@@ -157,7 +156,7 @@ def test_criterion_10_jacobi_suite(engel_prolongation):
                 continue
             j = bkey[1]
             expected = algebra._embed_value(algebra.levels[k].action(p, j), g.weights[j] + k)
-            if algebra.bracket(a, b) != expected:
+            if dense_bracket(algebra, a, b) != expected:
                 ok = False
     report(10, ok, "Jacobi exact on all 10 triples and [u,X] = u(X) on all mixed pairs")
 
@@ -209,7 +208,7 @@ def test_criterion_13_homomorphism_sign(engel_prolongation, engel_frame, engel_t
             pairs += 1
             lhs = vf_bracket(coords[a], coords[b])
             rhs = [ring.zero()] * 4
-            for i, c in enumerate(algebra.bracket(a, b)):
+            for i, c in enumerate(dense_bracket(algebra, a, b)):
                 if c:
                     rhs = [x + c * y for x, y in zip(rhs, coords[i])]
             if all(r.is_zero() for r in rhs):

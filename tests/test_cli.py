@@ -214,6 +214,18 @@ def test_oracle_heisenberg_agrees():
     assert d["span_match"] == "true"
 
 
+def test_oracle_heisenberg_below_the_top_degree_misses_the_span():
+    # the degree-2 field of level 2 is realized but lies outside the
+    # degree-1 ansatz, so both the count and the span disagree
+    code, out = run_cli(["oracle", spec_path("heisenberg.alg"), "--degree", "1"])
+    assert code == 1
+    d = as_dict(out)
+    assert d["dims_agree"] == "false"
+    assert d["tau_available"] == "true"
+    assert d["span_match"] == "false"
+    assert d["overall"] == "FAIL"
+
+
 def scale_family_spec(tmp_path, name):
     """Spec file of H_n (``h<n>``) or R^n (``r<n>``) with the conformal g0."""
     n = int(name[1:])

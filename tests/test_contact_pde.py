@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix, Subspace, span_equal
+from carnot.exact_linalg import Matrix
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import degree_zero_matrix, full_prolongation
+from carnot.prolongation import degree_zero_matrix, full_prolongation, strata_derivations
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
-                                solve_h_system, solve_polynomial_conformal, vf_bracket)
+                                same_span, solve_h_system, solve_polynomial_conformal,
+                                vf_bracket)
 from carnot.polynomials import Poly
 from .conftest import (apply_rows, conformal_g0, make_abelian, named_algebra_frame, rand_point,
                        values_of)
@@ -189,19 +190,9 @@ def test_jet_of_constant_field_vanishes(engel_frame, engel_tau, rng):
 
 
 def test_jet_of_x2_translation_at_origin(engel_frame, engel_tau):
-    [jt] = jet(engel_tau[3], engel_frame, [[0, 0, 0, 0]], order=0)
+    [jt] = jet(engel_tau[3], engel_frame, [[0, 0, 0, 0]])
     assert all(x == 0 for value in jt.zero_part for x in value)
-    assert jt.one_part is None
-
-
-def test_jet_minus_parts_split_coefficients(engel_frame, engel_tau, rng):
-    p = rand_point(rng, 4)
-    [jt] = jet(engel_tau[2], engel_frame, [p])
-    parts = dict(jt.minus_parts)
-    comps = [c.eval(p) for c in engel_tau[2].components]
-    assert list(parts[1]) == [comps[0], comps[1], 0, 0]
-    assert list(parts[2]) == [0, 0, comps[2], 0]
-    assert list(parts[3]) == [0, 0, 0, comps[3]]
+    assert jt.one_part.is_zero()
 
 
 def test_jet_requires_contact(engel_frame, rng):
@@ -223,18 +214,12 @@ def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, eng
         assert jt == jet(engel_tau[4], engel_frame, [p])[0]
 
 
-def dense_jet_parts(V, frame, pt, order):
+def dense_jet_parts(V, frame, pt):
     """The dense form of the jet, kept as the reference: X_c applied to
     every coefficient and to every entry of the n x n symbolic matrix."""
     g = frame.algebra
     n = g.dim
     comps = list(V.components)
-    minus = []
-    for depth in range(1, g.step + 1):
-        full = [Fraction(0)] * n
-        for i in g.layer_indices(depth):
-            full[i] = comps[i].eval(pt)
-        minus.append((depth, tuple(full)))
     sym = [[frame.ring.zero() for _ in range(n)] for _ in range(n)]
     for depth in range(1, g.step + 1):
         idx = g.layer_indices(depth)
@@ -244,8 +229,6 @@ def dense_jet_parts(V, frame, pt, order):
     blocks = tuple(Matrix([[sym[r][c].eval(pt) for c in g.layer_indices(d)]
                            for r in g.layer_indices(d)], cols=len(g.layer_indices(d)))
                    for d in range(1, g.step + 1))
-    if order == 0:
-        return tuple(minus), blocks, None
     matrices = tuple((c1, Matrix([[frame.apply(c1, sym[r][c]).eval(pt) for c in range(n)]
                                   for r in range(n)], cols=n))
                      for c1 in g.layer_indices(1))
@@ -256,7 +239,7 @@ def dense_jet_parts(V, frame, pt, order):
             for i in g.layer_indices(depth - 1):
                 full[i] = frame.apply(src, comps[i]).eval(pt)
             vectors.append((src, tuple(full)))
-    return tuple(minus), blocks, (matrices, tuple(vectors))
+    return blocks, matrices, tuple(vectors)
 
 
 def block_values(g, blocks):
@@ -277,19 +260,13 @@ def full_values(g, m):
 
 def assert_jet_matches_the_dense_reference(field, frame, rng):
     g = frame.algebra
-    for order in (0, 1):
-        pt = rand_point(rng, len(frame))
-        [jt] = jet(field, frame, [pt], order)
-        minus, blocks, one = dense_jet_parts(field, frame, pt, order)
-        assert jt.point == tuple(pt)
-        assert jt.minus_parts == minus
-        assert jt.zero_part == block_values(g, blocks)
-        if one is None:
-            assert jt.one_part is None
-        else:
-            matrices, vectors = one
-            assert jt.one_part.matrices == tuple((c1, full_values(g, m)) for c1, m in matrices)
-            assert jt.one_part.vectors == vectors
+    pt = rand_point(rng, len(frame))
+    [jt] = jet(field, frame, [pt])
+    blocks, matrices, vectors = dense_jet_parts(field, frame, pt)
+    assert jt.point == tuple(pt)
+    assert jt.zero_part == block_values(g, blocks)
+    assert jt.one_part.matrices == tuple((c1, full_values(g, m)) for c1, m in matrices)
+    assert jt.one_part.vectors == vectors
 
 
 @pytest.mark.parametrize("name", ["engel", "heis_x_r", "free_3_2", "cartan_235", "two_centre"])
@@ -316,15 +293,16 @@ def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel_frame, rn
 
 
 def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
+    ders = strata_derivations(engel)
     for field in engel_tau:
         [jt] = jet(field, engel_frame, [rand_point(rng, 4)])
-        assert jet_jacobi_check(jt, engel)
+        assert jet_jacobi_check(jt, ders)
     # corrupting the forbidden off-diagonal slot breaks the law
     [jt] = jet(engel_tau[4], engel_frame, [rand_point(rng, 4)])
     values = [list(value) for value in jt.zero_part]
     values[1][0] = Fraction(1)  # component X1 of the image of X2
-    corrupted = jt.__class__(jt.point, jt.minus_parts, tuple(map(tuple, values)), jt.one_part)
-    assert not jet_jacobi_check(corrupted, engel)
+    corrupted = ContactJet(jt.point, tuple(map(tuple, values)), jt.one_part)
+    assert not jet_jacobi_check(corrupted, ders)
 
 
 def dense_jet_jacobi_check(j, g):
@@ -343,10 +321,11 @@ def dense_jet_jacobi_check(j, g):
 @pytest.mark.parametrize("name", ["engel", "cartan_235", "free_3_2", "two_centre"])
 def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
     g, _ = named_algebra_frame(name)
+    ders = strata_derivations(g)
     basis = conformal_g0(g).actions
     for values in basis:
-        jt = ContactJet((), (), values, None)
-        assert jet_jacobi_check(jt, g) and dense_jet_jacobi_check(jt, g)
+        jt = ContactJet((), values, None)
+        assert jet_jacobi_check(jt, ders) and dense_jet_jacobi_check(jt, g)
     verdicts = set()
     for t in range(40):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in basis]
@@ -363,8 +342,8 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
                 if t % 4 == 2:
                     ent[rng.randrange(dim)][rng.randrange(dim)] += 1
             blocks.append(Matrix(ent, cols=dim))
-        jt = ContactJet((), (), block_values(g, blocks), None)
-        verdict = jet_jacobi_check(jt, g)
+        jt = ContactJet((), block_values(g, blocks), None)
+        verdict = jet_jacobi_check(jt, ders)
         assert verdict == dense_jet_jacobi_check(jt, g)
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -431,10 +410,7 @@ def test_h_system_requires_engel_pattern(heisenberg_frame):
 def test_engel_ansatz_dimension_and_span(engel_frame, engel_tau):
     sol = solve_polynomial_conformal(engel_frame, 6)
     assert sol.dim == 5
-    vectors = [sol.layout.embed(f) for f in engel_tau]
-    assert all(v is not None for v in vectors)
-    tau_space = Subspace.from_vectors(vectors, sol.layout.total)
-    assert span_equal(sol.subspace, tau_space)
+    assert same_span(sol.fields, engel_tau)
 
 
 def test_engel_ansatz_stability(engel_frame):
@@ -472,13 +448,13 @@ def test_homogeneous_blocks_match_heisenberg_levels(heisenberg_frame):
 def test_ansatz_determinism(engel_frame):
     a = solve_polynomial_conformal(engel_frame, 4)
     b = solve_polynomial_conformal(engel_frame, 4)
-    assert a.subspace == b.subspace
     assert a.fields == b.fields
+    assert a.block_dims == b.block_dims
 
 
 @pytest.mark.parametrize("name", ["engel", "heisenberg", "r3_co3"])
 def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
-    # the block bases are put together without a second elimination
+    # the ansatz basis is the blocks' echelon bases, graded degree -step first
     from carnot import bundled_spec
     from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
     spec = parse_spec_file(bundled_spec(name + ".alg"))
@@ -486,9 +462,24 @@ def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
     frame = left_invariant_frame(g, spec_recipe(spec, g))
     degree = 4
     sol = solve_polynomial_conformal(frame, degree)
-    vectors = [sol.layout.embed(f) for delta in range(-g.step, degree + 1)
-               for f in conformal_fields_of_degree(frame, delta)]
-    again = Subspace.from_vectors(vectors, sol.layout.total)
+    blocks = [conformal_fields_of_degree(frame, delta) for delta in range(-g.step, degree + 1)]
     assert sol.dim > 0
-    assert again == sol.subspace
-    assert again.pivots == sol.subspace.pivots
+    assert sol.block_dims == tuple(map(len, blocks))
+    assert sol.fields == tuple(f for block in blocks for f in block)
+
+
+
+def test_same_span_needs_more_than_equal_counts(heisenberg_frame):
+    # one field replaced by itself plus a non-conformal field of the same
+    # degree: the counts agree, so only the span tells the lists apart
+    frame = heisenberg_frame
+    ring = frame.ring
+    sol = solve_polynomial_conformal(frame, 4)
+    fields = list(sol.fields)
+    assert same_span(fields, fields[::-1])
+    bad = PolyVectorField((ring.var(1), ring.zero(), ring.zero()))  # x2 ~X1, graded degree 0
+    assert any(not r.is_zero() for r in conformal_system_residuals(bad.components, frame))
+    i = sum(sol.block_dims[:frame.algebra.step])  # the first field of graded degree 0
+    moved = PolyVectorField(tuple(a + b for a, b in zip(fields[i].components, bad.components)))
+    realized = fields[:i] + [moved] + fields[i + 1:]
+    assert not same_span(fields, realized)
