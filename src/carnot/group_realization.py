@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .exact_linalg import Matrix, SparseRows, Subspace, solve, sparse_row
@@ -198,7 +199,7 @@ def _derivative_terms(column: Sequence[Poly], exp: tuple[int, ...]) -> tuple:
             continue
         lowered = exp[:c] + (a - 1,) + exp[c + 1:]
         for e, x in coeff.terms.items():
-            e = tuple(p + q for p, q in zip(lowered, e))
+            e = tuple(map(add, lowered, e))
             out[e] = out[e] + a * x if e in out else a * x
     return tuple((e, x) for e, x in out.items() if x)
 
@@ -221,9 +222,10 @@ class Frame:
     ``matrix[c][j]`` is the d/dx_c coefficient of the frame field of basis
     element j; it is unit lower triangular in declaration order, which
     makes conversion between coordinate and frame components a
-    forward substitution.  :meth:`apply` reads ``X_j(x^a)`` from a table of
-    monomials that the frame fills the first time each ``(j, a)`` is asked
-    for.
+    forward substitution.  :meth:`derivative_terms` reads ``X_j(x^a)`` from
+    a table of monomials that the frame fills the first time each
+    ``(j, a)`` is asked for; :meth:`apply` and the contact residuals read
+    the table through it.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, recipe: CoordinateRecipe,
@@ -254,15 +256,19 @@ class Frame:
     def __len__(self) -> int:
         return self.algebra.dim
 
+    def derivative_terms(self, j: int, exp: tuple[int, ...]) -> tuple:
+        """The nonzero terms ``(e, d)`` of X_j(x^exp), from the table."""
+        terms = self._monomial_derivatives.get((j, exp))
+        if terms is None:
+            terms = self._monomial_derivatives[(j, exp)] = \
+                _derivative_terms(self.columns[j], exp)
+        return terms
+
     def apply(self, j: int, f: Poly) -> Poly:
         """Derivative of the function f along frame field j."""
-        table = self._monomial_derivatives
         out: dict = {}
         for exp, c in f.terms.items():
-            terms = table.get((j, exp))
-            if terms is None:
-                terms = table[(j, exp)] = _derivative_terms(self.columns[j], exp)
-            for e, d in terms:
+            for e, d in self.derivative_terms(j, exp):
                 out[e] = out[e] + c * d if e in out else c * d
         return Poly(self.ring, out)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Sequence
 
 
@@ -91,7 +92,12 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial; construction drops zero coefficients."""
+    """Immutable sparse polynomial; no zero coefficient is ever stored.
+
+    The constructor drops zero coefficients.  The ring operations keep
+    them out as they go, dropping only the sums that cancel, and build
+    their results without filtering again.
+    """
 
     __slots__ = ("ring", "terms")
 
@@ -114,42 +120,66 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.terms:
+            return self
         out = dict(self.terms)
         for e, c in o.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return Poly(self.ring, out)
+            if e in out:
+                c = out[e] + c
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
+        return _poly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
+        return _poly(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o.terms:
+            return self
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            if e in out:
+                c = out[e] - c
+                if not c:
+                    del out[e]
+                    continue
+                out[e] = c
+            else:
+                out[e] = -c
+        return _poly(self.ring, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            k = Fraction(other)
-            return Poly(self.ring, {e: c * k for e, c in self.terms.items()})
+            if other == 1:
+                return self
+            if not other:
+                return _poly(self.ring, {})
+            return _poly(self.ring, {e: c * other for e, c in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         out: dict = {}
+        merged = False
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
+                e = tuple(map(add, e1, e2))
                 if e in out:
-                    out[e] += c
+                    out[e] += c1 * c2
+                    merged = True
                 else:
-                    out[e] = c
-        return Poly(self.ring, out)
+                    out[e] = c1 * c2
+        # a product of two nonzero coefficients is nonzero; only sums cancel
+        return Poly(self.ring, out) if merged else _poly(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -185,7 +215,7 @@ class Poly:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return Poly(self.ring, out)
+        return _poly(self.ring, out)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         if len(point) != self.ring.nvars:
@@ -299,3 +329,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _poly(ring: PolyRing, terms: dict) -> Poly:
+    """A Poly on ``terms`` as given: the caller has kept out every zero
+    coefficient, so the filtering constructor is skipped."""
+    p = Poly.__new__(Poly)
+    p.ring = ring
+    p.terms = terms
+    return p

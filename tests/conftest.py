@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
+from carnot.polynomials import Poly
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame, realize_tau
@@ -93,6 +94,16 @@ def dense_bracket(s, a, b):
     for k, c in s.bracket_table[a][b]:
         out[k] = c
     return out
+
+
+def residual_polys(terms, frame):
+    """The per-equation Poly list of a sparse residual ``{(eq, exp): c}``:
+    the m(n-m) contact equations, then the m(m+1)/2 conformal entries."""
+    m, n = frame.horizontal, len(frame)
+    parts = [{} for _ in range(m * (n - m) + m * (m + 1) // 2)]
+    for (eq, exp), c in terms.items():
+        parts[eq][exp] = c
+    return [Poly(frame.ring, t) for t in parts]
 
 
 def rand_point(rng, n):

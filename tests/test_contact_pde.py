@@ -14,7 +14,7 @@ from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 vf_bracket)
 from carnot.polynomials import Poly
 from .conftest import (apply_rows, conformal_g0, make_abelian, named_algebra_frame, rand_point,
-                       values_of)
+                       residual_polys, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -107,7 +107,7 @@ def test_residuals_match_the_coordinate_reference():
                 for exp in ring.monomials_exact(delta - g.weights[i]):
                     comps = [ring.zero()] * g.dim
                     comps[i] = Poly(ring, {exp: Fraction(1)})
-                    assert conformal_system_residuals(comps, frame) == \
+                    assert residual_polys(conformal_system_residuals(comps, frame), frame) == \
                         reference_residuals(comps, frame)
                     fields += 1
     assert fields == 880
@@ -122,14 +122,65 @@ def test_residuals_match_the_coordinate_reference():
             sums = [seeded_sum(frame, delta, rng) for _ in range(4)]
             solutions = [list(f.components) for f in conformal_fields_of_degree(frame, delta)]
             for comps in solutions:
-                assert all(r.is_zero() for r in conformal_system_residuals(comps, frame))
+                assert all(r.is_zero()
+                           for r in residual_polys(conformal_system_residuals(comps, frame), frame))
                 cancelling += 1
             for comps in sums + solutions + [[a + b for a, b in zip(x, y)]
                                              for x, y in zip(sums, solutions)]:
-                residuals = conformal_system_residuals(comps, frame)
+                residuals = residual_polys(conformal_system_residuals(comps, frame), frame)
                 assert residuals == reference_residuals(comps, frame)
                 mixed += 1
     assert (mixed, cancelling) == (162, 38)
+
+
+def test_residual_terms_have_no_zero_coefficient():
+    # R^1 makes every diagonal conformal term cancel; the conformal fields
+    # of each block make every term cancel
+    rng = random.Random(20261019)
+    checked = 0
+    for name in ("r1", "r3", "engel", "cartan_235", "two_centre", "h2"):
+        g, frame = named_algebra_frame(name)
+        m = frame.horizontal
+        equations = m * (g.dim - m) + m * (m + 1) // 2
+        for delta in range(-g.step, 3):
+            fields = [seeded_sum(frame, delta, rng) for _ in range(3)]
+            fields += [list(f.components) for f in conformal_fields_of_degree(frame, delta)]
+            for comps in fields:
+                terms = conformal_system_residuals(comps, frame)
+                assert all(c != 0 for c in terms.values())
+                assert all(0 <= eq < equations for eq, _ in terms)
+                checked += 1
+    assert checked == 142
+
+
+def test_defect_reports_match_the_coordinate_reference(engel_frame):
+    # contact defects of seeded sums, which are rarely contact; conformal
+    # defects of contact fields that are not conformal: the Engel family of
+    # degree >= 3 and seeded sums on R^3, where every field is contact
+    rng = random.Random(20261020)
+    contact_nonzero = conformal_nonzero = 0
+    cases = [(engel_frame, [list(monomial_family(engel_frame, k).components) for k in range(3, 6)])]
+    cases += [(named_algebra_frame(name)[1], []) for name in ("r3", "cartan_235", "two_centre", "h2")]
+    for frame, contact_fields in cases:
+        g = frame.algebra
+        names = g.names
+        m = frame.horizontal
+        contact_labels = [f"[V,~{names[i]}]@~{names[k]}" for i in range(m) for k in range(m, g.dim)]
+        conformal_labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
+        fields = [seeded_sum(frame, delta, rng) for delta in range(-g.step, 3) for _ in range(3)]
+        for comps in fields + contact_fields:
+            field = PolyVectorField(tuple(comps))
+            reference = reference_residuals(comps, frame)
+            contact = contact_defect(field, frame)
+            assert contact.residuals == tuple(zip(contact_labels, reference[:len(contact_labels)]))
+            if not contact.all_zero:
+                contact_nonzero += 1
+                continue
+            conformal = conformal_defect(field, frame)
+            assert conformal.residuals == tuple(zip(conformal_labels,
+                                                    reference[len(contact_labels):]))
+            conformal_nonzero += not conformal.all_zero
+    assert (contact_nonzero, conformal_nonzero) == (54, 12)
 
 
 def seeded_sum(frame, delta, rng):
@@ -478,7 +529,8 @@ def test_same_span_needs_more_than_equal_counts(heisenberg_frame):
     fields = list(sol.fields)
     assert same_span(fields, fields[::-1])
     bad = PolyVectorField((ring.var(1), ring.zero(), ring.zero()))  # x2 ~X1, graded degree 0
-    assert any(not r.is_zero() for r in conformal_system_residuals(bad.components, frame))
+    assert any(not r.is_zero()
+               for r in residual_polys(conformal_system_residuals(bad.components, frame), frame))
     i = sum(sol.block_dims[:frame.algebra.step])  # the first field of graded degree 0
     moved = PolyVectorField(tuple(a + b for a, b in zip(fields[i].components, bad.components)))
     realized = fields[:i] + [moved] + fields[i + 1:]

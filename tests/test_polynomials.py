@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from carnot.polynomials import PolyRing
+from carnot.polynomials import Poly, PolyRing
 
 RING = PolyRing(("x1", "x2", "y", "z"), (1, 1, 2, 3))
 
@@ -14,6 +15,59 @@ def test_basic_arithmetic():
     assert (p - p).is_zero()
     assert 2 * x1 == x1 + x1
     assert Fraction(1, 2) * (x1 + x1) == x1
+
+
+def naive_sum(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def naive_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(p + q for p, q in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def test_ring_operations_match_a_dict_reference():
+    # few exponents and coefficients, so that sums and products often cancel
+    rng = random.Random(20261018)
+    exps = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (2, 0, 0, 1)]
+    coeffs = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1), Fraction(2)]
+    scalars = [0, 1, -1, 3, Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3)]
+
+    def rand_poly():
+        return Poly(RING, {e: rng.choice(coeffs) for e in rng.sample(exps, rng.randint(0, 4))})
+
+    cancelled = 0
+    for _ in range(400):
+        a, b = rand_poly(), rand_poly()
+        if rng.random() < 0.25:  # b shares terms with -a
+            b = Poly(RING, {**b.terms, **{e: -c for e, c in a.terms.items()}})
+        ta, tb = dict(a.terms), dict(b.terms)
+        k = rng.choice(scalars)
+        results = [
+            (a + b, naive_sum(ta, tb)),
+            (a - b, naive_sum(ta, tb, -1)),
+            (a * b, naive_product(ta, tb)),
+            (a * k, naive_sum({}, ta, k)),
+            (k * a, naive_sum({}, ta, k)),
+            (a + k, naive_sum(ta, {exps[0]: k})),
+            (a - k, naive_sum(ta, {exps[0]: k}, -1)),
+            (k - a, naive_sum({exps[0]: k}, ta, -1)),
+            (-a, naive_sum({}, ta, -1)),
+        ]
+        for got, want in results:
+            assert got.terms == want
+            assert all(c != 0 for c in got.terms.values())
+        cancelled += len(naive_sum(ta, tb)) < len(set(ta) | set(tb))
+        # the operands are left as they were
+        assert (a.terms, b.terms) == (ta, tb)
+    assert cancelled == 107
 
 
 def test_weighted_degree():
