@@ -28,7 +28,8 @@ accumulated straight from ``g.rows`` and the frame's monomial-derivative
 table (:meth:`Frame.derivative_terms`), with no intermediate polynomial.
 The ansatz solver copies those terms into its matrix columns;
 :func:`contact_defect` and :func:`conformal_defect` split them into
-labelled polynomials.
+labelled polynomials, and :func:`conformal_defect` certifies contact from
+the same terms.
 """
 
 from __future__ import annotations
@@ -168,14 +169,16 @@ def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
 
 
 def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
-    """Residuals of M + M^t = (2/m) tr(M) I on the horizontal derivative matrix."""
-    if not contact_defect(V, frame).all_zero:
-        raise NotContact("conformality is only defined for contact fields")
-    names = frame.algebra.names
+    """Residuals of M + M^t = (2/m) tr(M) I on the horizontal derivative matrix.
+
+    The same kernel run certifies contact: no term is a contact equation."""
     m = frame.horizontal
     start = m * (len(frame) - m)
-    labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
     terms = _system_terms(V.components, frame)
+    if any(eq < start for eq, _ in terms):
+        raise NotContact("conformality is only defined for contact fields")
+    names = frame.algebra.names
+    labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
     return DefectReport(tuple(zip(labels, _split(terms, frame, start, start + len(labels)))))
 
 
@@ -213,9 +216,9 @@ class JetOnePart:
 class ContactJet:
     """Layered derivative data of a contact field at a point.
 
-    ``zero_part`` is a degree-zero map given by its values, the convention
-    of ``Level.actions``: entry j is the image of e_j in local coordinates
-    of e_j's layer, so ``g0.coordinates_of_values`` reads it directly.
+    ``zero_part`` is a degree-zero map given by its dense values, in the
+    coordinates of ``Level.actions``: entry j is the image of e_j in e_j's
+    layer, so ``g0.coordinates_of_values`` reads it directly.
     """
 
     point: tuple[Fraction, ...]
@@ -359,7 +362,7 @@ def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
     space = nullspace(SparseRows(rows, len(monos)))
     h_basis = []
     for v in space.basis:
-        h_basis.append(Poly(ring, {exp: c for exp, c in zip(monos, v) if c}))
+        h_basis.append(Poly(ring, {monos[col]: c for col, c in v.items()}))
     fields = tuple(reconstruct_from_h(frame, h) for h in h_basis)
     return HSystemSolution(space, tuple(h_basis), fields)
 
@@ -389,9 +392,9 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
     fields = []
     for v in space.basis:
         comps = [dict() for _ in range(g.dim)]
-        for (i, exp), c in zip(basis, v):
-            if c:
-                comps[i][exp] = c
+        for col, c in v.items():
+            i, exp = basis[col]
+            comps[i][exp] = c
         fields.append(PolyVectorField(tuple(Poly(ring, t) for t in comps)))
     return fields
 

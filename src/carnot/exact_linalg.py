@@ -8,8 +8,10 @@ together with the column count.  One kernel, :func:`rref`, eliminates:
 It scales each row to a primitive integer row, touches nonzero entries
 only, and reduces in a single Gauss–Jordan pass, shortest rows first.
 The reduced row-echelon form is unique per row space, so the order in
-which rows are taken changes the work, not the result; and subspaces
-stored in that form compare by a tuple comparison.  :class:`Matrix` is
+which rows are taken changes the work, not the result.  A
+:class:`Subspace` keeps the rows ``rref`` returns as its basis, in the
+same sparse format, so subspaces compare by a tuple comparison of
+rows and no basis is ever held densely.  :class:`Matrix` is
 the dense value type of graded automorphisms; it is not an input to
 elimination.  A degree-zero map is kept as its values, not as a matrix.
 """
@@ -32,10 +34,6 @@ class AmbientMismatch(ValueError):
 
 def vec_zero(n: int) -> list[Fraction]:
     return [ZERO] * n
-
-
-def vec_is_zero(a: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in a)
 
 
 class Matrix:
@@ -96,14 +94,6 @@ class SparseRows:
 def sparse_row(v: Sequence[Rational]) -> dict[int, Rational]:
     """The nonzero entries of a dense vector."""
     return {i: x for i, x in enumerate(v) if x}
-
-
-def dense_row(row: Mapping[int, Rational], n: int) -> list[Fraction]:
-    """The length-n vector with the entries of a sparse row."""
-    v = vec_zero(n)
-    for c, x in row.items():
-        v[c] = Fraction(x)
-    return v
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -209,24 +199,24 @@ def solve(m: SparseRows, rhs: Sequence[Rational]) -> list[Fraction] | None:
 class Subspace:
     """A linear subspace of Q^n held as a canonical reduced-echelon basis.
 
-    Each basis vector has a leading 1 in its own pivot position with zeros
-    above and below, so two Subspace objects span the same set iff their
-    bases are equal entrywise.
+    Each basis row is a sparse row ``{column: Fraction}`` with no zero
+    entry, as :func:`rref` returns it: a leading 1 in its own pivot
+    column, and no entry in any other row's pivot column.  So two
+    Subspace objects span the same set iff their bases are equal.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[Sequence[Fraction]], pivots: Sequence[int]):
+    def __init__(self, ambient_dim: int, basis: Sequence[dict[int, Fraction]], pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(row) for row in basis)
+        self.basis = tuple(basis)
         self.pivots = tuple(pivots)
 
     @classmethod
     def from_vectors(cls, rows: Iterable[Mapping[int, Rational]], ambient_dim: int) -> "Subspace":
         """The span of sparse rows ``{column: coefficient}`` in Q^ambient_dim."""
         ech, rank, pivots = rref(SparseRows(rows, ambient_dim))
-        basis = [dense_row(row, ambient_dim) for row in ech.entries[:rank]]
-        return cls(ambient_dim, basis, pivots)
+        return cls(ambient_dim, ech.entries[:rank], pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -240,20 +230,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates_of(self, v: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coefficients of ``v`` in the canonical basis, or None if outside."""
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch(f"vector length {len(v)} != ambient {self.ambient_dim}")
-        coords = [Fraction(v[p]) for p in self.pivots]
-        residue = list(v)
+    def coordinates_of(self, v: Mapping[int, Rational]) -> list[Fraction] | None:
+        """Coefficients of the sparse row ``v`` in the canonical basis, or
+        None if it lies outside."""
+        for c in v:
+            if not 0 <= c < self.ambient_dim:
+                raise AmbientMismatch(f"column {c} outside ambient {self.ambient_dim}")
+        coords = [Fraction(v.get(p, 0)) for p in self.pivots]
+        residue = dict(v)
         for c, row in zip(coords, self.basis):
             if c:
-                for i, y in enumerate(row):
-                    if y:
-                        residue[i] -= c * y
-        return coords if vec_is_zero(residue) else None
+                for i, y in row.items():
+                    residue[i] = residue.get(i, 0) - c * y
+        return None if any(residue.values()) else coords
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
+    def contains(self, v: Mapping[int, Rational]) -> bool:
         return self.coordinates_of(v) is not None
 
     def __eq__(self, other) -> bool:
@@ -289,4 +280,4 @@ def span_equal(a: Subspace, b: Subspace) -> bool:
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient {a.ambient_dim} != {b.ambient_dim}")
-    return Subspace.from_vectors([sparse_row(v) for v in a.basis + b.basis], a.ambient_dim)
+    return Subspace.from_vectors(a.basis + b.basis, a.ambient_dim)

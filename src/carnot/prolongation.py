@@ -6,8 +6,9 @@ space of degree j+k (a negative layer when k = 0, a previously computed
 level when k >= 1), subject to the Leibniz law u[S,T] = [u(S),T] - [u(T),S]
 on all negative pairs.  Each level is the exact nullspace of that linear
 system, built by :func:`prolong_step` for every degree.  Level 0 is the
-algebra of strata-preserving derivations; intersecting it with a linear
-condition on the first-layer block (conformal by default) gives g0.  Once
+algebra of strata-preserving derivations; adding a linear condition on
+the first-layer block (conformal by default) to its system gives g0.  A
+level keeps its action on g_- in the sparse rows of its basis.  Once
 a level is zero, generation by layer -1 forces all later levels to vanish,
 and the finite algebra s = g + g_0 + ... is assembled with a full bracket
 table.
@@ -23,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .exact_linalg import SparseRows, Subspace, nullspace, vec_zero
+from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
 
@@ -48,7 +49,9 @@ class Level:
 
     ``columns[j][t]`` is the coordinate of ``subspace`` that holds
     component t of u(e_j), the value of u on negative basis element j in
-    local coordinates of the degree weight(j)+k space.
+    local coordinates of the degree weight(j)+k space.  ``actions[b][j]``
+    is that value for the b-th basis element, as its nonzero components
+    ``{t: c}``, read once from the sparse basis rows.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, k: int, subspace: Subspace,
@@ -57,38 +60,40 @@ class Level:
         self.k = k
         self.subspace = subspace
         self.columns = tuple(tuple(cols) for cols in columns)
-        self.actions = tuple(tuple(tuple(v[c] for c in cols) for cols in self.columns)
-                             for v in subspace.basis)
+        self.actions = tuple(tuple({t: row[c] for t, c in enumerate(cols) if c in row}
+                                   for cols in self.columns) for row in subspace.basis)
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
     def action(self, b: int, j: int) -> tuple[Fraction, ...]:
-        """Value of the b-th basis element on negative basis element j (local coords)."""
-        return self.actions[b][j]
+        """Value of the b-th basis element on negative basis element j, as
+        the dense tuple of its local coordinates."""
+        value = self.actions[b][j]
+        return tuple(value.get(t, ZERO) for t in range(len(self.columns[j])))
 
     def coordinates_of_values(self, values: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-        """Coordinates in this level's basis of a map given by its values on g_-."""
-        v = vec_zero(self.subspace.ambient_dim)
-        for cols, value in zip(self.columns, values):
-            for c, x in zip(cols, value):
-                v[c] = x
-        return self.subspace.coordinates_of(v)
+        """Coordinates in this level's basis of a map given by its dense
+        values on g_-."""
+        return self.subspace.coordinates_of(
+            {c: x for cols, value in zip(self.columns, values) for c, x in zip(cols, value)})
 
     def __repr__(self) -> str:
         return f"Level(k={self.k}, dim={self.dim})"
 
 
 def degree_zero_matrix(g: GradedLieAlgebra,
-                       values: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+                       values: Sequence[dict[int, Fraction]]) -> list[list[Fraction]]:
     """Full n x n rows of the layer-preserving map sending e_j to
-    ``values[j]`` (local coordinates of e_j's layer, the convention of
-    :attr:`Level.actions`): entry (r, c) is component r of the image of e_c."""
+    ``values[j]``, the nonzero components ``{t: c}`` in local coordinates
+    of e_j's layer (the convention of :attr:`Level.actions`): entry (r, c)
+    is component r of the image of e_c."""
     rows = [vec_zero(g.dim) for _ in range(g.dim)]
     for c, value in enumerate(values):
-        for r, x in zip(g.layer_indices(-g.weights[c]), value):
-            rows[r][c] = x
+        layer = g.layer_indices(-g.weights[c])
+        for t, x in value.items():
+            rows[layer[t]][c] = x
     return rows
 
 
@@ -149,28 +154,24 @@ def _space_dim(g: GradedLieAlgebra, levels: Sequence[Level], d: int) -> int:
 
 
 def _unit_brackets(g: GradedLieAlgebra, levels: Sequence[Level], d: int,
-                   j: int) -> list[list[tuple[int, Fraction]]]:
+                   j: int) -> list[Iterable[tuple[int, Fraction]]]:
     """Nonzero terms ``(t, c)`` of [x_i, e_j] for each basis element x_i of
     the degree-d space, in local coordinates of degree d + weight(j)."""
     if d >= 0:
-        return [[(t, c) for t, c in enumerate(levels[d].action(i, j)) if c]
-                for i in range(levels[d].dim)]
+        return [per[j].items() for per in levels[d].actions]
     position = {gi: t for t, gi in enumerate(g.layer_indices(-d - g.weights[j]))}
     return [[(position[k], c) for k, c in g.rows[gi][j]] for gi in g.layer_indices(-d)]
 
 
-def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> Level:
-    """Exact solution space of the degree-k Leibniz system, for any k >= 0.
+def _leibniz_system(g: GradedLieAlgebra, prior_levels: Sequence[Level],
+                    k: int) -> tuple[list[dict[int, Fraction]], list[list[int]], int]:
+    """The rows of the degree-k Leibniz system, the column of each unknown
+    (``columns[j][t]``, as in :class:`Level`) and the column count.
 
-    ``prior_levels`` must be the computed levels g_0 .. g_{k-1} (none for
-    k = 0).  The unknowns are the values of u on every negative basis
-    element; every unordered pair of negative basis elements contributes
-    one vector equation in the degree weight(S)+weight(T)+k space.
+    The unknowns are the values of u on every negative basis element;
+    every unordered pair of negative basis elements contributes one vector
+    equation in the degree weight(S)+weight(T)+k space.
     """
-    if k < 0:
-        raise ValueError("prolongation degree must be >= 0")
-    if len(prior_levels) != k or any(lvl.k != i for i, lvl in enumerate(prior_levels)):
-        raise PriorLevelsMissing(f"g_{k} needs exactly the {k} levels below it")
     sizes = [_space_dim(g, prior_levels, g.weights[j] + k) for j in range(g.dim)]
     cells = [(j, t) for j in range(g.dim) for t in range(sizes[j])]
     if k == 0:
@@ -200,7 +201,21 @@ def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> 
                     for t, val in terms:
                         block[t][col] = sign * val
             rows.extend(block)
-    return Level(g, k, nullspace(SparseRows(rows, len(cells))), columns)
+    return rows, columns, len(cells)
+
+
+def prolong_step(g: GradedLieAlgebra, prior_levels: Sequence[Level], k: int) -> Level:
+    """Exact solution space of the degree-k Leibniz system, for any k >= 0.
+
+    ``prior_levels`` must be the computed levels g_0 .. g_{k-1} (none for
+    k = 0).
+    """
+    if k < 0:
+        raise ValueError("prolongation degree must be >= 0")
+    if len(prior_levels) != k or any(lvl.k != i for i, lvl in enumerate(prior_levels)):
+        raise PriorLevelsMissing(f"g_{k} needs exactly the {k} levels below it")
+    rows, columns, ncols = _leibniz_system(g, prior_levels, k)
+    return Level(g, k, nullspace(SparseRows(rows, ncols)), columns)
 
 
 def strata_derivations(g: GradedLieAlgebra) -> Level:
@@ -209,7 +224,8 @@ def strata_derivations(g: GradedLieAlgebra) -> Level:
 
 
 def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
-    """Intersect the derivation level with a first-layer-block constraint."""
+    """The derivations whose first-layer block meets ``constraint``: the
+    kernel of the degree-zero Leibniz system with the condition rows added."""
     if constraint.kind == "full_derivations":
         return ders
     g = ders.algebra
@@ -217,29 +233,11 @@ def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
     cond_rows = constraint.first_layer_rows(len(first))
     if not cond_rows or ders.dim == 0:
         return ders
+    rows, columns, ncols = _leibniz_system(g, [], 0)
     # block entry (r, c) is component r of the value on the c-th generator
-    rows = []
-    for cond in cond_rows:
-        row: dict[int, Fraction] = {}
-        for b, per in enumerate(ders.actions):
-            for (r, c), coeff in cond.items():
-                if per[first[c]][r]:
-                    row[b] = row.get(b, 0) + coeff * per[first[c]][r]
-        rows.append(row)
-    coeffs = nullspace(SparseRows(rows, ders.dim))
-    # both bases are reduced echelon, so their product is the canonical
-    # echelon basis of the intersection, with the composed pivots
-    terms = [[(i, y) for i, y in enumerate(bvec) if y] for bvec in ders.subspace.basis]
-    vectors = []
-    for combo in coeffs.basis:
-        v = vec_zero(ders.subspace.ambient_dim)
-        for x, row in zip(combo, terms):
-            if x:
-                for i, y in row:
-                    v[i] += x * y
-        vectors.append(v)
-    pivots = [ders.subspace.pivots[q] for q in coeffs.pivots]
-    return Level(g, 0, Subspace(ders.subspace.ambient_dim, vectors, pivots), ders.columns)
+    rows += [{columns[first[c]][r]: coeff for (r, c), coeff in cond.items()}
+             for cond in cond_rows]
+    return Level(g, 0, nullspace(SparseRows(rows, ncols)), columns)
 
 
 @dataclass(frozen=True)
@@ -303,16 +301,19 @@ class ProlongationAlgebra:
     def index_of_name(self, label: str) -> int:
         return self.labels.index(label)
 
-    def _embed_value(self, local: Sequence[Fraction], d: int) -> list[Fraction]:
-        """Local coordinates of the degree-d space into an s-vector."""
+    def _embed_value(self, local: dict[int, Fraction], d: int) -> list[Fraction]:
+        """Nonzero local coordinates ``{t: c}`` of the degree-d space as a
+        dense s-vector."""
         out = vec_zero(self.dim)
-        for i, c in zip(self._block.get(d, ()), local):
+        for i, c in self._sparse_value(local, d):
             out[i] = c
         return out
 
-    def _sparse_value(self, local: Sequence[Fraction], d: int) -> tuple:
-        """Local coordinates of the degree-d space as a sparse s-row."""
-        return tuple((i, c) for i, c in zip(self._block.get(d, ()), local) if c)
+    def _sparse_value(self, local: dict[int, Fraction], d: int) -> tuple:
+        """Nonzero local coordinates ``{t: c}`` of the degree-d space as a
+        sparse s-row."""
+        block = self._block.get(d, ())
+        return tuple((block[t], c) for t, c in local.items())
 
     def top_level(self) -> int:
         return len(self.levels) - 1
@@ -342,7 +343,7 @@ class ProlongationAlgebra:
             _, k, p = self.sbasis[a]
             for b in negs:
                 j = self.sbasis[b][1]
-                value = self._sparse_value(self.levels[k].action(p, j), g.weights[j] + k)
+                value = self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k)
                 put(a, b, tuple((i, _exact(c)) for i, c in value))
         # per level, the s-index of each basis element keyed by its pivot
         # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
@@ -442,7 +443,7 @@ class ProlongationAlgebra:
                 if bkey[0] != "neg":
                     continue
                 j = bkey[1]
-                expect = self._embed_value(self.levels[k].action(p, j), g.weights[j] + k)
+                expect = self._embed_value(self.levels[k].actions[p][j], g.weights[j] + k)
                 if self.bracket_vec(self._unit(a), self._unit(b)) != expect:
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
         violation = table_violation(self.bracket_table, self.weights)

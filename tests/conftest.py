@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from carnot.exact_linalg import sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.polynomials import Poly
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
@@ -43,14 +44,18 @@ BUNDLED = ("engel", "heisenberg", "r1", "r2_co2", "r3_co3")
 GENERATED = ("heis_x_r", "free_3_2", "cartan_235", "two_centre")
 
 
+def spec_file(name):
+    """Path of a bundled spec, or of a spec stored in tests/golden."""
+    from carnot import bundled_spec
+    return bundled_spec(name + ".alg") if name in BUNDLED else str(GOLDEN / f"{name}.alg")
+
+
 def named_algebra_frame(name):
     """Algebra and left-invariant frame of a bundled or stored spec, or of
     ``h<n>`` / ``r<n>`` (H_n, R^n in one exponential factor)."""
-    from carnot import bundled_spec
     from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
     if name in BUNDLED or name in GENERATED:
-        path = bundled_spec(name + ".alg") if name in BUNDLED else str(GOLDEN / f"{name}.alg")
-        spec = parse_spec_file(path)
+        spec = parse_spec_file(spec_file(name))
         g = spec_algebra(spec)
         recipe = spec_recipe(spec, g)
     else:
@@ -67,6 +72,12 @@ def conformal_g0(g):
 def zero_matrices(level):
     """The basis of a level-0 space as full n x n rows."""
     return [degree_zero_matrix(level.algebra, values) for values in level.actions]
+
+
+def dense_values_matrix(g, values):
+    """Full n x n rows of a degree-zero map given by dense values, such as
+    a jet's zero part."""
+    return degree_zero_matrix(g, [sparse_row(value) for value in values])
 
 
 def values_of(g, rows):

@@ -155,7 +155,7 @@ def test_criterion_10_jacobi_suite(engel_prolongation):
             if bkey[0] != "neg":
                 continue
             j = bkey[1]
-            expected = algebra._embed_value(algebra.levels[k].action(p, j), g.weights[j] + k)
+            expected = algebra._embed_value(algebra.levels[k].actions[p][j], g.weights[j] + k)
             if dense_bracket(algebra, a, b) != expected:
                 ok = False
     report(10, ok, "Jacobi exact on all 10 triples and [u,X] = u(X) on all mixed pairs")

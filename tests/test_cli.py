@@ -155,15 +155,15 @@ def test_one_frame_per_command(monkeypatch, command):
 
 
 def test_verify_certifies_each_field_as_contact_twice(monkeypatch):
-    # once in conformal_defect, and once in jet for all of the field's points
-    import carnot.cli as cli
+    # the residual kernel runs once in conformal_defect, which certifies
+    # contact from that run, and once in jet for all of the field's points
     import carnot.contact_pde as contact_pde
     calls = []
-    for module in (cli, contact_pde):
-        def counting(*args, _original=module.contact_defect):
-            calls.append(args)
-            return _original(*args)
-        monkeypatch.setattr(module, "contact_defect", counting)
+
+    def counting(*args, _original=contact_pde._system_terms):
+        calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(contact_pde, "_system_terms", counting)
     code, out = run_cli(["verify", spec_path("engel.alg")])
     assert code == 0
     assert len(calls) == 2 * int(as_dict(out)["fields"]) == 10
@@ -338,6 +338,9 @@ def test_outputs_are_byte_identical(argv):
     # saved as --format struct (.json)
     ("prolong", "free_3_2"),
     ("prolong", "cartan_235"),
+    # full-derivation towers, cut by the max_k of their stored specs
+    ("prolong", "h1_der"),
+    ("prolong", "r3_gl"),
 ])
 def test_report_matches_saved_copy(command, name):
     # the saved copies pin basis order and signs, which two runs of the

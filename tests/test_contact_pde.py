@@ -6,15 +6,15 @@ import pytest
 from carnot.exact_linalg import Matrix
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import degree_zero_matrix, full_prolongation, strata_derivations
+from carnot.prolongation import full_prolongation, strata_derivations
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 same_span, solve_h_system, solve_polynomial_conformal,
                                 vf_bracket)
 from carnot.polynomials import Poly
-from .conftest import (apply_rows, conformal_g0, make_abelian, named_algebra_frame, rand_point,
-                       residual_polys, values_of)
+from .conftest import (apply_rows, conformal_g0, dense_values_matrix, make_abelian,
+                       named_algebra_frame, rand_point, residual_polys, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -230,7 +230,7 @@ def test_jet_of_weight_map_field(engel, engel_frame, engel_tau, rng):
     d_field = engel_tau[4]
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
     for jt in jet(d_field, engel_frame, [rand_point(rng, 4) for _ in range(3)]):
-        assert degree_zero_matrix(engel, jt.zero_part) == expected
+        assert dense_values_matrix(engel, jt.zero_part) == expected
         assert jt.one_part.is_zero()
 
 
@@ -305,7 +305,7 @@ def block_values(g, blocks):
 
 def full_values(g, m):
     """The values of an n x n matrix that preserves the layers."""
-    assert degree_zero_matrix(g, values_of(g, m.entries)) == m.entries
+    assert dense_values_matrix(g, values_of(g, m.entries)) == m.entries
     return values_of(g, m.entries)
 
 
@@ -358,7 +358,7 @@ def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
 
 def dense_jet_jacobi_check(j, g):
     """The dense form of the derivation law, kept as the reference."""
-    d = degree_zero_matrix(g, j.zero_part)
+    d = dense_values_matrix(g, j.zero_part)
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
             lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d]
@@ -373,7 +373,8 @@ def dense_jet_jacobi_check(j, g):
 def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
     g, _ = named_algebra_frame(name)
     ders = strata_derivations(g)
-    basis = conformal_g0(g).actions
+    g0 = conformal_g0(g)
+    basis = [tuple(g0.action(b, j) for j in range(g.dim)) for b in range(g0.dim)]
     for values in basis:
         jt = ContactJet((), values, None)
         assert jet_jacobi_check(jt, ders) and dense_jet_jacobi_check(jt, g)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import sympy
 
-from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, dense_row,
-                                 nullspace, rref, solve, sparse_row, span_equal, span_sum)
+from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, nullspace, rref,
+                                 solve, sparse_row, span_equal, span_sum)
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -16,6 +16,11 @@ fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 def sparse(rows, cols):
     """A system given by dense rows."""
     return SparseRows([sparse_row(r) for r in rows], cols)
+
+
+def dense_row(row, n):
+    """The length-n vector with the entries of a sparse row."""
+    return [Fraction(row.get(c, 0)) for c in range(n)]
 
 
 def dense(m):
@@ -83,7 +88,7 @@ def test_rank_nullity(m):
 def test_nullspace_vectors_are_in_kernel(m):
     ns = nullspace(m)
     for v in ns.basis:
-        assert all(x == 0 for x in mul_vec(m, list(v)))
+        assert all(x == 0 for x in mul_vec(m, dense_row(v, m.cols)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,8 +113,8 @@ def test_nullspace_zero_matrix_is_full():
 def test_nullspace_single_constraint():
     ns = nullspace(sparse([[1, 1, 0]], 3))
     assert ns.dim == 2
-    assert ns.contains([1, -1, 0])
-    assert ns.contains([0, 0, 1])
+    assert ns.contains({0: 1, 1: -1})
+    assert ns.contains({2: 1})
 
 
 def test_span_equal_scaling_invariance():
@@ -136,9 +141,17 @@ def test_span_equal_ambient_mismatch():
 
 def test_coordinates_of_reconstructs():
     s = Subspace.from_vectors([{0: 1, 2: 2}, {1: 1, 2: -1}], 3)
-    coords = s.coordinates_of([3, 4, 2])
+    coords = s.coordinates_of({0: 3, 1: 4, 2: 2})
     assert coords == [Fraction(3), Fraction(4)]
-    assert s.coordinates_of([0, 0, 1]) is None
+    assert s.coordinates_of({2: 1}) is None
+
+
+def test_coordinates_of_checks_the_columns():
+    s = Subspace.from_vectors([{0: 1, 2: 2}], 3)
+    assert s.coordinates_of({0: Fraction(1, 2), 2: 1}) == [Fraction(1, 2)]
+    for bad in ({3: 1}, {0: 1, -1: 1}):
+        with pytest.raises(AmbientMismatch):
+            s.coordinates_of(bad)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -161,7 +174,7 @@ def test_span_sum_containment():
     b = Subspace.from_vectors([{0: 1, 1: 1}], 3)
     total = span_sum(a, b)
     assert total.dim == 2
-    assert total.contains([0, 1, 0])
+    assert total.contains({1: 1})
 
 
 # -- independent reference: sympy's rref and nullspace ---------------------
@@ -221,7 +234,7 @@ def assert_nullspace_matches_sympy(m):
     assert ns.dim == len(kernel)
     if kernel:
         ref, ref_pivots = sympy.Matrix.hstack(*kernel).T.rref()
-        assert [list(v) for v in ns.basis] == from_sympy(ref)
+        assert [dense_row(v, m.cols) for v in ns.basis] == from_sympy(ref)
         assert list(ns.pivots) == list(ref_pivots)
 
 

@@ -14,8 +14,8 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInv
                                       left_invariant_frame, left_translation, realize_tau,
                                       similarity_check, pushforward_in_frame)
 from carnot.polynomials import Poly
-from .conftest import (BUNDLED, GENERATED, GOLDEN, apply_rows, conformal_g0, dense_bracket,
-                       make_abelian, named_algebra_frame, permuted, rand_point)
+from .conftest import (BUNDLED, GENERATED, apply_rows, conformal_g0, dense_bracket, make_abelian,
+                       named_algebra_frame, permuted, rand_point, spec_file)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -269,9 +269,7 @@ def test_degree_zero_fields_are_the_automorphism_flows(name):
     # on the level-0 truncation g_- + g_0, a Lie algebra for every spec,
     # whether or not its tower terminates
     from carnot.cli import parse_spec_file, spec_constraint
-    from carnot import bundled_spec
-    path = bundled_spec(name + ".alg") if name in BUNDLED else str(GOLDEN / f"{name}.alg")
-    spec = parse_spec_file(path)
+    spec = parse_spec_file(spec_file(name))
     g, frame = named_algebra_frame(name)
     g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
     s = ProlongationAlgebra(g, [g0])

@@ -12,8 +12,8 @@ from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (conformal_g0, dense_bracket, make_abelian, make_engel, make_heisenberg,
-                       make_heisenberg_n, permuted)
+from .conftest import (BUNDLED, GENERATED, conformal_g0, dense_bracket, make_abelian, make_engel,
+                       make_heisenberg, make_heisenberg_n, permuted, spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -182,7 +182,7 @@ def test_action_consistency_mixed_pairs(engel):
             if bkey[0] != "neg":
                 continue
             j = bkey[1]
-            expected = s._embed_value(s.levels[k].action(p, j), g.weights[j] + k)
+            expected = s._embed_value(s.levels[k].actions[p][j], g.weights[j] + k)
             assert dense_bracket(s, a, b) == expected
             assert dense_bracket(s, b, a) == [-x for x in expected]
 
@@ -216,6 +216,28 @@ def test_determinism_of_levels():
         assert l1.subspace == l2.subspace
         assert l1.actions == l2.actions
     assert s1.bracket_table == s2.bracket_table
+
+
+@pytest.mark.parametrize("name", BUNDLED + GENERATED + ("h1_der", "r3_gl"))
+def test_levels_keep_sparse_rows_without_zeros(name):
+    # elimination's rows are kept as they are, from the basis of each
+    # subspace to each level's action on g_-
+    from carnot.cli import parse_spec_file, spec_algebra, spec_constraint
+    from carnot.exact_linalg import span_sum
+    spec = parse_spec_file(spec_file(name))
+    g = spec_algebra(spec)
+    ders = strata_derivations(g)
+    g0 = constrain_g0(ders, spec_constraint(spec))
+    s, _ = full_prolongation(g, g0, max_k=spec.max_k)
+    levels = [ders] + s.levels
+    spaces = [lvl.subspace for lvl in levels] + [span_sum(ders.subspace, g0.subspace)]
+    for space in spaces:
+        assert all(x != 0 for row in space.basis for x in row.values())
+    for lvl in levels:
+        for b, per in enumerate(lvl.actions):
+            assert all(x != 0 for value in per for x in value.values())
+            coords = lvl.coordinates_of_values([lvl.action(b, j) for j in range(g.dim)])
+            assert coords == [int(i == b) for i in range(lvl.dim)]
 
 
 def test_closed_g0_required_for_assembly():
@@ -434,6 +456,10 @@ def _dense_reference_table(s):
         table[a][b] = row
         table[b][a] = tuple((k, -c) for k, c in row)
 
+    def sparse_value(local, d):
+        # dense local coordinates of the degree-d space as a sparse s-row
+        return tuple((i, c) for i, c in zip(s._block.get(d, ()), local) if c)
+
     negs = [i for i, key in enumerate(s.sbasis) if key[0] == "neg"]
     levs = [i for i, key in enumerate(s.sbasis) if key[0] == "lev"]
     for a in negs:
@@ -444,7 +470,7 @@ def _dense_reference_table(s):
         _, k, p = s.sbasis[a]
         for b in negs:
             j = s.sbasis[b][1]
-            put(a, b, s._sparse_value(s.levels[k].action(p, j), g.weights[j] + k))
+            put(a, b, sparse_value(s.levels[k].action(p, j), g.weights[j] + k))
 
     def act(a, local, d, out, sign):
         # add sign * [e_a, value] to out, the value given in the degree-d space
@@ -473,7 +499,7 @@ def _dense_reference_table(s):
         if ka + kb <= s.top_level():
             coords = s.levels[ka + kb].coordinates_of_values(values)
             assert coords is not None
-            put(a, b, s._sparse_value(coords, ka + kb))
+            put(a, b, sparse_value(coords, ka + kb))
         else:
             assert not any(x for value in values for x in value)
             put(a, b, ())
