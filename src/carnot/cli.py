@@ -519,8 +519,13 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
         agree = solution.dim == rep.total_dim
         report.add("dims_agree", agree)
         if not agree:
-            report.add("warning", "cutoff too small: ansatz dimension is below the "
-                                  "prolongation total; raise --degree")
+            if solution.dim < rep.total_dim:
+                report.add("warning", "cutoff too small: ansatz dimension is below the "
+                                      "prolongation total; raise --degree")
+            else:
+                report.add("warning", "ansatz dimension is above the prolongation total; "
+                                      "the oracle counts conformal fields, so it cannot "
+                                      "agree with a g0 that is not conformal")
             exit_code = 1
         try:
             fields = realize_tau(algebra, frame)

@@ -218,14 +218,6 @@ class Subspace:
         ech, rank, pivots = rref(SparseRows(rows, ambient_dim))
         return cls(ambient_dim, ech.entries[:rank], pivots)
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, [], [])
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors([{i: ONE} for i in range(ambient_dim)], ambient_dim)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -243,9 +235,6 @@ class Subspace:
                 for i, y in row.items():
                     residue[i] = residue.get(i, 0) - c * y
         return None if any(residue.values()) else coords
-
-    def contains(self, v: Mapping[int, Rational]) -> bool:
-        return self.coordinates_of(v) is not None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -275,9 +264,3 @@ def span_equal(a: Subspace, b: Subspace) -> bool:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch(f"ambient {a.ambient_dim} != {b.ambient_dim}")
     return a.basis == b.basis
-
-
-def span_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch(f"ambient {a.ambient_dim} != {b.ambient_dim}")
-    return Subspace.from_vectors(a.basis + b.basis, a.ambient_dim)

@@ -219,13 +219,15 @@ def _unit_lower_solve(below: Sequence[Sequence[tuple[int, Poly]]],
 class Frame:
     """The left-invariant frame of a recipe, as coordinate vector fields.
 
-    ``matrix[c][j]`` is the d/dx_c coefficient of the frame field of basis
-    element j; it is unit lower triangular in declaration order, which
-    makes conversion between coordinate and frame components a
-    forward substitution.  :meth:`derivative_terms` reads ``X_j(x^a)`` from
-    a table of monomials that the frame fills the first time each
-    ``(j, a)`` is asked for; :meth:`apply` and the contact residuals read
-    the table through it.
+    ``columns[j][c]`` is the d/dx_c coefficient of the frame field of
+    basis element j.  The frame matrix (entry (c, j) is ``columns[j][c]``)
+    is unit lower triangular in declaration order, so conversion between
+    coordinate and frame components is a forward product or a forward
+    substitution over its entries below the diagonal.
+    :meth:`derivative_terms` reads ``X_j(x^a)`` from a table of monomials
+    that the frame fills the first time each ``(j, a)`` is asked for;
+    :meth:`apply`, the pushforward and the contact residuals read the
+    table through it.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, recipe: CoordinateRecipe,
@@ -234,8 +236,6 @@ class Frame:
         self.recipe = recipe
         self.ring = ring
         self.columns = tuple(tuple(col) for col in columns)
-        n = algebra.dim
-        self.matrix = tuple(tuple(self.columns[j][c] for j in range(n)) for c in range(n))
         self.horizontal = len(algebra.layer_indices(1))
         # the contact and conformal residuals read the horizontal frame
         # fields as the first ``horizontal`` basis elements
@@ -243,15 +243,14 @@ class Frame:
             raise ValueError("a frame needs layer -1 first in the basis")
         self._monomial_derivatives: dict[tuple[int, tuple[int, ...]], tuple] = {}
         one = ring.one()
-        for c in range(n):
-            for j in range(n):
-                expected = one if c == j else None
-                if j > c and not self.matrix[c][j].is_zero():
-                    raise AssertionError("frame matrix is not lower triangular")
-                if expected is not None and self.matrix[c][j] != expected:
-                    raise AssertionError("frame matrix diagonal is not 1")
-        self._below = tuple(tuple((j, self.matrix[c][j]) for j in range(c)
-                                  if not self.matrix[c][j].is_zero()) for c in range(n))
+        for j, col in enumerate(self.columns):
+            if any(not x.is_zero() for x in col[:j]):
+                raise AssertionError("frame matrix is not lower triangular")
+            if col[j] != one:
+                raise AssertionError("frame matrix diagonal is not 1")
+        n = algebra.dim
+        self._below = tuple(tuple((j, self.columns[j][c]) for j in range(c)
+                                  if not self.columns[j][c].is_zero()) for c in range(n))
 
     def __len__(self) -> int:
         return self.algebra.dim
@@ -277,14 +276,13 @@ class Frame:
         return _unit_lower_solve(self._below, [_as_poly(self.ring, c) for c in coord_components])
 
     def to_coords(self, frame_components: Sequence[Poly]) -> list[Poly]:
-        n = len(self)
+        """Coordinate components of a field given in frame components (the
+        forward product that :meth:`to_frame` inverts)."""
+        a = [_as_poly(self.ring, x) for x in frame_components]
         out = []
-        for c in range(n):
-            acc = self.ring.zero()
-            for j in range(n):
-                fc = _as_poly(self.ring, frame_components[j])
-                if not self.matrix[c][j].is_zero() and not fc.is_zero():
-                    acc = acc + self.matrix[c][j] * fc
+        for c, acc in enumerate(a):
+            for j, x in self._below[c]:
+                acc = acc + x * a[j]
             out.append(acc)
         return out
 
@@ -524,32 +522,20 @@ def _jacobian_singular(jac: list[list[Poly]], ring: PolyRing) -> bool:
 
 
 def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
-    """Matrix P with P[j][i] = frame-j component of the pushforward of frame-i.
+    """One column per horizontal frame field: ``cols[i][j]`` is the frame-j
+    component of the pushforward of X_i, a polynomial in the source point.
 
-    Components are polynomials in the source point; the frame at the
-    image point is obtained by composing the frame matrix with the map.
+    In coordinates the pushforward of X_i has components X_i(phi_c), read
+    from the frame's derivative table; its frame components at the image
+    point solve the frame matrix composed with the map.
     """
-    ring = frame.ring
-    n = len(frame)
-    jac = pmap.jacobian()
-    if _jacobian_singular(jac, ring):
+    if _jacobian_singular(pmap.jacobian(), frame.ring):
         raise NotInvertible("map has identically singular Jacobian")
     # the frame matrix at the image point, below the diagonal: all the solve reads
     subs_vals = list(pmap.components)
     below = [[(j, x.subs(subs_vals)) for j, x in row] for row in frame._below]
-    result: list[list[Poly]] = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        push = []
-        for c in range(n):
-            acc = ring.zero()
-            for d in range(n):
-                if not jac[c][d].is_zero() and not frame.matrix[d][i].is_zero():
-                    acc = acc + jac[c][d] * frame.matrix[d][i]
-            push.append(acc)
-        a = _unit_lower_solve(below, push)
-        for j in range(n):
-            result[j][i] = a[j]
-    return result
+    return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap.components])
+            for i in range(frame.horizontal)]
 
 
 def similarity_check(pmap: PolyMap, frame: Frame) -> SimilarityResult:
@@ -559,14 +545,10 @@ def similarity_check(pmap: PolyMap, frame: Frame) -> SimilarityResult:
     polynomial identity; ``scale`` is the conformal factor k on success.
     """
     m = frame.horizontal
-    p = pushforward_in_frame(pmap, frame)
-    n = len(frame)
-    for i in range(m):
-        for j in range(m, n):
-            if not p[j][i].is_zero():
-                return SimilarityResult(False, None)
-    a = [[p[r][i] for i in range(m)] for r in range(m)]
-    gram = [[sum((a[r][i] * a[s][i] for i in range(m)), frame.ring.zero())
+    cols = pushforward_in_frame(pmap, frame)
+    if any(not x.is_zero() for col in cols for x in col[m:]):
+        return SimilarityResult(False, None)
+    gram = [[sum((cols[i][r] * cols[i][s] for i in range(m)), frame.ring.zero())
              for s in range(m)] for r in range(m)]
     for r in range(m):
         for s in range(m):

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, vec_zero
+from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
 
@@ -301,14 +301,6 @@ class ProlongationAlgebra:
     def index_of_name(self, label: str) -> int:
         return self.labels.index(label)
 
-    def _embed_value(self, local: dict[int, Fraction], d: int) -> list[Fraction]:
-        """Nonzero local coordinates ``{t: c}`` of the degree-d space as a
-        dense s-vector."""
-        out = vec_zero(self.dim)
-        for i, c in self._sparse_value(local, d):
-            out[i] = c
-        return out
-
     def _sparse_value(self, local: dict[int, Fraction], d: int) -> tuple:
         """Nonzero local coordinates ``{t: c}`` of the degree-d space as a
         sparse s-row."""
@@ -416,19 +408,18 @@ class ProlongationAlgebra:
 
     # -- algebra operations -------------------------------------------
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        """Bracket of two dense s-vectors, summed over the sparse table rows."""
-        out = vec_zero(self.dim)
-        for a, ua in enumerate(u):
-            if not ua:
-                continue
+    def bracket_vec(self, u: Mapping[int, Fraction],
+                    v: Mapping[int, Fraction]) -> dict[int, Fraction]:
+        """Bracket of two sparse s-rows ``{index: coefficient}``, summed
+        over the sparse table rows; the result stores no zero coefficient."""
+        out: dict[int, Fraction] = {}
+        for a, ua in u.items():
             row = self.bracket_table[a]
-            for b, vb in enumerate(v):
-                if vb:
-                    coeff = ua * vb
-                    for k, c in row[b]:
-                        out[k] += coeff * c
-        return out
+            for b, vb in v.items():
+                coeff = ua * vb
+                for k, c in row[b]:
+                    out[k] = out.get(k, 0) + coeff * c
+        return {k: c for k, c in out.items() if c}
 
     def verify(self) -> None:
         """Check [u,X] = u(X) via :meth:`bracket_vec`, then :func:`table_violation`."""
@@ -443,8 +434,8 @@ class ProlongationAlgebra:
                 if bkey[0] != "neg":
                     continue
                 j = bkey[1]
-                expect = self._embed_value(self.levels[k].actions[p][j], g.weights[j] + k)
-                if self.bracket_vec(self._unit(a), self._unit(b)) != expect:
+                value = self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k)
+                if self.bracket_vec({a: ONE}, {b: ONE}) != dict(value):
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
         violation = table_violation(self.bracket_table, self.weights)
         if violation is None:
@@ -454,11 +445,6 @@ class ProlongationAlgebra:
             raise JacobiAssemblyFailure(
                 f"Jacobi fails on ({self.labels[a]},{self.labels[b]},{self.labels[c]})")
         raise JacobiAssemblyFailure(f"{kind} fails at ({a},{b})")
-
-    def _unit(self, a: int) -> list[Fraction]:
-        v = vec_zero(self.dim)
-        v[a] = Fraction(1)
-        return v
 
     def __repr__(self) -> str:
         lev = ",".join(str(lvl.dim) for lvl in self.levels)

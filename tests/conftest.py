@@ -107,6 +107,28 @@ def dense_bracket(s, a, b):
     return out
 
 
+def dense_action(s, a, b):
+    """The dense s-vector of u(e_j), for the level element u = e_a and the
+    negative element e_j = e_b of a prolongation algebra, read from the
+    level's action."""
+    _, k, p = s.sbasis[a]
+    j = s.sbasis[b][1]
+    out = [Fraction(0)] * s.dim
+    for i, c in s._sparse_value(s.levels[k].actions[p][j], s.negative.weights[j] + k):
+        out[i] = c
+    return out
+
+
+def jacobiator(s, a, b, c):
+    """The nonzero entries of [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]],
+    each term taken by ``bracket_vec`` on sparse rows."""
+    out = {}
+    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+        for k, v in s.bracket_vec({x: Fraction(1)}, dict(s.bracket_table[y][z])).items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
 def residual_polys(terms, frame):
     """The per-equation Poly list of a sparse residual ``{(eq, exp): c}``:
     the m(n-m) contact equations, then the m(m+1)/2 conformal entries."""

@@ -86,3 +86,18 @@ def _exponents(weights, degree):
     for e in range(degree // weights[0] + 1):
         for rest in _exponents(weights[1:], degree - e * weights[0]):
             yield (e,) + rest
+
+
+def test_tracer_counts_the_bracket_and_similarity_call_sites():
+    # verify's [u,X] = u(X) check makes one bracket_vec call per level and
+    # negative element: R^3 + co(3) has levels 4 + 3, H_1 has 2 + 2 + 1, and
+    # both have 3 negative elements; verify engel checks 10 left
+    # translations, 3 dilations and one automorphism
+    tracer = import_tracer()
+    cases = [(["prolong", bundled_spec("r3_co3.alg")], "prolongation.bracket_vec_calls", 21),
+             (["prolong", bundled_spec("heisenberg.alg")], "prolongation.bracket_vec_calls", 15),
+             (["verify", bundled_spec("engel.alg")], "group_realization.similarity_calls", 14)]
+    for argv, name, count in cases:
+        with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert t.counts[name] == count, argv

@@ -226,6 +226,34 @@ def test_oracle_heisenberg_below_the_top_degree_misses_the_span():
     assert d["overall"] == "FAIL"
 
 
+def test_oracle_warns_that_a_low_degree_misses_fields():
+    code, out = run_cli(["oracle", spec_path("heisenberg.alg"), "--degree", "0"])
+    assert code == 1
+    d = as_dict(out)
+    assert (d["ansatz_dim"], d["prolongation_total"]) == ("5", "8")
+    assert d["dims_agree"] == "false"
+    assert d["warning"] == ("cutoff too small: ansatz dimension is below the "
+                            "prolongation total; raise --degree")
+
+
+def test_oracle_warns_that_a_non_conformal_g0_cannot_agree(tmp_path):
+    # g0 = 0 leaves H_1 with g_- and a zero first level: total 3, while the
+    # conformal fields of degree <= 2 already span 8
+    path = tmp_path / "heis_rigid.alg"
+    path.write_text("[algebra]\nname = heis_rigid\nlayer -1 = X1 X2\nlayer -2 = Y\n"
+                    "[X1,X2] = Y\n[g0]\nconstraint = explicit\n"
+                    "condition = B(1,1)\ncondition = B(1,2)\n"
+                    "condition = B(2,1)\ncondition = B(2,2)\n")
+    code, out = run_cli(["oracle", str(path), "--degree", "2"])
+    assert code == 1
+    d = as_dict(out)
+    assert (d["ansatz_dim"], d["prolongation_total"]) == ("8", "3")
+    assert d["dims_agree"] == "false"
+    assert "raise --degree" not in d["warning"]
+    assert d["warning"].startswith("ansatz dimension is above the prolongation total")
+    assert d["overall"] == "FAIL"
+
+
 def scale_family_spec(tmp_path, name):
     """Spec file of H_n (``h<n>``) or R^n (``r<n>``) with the conformal g0."""
     n = int(name[1:])

@@ -68,10 +68,10 @@ def test_family_with_flipped_vertical_sign_fails(engel_frame):
 
 
 def plain_apply(frame, j, f):
-    """X_j f as sum_c matrix[c][j] d/dx_c f, with no table."""
+    """X_j f as sum_c columns[j][c] d/dx_c f, with no table."""
     out = frame.ring.zero()
     for c in range(len(frame)):
-        out = out + frame.matrix[c][j] * f.diff(c)
+        out = out + frame.columns[j][c] * f.diff(c)
     return out
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import sympy
 
 from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, nullspace, rref,
-                                 solve, sparse_row, span_equal, span_sum)
+                                 solve, sparse_row, span_equal)
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -100,6 +100,11 @@ def test_fraction_addition_cross_multiplication(a, b):
         (a.numerator * b.denominator + b.numerator * a.denominator) * s.denominator
 
 
+def full(n):
+    """Q^n as a subspace of itself."""
+    return Subspace.from_vectors([{i: 1} for i in range(n)], n)
+
+
 def test_nullspace_identity_is_zero():
     assert nullspace(identity(4)).dim == 0
 
@@ -107,14 +112,14 @@ def test_nullspace_identity_is_zero():
 def test_nullspace_zero_matrix_is_full():
     ns = nullspace(zeros(2, 3))
     assert ns.dim == 3
-    assert span_equal(ns, Subspace.full(3))
+    assert span_equal(ns, full(3))
 
 
 def test_nullspace_single_constraint():
     ns = nullspace(sparse([[1, 1, 0]], 3))
     assert ns.dim == 2
-    assert ns.contains({0: 1, 1: -1})
-    assert ns.contains({2: 1})
+    assert ns.coordinates_of({0: 1, 1: -1}) is not None
+    assert ns.coordinates_of({2: 1}) is not None
 
 
 def test_span_equal_scaling_invariance():
@@ -131,12 +136,12 @@ def test_span_equal_distinct_lines():
 
 def test_span_equal_full_plane():
     a = Subspace.from_vectors([{0: 1, 1: 1}, {0: 1, 1: -1}], 2)
-    assert span_equal(a, Subspace.full(2))
+    assert span_equal(a, full(2))
 
 
 def test_span_equal_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
-        span_equal(Subspace.full(2), Subspace.full(3))
+        span_equal(full(2), full(3))
 
 
 def test_coordinates_of_reconstructs():
@@ -172,9 +177,9 @@ def test_zero_row_matrix_needs_cols():
 def test_span_sum_containment():
     a = Subspace.from_vectors([{0: 1}], 3)
     b = Subspace.from_vectors([{0: 1, 1: 1}], 3)
-    total = span_sum(a, b)
+    total = Subspace.from_vectors(a.basis + b.basis, 3)
     assert total.dim == 2
-    assert total.contains({1: 1})
+    assert total.coordinates_of({1: 1}) is not None
 
 
 # -- independent reference: sympy's rref and nullspace ---------------------

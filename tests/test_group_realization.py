@@ -127,7 +127,7 @@ def test_frame_rejects_a_basis_with_layer_one_after_a_deeper_element():
 
 
 def test_apply_matches_the_derivative_sum(rng):
-    # the monomial table against sum_c matrix[c][j] d/dx_c f, on repeated
+    # the monomial table against sum_c columns[j][c] d/dx_c f, on repeated
     # calls too, so that table hits are checked as well as misses
     for name in ("engel", "cartan_235", "two_centre"):
         g, frame = named_algebra_frame(name)
@@ -140,7 +140,7 @@ def test_apply_matches_the_derivative_sum(rng):
                 for j in range(g.dim):
                     expect = ring.zero()
                     for c in range(g.dim):
-                        expect = expect + frame.matrix[c][j] * f.diff(c)
+                        expect = expect + frame.columns[j][c] * f.diff(c)
                     assert frame.apply(j, f) == expect
 
 
@@ -312,13 +312,57 @@ def test_dilation_rejects_nonpositive(engel_recipe):
 
 
 def test_dilation_scales_frame_fields(engel, engel_recipe, engel_frame):
+    # one column per horizontal frame field: deep columns are not computed
     lam = Fraction(3)
     push = pushforward_in_frame(dilation(engel_recipe, lam), engel_frame)
-    for i in range(4):
+    assert len(push) == engel_frame.horizontal == 2
+    for i, col in enumerate(push):
         w = -engel.weights[i]
         for j in range(4):
             expect = engel_frame.ring.const(lam ** w) if i == j else engel_frame.ring.zero()
-            assert push[j][i] == expect
+            assert col[j] == expect
+
+
+def reference_pushforward(pmap, frame):
+    """All n columns F(phi)^-1 J F: entry [j][i] is the frame-j component,
+    at the image point, of the pushforward of frame field i."""
+    n = len(frame)
+    jac = pmap.jacobian()
+    image = list(pmap.components)
+    # F(phi), the frame matrix at the image point: entry (c, j) is columns[j][c]
+    moved = [[frame.columns[j][c].subs(image) for j in range(n)] for c in range(n)]
+    result = [[None] * n for _ in range(n)]
+    for i in range(n):
+        push = [sum((jac[c][d] * frame.columns[i][d] for d in range(n)), frame.ring.zero())
+                for c in range(n)]
+        a = []
+        for c in range(n):
+            acc = push[c]
+            for j in range(c):
+                acc = acc - moved[c][j] * a[j]
+            a.append(acc)
+        for j in range(n):
+            result[j][i] = a[j]
+    return result
+
+
+# verify's anisotropic block diag(1, 2) does not extend on two_centre, whose
+# brackets ask for a1 a3 = a2 a4 of a diagonal block; diag(1, 2, 2, 1) does
+@pytest.mark.parametrize("name, diagonal", [
+    ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
+def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
+    from carnot.cli import DILATION_SCALES
+    g, frame = named_algebra_frame(name)
+    recipe = frame.recipe
+    m = frame.horizontal
+    block = Matrix([[x if r == c else 0 for c in range(m)] for r, x in enumerate(diagonal)])
+    maps = [left_translation(recipe, rand_point(rng, g.dim)) for _ in range(3)]
+    maps += [dilation(recipe, lam) for lam in DILATION_SCALES]
+    maps.append(graded_automorphism(recipe, extend_first_layer_automorphism(g, block)))
+    for pmap in maps:
+        reference = reference_pushforward(pmap, frame)
+        cols = pushforward_in_frame(pmap, frame)
+        assert cols == [[reference[j][i] for j in range(g.dim)] for i in range(m)]
 
 
 # -- similarity ---------------------------------------------------------

@@ -12,8 +12,9 @@ from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (BUNDLED, GENERATED, conformal_g0, dense_bracket, make_abelian, make_engel,
-                       make_heisenberg, make_heisenberg_n, permuted, spec_file)
+from .conftest import (BUNDLED, GENERATED, conformal_g0, dense_action, dense_bracket, jacobiator,
+                       make_abelian, make_engel, make_heisenberg, make_heisenberg_n, permuted,
+                       spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -165,26 +166,52 @@ def test_engel_jacobi_all_triples(engel):
     triples = [(a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n)]
     assert len(triples) == 10
     for a, b, c in triples:
-        j1 = s.bracket_vec(s._unit(a), dense_bracket(s, b, c))
-        j2 = s.bracket_vec(s._unit(b), dense_bracket(s, c, a))
-        j3 = s.bracket_vec(s._unit(c), dense_bracket(s, a, b))
-        assert all(x + y + z == 0 for x, y, z in zip(j1, j2, j3))
+        assert jacobiator(s, a, b, c) == {}
 
 
 def test_action_consistency_mixed_pairs(engel):
     s, _ = full_prolongation(engel, conformal_g0(engel))
-    g = engel
     for a, key in enumerate(s.sbasis):
         if key[0] != "lev":
             continue
-        _, k, p = key
         for b, bkey in enumerate(s.sbasis):
             if bkey[0] != "neg":
                 continue
-            j = bkey[1]
-            expected = s._embed_value(s.levels[k].actions[p][j], g.weights[j] + k)
+            expected = dense_action(s, a, b)
             assert dense_bracket(s, a, b) == expected
             assert dense_bracket(s, b, a) == [-x for x in expected]
+
+
+@pytest.mark.parametrize("name", ["r3_co3", "heisenberg", "h2"])
+def test_sparse_bracket_vec_matches_the_dense_bilinear_sum(name):
+    # random sparse rows, and pairs [u, u] whose terms all cancel
+    if name == "h2":
+        g = make_heisenberg_n(2)
+        s, _ = full_prolongation(g, conformal_g0(g))
+    else:
+        from carnot.cli import parse_spec_file, spec_algebra, spec_constraint
+        spec = parse_spec_file(spec_file(name))
+        g = spec_algebra(spec)
+        s, _ = full_prolongation(g, constrain_g0(strata_derivations(g), spec_constraint(spec)))
+    rng = random.Random(20261019)
+
+    def random_row():
+        return {i: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                for i in rng.sample(range(s.dim), rng.randint(1, 4))}
+
+    pairs = [(random_row(), random_row()) for _ in range(40)]
+    pairs += [(u, dict(u)) for u, _ in pairs[:5]]
+    zero_results = 0
+    for u, v in pairs:
+        expect = [Fraction(0)] * s.dim
+        for a, ua in u.items():
+            for b, vb in v.items():
+                expect = [x + ua * vb * y for x, y in zip(expect, dense_bracket(s, a, b))]
+        got = s.bracket_vec(u, v)
+        assert all(c != 0 for c in got.values())
+        assert got == {k: c for k, c in enumerate(expect) if c}
+        zero_results += not got
+    assert zero_results >= 5
 
 
 def test_engel_bracket_table_values(engel):
@@ -223,14 +250,16 @@ def test_levels_keep_sparse_rows_without_zeros(name):
     # elimination's rows are kept as they are, from the basis of each
     # subspace to each level's action on g_-
     from carnot.cli import parse_spec_file, spec_algebra, spec_constraint
-    from carnot.exact_linalg import span_sum
+    from carnot.exact_linalg import Subspace
     spec = parse_spec_file(spec_file(name))
     g = spec_algebra(spec)
     ders = strata_derivations(g)
     g0 = constrain_g0(ders, spec_constraint(spec))
     s, _ = full_prolongation(g, g0, max_k=spec.max_k)
     levels = [ders] + s.levels
-    spaces = [lvl.subspace for lvl in levels] + [span_sum(ders.subspace, g0.subspace)]
+    space = ders.subspace
+    both = Subspace.from_vectors(space.basis + g0.subspace.basis, space.ambient_dim)
+    spaces = [lvl.subspace for lvl in levels] + [both]
     for space in spaces:
         assert all(x != 0 for row in space.basis for x in row.values())
     for lvl in levels:
