@@ -1,14 +1,14 @@
-"""Contact and conformality conditions as exact polynomial residuals.
+"""Contact and ``g0`` conditions as exact polynomial residuals.
 
 A vector field V is contact when [V, X] stays horizontal for every
-horizontal frame field X, and conformal when additionally the matrix of
-first horizontal derivatives of its horizontal coefficients is a
-trace-plus-skew matrix.  Residuals are kept as full polynomials, never
-point samples, so every verdict is an identity check.  The jet of a field
-at a point is read in the ``Level.actions`` convention, so the levels of
-the tower decide membership and the derivation law.  The bounded-degree
-ansatz solver at the end is the brute-force cross-check for the
-prolongation: it returns the fields of each homogeneous block, and
+horizontal frame field X, and its horizontal derivative matrix then lies
+in the spec's ``g0`` when it meets ``GZeroConstraint.first_layer_rows``,
+the rows ``constrain_g0`` reads for the tower.  Residuals are full
+polynomials, never point samples, so every verdict is an identity check.
+The jet of a field at a point is read in the ``Level.actions`` convention,
+so the levels of the tower decide membership and the derivation law.  The
+bounded-degree ansatz solver at the end is the brute-force cross-check for
+the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.
 
 The contact residuals are computed in frame components, without
@@ -23,13 +23,13 @@ premise is checked on every bundled and generated spec by
 ``test_frame_brackets`` in ``tests/test_group_realization.py``.
 
 One kernel, :func:`conformal_system_residuals`, computes the contact and
-conformal residuals together as sparse ``(equation, monomial)`` terms,
+condition-row residuals together as sparse ``(equation, monomial)`` terms,
 accumulated straight from ``g.rows`` and the frame's monomial-derivative
 table (:meth:`Frame.derivative_terms`), with no intermediate polynomial.
 The ansatz solver copies those terms into its matrix columns;
-:func:`contact_defect` and :func:`conformal_defect` split them into
-labelled polynomials, and :func:`conformal_defect` certifies contact from
-the same terms.
+:func:`contact_defect` (no rows) and :func:`conformal_defect` split them
+into labelled polynomials, and :func:`conformal_defect` certifies contact
+from the same terms.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, span_equal, vec_zero
+from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, span_equal, vec_zero
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
-from .prolongation import Level
+from .prolongation import GZeroConstraint, Level
 
 
 class NotContact(ValueError):
@@ -83,17 +83,16 @@ def vf_bracket(a: Sequence[Poly], b: Sequence[Poly]) -> list[Poly]:
 Terms = dict[tuple[int, tuple[int, ...]], Fraction]
 
 
-def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> Terms:
-    """The joint contact + conformal residual of ``V = sum_j f_j X_j``, linear
-    in the field, as sparse terms ``{(equation, exponent): coefficient}``
-    with no zero coefficient.
+def conformal_system_residuals(comps: dict[int, dict], frame: Frame, rows: Sequence[dict]) -> Terms:
+    """The joint contact + ``g0`` residual of ``V = sum_j f_j X_j``, given
+    by the terms ``{exponent: coefficient}`` of each nonzero f_j, as sparse
+    terms ``{(equation, exponent): coefficient}`` with no zero coefficient.
 
     Equation ``i (n-m) + (k-m)`` is component k >= m of [V, X_i] for
-    horizontal X_i, i-major; then come the entries i <= j of
-    ``M + M^t - (2/m) tr(M) I``, row-major, for ``M[i][j] = X_j(f_i)`` the
-    horizontal derivative matrix.  The terms are read straight from
-    ``g.rows`` and the frame's monomial-derivative table, and only the
-    nonzero f_j are visited.
+    horizontal X_i, i-major; equation ``m (n-m) + q`` is condition row q of
+    the ``g0`` constraint, a row ``{(r, c): a}`` reading ``sum a X_c(f_r)``
+    on the horizontal derivative matrix ``M[r][c] = X_c(f_r)``.  The terms
+    are read straight from ``g.rows`` and the frame's derivative table.
     """
     g = frame.algebra
     m = frame.horizontal
@@ -107,40 +106,24 @@ def conformal_system_residuals(comps: Sequence[Poly], frame: Frame) -> Terms:
         else:
             out[eq, e] = x
 
-    # conformal entry (i, j), i <= j, is equation conformal[i][j]
-    conformal = [[0] * m for _ in range(m)]
-    eq = m * width
-    for i in range(m):
-        for j in range(i, m):
-            conformal[i][j] = conformal[j][i] = eq
-            eq += 1
-    diagonal = [conformal[i][i] for i in range(m)]
-    shift = Fraction(-2, m)
-    for j, f in enumerate(comps):
-        if not f.terms:
-            continue
-        terms = f.terms.items()
+    for j, terms in comps.items():
         for i in range(m):
             # f_j c_ji^k: [X_j, X_i] lies in layers -2 and deeper, so every k >= m
             for k, c in g.rows[j][i]:
-                for exp, a in terms:
+                for exp, a in terms.items():
                     put(i * width + k - m, exp, c * a)
             if j >= m:
                 # - X_i(f_j)
-                for exp, a in terms:
+                for exp, a in terms.items():
                     for e, d in derivative(i, exp):
                         put(i * width + j - m, e, -a * d)
-            else:
-                # M[j][i] enters entry (i, j), and, on the diagonal, the trace
-                for exp, a in terms:
-                    for e, d in derivative(i, exp):
-                        x = a * d
-                        if i == j:
-                            put(conformal[i][i], e, x + x)
-                            for diag in diagonal:
-                                put(diag, e, shift * x)
-                        else:
-                            put(conformal[i][j], e, x)
+    for eq, row in enumerate(rows, start=m * width):
+        for (r, c), a in row.items():
+            if r in comps:
+                for exp, b in comps[r].items():
+                    x = a * b
+                    for e, d in derivative(c, exp):
+                        put(eq, e, x * d)
     return {key: x for key, x in out.items() if x}
 
 
@@ -164,22 +147,22 @@ def contact_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
     names = frame.algebra.names
     m = frame.horizontal
     labels = [f"[V,~{names[i]}]@~{names[j]}" for i in range(m) for j in range(m, len(frame))]
-    terms = _system_terms(V.components, frame)
+    terms = _system_terms({j: f.terms for j, f in enumerate(V.components) if f.terms}, frame, ())
     return DefectReport(tuple(zip(labels, _split(terms, frame, 0, len(labels)))))
 
 
-def conformal_defect(V: PolyVectorField, frame: Frame) -> DefectReport:
-    """Residuals of M + M^t = (2/m) tr(M) I on the horizontal derivative matrix.
+def conformal_defect(V: PolyVectorField, frame: Frame, constraint: GZeroConstraint) -> DefectReport:
+    """Residuals of the spec's ``g0`` condition rows, labelled ``g0 row q``.
 
     The same kernel run certifies contact: no term is a contact equation."""
     m = frame.horizontal
     start = m * (len(frame) - m)
-    terms = _system_terms(V.components, frame)
+    rows = constraint.first_layer_rows(m)
+    terms = _system_terms({j: f.terms for j, f in enumerate(V.components) if f.terms}, frame, rows)
     if any(eq < start for eq, _ in terms):
-        raise NotContact("conformality is only defined for contact fields")
-    names = frame.algebra.names
-    labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
-    return DefectReport(tuple(zip(labels, _split(terms, frame, start, start + len(labels)))))
+        raise NotContact("the g0 condition is only defined for contact fields")
+    labels = [f"g0 row {q}" for q in range(1, len(rows) + 1)]
+    return DefectReport(tuple(zip(labels, _split(terms, frame, start, start + len(rows)))))
 
 
 def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
@@ -367,11 +350,13 @@ def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
     return HSystemSolution(space, tuple(h_basis), fields)
 
 
-# -- bounded-degree conformal ansatz solver -----------------------------
+# -- bounded-degree ansatz solver --------------------------------------
 
 
-def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField]:
-    """Homogeneous conformal fields of graded degree ``delta`` (exact nullspace).
+def conformal_fields_of_degree(frame: Frame, constraint: GZeroConstraint,
+                               delta: int) -> list[PolyVectorField]:
+    """Homogeneous fields of graded degree ``delta`` that are contact and
+    satisfy the spec's ``g0`` condition rows (exact nullspace).
 
     The PDE system commutes with the weighted grading, so the full
     bounded-degree problem splits into these homogeneous blocks.
@@ -385,10 +370,9 @@ def conformal_fields_of_degree(frame: Frame, delta: int) -> list[PolyVectorField
             basis.append((i, exp))
     if not basis:
         return []
-    zero = [ring.zero()] * g.dim
-    unit_fields = (zero[:i] + [Poly(ring, {exp: Fraction(1)})] + zero[i + 1:] for i, exp in basis)
-    rows = _residual_rows(conformal_system_residuals(comps, frame) for comps in unit_fields)
-    space = nullspace(SparseRows(rows, len(basis)))
+    rows = constraint.first_layer_rows(frame.horizontal)
+    columns = (conformal_system_residuals({i: {exp: ONE}}, frame, rows) for i, exp in basis)
+    space = nullspace(SparseRows(_residual_rows(columns), len(basis)))
     fields = []
     for v in space.basis:
         comps = [dict() for _ in range(g.dim)]
@@ -412,8 +396,10 @@ class ConformalSolution:
         return len(self.fields)
 
 
-def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> ConformalSolution:
-    """All conformal fields within the bounded polynomial ansatz.
+def solve_polynomial_conformal(frame: Frame, constraint: GZeroConstraint,
+                               max_weighted_degree: int = 6) -> ConformalSolution:
+    """All fields within the bounded polynomial ansatz that are contact and
+    satisfy the spec's ``g0`` condition rows.
 
     The component along the frame field of weight w may use monomials of
     weighted degree up to ``max_weighted_degree + |w|``.  The system
@@ -423,7 +409,7 @@ def solve_polynomial_conformal(frame: Frame, max_weighted_degree: int = 6) -> Co
     result only bounds the true dimension from below; stability under
     raising the cutoff is the sanity check.
     """
-    blocks = [conformal_fields_of_degree(frame, delta)
+    blocks = [conformal_fields_of_degree(frame, constraint, delta)
               for delta in range(-frame.algebra.step, max_weighted_degree + 1)]
     return ConformalSolution(tuple(f for block in blocks for f in block),
                              tuple(map(len, blocks)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import add
 from typing import Sequence
 
@@ -507,18 +508,21 @@ def _jacobian_probe(n: int) -> list[Fraction]:
     return [Fraction(1, c + 2) for c in range(n)]
 
 
-def _jacobian_singular(jac: list[list[Poly]], ring: PolyRing) -> bool:
-    """Whether det(jac) is the zero polynomial.
-
-    A nonzero determinant at :func:`_jacobian_probe` settles it by exact
-    elimination; only a zero there calls for the symbolic expansion.
-    """
-    n = len(jac)
-    point = _jacobian_probe(n)
-    values = (sparse_row([p.eval(point) for p in row]) for row in jac)
-    if Subspace.from_vectors(values, n).dim == n:
-        return False
-    return _poly_det(jac, ring).is_zero()
+def _jacobian_at_probe(pmap: PolyMap) -> list[dict[int, Fraction]]:
+    """The map's Jacobian at :func:`_jacobian_probe` as sparse rows, read
+    from the terms: every probe coordinate p_d is nonzero, so the partial
+    of x^e there is ``e_d p^e / p_d``."""
+    point = _jacobian_probe(len(pmap.components))
+    rows = []
+    for phi in pmap.components:
+        row: dict[int, Fraction] = {}
+        for exp, c in phi.terms.items():
+            v = c * prod(x ** k for x, k in zip(point, exp))
+            for d, k in enumerate(exp):
+                if k:
+                    row[d] = row.get(d, 0) + k * v / point[d]
+        rows.append({d: x for d, x in row.items() if x})
+    return rows
 
 
 def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
@@ -529,7 +533,11 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     from the frame's derivative table; its frame components at the image
     point solve the frame matrix composed with the map.
     """
-    if _jacobian_singular(pmap.jacobian(), frame.ring):
+    # a Jacobian of full rank at the probe settles invertibility; only a
+    # singular one there builds the symbolic determinant
+    n = len(frame)
+    if (Subspace.from_vectors(_jacobian_at_probe(pmap), n).dim < n
+            and _poly_det(pmap.jacobian(), frame.ring).is_zero()):
         raise NotInvertible("map has identically singular Jacobian")
     # the frame matrix at the image point, below the diagonal: all the solve reads
     subs_vals = list(pmap.components)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,39 @@ BUNDLED = ("engel", "heisenberg", "r1", "r2_co2", "r3_co3")
 GENERATED = ("heis_x_r", "free_3_2", "cartan_235", "two_centre")
 
 
+def spec_text(name, layers, brackets, g0):
+    """The text of a spec file: ``layers`` lists the basis names of layer
+    -1, -2, ..., ``brackets`` maps a pair of names to the name of their
+    bracket, and ``g0`` is the body of the [g0] section."""
+    lines = ["[algebra]", f"name = {name}"]
+    lines += [f"layer -{d} = {' '.join(names)}" for d, names in enumerate(layers, start=1)]
+    lines += [f"[{a},{b}] = {c}" for (a, b), c in brackets.items()]
+    return "\n".join(lines + ["[g0]", g0]) + "\n"
+
+
+FULL_DERIVATIONS = "constraint = full_derivations"
+# g0 = 0 on a first layer of dimension 2: every block entry vanishes
+ZERO_G0 = "constraint = explicit\n" + "\n".join(
+    f"condition = B({r},{c})" for r in (1, 2) for c in (1, 2))
+
+
+def free_step_two_spec(n, g0):
+    """The free step-2 algebra on n generators, with [Xi,Xj] = Yij."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    layers = [[f"X{i}" for i in range(1, n + 1)], [f"Y{i}{j}" for i, j in pairs]]
+    return spec_text(f"free_{n}_2", layers, {(f"X{i}", f"X{j}"): f"Y{i}{j}" for i, j in pairs}, g0)
+
+
+def cartan_235_spec(g0):
+    """The (2,3,5) algebra, whose tower with every derivation is g2."""
+    return spec_text("cartan_235", [["X1", "X2"], ["Y"], ["Z1", "Z2"]],
+                     {("X1", "X2"): "Y", ("X1", "Y"): "Z1", ("X2", "Y"): "Z2"}, g0)
+
+
+def heisenberg_spec(g0):
+    return spec_text("heisenberg", [["X1", "X2"], ["Y"]], {("X1", "X2"): "Y"}, g0)
+
+
 def spec_file(name):
     """Path of a bundled spec, or of a spec stored in tests/golden."""
     from carnot import bundled_spec
@@ -65,8 +99,11 @@ def named_algebra_frame(name):
     return g, left_invariant_frame(g, recipe)
 
 
+CONFORMAL = GZeroConstraint.conformal()
+
+
 def conformal_g0(g):
-    return constrain_g0(strata_derivations(g), GZeroConstraint.conformal())
+    return constrain_g0(strata_derivations(g), CONFORMAL)
 
 
 def zero_matrices(level):
@@ -129,11 +166,17 @@ def jacobiator(s, a, b, c):
     return {k: v for k, v in out.items() if v}
 
 
-def residual_polys(terms, frame):
+def components(comps):
+    """The kernel's sparse form of a field's frame components: the terms
+    {exp: coeff} of each nonzero component, by index."""
+    return {j: f.terms for j, f in enumerate(comps) if f.terms}
+
+
+def residual_polys(terms, frame, rows):
     """The per-equation Poly list of a sparse residual ``{(eq, exp): c}``:
-    the m(n-m) contact equations, then the m(m+1)/2 conformal entries."""
+    the m(n-m) contact equations, then one per ``g0`` condition row."""
     m, n = frame.horizontal, len(frame)
-    parts = [{} for _ in range(m * (n - m) + m * (m + 1) // 2)]
+    parts = [{} for _ in range(m * (n - m) + len(rows))]
     for (eq, exp), c in terms.items():
         parts[eq][exp] = c
     return [Poly(frame.ring, t) for t in parts]

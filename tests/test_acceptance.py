@@ -15,8 +15,8 @@ from carnot.group_realization import (CoordinateRecipe, PolyVectorField, dilatio
                                       similarity_check)
 from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check, same_span,
                                 solve_polynomial_conformal, vf_bracket)
-from .conftest import (conformal_g0, dense_action, dense_bracket, jacobiator, make_abelian,
-                       make_heisenberg, rand_point, zero_matrices)
+from .conftest import (CONFORMAL, conformal_g0, dense_action, dense_bracket, jacobiator,
+                       make_abelian, make_heisenberg, rand_point, zero_matrices)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -78,7 +78,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
     for field in engel_tau:
         if not contact_defect(field, engel_frame).all_zero:
             ok = False
-        if not conformal_defect(field, engel_frame).all_zero:
+        if not conformal_defect(field, engel_frame, CONFORMAL).all_zero:
             ok = False
         points = set()
         while len(points) < 5:
@@ -95,10 +95,10 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
 
 
 def test_criterion_06_engel_oracle(engel_frame, engel_tau):
-    sol = solve_polynomial_conformal(engel_frame, 6)
+    sol = solve_polynomial_conformal(engel_frame, CONFORMAL, 6)
     ok = sol.dim == 5 and same_span(sol.fields, engel_tau)
     for degree in (3, 4, 5):
-        ok = ok and solve_polynomial_conformal(engel_frame, degree).dim == 5
+        ok = ok and solve_polynomial_conformal(engel_frame, CONFORMAL, degree).dim == 5
     report(6, ok, "degree-6 ansatz space is 5-dimensional, equals the realized span, "
                   "stable over degrees 3-6")
 
@@ -107,7 +107,7 @@ def test_criterion_07_heisenberg_agreement():
     g = make_heisenberg()
     _, rep = full_prolongation(g, conformal_g0(g))
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
-    oracle_dim = solve_polynomial_conformal(frame, 4).dim
+    oracle_dim = solve_polynomial_conformal(frame, CONFORMAL, 4).dim
     ok = (rep.level_dims == (2, 2, 1, 0) and rep.terminated_at == 3
           and rep.total_dim == 8 and oracle_dim == rep.total_dim)
     report(7, ok, f"prolongation total {rep.total_dim} with levels {list(rep.level_dims)} "
@@ -118,7 +118,7 @@ def test_criterion_08_r3_agreement():
     g = make_abelian(3)
     _, rep = full_prolongation(g, conformal_g0(g))
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
-    oracle_dim = solve_polynomial_conformal(frame, 3).dim
+    oracle_dim = solve_polynomial_conformal(frame, CONFORMAL, 3).dim
     ok = rep.total_dim == 10 and rep.terminated_at == 2 and oracle_dim == rep.total_dim
     report(8, ok, f"prolongation total {rep.total_dim}, terminated at 2, "
                   f"agrees with the degree-3 ansatz ({oracle_dim})")
@@ -163,7 +163,7 @@ def test_criterion_11_contact_family(engel_frame):
         field = PolyVectorField((ring.zero(), ddf, -df, f))
         if not contact_defect(field, engel_frame).all_zero:
             ok = False
-        conformal_ok = conformal_defect(field, engel_frame).all_zero
+        conformal_ok = conformal_defect(field, engel_frame, CONFORMAL).all_zero
         if conformal_ok != (k <= 2):
             ok = False
     report(11, ok, "monomial family contact for k=0..6 and conformal exactly for k<=2")

@@ -8,7 +8,8 @@ import pytest
 from carnot import bundled_spec as spec_path
 from carnot.cli import ParseError, Report, main, parse_spec_text, run_verify, parse_spec_file
 from carnot.group_realization import PolyVectorField
-from .conftest import GOLDEN
+from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, cartan_235_spec, free_step_two_spec,
+                       heisenberg_spec, spec_text)
 
 
 def run_cli(argv):
@@ -236,22 +237,76 @@ def test_oracle_warns_that_a_low_degree_misses_fields():
                             "prolongation total; raise --degree")
 
 
-def test_oracle_warns_that_a_non_conformal_g0_cannot_agree(tmp_path):
-    # g0 = 0 leaves H_1 with g_- and a zero first level: total 3, while the
-    # conformal fields of degree <= 2 already span 8
+def test_oracle_agrees_with_a_zero_g0(tmp_path):
+    # g0 = 0 leaves H_1 with g_- and a zero first level: total 3; the
+    # oracle reads the same condition rows, so it finds the same 3 fields
     path = tmp_path / "heis_rigid.alg"
-    path.write_text("[algebra]\nname = heis_rigid\nlayer -1 = X1 X2\nlayer -2 = Y\n"
-                    "[X1,X2] = Y\n[g0]\nconstraint = explicit\n"
-                    "condition = B(1,1)\ncondition = B(1,2)\n"
-                    "condition = B(2,1)\ncondition = B(2,2)\n")
+    path.write_text(heisenberg_spec(ZERO_G0))
     code, out = run_cli(["oracle", str(path), "--degree", "2"])
-    assert code == 1
+    assert code == 0
     d = as_dict(out)
-    assert (d["ansatz_dim"], d["prolongation_total"]) == ("8", "3")
-    assert d["dims_agree"] == "false"
-    assert "raise --degree" not in d["warning"]
-    assert d["warning"].startswith("ansatz dimension is above the prolongation total")
-    assert d["overall"] == "FAIL"
+    assert d["ansatz_dims_by_degree"] == "[1, 2, 0, 0, 0]"
+    assert (d["ansatz_dim"], d["prolongation_total"]) == ("3", "3")
+    assert (d["dims_agree"], d["span_match"]) == ("true", "true")
+    assert "warning" not in d
+    code, out = run_cli(["verify", str(path)])
+    assert code == 0
+    d = as_dict(out)
+    assert d["g0_defects_zero"] == "true"
+    assert "conformal_defects_zero" not in d
+
+
+# towers of every strata-preserving derivation: g2 on the (2,3,5) algebra
+# (Cartan 1910, Yamaguchi 1993) and so(n, n+1) on the free step-2 algebra
+# on n generators, of dimension n(2n+1)
+@pytest.mark.parametrize("text, degree, dims", [
+    (cartan_235_spec(FULL_DERIVATIONS), 3, [2, 1, 2, 4, 2, 1, 2]),
+    (free_step_two_spec(3, FULL_DERIVATIONS), 3, [3, 3, 9, 3, 3, 0]),
+    (free_step_two_spec(4, FULL_DERIVATIONS), 2, [6, 4, 16, 4, 6]),
+], ids=["g2", "so(3,4)", "so(4,5)"])
+def test_oracle_and_verify_read_the_full_derivation_g0(tmp_path, text, degree, dims):
+    path = tmp_path / "tower.alg"
+    path.write_text(text)
+    code, out = run_cli(["oracle", str(path), "--degree", str(degree)])
+    assert code == 0
+    d = as_dict(out)
+    assert d["ansatz_dims_by_degree"] == str(dims)
+    assert d["prolongation_total"] == d["ansatz_dim"] == str(sum(dims))
+    assert (d["dims_agree"], d["span_match"]) == ("true", "true")
+    # the fields are true symmetries of the structure; only part 1 of
+    # their jets, nonzero where g1 is, still fails
+    _, out = run_cli(["verify", str(path)])
+    d = as_dict(out)
+    assert (d["contact_defects_zero"], d["g0_defects_zero"]) == ("true", "true")
+    assert "conformal_defects_zero" not in d
+    assert (d["jet_zero_part_in_g0"], d["jet_derivation_law"]) == ("true", "true")
+    assert d["jet_one_part_zero"] == "false"
+    failures = [v for k, v in d.items() if k.startswith("failure_")]
+    assert failures and all(f.startswith("one-part of ") for f in failures)
+
+
+# non-terminating towers cut at their max_k: each block of the oracle has
+# the dimension of its level, up to the cutoff.  On R^3 with B(1,2) = B(1,3)
+# = 0, f_1 depends on x_1 alone, since block entry (r, c) is X_c(f_r) in the
+# oracle as in constrain_g0; reading the rows transposed gives level 1 the
+# dimension 12
+@pytest.mark.parametrize("text, degree, dims", [
+    ((GOLDEN / "r3_gl.alg").read_text(), 2, [3, 9, 18, 30]),
+    ((GOLDEN / "h1_der.alg").read_text(), 3, [1, 2, 4, 6, 9, 12]),
+    (spec_text("r3_row1", [["X1", "X2", "X3"]], {},
+               "constraint = explicit\ncondition = B(1,2)\ncondition = B(1,3)")
+     + "[options]\nmax_k = 2\n", 2, [3, 7, 13, 21]),
+], ids=["r3_gl", "h1_der", "r3_row1"])
+def test_oracle_blocks_equal_the_levels_of_a_cut_off_tower(tmp_path, text, degree, dims):
+    path = tmp_path / "cut.alg"
+    path.write_text(text)
+    code, out = run_cli(["oracle", str(path), "--degree", str(degree)])
+    assert code == 0
+    d = as_dict(out)
+    assert d["prolongation_status"] == "cutoff_reached"
+    assert d["ansatz_dims_by_degree"] == str(dims)
+    levels = json.loads(run_cli(["prolong", str(path), "--format", "struct"])[1])["levels"]
+    assert dims[-(degree + 1):] == levels[:degree + 1]
 
 
 def scale_family_spec(tmp_path, name):
@@ -369,6 +424,9 @@ def test_outputs_are_byte_identical(argv):
     # full-derivation towers, cut by the max_k of their stored specs
     ("prolong", "h1_der"),
     ("prolong", "r3_gl"),
+    ("oracle", "h1_der"),
+    # the terminating full-derivation tower g2
+    ("oracle", "g2_full"),
 ])
 def test_report_matches_saved_copy(command, name):
     # the saved copies pin basis order and signs, which two runs of the

@@ -1,20 +1,21 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix
+from carnot.exact_linalg import Matrix, SparseRows, Subspace, nullspace, span_equal
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import full_prolongation, strata_derivations
+from carnot.prolongation import GZeroConstraint, full_prolongation, strata_derivations
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 same_span, solve_h_system, solve_polynomial_conformal,
                                 vf_bracket)
 from carnot.polynomials import Poly
-from .conftest import (apply_rows, conformal_g0, dense_values_matrix, make_abelian,
-                       named_algebra_frame, rand_point, residual_polys, values_of)
+from .conftest import (CONFORMAL, apply_rows, components, conformal_g0, dense_values_matrix,
+                       make_abelian, named_algebra_frame, rand_point, residual_polys, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -75,18 +76,32 @@ def plain_apply(frame, j, f):
     return out
 
 
-def reference_residuals(comps, frame):
-    """Contact residuals through coordinates and vf_bracket, then the
-    conformal residuals over the untabulated derivative."""
+def reference_residuals(comps, frame, rows):
+    """Contact residuals through coordinates and vf_bracket, then each
+    condition row ``{(r, c): a}`` as sum a X_c(f_r) over the untabulated
+    derivative."""
     m = frame.horizontal
     coords = frame.to_coords(list(comps))
     out = []
     for i in range(m):
         out.extend(frame.to_frame(vf_bracket(coords, list(frame.columns[i])))[m:])
+    for row in rows:
+        acc = frame.ring.zero()
+        for (r, c), a in row.items():
+            acc = acc + a * plain_apply(frame, c, comps[r])
+        out.append(acc)
+    return out
+
+
+def trace_form_residuals(comps, frame):
+    """The entries i <= j of M + M^t - (2/m) tr(M) I, for M[i][j] = X_j(f_i):
+    the conformal condition written without the constraint's rows."""
+    m = frame.horizontal
     mat = [[plain_apply(frame, j, comps[i]) for j in range(m)] for i in range(m)]
     trace = frame.ring.zero()
     for i in range(m):
         trace = trace + mat[i][i]
+    out = []
     for i in range(m):
         for j in range(i, m):
             r = mat[i][j] + mat[j][i]
@@ -96,57 +111,104 @@ def reference_residuals(comps, frame):
     return out
 
 
+FULL = GZeroConstraint.full_derivations()
+# g0 = sl(2) on the first layer of H_1: the traceless blocks, B(1,1) + B(2,2) = 0
+SL2 = GZeroConstraint.explicit([{(0, 0): Fraction(1), (1, 1): Fraction(1)}])
+# rows that tell block entry (r, c) from (c, r): B(1,2) and 2 B(2,1) - B(2,2)
+UNSYMMETRIC = GZeroConstraint.explicit([{(0, 1): Fraction(1)},
+                                        {(1, 0): Fraction(2), (1, 1): Fraction(-1)}])
+RESIDUAL_CASES = ([(name, constraint) for constraint in (CONFORMAL, FULL)
+                   for name in ("engel", "cartan_235", "two_centre", "h2")]
+                  + [("h1", SL2), ("engel", UNSYMMETRIC)])
+
+
+def residuals(comps, frame, rows):
+    """The kernel's residual of frame components, one Poly per equation."""
+    return residual_polys(conformal_system_residuals(components(comps), frame, rows), frame, rows)
+
+
 def test_residuals_match_the_coordinate_reference():
-    # every unit monomial field of graded degree -step..2
-    fields = 0
-    for name in ("engel", "cartan_235", "two_centre", "h2"):
+    # every unit monomial field of graded degree -step..2, for the
+    # conformal rows, no rows (full derivations) and explicit rows
+    fields = Counter()
+    for name, constraint in RESIDUAL_CASES:
         g, frame = named_algebra_frame(name)
         ring = frame.ring
+        rows = constraint.first_layer_rows(frame.horizontal)
         for delta in range(-g.step, 3):
             for i in range(g.dim):
                 for exp in ring.monomials_exact(delta - g.weights[i]):
                     comps = [ring.zero()] * g.dim
                     comps[i] = Poly(ring, {exp: Fraction(1)})
-                    assert residual_polys(conformal_system_residuals(comps, frame), frame) == \
-                        reference_residuals(comps, frame)
-                    fields += 1
-    assert fields == 880
+                    assert residuals(comps, frame, rows) == reference_residuals(comps, frame, rows)
+                    fields[constraint.kind] += 1
+    assert fields == {"conformal": 880, "full_derivations": 880, "explicit": 142}
     # fields on several components at once: seeded sums of unit monomial
-    # fields, the conformal fields of each block (whose residual terms all
+    # fields, the solutions of each block (whose residual terms all
     # cancel), and their sums
     rng = random.Random(20261018)
-    mixed = cancelling = 0
-    for name in ("engel", "cartan_235", "two_centre", "h2"):
+    mixed, cancelling = Counter(), Counter()
+    for name, constraint in RESIDUAL_CASES:
         g, frame = named_algebra_frame(name)
+        rows = constraint.first_layer_rows(frame.horizontal)
         for delta in range(-g.step, 3):
             sums = [seeded_sum(frame, delta, rng) for _ in range(4)]
-            solutions = [list(f.components) for f in conformal_fields_of_degree(frame, delta)]
+            solutions = [list(f.components)
+                         for f in conformal_fields_of_degree(frame, constraint, delta)]
             for comps in solutions:
-                assert all(r.is_zero()
-                           for r in residual_polys(conformal_system_residuals(comps, frame), frame))
-                cancelling += 1
+                assert all(r.is_zero() for r in residuals(comps, frame, rows))
+                cancelling[constraint.kind] += 1
             for comps in sums + solutions + [[a + b for a, b in zip(x, y)]
                                              for x, y in zip(sums, solutions)]:
-                residuals = residual_polys(conformal_system_residuals(comps, frame), frame)
-                assert residuals == reference_residuals(comps, frame)
-                mixed += 1
-    assert (mixed, cancelling) == (162, 38)
+                assert residuals(comps, frame, rows) == reference_residuals(comps, frame, rows)
+                mixed[constraint.kind] += 1
+    assert mixed == {"conformal": 162, "full_derivations": 308, "explicit": 91}
+    assert cancelling == {"conformal": 38, "full_derivations": 158, "explicit": 24}
+
+
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "r3", "cartan_235", "two_centre", "h2"])
+def test_conformal_rows_and_the_trace_form_have_the_same_blocks(name):
+    # the conformal condition rows span the same equations as the trace
+    # form, so every block has the same nullspace under both
+    g, frame = named_algebra_frame(name)
+    ring = frame.ring
+    for delta in range(-g.step, 3):
+        units = [(i, exp) for i in range(g.dim)
+                 for exp in ring.monomials_exact(delta - g.weights[i])]
+        system = {}
+        for col, (i, exp) in enumerate(units):
+            comps = [ring.zero()] * g.dim
+            comps[i] = Poly(ring, {exp: Fraction(1)})
+            contact = residuals(comps, frame, ())
+            for eq, p in enumerate(contact + trace_form_residuals(comps, frame)):
+                for e, c in p.terms.items():
+                    system.setdefault((eq, e), {})[col] = c
+        trace_form = nullspace(SparseRows(list(system.values()), len(units)))
+        column = {unit: col for col, unit in enumerate(units)}
+        fields = conformal_fields_of_degree(frame, CONFORMAL, delta)
+        rows = Subspace.from_vectors([{column[i, e]: c for i, f in enumerate(fld.components)
+                                       for e, c in f.terms.items()} for fld in fields],
+                                     len(units))
+        assert rows.dim == len(fields) == trace_form.dim
+        assert span_equal(rows, trace_form)
 
 
 def test_residual_terms_have_no_zero_coefficient():
-    # R^1 makes every diagonal conformal term cancel; the conformal fields
-    # of each block make every term cancel
+    # on R^1 the conformal rows are vacuous; the conformal fields of each
+    # block make every term cancel
     rng = random.Random(20261019)
     checked = 0
     for name in ("r1", "r3", "engel", "cartan_235", "two_centre", "h2"):
         g, frame = named_algebra_frame(name)
         m = frame.horizontal
-        equations = m * (g.dim - m) + m * (m + 1) // 2
+        rows = CONFORMAL.first_layer_rows(m)
+        equations = m * (g.dim - m) + len(rows)
         for delta in range(-g.step, 3):
             fields = [seeded_sum(frame, delta, rng) for _ in range(3)]
-            fields += [list(f.components) for f in conformal_fields_of_degree(frame, delta)]
+            fields += [list(f.components)
+                       for f in conformal_fields_of_degree(frame, CONFORMAL, delta)]
             for comps in fields:
-                terms = conformal_system_residuals(comps, frame)
+                terms = conformal_system_residuals(components(comps), frame, rows)
                 assert all(c != 0 for c in terms.values())
                 assert all(0 <= eq < equations for eq, _ in terms)
                 checked += 1
@@ -165,20 +227,20 @@ def test_defect_reports_match_the_coordinate_reference(engel_frame):
         g = frame.algebra
         names = g.names
         m = frame.horizontal
+        rows = CONFORMAL.first_layer_rows(m)
         contact_labels = [f"[V,~{names[i]}]@~{names[k]}" for i in range(m) for k in range(m, g.dim)]
-        conformal_labels = [f"co({names[i]},{names[j]})" for i in range(m) for j in range(i, m)]
+        g0_labels = [f"g0 row {q}" for q in range(1, len(rows) + 1)]
         fields = [seeded_sum(frame, delta, rng) for delta in range(-g.step, 3) for _ in range(3)]
         for comps in fields + contact_fields:
             field = PolyVectorField(tuple(comps))
-            reference = reference_residuals(comps, frame)
+            reference = reference_residuals(comps, frame, rows)
             contact = contact_defect(field, frame)
             assert contact.residuals == tuple(zip(contact_labels, reference[:len(contact_labels)]))
             if not contact.all_zero:
                 contact_nonzero += 1
                 continue
-            conformal = conformal_defect(field, frame)
-            assert conformal.residuals == tuple(zip(conformal_labels,
-                                                    reference[len(contact_labels):]))
+            conformal = conformal_defect(field, frame, CONFORMAL)
+            assert conformal.residuals == tuple(zip(g0_labels, reference[len(contact_labels):]))
             conformal_nonzero += not conformal.all_zero
     assert (contact_nonzero, conformal_nonzero) == (54, 12)
 
@@ -200,11 +262,11 @@ def seeded_sum(frame, delta, rng):
 def test_tau_fields_conformal(engel_frame, engel_tau):
     for field in engel_tau:
         assert contact_defect(field, engel_frame).all_zero
-        assert conformal_defect(field, engel_frame).all_zero
+        assert conformal_defect(field, engel_frame, CONFORMAL).all_zero
 
 
 def test_cubic_family_not_conformal(engel_frame):
-    report = conformal_defect(monomial_family(engel_frame, 3), engel_frame)
+    report = conformal_defect(monomial_family(engel_frame, 3), engel_frame, CONFORMAL)
     assert not report.all_zero
     # the only obstruction is the constant third derivative, here 6
     nz = report.nonzero()
@@ -214,13 +276,13 @@ def test_cubic_family_not_conformal(engel_frame):
 
 def test_monomial_family_conformal_iff_degree_below_three(engel_frame):
     for k in range(0, 7):
-        report = conformal_defect(monomial_family(engel_frame, k), engel_frame)
+        report = conformal_defect(monomial_family(engel_frame, k), engel_frame, CONFORMAL)
         assert report.all_zero == (k <= 2)
 
 
 def test_conformal_defect_requires_contact(engel_frame):
     with pytest.raises(NotContact):
-        conformal_defect(unit_frame_field(engel_frame, 2), engel_frame)
+        conformal_defect(unit_frame_field(engel_frame, 2), engel_frame, CONFORMAL)
 
 
 # -- jets ----------------------------------------------------------------
@@ -448,7 +510,7 @@ def test_h_system_bound_independence(engel_frame):
 
 def test_h_system_fields_are_conformal(engel_frame):
     for field in solve_h_system(engel_frame).fields:
-        assert conformal_defect(field, engel_frame).all_zero
+        assert conformal_defect(field, engel_frame, CONFORMAL).all_zero
 
 
 def test_h_system_requires_engel_pattern(heisenberg_frame):
@@ -460,46 +522,46 @@ def test_h_system_requires_engel_pattern(heisenberg_frame):
 
 
 def test_engel_ansatz_dimension_and_span(engel_frame, engel_tau):
-    sol = solve_polynomial_conformal(engel_frame, 6)
+    sol = solve_polynomial_conformal(engel_frame, CONFORMAL, 6)
     assert sol.dim == 5
     assert same_span(sol.fields, engel_tau)
 
 
 def test_engel_ansatz_stability(engel_frame):
     for degree in (3, 4, 5):
-        assert solve_polynomial_conformal(engel_frame, degree).dim == 5
+        assert solve_polynomial_conformal(engel_frame, CONFORMAL, degree).dim == 5
 
 
 def test_ansatz_solutions_are_conformal(engel_frame):
-    for field in solve_polynomial_conformal(engel_frame, 4).fields:
-        assert conformal_defect(field, engel_frame).all_zero
+    for field in solve_polynomial_conformal(engel_frame, CONFORMAL, 4).fields:
+        assert conformal_defect(field, engel_frame, CONFORMAL).all_zero
 
 
 def test_heisenberg_ansatz_dimension(heisenberg_frame):
-    assert solve_polynomial_conformal(heisenberg_frame, 4).dim == 8
+    assert solve_polynomial_conformal(heisenberg_frame, CONFORMAL, 4).dim == 8
 
 
 def test_r3_ansatz_dimension():
     g = make_abelian(3)
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
-    assert solve_polynomial_conformal(frame, 3).dim == 10
+    assert solve_polynomial_conformal(frame, CONFORMAL, 3).dim == 10
 
 
 def test_r2_ansatz_grows_without_bound():
     g = make_abelian(2)
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
-    dims = [solve_polynomial_conformal(frame, d).dim for d in range(4)]
+    dims = [solve_polynomial_conformal(frame, CONFORMAL, d).dim for d in range(4)]
     assert dims == [4, 6, 8, 10]
 
 
 def test_homogeneous_blocks_match_heisenberg_levels(heisenberg_frame):
-    assert [len(conformal_fields_of_degree(heisenberg_frame, k)) for k in range(4)] == \
+    assert [len(conformal_fields_of_degree(heisenberg_frame, CONFORMAL, k)) for k in range(4)] == \
         [2, 2, 1, 0]
 
 
 def test_ansatz_determinism(engel_frame):
-    a = solve_polynomial_conformal(engel_frame, 4)
-    b = solve_polynomial_conformal(engel_frame, 4)
+    a = solve_polynomial_conformal(engel_frame, CONFORMAL, 4)
+    b = solve_polynomial_conformal(engel_frame, CONFORMAL, 4)
     assert a.fields == b.fields
     assert a.block_dims == b.block_dims
 
@@ -513,8 +575,9 @@ def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
     g = spec_algebra(spec)
     frame = left_invariant_frame(g, spec_recipe(spec, g))
     degree = 4
-    sol = solve_polynomial_conformal(frame, degree)
-    blocks = [conformal_fields_of_degree(frame, delta) for delta in range(-g.step, degree + 1)]
+    sol = solve_polynomial_conformal(frame, CONFORMAL, degree)
+    blocks = [conformal_fields_of_degree(frame, CONFORMAL, delta)
+              for delta in range(-g.step, degree + 1)]
     assert sol.dim > 0
     assert sol.block_dims == tuple(map(len, blocks))
     assert sol.fields == tuple(f for block in blocks for f in block)
@@ -526,12 +589,12 @@ def test_same_span_needs_more_than_equal_counts(heisenberg_frame):
     # degree: the counts agree, so only the span tells the lists apart
     frame = heisenberg_frame
     ring = frame.ring
-    sol = solve_polynomial_conformal(frame, 4)
+    sol = solve_polynomial_conformal(frame, CONFORMAL, 4)
     fields = list(sol.fields)
     assert same_span(fields, fields[::-1])
     bad = PolyVectorField((ring.var(1), ring.zero(), ring.zero()))  # x2 ~X1, graded degree 0
-    assert any(not r.is_zero()
-               for r in residual_polys(conformal_system_residuals(bad.components, frame), frame))
+    rows = CONFORMAL.first_layer_rows(frame.horizontal)
+    assert any(not r.is_zero() for r in residuals(bad.components, frame, rows))
     i = sum(sol.block_dims[:frame.algebra.step])  # the first field of graded degree 0
     moved = PolyVectorField(tuple(a + b for a, b in zip(fields[i].components, bad.components)))
     realized = fields[:i] + [moved] + fields[i + 1:]

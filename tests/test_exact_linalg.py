@@ -273,20 +273,20 @@ def test_nullspace_matches_sympy_on_overlapping_rows(m):
 def cartan_residual_system(delta):
     """The residual rows of the degree-``delta`` conformal block of cartan_235."""
     import carnot.contact_pde as contact_pde
-    from .conftest import named_algebra_frame
+    from .conftest import CONFORMAL, named_algebra_frame
     _, frame = named_algebra_frame("cartan_235")
     systems = []
     original = contact_pde.nullspace
     contact_pde.nullspace = lambda m: systems.append(m) or original(m)
     try:
-        contact_pde.conformal_fields_of_degree(frame, delta)
+        contact_pde.conformal_fields_of_degree(frame, CONFORMAL, delta)
     finally:
         contact_pde.nullspace = original
     [m] = systems
     return m
 
 
-# degree 3: 130 x 108 of full column rank; degree 0: 23 x 24 of rank 22
+# degree 3: 122 x 108 of full column rank; degree 0: 22 x 24 of rank 22
 # (the level g0), whose RREF is not the identity
 @pytest.mark.parametrize("delta, rank", [(3, 108), (0, 22)])
 def test_rref_does_not_depend_on_row_order(delta, rank):

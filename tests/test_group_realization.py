@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from carnot.exact_linalg import Matrix
+from carnot.exact_linalg import Matrix, sparse_row
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
@@ -14,8 +14,8 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInv
                                       left_invariant_frame, left_translation, realize_tau,
                                       similarity_check, pushforward_in_frame)
 from carnot.polynomials import Poly
-from .conftest import (BUNDLED, GENERATED, apply_rows, conformal_g0, dense_bracket, make_abelian,
-                       named_algebra_frame, permuted, rand_point, spec_file)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, dense_bracket,
+                       make_abelian, named_algebra_frame, permuted, rand_point, spec_file)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -229,7 +229,7 @@ def test_tau_realizes_positive_levels():
         ring = frame.ring
         for field, weight in zip(fields, s.weights):
             assert contact_defect(field, frame).all_zero
-            assert conformal_defect(field, frame).all_zero
+            assert conformal_defect(field, frame, CONFORMAL).all_zero
             for comp, w in zip(field.components, g.weights):
                 assert all(ring.term_degree(e) == weight - w for e in comp.terms)
         coords = [frame.to_coords(list(f.components)) for f in fields]
@@ -428,6 +428,22 @@ def test_jacobian_zero_at_the_probe_falls_back_to_the_expansion(engel_recipe, en
     # the expansion recurses through its minors
     assert calls[:1] == [4]
     assert push[0][0] == 2 * (x[0] - a)
+
+
+@pytest.mark.parametrize("name", ["engel", "cartan_235", "two_centre"])
+def test_jacobian_at_the_probe_matches_the_symbolic_jacobian(name, rng):
+    # translations, dilations, and a map whose Jacobian vanishes at the probe
+    from carnot.group_realization import _jacobian_at_probe, _jacobian_probe
+    g, frame = named_algebra_frame(name)
+    recipe = frame.recipe
+    x = [recipe.ring.var(i) for i in range(g.dim)]
+    point = _jacobian_probe(g.dim)
+    maps = [left_translation(recipe, rand_point(rng, g.dim)) for _ in range(3)]
+    maps += [dilation(recipe, Fraction(2, 3)),
+             PolyMap(recipe, ((x[0] - point[0]) ** 2, *x[1:]))]
+    for pmap in maps:
+        expected = [sparse_row([p.eval(point) for p in row]) for row in pmap.jacobian()]
+        assert _jacobian_at_probe(pmap) == expected
 
 
 def test_jacobian_nonzero_at_the_probe_skips_the_expansion(engel_recipe, engel_frame, rng,

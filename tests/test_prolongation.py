@@ -12,9 +12,9 @@ from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (BUNDLED, GENERATED, conformal_g0, dense_action, dense_bracket, jacobiator,
-                       make_abelian, make_engel, make_heisenberg, make_heisenberg_n, permuted,
-                       spec_file)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, conformal_g0, dense_action, dense_bracket,
+                       jacobiator, make_abelian, make_engel, make_heisenberg, make_heisenberg_n,
+                       permuted, spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -29,7 +29,7 @@ def test_abelian_r3_first_level():
     assert lvl1.dim == 3
     # oracle: homogeneous conformal fields of matching graded degree
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
-    assert len(conformal_fields_of_degree(frame, 1)) == 3
+    assert len(conformal_fields_of_degree(frame, CONFORMAL, 1)) == 3
 
 
 def test_abelian_r1_levels_never_die():
@@ -139,7 +139,7 @@ def test_full_prolongation_heisenberg():
     # oracle: level dims equal homogeneous conformal field counts
     frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
     for k, d in enumerate(rep.level_dims):
-        assert len(conformal_fields_of_degree(frame, k)) == d
+        assert len(conformal_fields_of_degree(frame, CONFORMAL, k)) == d
 
 
 def test_full_prolongation_r3():
