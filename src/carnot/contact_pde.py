@@ -5,8 +5,11 @@ horizontal frame field X, and its horizontal derivative matrix then lies
 in the spec's ``g0`` when it meets ``GZeroConstraint.first_layer_rows``,
 the rows ``constrain_g0`` reads for the tower.  Residuals are full
 polynomials, never point samples, so every verdict is an identity check.
-The jet of a field at a point is read in the ``Level.actions`` convention,
-so the levels of the tower decide membership and the derivation law.  The
+The jet of a field at a point is built by one rule: part k on e_j is X_j
+applied to whatever has weight w_j + k, the field's components on that
+layer while the weight is negative and part w_j + k otherwise.  So every
+part is in the ``Level.actions`` convention, and the levels of the tower
+decide membership and the derivation law.  The
 bounded-degree ansatz solver at the end is the brute-force cross-check for
 the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, span_equal, vec_zero
+from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, span_equal
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
@@ -179,92 +182,60 @@ def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
 # -- pointwise jets ----------------------------------------------------
 
 
-Values = tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
-class JetOnePart:
-    """Degree-one jet data: along each layer -1 direction c1, the X_c1
-    derivative of the zero-part values; vectors for deeper sources."""
-
-    matrices: tuple[tuple[int, Values], ...]
-    vectors: tuple[tuple[int, tuple[Fraction, ...]], ...]
-
-    def is_zero(self) -> bool:
-        return (all(x == 0 for _, values in self.matrices for value in values for x in value)
-                and all(all(x == 0 for x in v) for _, v in self.vectors))
-
-
 @dataclass(frozen=True)
 class ContactJet:
-    """Layered derivative data of a contact field at a point.
+    """Parts 0 and 1 of a contact field's jet at a point.
 
-    ``zero_part`` is a degree-zero map given by its dense values, in the
-    coordinates of ``Level.actions``: entry j is the image of e_j in e_j's
-    layer, so ``g0.coordinates_of_values`` reads it directly.
+    ``parts[k][j]`` is the value of part k on e_j in the convention of
+    ``Level.actions``: while the weight w_j + k is negative, the local
+    coordinates of that layer; otherwise the values of part w_j + k on
+    every basis element, which that part's level reads in turn.  So
+    ``g0.coordinates_of_values`` reads part 0 directly.
     """
 
     point: tuple[Fraction, ...]
-    zero_part: Values
-    one_part: JetOnePart
+    parts: tuple
+
+    def part_is_zero(self, k: int) -> bool:
+        return _all_zero(self.parts[k])
 
 
-def _derivative(frame: Frame, j: int, f: Poly) -> Poly:
-    """X_j f, with no work for f = 0."""
-    return f if f.is_zero() else frame.apply(j, f)
+def _nested(f, x: tuple) -> tuple:
+    """``f`` applied to every leaf of ``x``, a nonempty tuple of nonempty
+    tuples, nested to any depth."""
+    if isinstance(x[0], tuple):
+        return tuple([_nested(f, y) for y in x])
+    return tuple([f(y) for y in x])
 
 
-def _zero_part_entries(comps: Sequence[Poly], frame: Frame) -> list[tuple[Poly, ...]]:
-    """Symbolic values of the degree-zero jet: entry c holds X_c applied to
-    the coefficient of each basis element of e_c's layer."""
-    g = frame.algebra
-    return [tuple(_derivative(frame, c, comps[r]) for r in g.layer_indices(-g.weights[c]))
-            for c in range(g.dim)]
-
-
-def _at(f: Poly, pt: Sequence[Fraction]) -> Fraction:
-    """f at the point, with no work for f = 0."""
-    return ZERO if f.is_zero() else f.eval(pt)
-
-
-def _values_at(entries: Sequence[Sequence[Poly]], pt: Sequence[Fraction]) -> Values:
-    return tuple(tuple(_at(p, pt) for p in entry) for entry in entries)
-
-
-def _placed_at(entries: dict[int, Poly], n: int, pt: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The length-n vector holding entry i's value at the point in slot i."""
-    full = vec_zero(n)
-    for i, p in entries.items():
-        full[i] = _at(p, pt)
-    return tuple(full)
+def _all_zero(x) -> bool:
+    return all(map(_all_zero, x)) if isinstance(x, tuple) else not x
 
 
 def jet(V: PolyVectorField, frame: Frame,
         points: Iterable[Sequence[Fraction]]) -> list[ContactJet]:
-    """Degree-zero and degree-one parts of a contact field's jet at each rational point.
+    """Parts 0 and 1 of a contact field's jet at each rational point.
 
-    Contact is certified once, and the symbolic entries of every part are
-    built once; each point only evaluates them.
+    Part k on e_j is X_j applied to whatever has weight w_j + k: the
+    field's components on that layer, or part w_j + k, already built.
+    Contact is certified once, and the symbolic parts are built once; each
+    point only evaluates them.
     """
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
     comps = V.components
-    sym = _zero_part_entries(comps, frame)
-    # X_c1 of each zero-part entry along layer -1; for a deeper source,
-    # X_src of each coefficient of the layer above it
-    one_matrices = [(c1, [[_derivative(frame, c1, p) for p in entry] for entry in sym])
-                    for c1 in g.layer_indices(1)]
-    one_vectors = [(src, {i: _derivative(frame, src, comps[i])
-                          for i in g.layer_indices(depth - 1)})
-                   for depth in range(2, g.step + 1) for src in g.layer_indices(depth)]
+    parts: list[tuple] = []
+    for k in range(2):
+        sources = [parts[w + k] if w + k >= 0
+                   else tuple(comps[r] for r in g.layer_indices(-w - k)) for w in g.weights]
+        parts.append(tuple([_nested(lambda f: frame.apply(j, f) if f.terms else f, source)
+                            for j, source in enumerate(sources)]))
     jets = []
     for point in points:
         pt = [Fraction(x) for x in point]
-        one_part = JetOnePart(
-            tuple((c1, _values_at(entries, pt)) for c1, entries in one_matrices),
-            tuple((src, _placed_at(entries, g.dim, pt)) for src, entries in one_vectors))
-        jets.append(ContactJet(tuple(pt), _values_at(sym, pt), one_part))
+        jets.append(ContactJet(tuple(pt), _nested(lambda f: f.eval(pt) if f.terms else ZERO,
+                                                  tuple(parts))))
     return jets
 
 
@@ -275,7 +246,7 @@ def jet_jacobi_check(j: ContactJet, ders: Level) -> bool:
     Leibniz system, so the law holds exactly when ``ders`` has coordinates
     for the values of the zero part.
     """
-    return ders.coordinates_of_values(j.zero_part) is not None
+    return ders.coordinates_of_values(j.parts[0]) is not None
 
 
 # -- the Engel h-system ------------------------------------------------

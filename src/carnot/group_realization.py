@@ -386,9 +386,6 @@ class PolyMap:
     recipe: CoordinateRecipe
     components: tuple[Poly, ...]
 
-    def apply(self, point: Sequence[Fraction]) -> list[Fraction]:
-        return [c.eval(list(point)) for c in self.components]
-
     def jacobian(self) -> list[list[Poly]]:
         n = len(self.components)
         return [[self.components[c].diff(d) for d in range(n)] for c in range(n)]

@@ -226,8 +226,6 @@ def strata_derivations(g: GradedLieAlgebra) -> Level:
 def constrain_g0(ders: Level, constraint: GZeroConstraint) -> Level:
     """The derivations whose first-layer block meets ``constraint``: the
     kernel of the degree-zero Leibniz system with the condition rows added."""
-    if constraint.kind == "full_derivations":
-        return ders
     g = ders.algebra
     first = g.layer_indices(1)
     cond_rows = constraint.first_layer_rows(len(first))
@@ -297,9 +295,6 @@ class ProlongationAlgebra:
             self._assemble_table()
 
     # -- coordinate plumbing -----------------------------------------
-
-    def index_of_name(self, label: str) -> int:
-        return self.labels.index(label)
 
     def _sparse_value(self, local: dict[int, Fraction], d: int) -> tuple:
         """Nonzero local coordinates ``{t: c}`` of the degree-d space as a

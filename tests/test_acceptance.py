@@ -84,9 +84,9 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
         while len(points) < 5:
             points.add(tuple(rand_point(rng, 4)))
         for jt in jet(field, engel_frame, sorted(points)):
-            if g0.coordinates_of_values(jt.zero_part) is None:
+            if g0.coordinates_of_values(jt.parts[0]) is None:
                 ok = False
-            if not jt.one_part.is_zero():
+            if not jt.part_is_zero(1):
                 ok = False
             if not jet_jacobi_check(jt, ders):
                 ok = False

@@ -6,8 +6,10 @@ from contextlib import redirect_stdout
 import pytest
 
 from carnot import bundled_spec as spec_path
-from carnot.cli import ParseError, Report, main, parse_spec_text, run_verify, parse_spec_file
-from carnot.group_realization import PolyVectorField
+from carnot.cli import (ParseError, Report, _field_str, main, parse_spec_file, parse_spec_text,
+                        run_verify, spec_algebra, spec_constraint, spec_recipe)
+from carnot.contact_pde import solve_polynomial_conformal
+from carnot.group_realization import PolyVectorField, left_invariant_frame
 from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, cartan_235_spec, free_step_two_spec,
                        heisenberg_spec, spec_text)
 
@@ -429,9 +431,12 @@ def test_outputs_are_byte_identical(argv):
     ("oracle", "g2_full"),
 ])
 def test_report_matches_saved_copy(command, name):
-    # the saved copies pin basis order and signs, which two runs of the
-    # same code cannot; the generated specs run the oracle at degree 3,
-    # engel at its bundled degree
+    # the saved copies pin what two runs of the same code cannot: the
+    # prolong and verify reports print the g0 and level bases and the
+    # realized fields, so they pin basis order and signs; an oracle report
+    # prints only counts and verdicts (its fields are pinned by
+    # test_oracle_fields_match_saved_copy).  The generated specs run the
+    # oracle at degree 3, engel at its bundled degree
     stored = GOLDEN / f"{name}.alg"
     argv = [command, str(stored) if stored.exists() else spec_path(name + ".alg")]
     if command == "oracle" and stored.exists():
@@ -445,6 +450,28 @@ def test_report_matches_saved_copy(command, name):
     code, out = run_cli(argv)
     assert code == 0
     assert out == saved.read_text(encoding="utf-8")
+
+
+# the bundled specs with g1 != 0: verify fails at part 1 of the jets, and
+# the saved copies pin the failure lines with their points
+@pytest.mark.parametrize("name", ["heisenberg", "r3_co3"])
+def test_failing_report_matches_saved_copy(name):
+    code, out = run_cli(["verify", spec_path(name + ".alg")])
+    assert code == 1
+    assert out == (GOLDEN / f"verify_{name}.txt").read_text(encoding="utf-8")
+
+
+# the oracle's fields themselves, one line each in the report's rendering,
+# so that a change of the echelon basis or of its signs shows
+@pytest.mark.parametrize("name, degree", [("engel", 6), ("g2_full", 3)])
+def test_oracle_fields_match_saved_copy(name, degree):
+    stored = GOLDEN / f"{name}.alg"
+    spec = parse_spec_file(str(stored) if stored.exists() else spec_path(name + ".alg"))
+    g = spec_algebra(spec)
+    frame = left_invariant_frame(g, spec_recipe(spec, g))
+    fields = solve_polynomial_conformal(frame, spec_constraint(spec), degree).fields
+    out = "".join(f"field_{i} = {_field_str(g, f)}\n" for i, f in enumerate(fields, start=1))
+    assert out == (GOLDEN / f"oracle_fields_{name}.txt").read_text(encoding="utf-8")
 
 
 FILIFORM = ("[algebra]\nname = filiform\nlayer -1 = X1 X2\nlayer -2 = Y\nlayer -3 = Z\n"

@@ -284,15 +284,20 @@ def test_degree_zero_fields_are_the_automorphism_flows(name):
 # -- dilations ----------------------------------------------------------
 
 
+def apply_map(pmap, point):
+    """The image of a rational point under a polynomial map."""
+    return [c.eval(list(point)) for c in pmap.components]
+
+
 def test_dilation_identity(engel_recipe):
     d = dilation(engel_recipe, 1)
     pt = [Fraction(3), Fraction(-2), Fraction(5, 7), Fraction(1, 3)]
-    assert d.apply(pt) == pt
+    assert apply_map(d, pt) == pt
 
 
 def test_dilation_weights(engel_recipe):
     d = dilation(engel_recipe, 2)
-    assert d.apply([1, 1, 1, 1]) == [2, 2, 4, 8]
+    assert apply_map(d, [1, 1, 1, 1]) == [2, 2, 4, 8]
 
 
 def test_dilation_composition(engel_recipe, rng):
@@ -301,7 +306,7 @@ def test_dilation_composition(engel_recipe, rng):
         dilation(engel_recipe, lam * mu)
     for _ in range(5):
         p = rand_point(rng, 4)
-        assert d1.apply(d2.apply(p)) == d12.apply(p)
+        assert apply_map(d1, apply_map(d2, p)) == apply_map(d12, p)
 
 
 def test_dilation_rejects_nonpositive(engel_recipe):

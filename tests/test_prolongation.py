@@ -216,9 +216,9 @@ def test_sparse_bracket_vec_matches_the_dense_bilinear_sum(name):
 
 def test_engel_bracket_table_values(engel):
     s, _ = full_prolongation(engel, conformal_g0(engel))
-    iD = s.index_of_name("D1")
+    iD = s.labels.index("D1")
     for name, scale in (("X1", 1), ("X2", 1), ("Y", 2), ("Z", 3)):
-        i = s.index_of_name(name)
+        i = s.labels.index(name)
         expect = [Fraction(0)] * s.dim
         expect[i] = Fraction(scale)
         assert dense_bracket(s, iD, i) == expect
@@ -381,8 +381,8 @@ def test_bracket_table_is_sparse_and_sorted():
 
 def test_verify_rejects_live_level_slot_perturbation():
     s = _r3_algebra()
-    a = s.index_of_name("D1")
-    b = s.index_of_name("u1_1")
+    a = s.labels.index("D1")
+    b = s.labels.index("u1_1")
     target = s.weights.index(s.weights[a] + s.weights[b])
     _put(s, a, b, _add_term(s.bracket_table[a][b], target, Fraction(1)))
     with pytest.raises(JacobiAssemblyFailure, match="Jacobi fails on"):
