@@ -335,6 +335,15 @@ def _prolong(spec: AlgebraSpec, max_k: int):
     return g, ders, g0, algebra, rep
 
 
+def _dense_str(value: dict[int, Fraction], size: int) -> str:
+    """The ``size`` local coordinates of a level value ``{t: c}``, comma
+    separated; only the nonzero ones are formatted."""
+    cells = ["0"] * size
+    for t, c in value.items():
+        cells[t] = str(c)
+    return ", ".join(cells)
+
+
 def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     report.add("command", "prolong")
     report.add("name", spec.name)
@@ -352,11 +361,10 @@ def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     for lvl in algebra.levels:
         if lvl.k == 0:
             continue
-        for b in range(lvl.dim):
-            desc = "; ".join(
-                f"{g.names[j]}:[" + ", ".join(map(str, lvl.action(b, j))) + "]"
-                for j in range(g.dim))
-            report.add(f"g{lvl.k}_basis_{b + 1}", desc)
+        for b, values in enumerate(lvl.actions, start=1):
+            desc = "; ".join(f"{name}:[{_dense_str(value, len(cols))}]"
+                             for name, value, cols in zip(g.names, values, lvl.columns))
+            report.add(f"g{lvl.k}_basis_{b}", desc)
     return 0
 
 

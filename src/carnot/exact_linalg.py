@@ -140,7 +140,8 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
 
     Returns ``(echelon, rank, pivots)`` where ``pivots`` lists the pivot
     column of each nonzero row, leftmost first.  The echelon system has
-    the shape of ``m``, its zero rows last.
+    the shape of ``m``, its zero rows last; each row holds its columns in
+    ascending order.
 
     Rows are taken shortest first.  Each is cleared of the pivots found
     so far; its smallest remaining column becomes a new pivot, which is
@@ -200,9 +201,10 @@ class Subspace:
     """A linear subspace of Q^n held as a canonical reduced-echelon basis.
 
     Each basis row is a sparse row ``{column: Fraction}`` with no zero
-    entry, as :func:`rref` returns it: a leading 1 in its own pivot
-    column, and no entry in any other row's pivot column.  So two
-    Subspace objects span the same set iff their bases are equal.
+    entry and its columns in ascending order, as :func:`rref` returns it:
+    a leading 1 in its own pivot column, and no entry in any other row's
+    pivot column.  So two Subspace objects span the same set iff their
+    bases are equal.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots")

@@ -218,14 +218,15 @@ class Poly:
         return _poly(self.ring, out)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.ring.nvars:
+        """The value at a point of ``Fraction`` coordinates."""
+        if len(point) != len(self.ring.names):
             raise ValueError("point has wrong length")
         total = Fraction(0)
         for e, c in self.terms.items():
             v = c
             for x, p in zip(point, e):
                 if p:
-                    v *= Fraction(x) ** p
+                    v *= x ** p
             total += v
         return total
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, vec_zero
+from .exact_linalg import ONE, SparseRows, Subspace, nullspace, vec_zero
 from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
                          table_violation)
 
@@ -49,9 +49,12 @@ class Level:
 
     ``columns[j][t]`` is the coordinate of ``subspace`` that holds
     component t of u(e_j), the value of u on negative basis element j in
-    local coordinates of the degree weight(j)+k space.  ``actions[b][j]``
-    is that value for the b-th basis element, as its nonzero components
-    ``{t: c}``, read once from the sparse basis rows.
+    local coordinates of the degree weight(j)+k space; the value has
+    ``len(columns[j])`` components.  ``actions[b][j]`` is that value for
+    the b-th basis element, as its nonzero components ``{t: c}`` in
+    ascending t.  It is the only form of a level element: the Leibniz
+    systems of later levels, the bracket table and the ``prolong`` report
+    all read it.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, k: int, subspace: Subspace,
@@ -60,18 +63,22 @@ class Level:
         self.k = k
         self.subspace = subspace
         self.columns = tuple(tuple(cols) for cols in columns)
-        self.actions = tuple(tuple({t: row[c] for t, c in enumerate(cols) if c in row}
-                                   for cols in self.columns) for row in subspace.basis)
+        cell = {c: (j, t) for j, cols in enumerate(self.columns) for t, c in enumerate(cols)}
+        actions = []
+        for row in subspace.basis:
+            values = tuple({} for _ in self.columns)
+            # a basis row holds its columns in ascending order, and within
+            # one j the column grows with t: each value comes out in
+            # ascending t
+            for c, x in row.items():
+                j, t = cell[c]
+                values[j][t] = x
+            actions.append(values)
+        self.actions = tuple(actions)
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
-
-    def action(self, b: int, j: int) -> tuple[Fraction, ...]:
-        """Value of the b-th basis element on negative basis element j, as
-        the dense tuple of its local coordinates."""
-        value = self.actions[b][j]
-        return tuple(value.get(t, ZERO) for t in range(len(self.columns[j])))
 
     def coordinates_of_values(self, values: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
         """Coordinates in this level's basis of a map given by its dense

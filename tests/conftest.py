@@ -144,7 +144,15 @@ def dense_bracket(s, a, b):
     return out
 
 
-def dense_action(s, a, b):
+def dense_action(level, b, j):
+    """The value of the b-th basis element of a level on negative basis
+    element j, as the dense tuple of its local coordinates: the reference
+    view of ``level.actions[b][j]``."""
+    value = level.actions[b][j]
+    return tuple(value.get(t, Fraction(0)) for t in range(len(level.columns[j])))
+
+
+def action_vector(s, a, b):
     """The dense s-vector of u(e_j), for the level element u = e_a and the
     negative element e_j = e_b of a prolongation algebra, read from the
     level's action."""

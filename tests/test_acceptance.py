@@ -15,7 +15,7 @@ from carnot.group_realization import (CoordinateRecipe, PolyVectorField, dilatio
                                       similarity_check)
 from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check, same_span,
                                 solve_polynomial_conformal, vf_bracket)
-from .conftest import (CONFORMAL, conformal_g0, dense_action, dense_bracket, jacobiator,
+from .conftest import (CONFORMAL, action_vector, conformal_g0, dense_bracket, jacobiator,
                        make_abelian, make_heisenberg, rand_point, zero_matrices)
 
 
@@ -147,7 +147,7 @@ def test_criterion_10_jacobi_suite(engel_prolongation):
         if key[0] != "lev":
             continue
         for b, bkey in enumerate(algebra.sbasis):
-            if bkey[0] == "neg" and dense_bracket(algebra, a, b) != dense_action(algebra, a, b):
+            if bkey[0] == "neg" and dense_bracket(algebra, a, b) != action_vector(algebra, a, b):
                 ok = False
     report(10, ok, "Jacobi exact on all 10 triples and [u,X] = u(X) on all mixed pairs")
 

@@ -10,8 +10,9 @@ from carnot.cli import (ParseError, Report, _field_str, main, parse_spec_file, p
                         run_verify, spec_algebra, spec_constraint, spec_recipe)
 from carnot.contact_pde import solve_polynomial_conformal
 from carnot.group_realization import PolyVectorField, left_invariant_frame
-from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, cartan_235_spec, free_step_two_spec,
-                       heisenberg_spec, spec_text)
+from carnot.prolongation import constrain_g0, full_prolongation, strata_derivations
+from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, cartan_235_spec, dense_action,
+                       free_step_two_spec, heisenberg_spec, spec_text)
 
 
 def run_cli(argv):
@@ -324,6 +325,36 @@ def scale_family_spec(tmp_path, name):
     path = tmp_path / f"{name}.alg"
     path.write_text(f"[algebra]\nname = {name}\n{body}[g0]\nconstraint = conformal\n")
     return str(path)
+
+
+# two specs whose level bases hold non-integer entries, and two cut-off towers
+@pytest.mark.parametrize("name, fractional", [
+    ("heisenberg", True), ("h3", True), ("r3_gl", False), ("h1_der", False)])
+def test_level_basis_lines_equal_the_dense_rendering(tmp_path, name, fractional):
+    # each g{k}_basis_{b} line is built from the nonzero entries alone; the
+    # reference renders every local coordinate, zeros included
+    if name == "h3":
+        path = scale_family_spec(tmp_path, name)
+    elif name == "heisenberg":
+        path = spec_path(name + ".alg")
+    else:
+        path = str(GOLDEN / f"{name}.alg")
+    spec = parse_spec_file(path)
+    g = spec_algebra(spec)
+    g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
+    s, _ = full_prolongation(g, g0, max_k=spec.max_k)
+    expected = {}
+    for lvl in s.levels[1:]:
+        for b in range(lvl.dim):
+            expected[f"g{lvl.k}_basis_{b + 1}"] = "; ".join(
+                f"{g.names[j]}:[" + ", ".join(map(str, dense_action(lvl, b, j))) + "]"
+                for j in range(g.dim))
+    assert any("/" in line for line in expected.values()) == fractional
+    for fmt in ("text", "struct"):
+        code, out = run_cli(["prolong", path, "--format", fmt])
+        assert code == 0
+        d = as_dict(out) if fmt == "text" else json.loads(out)
+        assert {k: v for k, v in d.items() if re.fullmatch(r"g[1-9]\d*_basis_\d+", k)} == expected
 
 
 # dim su(n+1,1) = (n+2)^2 - 1 for H_n (Koranyi-Reimann) and dim so(n+1,1) =

@@ -1,9 +1,11 @@
-"""Only the automorphism code uses the dense ``Matrix``.
+"""Dense values stay where they are needed.
 
 A degree-zero map is kept as its values, the convention of
 ``Level.actions``; ``Matrix`` is the value type of graded automorphisms
-alone.  This test reads every module under ``src/carnot`` and lists
-those that import the name or read it as an attribute.
+alone, and the dense tuple of a level value is a test-only view
+(``tests.conftest.dense_action``).  These tests read every module under
+``src/carnot`` and list those that import ``Matrix`` or read it as an
+attribute, and those that call a method named ``action``.
 """
 
 import ast
@@ -21,8 +23,23 @@ def uses_matrix(tree):
     return False
 
 
+def calls_action(tree):
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "action" for node in ast.walk(tree))
+
+
+def modules_where(predicate):
+    return {path.stem for path in SRC.rglob("*.py")
+            if predicate(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
+
+
 def test_only_the_automorphism_modules_use_matrix():
-    users = {path.stem for path in SRC.rglob("*.py")
-             if uses_matrix(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))}
+    users = modules_where(uses_matrix)
     # exact_linalg defines Matrix; these two build and check automorphisms
     assert users <= {"group_realization", "cli"}, sorted(users)
+
+
+def test_no_module_reads_a_level_value_densely():
+    # reports, tables and jet checks read Level.actions, the nonzero
+    # components of each value
+    assert not modules_where(calls_action), sorted(modules_where(calls_action))

@@ -12,9 +12,9 @@ from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, conformal_g0, dense_action, dense_bracket,
-                       jacobiator, make_abelian, make_engel, make_heisenberg, make_heisenberg_n,
-                       permuted, spec_file)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, action_vector, conformal_g0, dense_action,
+                       dense_bracket, jacobiator, make_abelian, make_engel, make_heisenberg,
+                       make_heisenberg_n, permuted, spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -105,11 +105,11 @@ def test_leibniz_law_on_computed_levels():
                     lhs_target = g.weights[j1] + g.weights[j2] + k
                     lhs = None
                     for r, c in g.rows[j1][j2]:
-                        term = [c * x for x in lvl.action(b, r)]
+                        term = [c * x for x in dense_action(lvl, b, r)]
                         lhs = term if lhs is None else [p + q for p, q in zip(lhs, term)]
-                    rhs1 = bracket_local(g, levels, lvl.action(b, j1),
+                    rhs1 = bracket_local(g, levels, dense_action(lvl, b, j1),
                                           g.weights[j1] + k, j2)
-                    rhs2 = bracket_local(g, levels, lvl.action(b, j2),
+                    rhs2 = bracket_local(g, levels, dense_action(lvl, b, j2),
                                           g.weights[j2] + k, j1)
                     rhs = [p - q for p, q in zip(rhs1, rhs2)]
                     if lhs is None:
@@ -177,7 +177,7 @@ def test_action_consistency_mixed_pairs(engel):
         for b, bkey in enumerate(s.sbasis):
             if bkey[0] != "neg":
                 continue
-            expected = dense_action(s, a, b)
+            expected = action_vector(s, a, b)
             assert dense_bracket(s, a, b) == expected
             assert dense_bracket(s, b, a) == [-x for x in expected]
 
@@ -265,8 +265,43 @@ def test_levels_keep_sparse_rows_without_zeros(name):
     for lvl in levels:
         for b, per in enumerate(lvl.actions):
             assert all(x != 0 for value in per for x in value.values())
-            coords = lvl.coordinates_of_values([lvl.action(b, j) for j in range(g.dim)])
+            coords = lvl.coordinates_of_values([dense_action(lvl, b, j) for j in range(g.dim)])
             assert coords == [int(i == b) for i in range(lvl.dim)]
+
+
+def _tower_levels(case):
+    """Strata derivations and every level of a tower: a bundled or stored
+    spec by name, or ``(algebra, full_derivations, max_k)``."""
+    if isinstance(case, str):
+        from carnot.cli import parse_spec_file, spec_algebra, spec_constraint
+        spec = parse_spec_file(spec_file(case))
+        g = spec_algebra(spec)
+        constraint, max_k = spec_constraint(spec), spec.max_k
+    else:
+        g, full, max_k = case
+        constraint = GZeroConstraint.full_derivations() if full else CONFORMAL
+    ders = strata_derivations(g)
+    s, _ = full_prolongation(g, constrain_g0(ders, constraint), max_k=max_k)
+    return [ders] + s.levels
+
+
+@pytest.mark.parametrize("case", list(BUNDLED) + ["g2_full"]
+                         + [(make_abelian(n), False, 10) for n in (3, 4, 5)]
+                         + [(make_heisenberg_n(n), False, 10) for n in (1, 2)]
+                         + [(make_abelian(3), True, 4), (make_heisenberg(), True, 6)],
+                         ids=list(BUNDLED) + ["g2_full", "r3", "r4", "r5", "h1", "h2",
+                                              "r3_gl_k4", "h1_der_k6"])
+def test_level_actions_match_the_per_column_reference(case):
+    # the reference probes every column of every basis row; Level reads
+    # each row's nonzero entries once, and must give the same values with
+    # their components in ascending t
+    for lvl in _tower_levels(case):
+        reference = tuple(tuple({t: row[c] for t, c in enumerate(cols) if c in row}
+                                for cols in lvl.columns) for row in lvl.subspace.basis)
+        assert lvl.actions == reference
+        for per, ref in zip(lvl.actions, reference):
+            assert [list(value) for value in per] == [list(value) for value in ref]
+            assert all(list(value) == sorted(value) for value in per)
 
 
 def test_closed_g0_required_for_assembly():
@@ -499,14 +534,14 @@ def _dense_reference_table(s):
         _, k, p = s.sbasis[a]
         for b in negs:
             j = s.sbasis[b][1]
-            put(a, b, sparse_value(s.levels[k].action(p, j), g.weights[j] + k))
+            put(a, b, sparse_value(dense_action(s.levels[k], p, j), g.weights[j] + k))
 
     def act(a, local, d, out, sign):
         # add sign * [e_a, value] to out, the value given in the degree-d space
         _, k, p = s.sbasis[a]
         if d < 0:
             for gi, c in zip(g.layer_indices(-d), local):
-                for t, y in enumerate(s.levels[k].action(p, gi)):
+                for t, y in enumerate(dense_action(s.levels[k], p, gi)):
                     out[t] += sign * c * y
             return
         start = s._block[d + k][0] if out else 0
@@ -522,8 +557,8 @@ def _dense_reference_table(s):
         values = []
         for t in range(g.dim):
             value = [Fraction(0)] * len(s._block.get(g.weights[t] + ka + kb, ()))
-            act(a, s.levels[kb].action(qb, t), g.weights[t] + kb, value, 1)
-            act(b, s.levels[ka].action(qa, t), g.weights[t] + ka, value, -1)
+            act(a, dense_action(s.levels[kb], qb, t), g.weights[t] + kb, value, 1)
+            act(b, dense_action(s.levels[ka], qa, t), g.weights[t] + ka, value, -1)
             values.append(value)
         if ka + kb <= s.top_level():
             coords = s.levels[ka + kb].coordinates_of_values(values)
