@@ -4,9 +4,13 @@ Every rank and dimension decision downstream is a nullspace computation,
 so the arithmetic here is exact.  A linear system is a :class:`SparseRows`:
 each row is a mapping ``{column: coefficient}`` of its nonzero entries,
 together with the column count.  One kernel, :func:`rref`, eliminates:
-``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it.
-It scales each row to a primitive integer row, touches nonzero entries
-only, and reduces in a single Gauss–Jordan pass, shortest rows first.
+``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it,
+once per call.  ``nullspace`` eliminates in reverse column order and
+reads the canonical kernel basis straight off that one reduction;
+``from_vectors`` remains for vectors that do not come from an
+elimination.  ``rref`` scales each row to a primitive integer row,
+touches nonzero entries only, and reduces in a single Gauss–Jordan
+pass, shortest rows first.
 The reduced row-echelon form is unique per row space, so the order in
 which rows are taken changes the work, not the result.  A
 :class:`Subspace` keeps the rows ``rref`` returns as its basis, in the
@@ -247,18 +251,35 @@ class Subspace:
 
 
 def nullspace(m: SparseRows) -> Subspace:
-    """Exact kernel of ``m`` with canonical echelon basis."""
-    ech, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = [{f: ONE} for f in free]
-    slot = {f: i for i, f in enumerate(free)}
-    # a reduced row is nonzero off its pivot only in free columns
-    for p, row in zip(pivots, ech.entries):
+    """Exact kernel of ``m`` with canonical echelon basis, from one elimination.
+
+    The system is reduced with its columns in reverse order (column c is
+    taken as ``cols - 1 - c``), so each reduced row holds its pivot as
+    its largest column, and off it only free columns below the pivot.
+    The kernel vector of a free column f is 1 at f and minus each row's
+    entry at f at that row's pivot: its smallest column is f, and it has
+    no entry at any other free column.  Those vectors are the reduced
+    echelon basis of the kernel, with the free columns as pivots, so no
+    second elimination is needed.
+    """
+    n = m.cols
+    for row in m.entries:
+        for c in row:
+            if not 0 <= c < n:
+                raise ValueError(f"column {c} outside a system of {n} columns")
+    last = n - 1
+    ech, rank, rpivots = rref(SparseRows([{last - c: x for c, x in row.items()}
+                                          for row in m.entries], n))
+    pivot_set = {last - p for p in rpivots}
+    free = [c for c in range(n) if c not in pivot_set]
+    vectors = {f: {f: ONE} for f in free}
+    # pivots ascending, so each vector's columns stay in ascending order
+    for rp, row in zip(reversed(rpivots), reversed(ech.entries[:rank])):
+        p = last - rp
         for c, x in row.items():
-            if c != p:
-                vectors[slot[c]][p] = -x
-    return Subspace.from_vectors(vectors, m.cols)
+            if c != rp:
+                vectors[last - c][p] = -x
+    return Subspace(n, [vectors[f] for f in free], free)
 
 
 def span_equal(a: Subspace, b: Subspace) -> bool:

@@ -55,16 +55,14 @@ class NotRealizable(ValueError):
     """No polynomial field of the level's degree has the brackets the algebra asks for."""
 
 
-def bch(g: GradedLieAlgebra, a: Sequence, b: Sequence, step: int | None = None) -> list:
-    """log(exp(a) exp(b)) in a nilpotent algebra of the given step.
+def bch(g: GradedLieAlgebra, a: Sequence, b: Sequence) -> list:
+    """log(exp(a) exp(b)) in the nilpotent algebra g.
 
     Exact for step <= 3: a + b + [a,b]/2 + ([a,[a,b]] + [b,[b,a]])/12.
     Coefficients may be rationals or polynomials.
     """
-    if step is None:
-        step = g.step
-    if step > 3:
-        raise UnsupportedStep(f"step {step} exceeds the supported truncation (3)")
+    if g.step > 3:
+        raise UnsupportedStep(f"step {g.step} exceeds the supported truncation (3)")
     out = [x + y for x, y in zip(a, b)]
     ab = g.bracket(a, b)
     out = [x + HALF * y for x, y in zip(out, ab)]
@@ -117,9 +115,10 @@ class CoordinateRecipe:
     def ring(self) -> PolyRing:
         return PolyRing(self.coord_names, self.coord_weights)
 
-    def extended_ring(self, extra: str = "t") -> tuple[PolyRing, int]:
-        """Coordinate ring with one additional flow parameter appended."""
-        name = extra
+    def extended_ring(self) -> tuple[PolyRing, int]:
+        """Coordinate ring with a flow parameter ``t`` appended (suffixed
+        with ``_`` until it is no coordinate's name), and its index."""
+        name = "t"
         while name in self.coord_names:
             name += "_"
         ring = PolyRing(self.coord_names + (name,), self.coord_weights + (1,))
@@ -130,18 +129,11 @@ def _zero_like(x):
     return x - x
 
 
-def _factor_args(recipe: CoordinateRecipe, coords: Sequence, zero) -> list[list]:
-    args = []
-    for f in recipe.factors:
-        args.append([coords[j] if j in f else zero for j in range(recipe.algebra.dim)])
-    return args
-
-
 def log_of_coords(recipe: CoordinateRecipe, coords: Sequence) -> list:
     """log of the point with the given recipe coordinates, as an algebra vector."""
     zero = _zero_like(coords[0])
-    args = _factor_args(recipe, coords, zero)
     g = recipe.algebra
+    args = [[coords[j] if j in f else zero for j in range(g.dim)] for f in recipe.factors]
     return reduce(lambda a, b: bch(g, a, b), args)
 
 
@@ -306,8 +298,9 @@ def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
         q = [zero] * g.dim
         q[j] = t
         prod = group_product(recipe, q, xs) if right else group_product(recipe, xs, q)
-        # the t-linear part, projected to x
-        columns.append([c.coefficient_of(t_index, 1).project(xring) for c in prod])
+        # the t-linear part; t is the last variable, so dropping it leaves x
+        columns.append([Poly(xring, {e[:t_index]: x for e, x in c.terms.items()
+                                     if e[t_index] == 1}) for c in prod])
     return columns
 
 
@@ -413,20 +406,16 @@ def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> PolyMap
 
 
 def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
-    """The group map induced by a graded algebra automorphism phi."""
+    """The group map induced by a graded algebra automorphism phi:
+    exp(m) -> exp(phi m), read through :func:`log_of_coords`."""
     g = recipe.algebra
     _require_automorphism(g, phi)
     ring = recipe.ring
-    xs = [ring.var(i) for i in range(g.dim)]
+    # phi respects brackets, so it commutes with BCH: phi(log x) = log phi(x)
+    m = log_of_coords(recipe, [ring.var(i) for i in range(g.dim)])
     zero = ring.zero()
-    args = _factor_args(recipe, xs, zero)
-    moved = []
-    for arg in args:
-        moved.append([sum((phi.entries[i][j] * arg[j] for j in range(g.dim)),
-                          zero) for i in range(g.dim)])
-    m = reduce(lambda a, b: bch(g, a, b), moved)
-    coords = factor_log(recipe, m)
-    return PolyMap(recipe, tuple(_as_poly(ring, c) for c in coords))
+    moved = [sum((c * x for c, x in zip(row, m) if c), zero) for row in phi.entries]
+    return PolyMap(recipe, tuple(_as_poly(ring, c) for c in factor_log(recipe, moved)))
 
 
 def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:

@@ -253,39 +253,6 @@ class Poly:
             acc = acc + term
         return acc
 
-    def coefficient_of(self, i: int, power: int) -> "Poly":
-        """Terms with exponent ``power`` on variable ``i``, that variable removed."""
-        out: dict = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                ne = list(e)
-                ne[i] = 0
-                out[tuple(ne)] = c
-        return Poly(self.ring, out)
-
-    def project(self, target: PolyRing) -> "Poly":
-        """Recast into ``target``, matching variables by name.
-
-        Variables absent from the target must not occur with nonzero
-        exponent.
-        """
-        mapping = []
-        tindex = {name: i for i, name in enumerate(target.names)}
-        for name in self.ring.names:
-            mapping.append(tindex.get(name))
-        out: dict = {}
-        for e, c in self.terms.items():
-            ne = [0] * target.nvars
-            for slot, p in enumerate(e):
-                if not p:
-                    continue
-                ti = mapping[slot]
-                if ti is None:
-                    raise ValueError(f"variable {self.ring.names[slot]!r} not in target ring")
-                ne[ti] = p
-            out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c
-        return Poly(target, out)
-
     def weighted_degree(self) -> int | None:
         """Largest weighted degree of a term, or None for the zero polynomial."""
         if not self.terms:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.polynomials import Poly
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import CoordinateRecipe, left_invariant_frame, realize_tau
+from carnot.group_realization import (CoordinateRecipe, bch, factor_log, left_invariant_frame,
+                                      realize_tau)
 
 
 def make_engel():
@@ -133,6 +135,25 @@ def apply_rows(rows, v):
                 acc = acc + c * x
         out.append(acc)
     return out
+
+
+def factorwise_image(recipe, xs, move):
+    """Recipe coordinates of exp(move(a_1)) ... exp(move(a_r)), where a_i
+    is the part of the coordinates ``xs`` on factor i: a linear map applied
+    to each exponential factor, the factors folded by BCH one at a time."""
+    g = recipe.algebra
+    zero = xs[0] - xs[0]
+    moved = [move([x if j in factor else zero for j, x in enumerate(xs)])
+             for factor in recipe.factors]
+    return factor_log(recipe, reduce(lambda a, b: bch(g, a, b), moved))
+
+
+def factorwise_automorphism(recipe, phi):
+    """Reference for ``graded_automorphism``: the coordinates of the image
+    of the point x, with phi applied factor by factor."""
+    ring = recipe.ring
+    xs = [ring.var(i) for i in range(recipe.algebra.dim)]
+    return factorwise_image(recipe, xs, lambda arg: apply_rows(phi.entries, arg))
 
 
 def dense_bracket(s, a, b):

@@ -101,3 +101,17 @@ def test_tracer_counts_the_bracket_and_similarity_call_sites():
         with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
             assert main(argv) == 0
         assert t.counts[name] == count, argv
+
+
+def test_tracer_counts_one_elimination_per_kernel():
+    # each kernel is one rref call: r3_gl's degree-0 system and levels 1
+    # and 2; heisenberg's degree-0 system, g0 with its conditions and
+    # levels 1 to 3, plus the generation check that ``build_algebra`` and
+    # ``full_prolongation`` each make through ``Subspace.from_vectors``
+    tracer = import_tracer()
+    cases = [(["prolong", os.path.join(os.path.dirname(__file__), "golden", "r3_gl.alg")], 3),
+             (["prolong", bundled_spec("heisenberg.alg")], 7)]
+    for argv, count in cases:
+        with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert t.counts["exact_linalg.rref_calls"] == count, argv

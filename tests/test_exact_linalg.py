@@ -237,6 +237,7 @@ def assert_nullspace_matches_sympy(m):
     ns = nullspace(m)
     kernel = to_sympy(m).nullspace()
     assert ns.dim == len(kernel)
+    assert all(list(v) == sorted(v) for v in ns.basis)
     if kernel:
         ref, ref_pivots = sympy.Matrix.hstack(*kernel).T.rref()
         assert [dense_row(v, m.cols) for v in ns.basis] == from_sympy(ref)
@@ -270,19 +271,25 @@ def test_nullspace_matches_sympy_on_overlapping_rows(m):
 # -- row order and the one elimination kernel ------------------------------
 
 
+def systems_passed_to_nullspace(module, run):
+    """Every system that ``run()`` hands to ``module.nullspace``."""
+    systems = []
+    original = module.nullspace
+    module.nullspace = lambda m: systems.append(m) or original(m)
+    try:
+        run()
+    finally:
+        module.nullspace = original
+    return systems
+
+
 def cartan_residual_system(delta):
     """The residual rows of the degree-``delta`` conformal block of cartan_235."""
     import carnot.contact_pde as contact_pde
     from .conftest import CONFORMAL, named_algebra_frame
     _, frame = named_algebra_frame("cartan_235")
-    systems = []
-    original = contact_pde.nullspace
-    contact_pde.nullspace = lambda m: systems.append(m) or original(m)
-    try:
-        contact_pde.conformal_fields_of_degree(frame, CONFORMAL, delta)
-    finally:
-        contact_pde.nullspace = original
-    [m] = systems
+    [m] = systems_passed_to_nullspace(
+        contact_pde, lambda: contact_pde.conformal_fields_of_degree(frame, CONFORMAL, delta))
     return m
 
 
@@ -308,6 +315,53 @@ def test_column_out_of_range_raises_in_any_row():
             rref(SparseRows(rows, m.cols))
 
 
+def test_nullspace_names_the_callers_column_out_of_range():
+    # nullspace eliminates with its columns reversed; the message still
+    # names the column as the caller wrote it
+    m = cartan_residual_system(3)
+    for bad in (m.cols, -1):
+        for rows in ([{bad: Fraction(1)}] + m.entries, m.entries + [{0: 1, bad: 2}]):
+            with pytest.raises(ValueError, match=rf"^column {bad} outside a system of "
+                                                 rf"{m.cols} columns$"):
+                nullspace(SparseRows(rows, m.cols))
+
+
+def prolongation_systems(name):
+    """Every system the prolongation of a spec hands to ``nullspace``: the
+    degree-0 Leibniz system, with the g0 conditions added, and the Leibniz
+    system of each level up to the spec's cutoff."""
+    import carnot.prolongation as prolongation
+    from carnot.cli import _prolong, parse_spec_file
+    from .conftest import spec_file
+    spec = parse_spec_file(spec_file(name))
+    return systems_passed_to_nullspace(prolongation, lambda: _prolong(spec, spec.max_k))
+
+
+@pytest.mark.parametrize("name, count", [
+    ("r3_gl", 3), ("h1_der", 4), ("heisenberg", 5), ("engel", 3)])
+def test_nullspace_matches_sympy_on_prolongation_systems(name, count):
+    systems = prolongation_systems(name)
+    assert len(systems) == count
+    for m in systems:
+        assert_nullspace_matches_sympy(m)
+
+
+@pytest.mark.parametrize("delta", [0, 3])
+def test_nullspace_matches_sympy_on_residual_systems(delta):
+    assert_nullspace_matches_sympy(cartan_residual_system(delta))
+
+
+@pytest.mark.parametrize("m", [
+    SparseRows([{}, {}], 0),
+    sparse([[1, 2, 0], [0, 1, 3], [1, 0, 1]], 3),
+    SparseRows([], 4),
+    sparse([[0, 1, 2, 0], [0, 0, 1, 5]], 4),
+    sparse([[1, 0, 2, 1], [0, 1, 1, 0]], 4),
+], ids=["no_columns", "full_column_rank", "no_rows", "free_first_and_last", "free_last_two"])
+def test_nullspace_matches_sympy_on_edge_cases(m):
+    assert_nullspace_matches_sympy(m)
+
+
 @pytest.mark.parametrize("call, shape", [
     (lambda: nullspace(sparse([[1, 2], [3, 4]], 2)), (2, 2)),
     (lambda: solve(sparse([[1, 2], [3, 4]], 2), [Fraction(1), Fraction(2)]), (2, 3)),
@@ -315,10 +369,11 @@ def test_column_out_of_range_raises_in_any_row():
 ], ids=["nullspace", "solve", "from_vectors"])
 def test_elimination_goes_through_the_module_rref(monkeypatch, call, shape):
     # the benchmark times every elimination by wrapping exact_linalg.rref;
-    # the caller's own system (augmented, for solve) must be the first call
+    # each makes exactly one call, on the caller's own system (augmented,
+    # for solve)
     import carnot.exact_linalg as exact_linalg
     calls = []
     original = exact_linalg.rref
     monkeypatch.setattr(exact_linalg, "rref", lambda m: calls.append(m) or original(m))
     call()
-    assert (calls[0].rows, calls[0].cols) == shape
+    assert [(m.rows, m.cols) for m in calls] == [shape]

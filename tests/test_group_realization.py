@@ -1,5 +1,4 @@
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -9,13 +8,14 @@ from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInvertible,
                                       NotTerminated, PolyMap, UnsupportedStep, bch, dilation,
-                                      extend_first_layer_automorphism, factor_log,
-                                      graded_automorphism, group_inverse, group_product,
-                                      left_invariant_frame, left_translation, realize_tau,
-                                      similarity_check, pushforward_in_frame)
+                                      extend_first_layer_automorphism, graded_automorphism,
+                                      group_inverse, group_product, left_invariant_frame,
+                                      left_translation, realize_tau, similarity_check,
+                                      pushforward_in_frame)
 from carnot.polynomials import Poly
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, dense_bracket,
-                       make_abelian, named_algebra_frame, permuted, rand_point, spec_file)
+                       factorwise_automorphism, factorwise_image, make_abelian,
+                       named_algebra_frame, permuted, rand_point, spec_file)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -251,17 +251,14 @@ def automorphism_flow_field(frame, dmap):
     derivative.
     """
     recipe = frame.recipe
-    g = recipe.algebra
+    n = recipe.algebra.dim
     ring_t, t_index = recipe.extended_ring()
-    xs = [ring_t.var(i) for i in range(g.dim)]
     t = ring_t.var(t_index)
-    zero = ring_t.zero()
-    moved = []
-    for factor in recipe.factors:
-        arg = [xs[j] if j in factor else zero for j in range(g.dim)]
-        moved.append([a + t * b for a, b in zip(arg, apply_rows(dmap, arg))])
-    coords = factor_log(recipe, reduce(lambda a, b: bch(g, a, b), moved))
-    return frame.to_frame([c.coefficient_of(t_index, 1).project(recipe.ring) for c in coords])
+    coords = factorwise_image(recipe, [ring_t.var(i) for i in range(n)],
+                              lambda arg: [a + t * b for a, b in zip(arg, apply_rows(dmap, arg))])
+    # d/dt at t = 0, as a polynomial in x alone
+    at_zero = [recipe.ring.var(i) for i in range(n)] + [0]
+    return frame.to_frame([c.diff(t_index).subs(at_zero) for c in coords])
 
 
 @pytest.mark.parametrize("name", BUNDLED + GENERATED)
@@ -392,6 +389,22 @@ def test_anisotropic_automorphism_not_similar(engel, engel_recipe, engel_frame):
     expected = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     assert phi == Matrix(expected)
     assert not similarity_check(graded_automorphism(engel_recipe, phi), engel_frame)
+
+
+# engel is the one spec with a two-factor recipe; free_3_2 is free, so its
+# non-diagonal block extends
+@pytest.mark.parametrize("name, block", [
+    ("engel", [[1, 0], [0, 2]]), ("engel", [[1, 0], [3, 2]]), ("cartan_235", [[1, 0], [0, 2]]),
+    ("two_centre", [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]),
+    ("free_3_2", [[1, 2, 0], [0, 1, 1], [1, 0, 1]])])
+def test_graded_automorphism_matches_the_factorwise_fold(name, block):
+    g, frame = named_algebra_frame(name)
+    phi = extend_first_layer_automorphism(g, Matrix(block))
+    pmap = graded_automorphism(frame.recipe, phi)
+    reference = factorwise_automorphism(frame.recipe, phi)
+    assert len(pmap.components) == len(reference) == g.dim
+    for got, expect in zip(pmap.components, reference):
+        assert got == expect
 
 
 def test_swap_block_does_not_extend(engel):

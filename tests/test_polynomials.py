@@ -114,23 +114,6 @@ def test_subs_composition():
     assert q == u ** 2 + 3 * u ** 2
 
 
-def test_coefficient_of():
-    x1, x2 = RING.var(0), RING.var(1)
-    p = x1 ** 2 * x2 + 2 * x1 + 5
-    assert p.coefficient_of(0, 2) == x2
-    assert p.coefficient_of(0, 1) == RING.const(2)
-    assert p.coefficient_of(0, 0) == RING.const(5)
-
-
-def test_project():
-    small = PolyRing(("x1", "x2"), (1, 1))
-    p = RING.var(0) * RING.var(1)
-    q = p.project(small)
-    assert q == small.var(0) * small.var(1)
-    with pytest.raises(ValueError):
-        (RING.var(2)).project(small)
-
-
 def test_ring_mismatch_rejected():
     other = PolyRing(("a",), (1,))
     with pytest.raises(ValueError):
