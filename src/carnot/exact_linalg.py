@@ -5,9 +5,10 @@ so the arithmetic here is exact.  A linear system is a :class:`SparseRows`:
 each row is a mapping ``{column: coefficient}`` of its nonzero entries,
 together with the column count.  One kernel, :func:`rref`, eliminates:
 ``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it,
-once per call.  ``nullspace`` eliminates in reverse column order and
-reads the canonical kernel basis straight off that one reduction;
-``from_vectors`` remains for vectors that do not come from an
+once per call; ``solve`` carries every right-hand side it is given
+through that one elimination.  ``nullspace`` eliminates in reverse
+column order and reads the canonical kernel basis straight off that one
+reduction; ``from_vectors`` remains for vectors that do not come from an
 elimination.  ``rref`` scales each row to a primitive integer row,
 touches nonzero entries only, and reduces in a single Gauss–Jordan
 pass, shortest rows first.
@@ -186,19 +187,51 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     return SparseRows(out, ncols), len(pivots), pivots
 
 
-def solve(m: SparseRows, rhs: Sequence[Rational]) -> list[Fraction] | None:
-    """One exact solution of ``m x = rhs`` (free variables at zero), or None."""
-    if len(rhs) != m.rows:
-        raise ValueError("rhs length mismatch")
+def _check_columns(m: SparseRows) -> None:
+    """Raise, naming the caller's column, if a row leaves the system; for
+    eliminations that renumber or append columns before :func:`rref` sees
+    them."""
     n = m.cols
-    aug = [{**row, n: b} if b else row for row, b in zip(m.entries, rhs)]
-    ech, rank, pivots = rref(SparseRows(aug, n + 1))
-    if n in pivots:
-        return None
-    x = vec_zero(n)
+    for row in m.entries:
+        for c in row:
+            if not 0 <= c < n:
+                raise ValueError(f"column {c} outside a system of {n} columns")
+
+
+def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Fraction] | None]:
+    """For each right-hand side b in ``rhs``, one exact solution of
+    ``m x = b`` (free variables at zero), or None where there is none.
+
+    The right-hand sides ride along as extra columns ``cols + k`` of one
+    elimination.  A reduced row whose pivot lies past the system's
+    columns is zero on the system, so it says that some combination of
+    right-hand sides is not in the column space: b_k is consistent iff
+    every such row is zero in column ``cols + k``.  A row whose pivot is
+    a system column p holds at ``cols + k`` the value x_p of the
+    solution of b_k with its free variables at zero.
+    """
+    n = m.cols
+    # a column past the system would be read as a right-hand side
+    _check_columns(m)
+    aug = [dict(row) for row in m.entries]
+    for k, b in enumerate(rhs):
+        if len(b) != m.rows:
+            raise ValueError("rhs length mismatch")
+        for r, x in enumerate(b):
+            if x:
+                aug[r][n + k] = x
+    ech, rank, pivots = rref(SparseRows(aug, n + len(rhs)))
+    solutions = [vec_zero(n) for _ in rhs]
+    consistent = [True] * len(rhs)
     for col, row in zip(pivots, ech.entries):
-        x[col] = row.get(n, ZERO)
-    return x
+        for c, x in row.items():
+            if c < n:
+                continue
+            if col >= n:
+                consistent[c - n] = False
+            else:
+                solutions[c - n][col] = x
+    return [x if ok else None for x, ok in zip(solutions, consistent)]
 
 
 class Subspace:
@@ -263,10 +296,7 @@ def nullspace(m: SparseRows) -> Subspace:
     second elimination is needed.
     """
     n = m.cols
-    for row in m.entries:
-        for c in row:
-            if not 0 <= c < n:
-                raise ValueError(f"column {c} outside a system of {n} columns")
+    _check_columns(m)
     last = n - 1
     ech, rank, rpivots = rref(SparseRows([{last - c: x for c, x in row.items()}
                                           for row in m.entries], n))

@@ -3,29 +3,32 @@
 The simply connected group of a stratified algebra is coordinatized by an
 ordered product of exponential factors (a :class:`CoordinateRecipe`); the
 group law is evaluated through the truncated Baker-Campbell-Hausdorff
-series, which is exact in step <= 3.  The left-invariant frame and the
-right-invariant fields (the generators of left translations) are the
-derivatives of one-parameter flows, taken symbolically, so every
+series, which is exact in step <= 3.  Each recipe computes the law
+mu(x, y) = x * y once, symbolically in both points
+(:attr:`CoordinateRecipe.law`), and everything else is read off it: the
+left-invariant frame field of e_j is the part of mu linear in y_j, the
+right-invariant field of e_j (the generator of left translations) the
+part linear in x_j, and the left translation by p is mu(p, y).  So every
 coefficient is an exact polynomial.  Every vector field is held by its
 components in the left-invariant frame.  The prolongation algebra is
 realized level by level: an element u of level k >= 0 is the unique
 field of degree k whose bracket with the right-invariant field of each
-X in layer -1 is minus the field of [u, X], found by an exact linear
-solve.
+X in layer -1 is minus the field of [u, X], found by exact linear solves,
+one elimination per level and layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import add
 from typing import Sequence
 
 from .exact_linalg import Matrix, SparseRows, Subspace, solve, sparse_row
 from .graded_lie import GradedLieAlgebra, generation_matrix
-from .polynomials import Poly, PolyRing
+from .polynomials import Poly, PolyRing, substitute
 
 HALF = Fraction(1, 2)
 TWELFTH = Fraction(1, 12)
@@ -115,14 +118,21 @@ class CoordinateRecipe:
     def ring(self) -> PolyRing:
         return PolyRing(self.coord_names, self.coord_weights)
 
-    def extended_ring(self) -> tuple[PolyRing, int]:
-        """Coordinate ring with a flow parameter ``t`` appended (suffixed
-        with ``_`` until it is no coordinate's name), and its index."""
-        name = "t"
-        while name in self.coord_names:
-            name += "_"
-        ring = PolyRing(self.coord_names + (name,), self.coord_weights + (1,))
-        return ring, len(self.coord_names)
+    @cached_property
+    def law(self) -> tuple[Poly, ...]:
+        """The group law mu(x, y) = x * y: n polynomials in 2n variables,
+        the coordinates x and then their copies y.
+
+        A y variable is its coordinate's name with a trailing ``'``, which
+        no spec name has.  It is computed once per recipe; the frame, the
+        right-invariant fields and every left translation are read off it.
+        """
+        names = self.coord_names
+        ring = PolyRing(names + tuple(f"{x}'" for x in names), self.coord_weights * 2)
+        n = len(names)
+        xs = [ring.var(i) for i in range(n)]
+        ys = [ring.var(n + i) for i in range(n)]
+        return tuple(_as_poly(ring, c) for c in group_product(self, xs, ys))
 
 
 def _zero_like(x):
@@ -213,7 +223,8 @@ class Frame:
     """The left-invariant frame of a recipe, as coordinate vector fields.
 
     ``columns[j][c]`` is the d/dx_c coefficient of the frame field of
-    basis element j.  The frame matrix (entry (c, j) is ``columns[j][c]``)
+    basis element j: the part of component c of the recipe's law mu(x, y)
+    linear in y_j.  The frame matrix (entry (c, j) is ``columns[j][c]``)
     is unit lower triangular in declaration order, so conversion between
     coordinate and frame components is a forward product or a forward
     substitution over its entries below the diagonal.
@@ -285,27 +296,27 @@ def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
     p -> exp(t e_j) * p when ``right``, one per basis element j.
 
     The first are left-invariant: the frame.  The second are
-    right-invariant: the generators of left translations.
+    right-invariant: the generators of left translations.  Both are read
+    off :attr:`CoordinateRecipe.law`: the t-linear part of mu(x, t e_j) is
+    the part of mu linear in y_j and free of every other y, and that of
+    mu(t e_j, y) is the part linear in x_j and free of every other x,
+    renamed from y to x.
     """
-    g = recipe.algebra
-    ring_t, t_index = recipe.extended_ring()
-    xring = recipe.ring
-    xs = [ring_t.var(i) for i in range(g.dim)]
-    t = ring_t.var(t_index)
-    zero = ring_t.zero()
-    columns = []
-    for j in range(g.dim):
-        q = [zero] * g.dim
-        q[j] = t
-        prod = group_product(recipe, q, xs) if right else group_product(recipe, xs, q)
-        # the t-linear part; t is the last variable, so dropping it leaves x
-        columns.append([Poly(xring, {e[:t_index]: x for e, x in c.terms.items()
-                                     if e[t_index] == 1}) for c in prod])
-    return columns
+    n = recipe.algebra.dim
+    flow, point = (slice(0, n), slice(n, None)) if right else (slice(n, None), slice(0, n))
+    columns: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for c, comp in enumerate(recipe.law):
+        for e, x in comp.terms.items():
+            moved = e[flow]
+            if sum(moved) == 1:
+                columns[moved.index(1)][c][e[point]] = x
+    ring = recipe.ring
+    return [[Poly(ring, terms) for terms in col] for col in columns]
 
 
 def left_invariant_frame(g: GradedLieAlgebra, recipe: CoordinateRecipe) -> Frame:
-    """Frame field of each basis element X: p -> d/dt (p * exp(tX)) at t=0."""
+    """Frame field of each basis element X: p -> d/dt (p * exp(tX)) at t=0,
+    read off the recipe's group law."""
     return Frame(g, recipe, recipe.ring, _flow_generators(recipe, right=False))
 
 
@@ -331,44 +342,58 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     the basis order of s, in components of ``frame``.
 
     A negative element e_j is the right-invariant field R_j, the generator
-    of left translations by exp(t e_j).  An element u of level k >= 0 is
-    the unique field V_u of degree k with [V_u, R_X] = -V_[u,X] for every X
-    in layer -1 (unique, because a field commuting with every R_X is
-    left-invariant, of negative degree).  Left- and right-invariant fields commute, so for
-    V_u = sum_j f_j X_j this reads R_X(f_j) = (V_[u,X])_j, a linear system
-    over the monomials of weighted degree k + |w_j|.  Levels are solved in
-    increasing order, so V_[u,X] is summed from fields already found.
+    of left translations by exp(t e_j), read off the group law.  An
+    element u of level k >= 0 is the unique field V_u of degree k with
+    [V_u, R_X] = -V_[u,X] for every X in layer -1 (unique, because a field
+    commuting with every R_X is left-invariant, of negative degree).
+    Left- and right-invariant fields commute, so for V_u = sum_j f_j X_j
+    this reads R_X(f_j) = (V_[u,X])_j, a linear system over the monomials
+    of weighted degree k + |w_j|.  Levels are solved in increasing order,
+    so V_[u,X] is summed from fields already found.  Every element of a
+    level and every component of one layer share that system, so they are
+    solved together, in one elimination per level and layer.
     """
     if s.bracket_table is None:
         raise NotTerminated("realization needs a terminating prolongation")
     g = s.negative
     ring = frame.ring
+    zero = ring.zero()
     generators = _flow_generators(frame.recipe, right=True)
     horizontal = [generators[i] for i in g.layer_indices(1)]
     xs = [s.sbasis.index(("neg", i)) for i in g.layer_indices(1)]  # the same X, in s
     systems: dict[int, tuple] = {}
-    fields: list[PolyVectorField] = []
+    fields: list[PolyVectorField | None] = [None] * s.dim
+    levels: dict[int, list[int]] = {}
     for a, key in enumerate(s.sbasis):
         if key[0] == "neg":
-            fields.append(PolyVectorField(tuple(frame.to_frame(generators[key[1]]))))
-            continue
-        comps = []
-        for j in range(g.dim):
-            targets = [sum((c * fields[b].components[j] for b, c in s.bracket_table[a][x]),
-                           ring.zero()) for x in xs]
-            degree = key[1] - g.weights[j]
+            fields[a] = PolyVectorField(tuple(frame.to_frame(generators[key[1]])))
+        else:
+            levels.setdefault(key[1], []).append(a)
+    for k in sorted(levels):
+        elements = levels[k]
+        comps: dict[tuple[int, int], Poly | None] = {}
+        for depth in range(1, g.step + 1):
+            degree = k + depth
             if degree not in systems:
                 systems[degree] = _translation_system(horizontal, ring, degree)
             monos, system, index = systems[degree]
-            rhs = [0] * system.rows
-            for i, t in enumerate(targets):
-                for e, c in t.terms.items():
-                    rhs[index[(i, e)]] = c
-            coeffs = solve(system, rhs)
-            if coeffs is None:
-                raise NotRealizable(f"no field of degree {key[1]} realizes {s.labels[a]}")
-            comps.append(Poly(ring, dict(zip(monos, coeffs))))
-        fields.append(PolyVectorField(tuple(comps)))
+            keys = [(a, j) for a in elements for j in g.layer_indices(depth)]
+            rhs = []
+            for a, j in keys:
+                b = [0] * system.rows
+                for i, x in enumerate(xs):
+                    target = sum((c * fields[u].components[j] for u, c in s.bracket_table[a][x]),
+                                 zero)
+                    for e, c in target.terms.items():
+                        b[index[(i, e)]] = c
+                rhs.append(b)
+            for key, coeffs in zip(keys, solve(system, rhs)):
+                comps[key] = None if coeffs is None else Poly(ring, dict(zip(monos, coeffs)))
+        for a in elements:
+            field = tuple(comps[(a, j)] for j in range(g.dim))
+            if None in field:
+                raise NotRealizable(f"no field of degree {k} realizes {s.labels[a]}")
+            fields[a] = PolyVectorField(field)
     return fields
 
 
@@ -395,14 +420,14 @@ def dilation(recipe: CoordinateRecipe, scale) -> PolyMap:
 
 
 def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> PolyMap:
-    """q -> p * q as a polynomial map."""
-    g = recipe.algebra
-    if len(p) != g.dim:
+    """q -> p * q as a polynomial map: the group law with the constants p
+    put in for its first point."""
+    n = recipe.algebra.dim
+    if len(p) != n:
         raise ValueError("point has wrong length")
     ring = recipe.ring
-    consts = [ring.const(x) for x in p]
-    xs = [ring.var(i) for i in range(g.dim)]
-    return PolyMap(recipe, tuple(_as_poly(ring, c) for c in group_product(recipe, consts, xs)))
+    values = [ring.const(x) for x in p] + [ring.var(i) for i in range(n)]
+    return PolyMap(recipe, tuple(substitute(recipe.law, values)))
 
 
 def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
@@ -448,11 +473,12 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
     for depth in range(2, g.step + 1):
         targets = g.layer_indices(depth)
         pairs, products = generation_matrix(g, depth)
-        for local, gt in enumerate(targets):
-            rhs = [Fraction(1) if t == local else Fraction(0) for t in range(len(targets))]
-            combo = solve(products, rhs)
-            if combo is None:
-                raise ValueError("layer -1 does not generate; cannot extend")
+        units = [[Fraction(1) if t == local else Fraction(0) for t in range(len(targets))]
+                 for local in range(len(targets))]
+        combos = solve(products, units)
+        if None in combos:
+            raise ValueError("layer -1 does not generate; cannot extend")
+        for gt, combo in zip(targets, combos):
             img = [Fraction(0)] * g.dim
             for c, (i, j) in zip(combo, pairs):
                 if c:
@@ -490,23 +516,29 @@ def _poly_det(rows: list[list[Poly]], ring: PolyRing) -> Poly:
 
 
 def _jacobian_probe(n: int) -> list[Fraction]:
-    """The fixed rational point at which a Jacobian is first evaluated."""
+    """The fixed rational point at which a Jacobian is first evaluated:
+    p_d = 1/(d + 2), nonzero with an integer reciprocal, which
+    :func:`_jacobian_at_probe` relies on."""
     return [Fraction(1, c + 2) for c in range(n)]
 
 
 def _jacobian_at_probe(pmap: PolyMap) -> list[dict[int, Fraction]]:
     """The map's Jacobian at :func:`_jacobian_probe` as sparse rows, read
-    from the terms: every probe coordinate p_d is nonzero, so the partial
-    of x^e there is ``e_d p^e / p_d``."""
-    point = _jacobian_probe(len(pmap.components))
+    from the terms: the probe coordinate p_d is 1/(d + 2), so the partial
+    of x^e there is ``e_d (d + 2) p^e``, an integer multiple of the value
+    of x^e, which is computed once per monomial."""
+    at_probe: dict[tuple[int, ...], Fraction] = {}
     rows = []
     for phi in pmap.components:
         row: dict[int, Fraction] = {}
         for exp, c in phi.terms.items():
-            v = c * prod(x ** k for x, k in zip(point, exp))
+            value = at_probe.get(exp)
+            if value is None:
+                value = at_probe[exp] = Fraction(1, prod((d + 2) ** k for d, k in enumerate(exp)))
+            v = c * value
             for d, k in enumerate(exp):
                 if k:
-                    row[d] = row.get(d, 0) + k * v / point[d]
+                    row[d] = row.get(d, 0) + k * (d + 2) * v
         rows.append({d: x for d, x in row.items() if x})
     return rows
 
@@ -526,8 +558,8 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
             and _poly_det(pmap.jacobian(), frame.ring).is_zero()):
         raise NotInvertible("map has identically singular Jacobian")
     # the frame matrix at the image point, below the diagonal: all the solve reads
-    subs_vals = list(pmap.components)
-    below = [[(j, x.subs(subs_vals)) for j, x in row] for row in frame._below]
+    moved = iter(substitute([x for row in frame._below for _, x in row], pmap.components))
+    below = [[(j, next(moved)) for j, _ in row] for row in frame._below]
     return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap.components])
             for i in range(frame.horizontal)]
 

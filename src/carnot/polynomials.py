@@ -299,6 +299,31 @@ class Poly:
         return f"Poly({self})"
 
 
+def substitute(polys: Sequence[Poly], values: Sequence[Poly]) -> list[Poly]:
+    """Each of ``polys`` with ``values[i]`` put in for variable i, as
+    :meth:`Poly.subs` gives it; every power of a value is computed once,
+    for all of ``polys``."""
+    target = values[0].ring
+    one = target.one()
+    powers = [[one, v] for v in values]
+    out = []
+    for f in polys:
+        if len(values) != f.ring.nvars:
+            raise ValueError("one substitution per variable required")
+        acc: dict = {}
+        for e, c in f.terms.items():
+            term = one
+            for ps, k in zip(powers, e):
+                if k:
+                    while len(ps) <= k:
+                        ps.append(ps[-1] * ps[1])
+                    term = ps[k] if term is one else term * ps[k]
+            for e2, c2 in term.terms.items():
+                acc[e2] = acc[e2] + c * c2 if e2 in acc else c * c2
+        out.append(Poly(target, acc))
+    return out
+
+
 def _poly(ring: PolyRing, terms: dict) -> Poly:
     """A Poly on ``terms`` as given: the caller has kept out every zero
     coefficient, so the filtering constructor is skipped."""

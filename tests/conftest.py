@@ -8,11 +8,11 @@ import pytest
 
 from carnot.exact_linalg import sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
-from carnot.polynomials import Poly
+from carnot.polynomials import Poly, PolyRing
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateRecipe, bch, factor_log, left_invariant_frame,
-                                      realize_tau)
+from carnot.group_realization import (CoordinateRecipe, bch, factor_log, group_product,
+                                      left_invariant_frame, realize_tau)
 
 
 def make_engel():
@@ -87,10 +87,11 @@ def spec_file(name):
 
 
 def named_algebra_frame(name):
-    """Algebra and left-invariant frame of a bundled or stored spec, or of
-    ``h<n>`` / ``r<n>`` (H_n, R^n in one exponential factor)."""
+    """Algebra and left-invariant frame of a bundled spec or one stored in
+    tests/golden, or of ``h<n>`` / ``r<n>`` (H_n, R^n in one exponential
+    factor)."""
     from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
-    if name in BUNDLED or name in GENERATED:
+    if name in BUNDLED or (GOLDEN / f"{name}.alg").exists():
         spec = parse_spec_file(spec_file(name))
         g = spec_algebra(spec)
         recipe = spec_recipe(spec, g)
@@ -154,6 +155,38 @@ def factorwise_automorphism(recipe, phi):
     ring = recipe.ring
     xs = [ring.var(i) for i in range(recipe.algebra.dim)]
     return factorwise_image(recipe, xs, lambda arg: apply_rows(phi.entries, arg))
+
+
+def t_extended_ring(recipe):
+    """The coordinate ring with a flow parameter ``t`` appended (suffixed
+    with ``_`` until it is no coordinate's name), and the index of t."""
+    name = "t"
+    while name in recipe.coord_names:
+        name += "_"
+    ring = PolyRing(recipe.coord_names + (name,), recipe.coord_weights + (1,))
+    return ring, len(recipe.coord_names)
+
+
+def flow_generators_reference(recipe, right):
+    """Reference for the frame (``right`` false) and the right-invariant
+    fields (``right`` true): the coordinate fields d/dt at t=0 of
+    p -> p * exp(t e_j), or of p -> exp(t e_j) * p, one symbolic product
+    with t e_j per basis element j."""
+    g = recipe.algebra
+    ring_t, t_index = t_extended_ring(recipe)
+    xring = recipe.ring
+    xs = [ring_t.var(i) for i in range(g.dim)]
+    t = ring_t.var(t_index)
+    zero = ring_t.zero()
+    columns = []
+    for j in range(g.dim):
+        q = [zero] * g.dim
+        q[j] = t
+        prod = group_product(recipe, q, xs) if right else group_product(recipe, xs, q)
+        # the t-linear part; t is the last variable, so dropping it leaves x
+        columns.append([Poly(xring, {e[:t_index]: x for e, x in c.terms.items()
+                                     if e[t_index] == 1}) for c in prod])
+    return columns
 
 
 def dense_bracket(s, a, b):

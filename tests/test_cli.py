@@ -158,6 +158,49 @@ def test_one_frame_per_command(monkeypatch, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("spec", [spec_path("engel.alg"), str(GOLDEN / "cartan_235.alg")],
+                         ids=["engel", "cartan_235"])
+def test_one_group_law_per_command(monkeypatch, command, spec):
+    # the frame, the right-invariant fields and every left translation are
+    # read off one symbolic product; engel's two-factor recipe is the
+    # costliest, cartan_235 the one of step 3
+    import carnot.group_realization as group_realization
+    calls = []
+
+    def counting(*args, _original=group_realization.group_product):
+        calls.append(args)
+        return _original(*args)
+    monkeypatch.setattr(group_realization, "group_product", counting)
+    code, _ = run_cli([command, spec])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_realize_tau_eliminates_once_per_level_and_layer(monkeypatch):
+    # heisenberg has levels (2, 2, 1) over two layers: six eliminations,
+    # where one per element and component made 15
+    import carnot.cli as cli
+    import carnot.exact_linalg as exact_linalg
+    calls = []
+    inside = []
+
+    def counting_rref(m, _original=exact_linalg.rref):
+        calls.append(bool(inside))
+        return _original(m)
+
+    def marked(*args, _original=cli.realize_tau):
+        inside.append(True)
+        try:
+            return _original(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(exact_linalg, "rref", counting_rref)
+    monkeypatch.setattr(cli, "realize_tau", marked)
+    run_cli(["verify", spec_path("heisenberg.alg")])
+    assert calls.count(True) == 6
+
+
 def test_verify_certifies_each_field_as_contact_twice(monkeypatch):
     # the residual kernel runs once in conformal_defect, which certifies
     # contact from that run, and once in jet for all of the field's points

@@ -161,10 +161,59 @@ def test_coordinates_of_checks_the_columns():
 
 def test_solve_consistent_and_inconsistent():
     m = sparse([[1, 2], [3, 4]], 2)
-    x = solve(m, [Fraction(5), Fraction(11)])
+    (x,) = solve(m, [[Fraction(5), Fraction(11)]])
     assert mul_vec(m, x) == [Fraction(5), Fraction(11)]
     m2 = sparse([[1, 1], [2, 2]], 2)
-    assert solve(m2, [Fraction(1), Fraction(3)]) is None
+    assert solve(m2, [[Fraction(1), Fraction(3)]]) == [None]
+
+
+def assert_solutions(m, sides, solutions):
+    """Each solution solves its side with every free variable at zero, and
+    a side has None exactly when appending it raises the rank."""
+    _, rank, pivots = rref(m)
+    assert len(solutions) == len(sides)
+    for b, x in zip(sides, solutions):
+        aug = SparseRows([{**row, m.cols: v} if v else row for row, v in zip(m.entries, b)],
+                         m.cols + 1)
+        if x is None:
+            assert rref(aug)[1] > rank
+            continue
+        assert mul_vec(m, x) == [Fraction(v) for v in b]
+        assert all(not x[c] for c in range(m.cols) if c not in pivots)
+
+
+def test_solve_takes_several_right_hand_sides_in_one_elimination():
+    # rank 2 of 3 columns, row 3 = row 2 - row 1: a side is consistent iff
+    # b3 = b2 - b1; column 1 is free
+    m = sparse([[1, 2, 1], [2, 4, 3], [1, 2, 2]], 3)
+    sides = [[1, 2, 1], [1, 0, 0], [0, 1, 1], [0, 0, 0], [0, 0, 1], [2, 5, 3]]
+    solutions = solve(m, sides)
+    assert [x is None for x in solutions] == [False, True, False, False, True, False]
+    assert_solutions(m, sides, solutions)
+    assert solutions == [solve(m, [b])[0] for b in sides]
+    assert solve(m, []) == []
+
+
+def test_solve_matches_the_rank_test_on_random_systems():
+    rng = random.Random(7)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = sparse([[rng.choice((0, 0, 1, -2, 3)) for _ in range(cols)] for _ in range(rows)],
+                   cols)
+        sides = [[rng.choice((0, 1, Fraction(-1, 2))) for _ in range(rows)] for _ in range(4)]
+        # a side in the column space, so that some sides are consistent
+        sides.append(mul_vec(m, [rng.randint(-3, 3) for _ in range(cols)]))
+        assert_solutions(m, sides, solve(m, sides))
+
+
+def test_solve_names_a_column_outside_the_system():
+    # the right-hand sides sit past the system's columns, so a row that
+    # reaches there is an error, not a right-hand side
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=rf"^column {bad} outside a system of 2 columns$"):
+            solve(SparseRows([{0: 1}, {1: 1, bad: 1}], 2), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solve(sparse([[1, 2]], 2), [[1, 2]])
 
 
 def test_zero_row_matrix_needs_cols():
@@ -364,13 +413,14 @@ def test_nullspace_matches_sympy_on_edge_cases(m):
 
 @pytest.mark.parametrize("call, shape", [
     (lambda: nullspace(sparse([[1, 2], [3, 4]], 2)), (2, 2)),
-    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [Fraction(1), Fraction(2)]), (2, 3)),
+    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[Fraction(1), Fraction(2)]]), (2, 3)),
+    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[1, 2], [0, 1], [5, 0]]), (2, 5)),
     (lambda: Subspace.from_vectors([{0: 1}, {1: 2}], 3), (2, 3)),
-], ids=["nullspace", "solve", "from_vectors"])
+], ids=["nullspace", "solve", "solve_several", "from_vectors"])
 def test_elimination_goes_through_the_module_rref(monkeypatch, call, shape):
     # the benchmark times every elimination by wrapping exact_linalg.rref;
-    # each makes exactly one call, on the caller's own system (augmented,
-    # for solve)
+    # each makes exactly one call, on the caller's own system (augmented by
+    # every right-hand side, for solve)
     import carnot.exact_linalg as exact_linalg
     calls = []
     original = exact_linalg.rref

@@ -2,20 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix, sparse_row
+from carnot.exact_linalg import Matrix, solve, sparse_row
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInvertible,
-                                      NotTerminated, PolyMap, UnsupportedStep, bch, dilation,
+                                      NotRealizable, NotTerminated, PolyMap, UnsupportedStep,
+                                      _flow_generators, _translation_system, bch, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       group_inverse, group_product, left_invariant_frame,
                                       left_translation, realize_tau, similarity_check,
                                       pushforward_in_frame)
-from carnot.polynomials import Poly
+from carnot.polynomials import Poly, substitute
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, dense_bracket,
-                       factorwise_automorphism, factorwise_image, make_abelian,
-                       named_algebra_frame, permuted, rand_point, spec_file)
+                       factorwise_automorphism, factorwise_image, flow_generators_reference,
+                       make_abelian, named_algebra_frame, permuted, rand_point, spec_file,
+                       t_extended_ring)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -82,6 +84,49 @@ def test_group_inverse(engel_recipe, rng):
     for _ in range(5):
         p = rand_point(rng, 4)
         assert group_product(engel_recipe, p, group_inverse(engel_recipe, p)) == e
+
+
+# -- the group law ------------------------------------------------------
+
+# every bundled and stored spec, and two scale families in one factor
+LAW_SPECS = BUNDLED + GENERATED + ("g2_full", "h1_der", "r3_gl", "h2", "r4")
+
+
+@pytest.mark.parametrize("name", LAW_SPECS)
+def test_law_fixes_the_identity(name):
+    # mu(x, 0) = x and mu(0, y) = y, in a ring of x and the primed y
+    g, frame = named_algebra_frame(name)
+    law = frame.recipe.law
+    ring = law[0].ring
+    n = g.dim
+    assert ring.names == frame.recipe.coord_names + tuple(f"{x}'" for x in
+                                                          frame.recipe.coord_names)
+    xs = [ring.var(i) for i in range(n)]
+    ys = [ring.var(n + i) for i in range(n)]
+    zero = ring.zero()
+    assert [c.subs(xs + [zero] * n) for c in law] == xs
+    assert [c.subs([zero] * n + ys) for c in law] == ys
+
+
+@pytest.mark.parametrize("name", LAW_SPECS)
+def test_flow_generators_match_the_t_linear_reference(name):
+    # the frame and the right-invariant fields read off the law against the
+    # t-linear part of one product with t e_j per basis element
+    g, frame = named_algebra_frame(name)
+    recipe = frame.recipe
+    assert [list(col) for col in frame.columns] == flow_generators_reference(recipe, False)
+    assert _flow_generators(recipe, right=True) == flow_generators_reference(recipe, True)
+
+
+@pytest.mark.parametrize("name", ["engel", "cartan_235", "two_centre", "h2"])
+def test_left_translation_is_the_product_with_the_point(name, rng):
+    g, frame = named_algebra_frame(name)
+    recipe = frame.recipe
+    ring = recipe.ring
+    xs = [ring.var(i) for i in range(g.dim)]
+    for p in [[Fraction(0)] * g.dim] + [rand_point(rng, g.dim) for _ in range(4)]:
+        expect = group_product(recipe, [ring.const(x) for x in p], xs)
+        assert list(left_translation(recipe, p).components) == expect
 
 
 # -- frames -------------------------------------------------------------
@@ -241,6 +286,65 @@ def test_tau_realizes_positive_levels():
                 assert vf_bracket(coords[a], coords[b]) == expect, (name, s.labels[a], s.labels[b])
 
 
+def realize_tau_per_column(s, frame):
+    """Reference for ``realize_tau``: one solve per level element and frame
+    component, with the right-invariant fields of the t-linear reference."""
+    g = s.negative
+    ring = frame.ring
+    generators = flow_generators_reference(frame.recipe, right=True)
+    horizontal = [generators[i] for i in g.layer_indices(1)]
+    xs = [s.sbasis.index(("neg", i)) for i in g.layer_indices(1)]
+    fields = []
+    for a, key in enumerate(s.sbasis):
+        if key[0] == "neg":
+            fields.append(frame.to_frame(generators[key[1]]))
+            continue
+        comps = []
+        for j in range(g.dim):
+            monos, system, index = _translation_system(horizontal, ring, key[1] - g.weights[j])
+            rhs = [0] * system.rows
+            for i, x in enumerate(xs):
+                for b, c in s.bracket_table[a][x]:
+                    for e, v in fields[b][j].terms.items():
+                        rhs[index[(i, e)]] += c * v
+            (coeffs,) = solve(system, [rhs])
+            assert coeffs is not None, (s.labels[a], j)
+            comps.append(Poly(ring, dict(zip(monos, coeffs))))
+        fields.append(comps)
+    return fields
+
+
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "r3_co3", "h2", "g2_full"])
+def test_realize_tau_matches_the_per_column_solve(name):
+    from carnot.cli import parse_spec_file, spec_constraint
+    g, frame = named_algebra_frame(name)
+    constraint = spec_constraint(parse_spec_file(spec_file(name))) if name != "h2" else CONFORMAL
+    s, rep = full_prolongation(g, constrain_g0(strata_derivations(g), constraint))
+    assert rep.terminated
+    fields = realize_tau(s, frame)
+    assert [list(f.components) for f in fields] == realize_tau_per_column(s, frame)
+
+
+def test_not_realizable_names_the_first_failing_element_in_basis_order():
+    # heis_x_r (X3 central): sending X3 to X1 is no derivation, since
+    # [X2, X3] = 0 but [X2, X1] = -Y, so a level-0 element given that
+    # bracket has no field; the first such element in basis order is named
+    import copy
+    g, frame = named_algebra_frame("heis_x_r")
+    s, _ = full_prolongation(g, conformal_g0(g))
+    level = [a for a, key in enumerate(s.sbasis) if key[0] == "lev"]
+    x1, x3 = (s.sbasis.index(("neg", g.names.index(n))) for n in ("X1", "X3"))
+    assert len(level) == 2
+    for broken, named in (((1,), 1), ((0, 1), 0), ((0,), 0)):
+        t = copy.copy(s)
+        t.bracket_table = [list(row) for row in s.bracket_table]
+        for b in broken:
+            t.bracket_table[level[b]][x3] = ((x1, Fraction(1)),)
+        with pytest.raises(NotRealizable,
+                           match=rf"^no field of degree 0 realizes {s.labels[level[named]]}$"):
+            realize_tau(t, frame)
+
+
 def automorphism_flow_field(frame, dmap):
     """Reference for the degree-zero fields: the generator of the flow of
     exp(tD) acting on the group by automorphisms, in frame components.
@@ -252,7 +356,7 @@ def automorphism_flow_field(frame, dmap):
     """
     recipe = frame.recipe
     n = recipe.algebra.dim
-    ring_t, t_index = recipe.extended_ring()
+    ring_t, t_index = t_extended_ring(recipe)
     t = ring_t.var(t_index)
     coords = factorwise_image(recipe, [ring_t.var(i) for i in range(n)],
                               lambda arg: [a + t * b for a, b in zip(arg, apply_rows(dmap, arg))])
@@ -350,9 +454,9 @@ def reference_pushforward(pmap, frame):
 
 # verify's anisotropic block diag(1, 2) does not extend on two_centre, whose
 # brackets ask for a1 a3 = a2 a4 of a diagonal block; diag(1, 2, 2, 1) does
-@pytest.mark.parametrize("name, diagonal", [
-    ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
-def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
+def similarity_maps(name, diagonal, rng):
+    """What verify checks for similarity: left translations, the dilations,
+    and the anisotropic automorphism with the given first-layer block."""
     from carnot.cli import DILATION_SCALES
     g, frame = named_algebra_frame(name)
     recipe = frame.recipe
@@ -361,6 +465,27 @@ def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
     maps = [left_translation(recipe, rand_point(rng, g.dim)) for _ in range(3)]
     maps += [dilation(recipe, lam) for lam in DILATION_SCALES]
     maps.append(graded_automorphism(recipe, extend_first_layer_automorphism(g, block)))
+    return g, frame, maps
+
+
+@pytest.mark.parametrize("name, diagonal", [
+    ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
+def test_substitute_matches_subs_on_the_frame_entries(name, diagonal, rng):
+    # the composition the pushforward makes: every entry below the frame's
+    # diagonal with the map put in for the coordinates
+    g, frame, maps = similarity_maps(name, diagonal, rng)
+    entries = [x for row in frame._below for _, x in row]
+    assert entries
+    for pmap in maps:
+        values = list(pmap.components)
+        assert substitute(entries, values) == [x.subs(values) for x in entries]
+
+
+@pytest.mark.parametrize("name, diagonal", [
+    ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
+def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
+    g, frame, maps = similarity_maps(name, diagonal, rng)
+    m = frame.horizontal
     for pmap in maps:
         reference = reference_pushforward(pmap, frame)
         cols = pushforward_in_frame(pmap, frame)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.polynomials import Poly, PolyRing
+from carnot.polynomials import Poly, PolyRing, substitute
 
 RING = PolyRing(("x1", "x2", "y", "z"), (1, 1, 2, 3))
 
@@ -134,3 +134,21 @@ def test_pow():
     assert (x1 + 1) ** 3 == x1 ** 3 + 3 * x1 ** 2 + 3 * x1 + 1
     with pytest.raises(ValueError):
         x1 ** -1
+
+
+def test_substitute_matches_subs():
+    # one power table for several polynomials: repeated and high powers, a
+    # constant term, a zero value, and the zero polynomial
+    rng = random.Random(5)
+    src = PolyRing(("a", "b", "c"), (1, 1, 2))
+    dst = PolyRing(("x", "y"), (1, 2))
+    x, y = dst.var(0), dst.var(1)
+    values = [x + 2 * y, dst.zero(), Fraction(1, 3) * x * x - y]
+    monos = src.monomials_upto(5)
+    polys = [src.zero(), src.const(4)]
+    for _ in range(6):
+        polys.append(Poly(src, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for m in rng.sample(monos, 5)}))
+    assert substitute(polys, values) == [f.subs(values) for f in polys]
+    with pytest.raises(ValueError, match="one substitution per variable"):
+        substitute(polys, values[:2])
