@@ -8,7 +8,7 @@ independent bounded-degree PDE solver cross-checks the dimensions.
 """
 
 from .exact_linalg import Rational, SparseRows, Subspace, nullspace, rref, span_equal
-from .graded_lie import GradedLieAlgebra, build_algebra, check_generation
+from .graded_lie import GradedLieAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, Level, ProlongationAlgebra, TerminationReport,
                            constrain_g0, degree_zero_matrix, full_prolongation, prolong_step,
                            strata_derivations)

@@ -7,9 +7,10 @@ the rows ``constrain_g0`` reads for the tower.  Residuals are full
 polynomials, never point samples, so every verdict is an identity check.
 The jet of a field at a point is built by one rule: part k on e_j is X_j
 applied to whatever has weight w_j + k, the field's components on that
-layer while the weight is negative and part w_j + k otherwise.  So every
-part is in the ``Level.actions`` convention, and the levels of the tower
-decide membership and the derivation law.  The
+layer while the weight is negative and part w_j + k otherwise.  Each part
+is a dense tuple in the local coordinates t that ``Level.actions`` holds
+sparsely as ``{t: c}``, the form ``Level.coordinates_of_values`` takes, so
+the levels of the tower decide membership and the derivation law.  The
 bounded-degree ansatz solver at the end is the brute-force cross-check for
 the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.
@@ -186,11 +187,13 @@ def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
 class ContactJet:
     """Parts 0 and 1 of a contact field's jet at a point.
 
-    ``parts[k][j]`` is the value of part k on e_j in the convention of
-    ``Level.actions``: while the weight w_j + k is negative, the local
+    ``parts[k][j]`` is the value of part k on e_j as a dense tuple, indexed
+    by the local coordinates t of ``Level.actions`` (which holds a value
+    sparsely, as ``{t: c}``): while the weight w_j + k is negative, the
     coordinates of that layer; otherwise the values of part w_j + k on
     every basis element, which that part's level reads in turn.  So
-    ``g0.coordinates_of_values`` reads part 0 directly.
+    ``g0.coordinates_of_values``, which takes dense values, reads part 0
+    directly.
     """
 
     point: tuple[Fraction, ...]

@@ -15,7 +15,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import SparseRows, Subspace
+from .exact_linalg import SparseRows, solve
 
 
 class InvalidAlgebra(ValueError):
@@ -49,12 +49,17 @@ class GradedLieAlgebra:
     sorted by ``k``, the format of ``ProlongationAlgebra.bracket_table``;
     the constructor accepts any such terms, sums repeated ``k`` and drops
     zeros.  Construction verifies antisymmetry, the grading and the Jacobi
-    identity with :func:`table_violation`; generation of the lower layers
-    by layer -1 is enforced by :func:`build_algebra` and queried via
-    :func:`check_generation`.
+    identity with :func:`table_violation`, then that layer -1 generates:
+    for each layer ``-d`` with ``d >= 2``, one elimination solves the
+    products of layer -1 with layer ``-(d-1)`` for every basis element of
+    layer ``-d``, and :class:`GenerationFailure` is raised if one has no
+    solution.  The solutions are kept as the proof: ``spanned_by[t]`` holds
+    the nonzero ``(c, i, j)`` with ``e_t = sum c [e_i, e_j]``, for every
+    ``t`` below layer -1, keyed in layer order.
     """
 
-    __slots__ = ("names", "weights", "rows", "dim", "step", "_index", "_layers", "_nonzero")
+    __slots__ = ("names", "weights", "rows", "dim", "step", "spanned_by",
+                 "_index", "_layers", "_nonzero")
 
     def __init__(self, names: Sequence[str], weights: Sequence[int],
                  rows: Sequence[Sequence[Iterable[tuple[int, object]]]]):
@@ -91,6 +96,16 @@ class GradedLieAlgebra:
             raise self._violation(*violation)
         self._nonzero = [(i, j, self.rows[i][j])
                          for i in range(n) for j in range(i + 1, n) if self.rows[i][j]]
+        self.spanned_by: dict[int, tuple[tuple[Fraction, int, int], ...]] = {}
+        for depth in range(2, self.step + 1):
+            targets = self.layer_indices(depth)
+            pairs, products = _generation_matrix(self, depth)
+            units = [[Fraction(int(t == u)) for t in range(len(targets))]
+                     for u in range(len(targets))]
+            for gt, combo in zip(targets, solve(products, units)):
+                if combo is None:
+                    raise GenerationFailure("layer -1 does not generate the lower layers")
+                self.spanned_by[gt] = tuple((c, i, j) for c, (i, j) in zip(combo, pairs) if c)
 
     def _violation(self, kind: str, a: int, b: int, c: int) -> InvalidAlgebra:
         na, nb, nc = self.names[a], self.names[b], self.names[c]
@@ -195,12 +210,12 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
 def build_algebra(layers: Sequence[Sequence[str]],
                   brackets: Mapping[tuple[str, str], Sequence[tuple[Fraction, str]]]
                   ) -> GradedLieAlgebra:
-    """Construct and fully validate an algebra from layers and bracket relations.
+    """Construct an algebra from layers and bracket relations.
 
     ``layers[d]`` lists the generators of layer ``-(d+1)``; ``brackets``
     maps ordered pairs of names to coefficient/name term lists.  Only one
-    orientation of each pair may appear, unlisted brackets are zero, and
-    the result must be generated by layer -1.
+    orientation of each pair may appear and unlisted brackets are zero;
+    :class:`GradedLieAlgebra` checks the laws and generation by layer -1.
     """
     names: list[str] = []
     weights: list[int] = []
@@ -227,13 +242,10 @@ def build_algebra(layers: Sequence[Sequence[str]],
                 raise InvalidAlgebra(f"unknown basis name {name!r} in bracket [{a},{b}]")
             rows[i][j].append((index[name], Fraction(coeff)))
             rows[j][i].append((index[name], -Fraction(coeff)))
-    g = GradedLieAlgebra(names, weights, rows)
-    if not check_generation(g):
-        raise GenerationFailure("layer -1 does not generate the lower layers")
-    return g
+    return GradedLieAlgebra(names, weights, rows)
 
 
-def generation_matrix(g: GradedLieAlgebra, depth: int) -> tuple[list[tuple[int, int]], SparseRows]:
+def _generation_matrix(g: GradedLieAlgebra, depth: int) -> tuple[list[tuple[int, int]], SparseRows]:
     """The products of layer -1 with layer -(depth-1), read in layer -depth.
 
     Column p of the matrix holds the layer -depth coordinates of
@@ -247,11 +259,3 @@ def generation_matrix(g: GradedLieAlgebra, depth: int) -> tuple[list[tuple[int, 
             rows[position[k]][p] = c
     return pairs, SparseRows(rows, len(pairs))
 
-
-def check_generation(g: GradedLieAlgebra) -> bool:
-    """True iff brackets of layer -1 with layer -(k-1) span layer -k for all k >= 2."""
-    for depth in range(2, g.step + 1):
-        _, products = generation_matrix(g, depth)
-        if Subspace.from_vectors(products.entries, products.cols).dim != products.rows:
-            return False
-    return True

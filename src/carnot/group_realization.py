@@ -27,7 +27,7 @@ from operator import add
 from typing import Sequence
 
 from .exact_linalg import Matrix, SparseRows, Subspace, solve, sparse_row
-from .graded_lie import GradedLieAlgebra, generation_matrix
+from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly, PolyRing, substitute
 
 HALF = Fraction(1, 2)
@@ -169,10 +169,6 @@ def group_product(recipe: CoordinateRecipe, p: Sequence, q: Sequence) -> list:
     mp = log_of_coords(recipe, p)
     mq = log_of_coords(recipe, q)
     return factor_log(recipe, bch(recipe.algebra, mp, mq))
-
-
-def group_inverse(recipe: CoordinateRecipe, p: Sequence) -> list:
-    return factor_log(recipe, [-x for x in log_of_coords(recipe, p)])
 
 
 @dataclass(frozen=True)
@@ -401,7 +397,6 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
 class PolyMap:
     """A polynomial self-map of the group in recipe coordinates."""
 
-    recipe: CoordinateRecipe
     components: tuple[Poly, ...]
 
     def jacobian(self) -> list[list[Poly]]:
@@ -416,7 +411,7 @@ def dilation(recipe: CoordinateRecipe, scale) -> PolyMap:
         raise NonpositiveScale(f"dilation scale must be positive, got {lam}")
     ring = recipe.ring
     comps = [lam ** w * ring.var(i) for i, w in enumerate(recipe.coord_weights)]
-    return PolyMap(recipe, tuple(comps))
+    return PolyMap(tuple(comps))
 
 
 def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> PolyMap:
@@ -427,7 +422,7 @@ def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> PolyMap
         raise ValueError("point has wrong length")
     ring = recipe.ring
     values = [ring.const(x) for x in p] + [ring.var(i) for i in range(n)]
-    return PolyMap(recipe, tuple(substitute(recipe.law, values)))
+    return PolyMap(tuple(substitute(recipe.law, values)))
 
 
 def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
@@ -440,7 +435,7 @@ def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
     m = log_of_coords(recipe, [ring.var(i) for i in range(g.dim)])
     zero = ring.zero()
     moved = [sum((c * x for c, x in zip(row, m) if c), zero) for row in phi.entries]
-    return PolyMap(recipe, tuple(_as_poly(ring, c) for c in factor_log(recipe, moved)))
+    return PolyMap(tuple(_as_poly(ring, c) for c in factor_log(recipe, moved)))
 
 
 def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:
@@ -458,8 +453,10 @@ def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:
 def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matrix:
     """Extend a first-layer block to a graded automorphism, or fail.
 
-    Deeper images are forced through bracket expressions of the deeper
-    basis elements; the result is checked against every bracket.
+    Deeper images are forced: ``e_t = sum c [e_i, e_j]`` over
+    ``g.spanned_by[t]``, the proof of generation the algebra keeps, maps to
+    ``sum c [phi e_i, phi e_j]``.  The result is checked against every
+    bracket, which rejects a block that does not extend.
     """
     m = len(g.layer_indices(1))
     if block.rows != m or block.cols != m:
@@ -470,21 +467,12 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
         for r, gr in enumerate(g.layer_indices(1)):
             col[gr] = block.entries[r][local]
         images[gi] = col
-    for depth in range(2, g.step + 1):
-        targets = g.layer_indices(depth)
-        pairs, products = generation_matrix(g, depth)
-        units = [[Fraction(1) if t == local else Fraction(0) for t in range(len(targets))]
-                 for local in range(len(targets))]
-        combos = solve(products, units)
-        if None in combos:
-            raise ValueError("layer -1 does not generate; cannot extend")
-        for gt, combo in zip(targets, combos):
-            img = [Fraction(0)] * g.dim
-            for c, (i, j) in zip(combo, pairs):
-                if c:
-                    piece = g.bracket(images[i], images[j])
-                    img = [x + c * y for x, y in zip(img, piece)]
-            images[gt] = img
+    for gt, terms in g.spanned_by.items():
+        img = [Fraction(0)] * g.dim
+        for c, i, j in terms:
+            piece = g.bracket(images[i], images[j])
+            img = [x + c * y for x, y in zip(img, piece)]
+        images[gt] = img
     phi = Matrix([[images[j][i] for j in range(g.dim)] for i in range(g.dim)])
     _require_automorphism(g, phi)
     return phi

@@ -230,29 +230,6 @@ class Poly:
             total += v
         return total
 
-    def subs(self, values: Sequence) -> "Poly":
-        """Substitute a polynomial (or constant) for every variable."""
-        if len(values) != self.ring.nvars:
-            raise ValueError("one substitution per variable required")
-        target = None
-        for v in values:
-            if isinstance(v, Poly):
-                target = v.ring
-                break
-        if target is None:
-            raise ValueError("at least one substitution must be a Poly")
-        vals = [v if isinstance(v, Poly) else Poly(target, {(0,) * len(target.names): Fraction(v)})
-                for v in values]
-        zero = Poly(target, {})
-        acc = zero
-        for e, c in self.terms.items():
-            term = Poly(target, {(0,) * target.nvars: c})
-            for v, p in zip(vals, e):
-                if p:
-                    term = term * v ** p
-            acc = acc + term
-        return acc
-
     def weighted_degree(self) -> int | None:
         """Largest weighted degree of a term, or None for the zero polynomial."""
         if not self.terms:
@@ -300,9 +277,9 @@ class Poly:
 
 
 def substitute(polys: Sequence[Poly], values: Sequence[Poly]) -> list[Poly]:
-    """Each of ``polys`` with ``values[i]`` put in for variable i, as
-    :meth:`Poly.subs` gives it; every power of a value is computed once,
-    for all of ``polys``."""
+    """Each of ``polys`` with the polynomial ``values[i]`` put in for
+    variable i; every power of a value is computed once, for all of
+    ``polys``."""
     target = values[0].ring
     one = target.one()
     powers = [[one, v] for v in values]

@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import ONE, SparseRows, Subspace, nullspace, vec_zero
-from .graded_lie import (GenerationFailure, GradedLieAlgebra, check_generation,
-                         table_violation)
+from .graded_lie import GradedLieAlgebra, table_violation
 
 
 def _exact(x: Fraction) -> int | Fraction:
@@ -81,8 +80,9 @@ class Level:
         return self.subspace.dim
 
     def coordinates_of_values(self, values: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
-        """Coordinates in this level's basis of a map given by its dense
-        values on g_-."""
+        """Coordinates in this level's basis of a map given by its values
+        on g_-, each a dense tuple indexed by the local coordinates t of
+        :attr:`actions`."""
         return self.subspace.coordinates_of(
             {c: x for cols, value in zip(self.columns, values) for c, x in zip(cols, value)})
 
@@ -457,12 +457,11 @@ def full_prolongation(g: GradedLieAlgebra, g0: Level,
                       max_k: int = 10) -> tuple[ProlongationAlgebra, TerminationReport]:
     """Iterate prolongation steps until a level vanishes or the cutoff hits.
 
-    Requires the generation property: without it a zero level would not
-    justify stopping.  On termination the assembled algebra carries the
-    complete bracket table and passes :meth:`ProlongationAlgebra.verify`.
+    A zero level justifies stopping only because layer -1 generates, which
+    every :class:`GradedLieAlgebra` guarantees by construction.  On
+    termination the assembled algebra carries the complete bracket table
+    and passes :meth:`ProlongationAlgebra.verify`.
     """
-    if not check_generation(g):
-        raise GenerationFailure("prolongation requires layer -1 to generate the algebra")
     levels = [g0]
     dims = [levels[0].dim]
     terminated_at = None

@@ -12,7 +12,7 @@ from carnot.polynomials import Poly, PolyRing
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, bch, factor_log, group_product,
-                                      left_invariant_frame, realize_tau)
+                                      left_invariant_frame, log_of_coords, realize_tau)
 
 
 def make_engel():
@@ -136,6 +136,29 @@ def apply_rows(rows, v):
                 acc = acc + c * x
         out.append(acc)
     return out
+
+
+def subs_reference(p, values):
+    """Reference for ``polynomials.substitute``: p with ``values[i]`` (a
+    polynomial or a constant, at least one a polynomial) put in for
+    variable i, one term at a time."""
+    if len(values) != p.ring.nvars:
+        raise ValueError("one substitution per variable required")
+    target = next(v.ring for v in values if isinstance(v, Poly))
+    vals = [v if isinstance(v, Poly) else target.const(v) for v in values]
+    acc = target.zero()
+    for e, c in p.terms.items():
+        term = target.const(c)
+        for v, k in zip(vals, e):
+            if k:
+                term = term * v ** k
+        acc = acc + term
+    return acc
+
+
+def group_inverse(recipe, p):
+    """The inverse of the point p in recipe coordinates."""
+    return factor_log(recipe, [-x for x in log_of_coords(recipe, p)])
 
 
 def factorwise_image(recipe, xs, move):

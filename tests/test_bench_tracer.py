@@ -106,11 +106,17 @@ def test_tracer_counts_the_bracket_and_similarity_call_sites():
 def test_tracer_counts_one_elimination_per_kernel():
     # each kernel is one rref call: r3_gl's degree-0 system and levels 1
     # and 2; heisenberg's degree-0 system, g0 with its conditions and
-    # levels 1 to 3, plus the generation check that ``build_algebra`` and
-    # ``full_prolongation`` each make through ``Subspace.from_vectors``
+    # levels 1 to 3, plus the generation check of layer -2 that
+    # constructing the algebra makes; validating engel is that check
+    # alone, for each of layers -2 and -3.  On verify and oracle too the
+    # generation matrix is eliminated only at construction
     tracer = import_tracer()
-    cases = [(["prolong", os.path.join(os.path.dirname(__file__), "golden", "r3_gl.alg")], 3),
-             (["prolong", bundled_spec("heisenberg.alg")], 7)]
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    cases = [(["prolong", os.path.join(golden, "r3_gl.alg")], 3),
+             (["prolong", bundled_spec("heisenberg.alg")], 6),
+             (["validate", bundled_spec("engel.alg")], 2),
+             (["verify", bundled_spec("engel.alg")], 24),
+             (["oracle", os.path.join(golden, "cartan_235.alg"), "--degree", "2"], 16)]
     for argv, count in cases:
         with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
             assert main(argv) == 0

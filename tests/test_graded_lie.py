@@ -4,8 +4,9 @@ import pytest
 
 from carnot.graded_lie import (AntisymmetryViolation, DuplicateBracket, GenerationFailure,
                                GradedLieAlgebra, GradingViolation, InvalidAlgebra,
-                               JacobiViolation, build_algebra, check_generation)
-from .conftest import make_abelian, make_engel, make_heisenberg
+                               JacobiViolation, build_algebra)
+from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, cartan_235_spec, free_step_two_spec,
+                       make_abelian, make_engel, make_heisenberg, make_heisenberg_n, spec_file)
 
 
 def test_engel_layer_dims(engel):
@@ -75,8 +76,9 @@ def test_self_bracket_rejected():
 
 
 def test_generation_engel_heisenberg():
-    assert check_generation(make_engel())
-    assert check_generation(make_heisenberg())
+    # construction keeps the proof: [X1,X2] = Y, and on Engel [X1,Y] = Z
+    assert make_engel().spanned_by == {2: ((1, 0, 1),), 3: ((1, 0, 2),)}
+    assert make_heisenberg().spanned_by == {2: ((1, 0, 1),)}
 
 
 def test_generation_failure_on_disconnected_sum():
@@ -84,11 +86,18 @@ def test_generation_failure_on_disconnected_sum():
         build_algebra([["A"], ["B"]], {})
 
 
-def test_check_generation_false_on_direct_construction():
-    # the constructor checks only the pointwise laws, so the non-generated
-    # example is constructible and reports False
-    g = GradedLieAlgebra(["A", "B"], [-1, -2], [[(), ()], [(), ()]])
-    assert not check_generation(g)
+@pytest.mark.parametrize("names, weights, entries", [
+    pytest.param(["A", "B"], [-1, -2], {}, id="disconnected"),
+    pytest.param(["X1", "X2", "Y", "Z"], [-1, -1, -2, -3], {(0, 1, 2): 1, (1, 0, 2): -1},
+                 id="layer_3_unreached"),
+    pytest.param(["X1", "X2", "Y1", "Y2"], [-1, -1, -2, -2], {(0, 1, 2): 1, (1, 0, 2): -1},
+                 id="layer_2_half_spanned"),
+])
+def test_direct_construction_of_a_non_generated_algebra_fails(names, weights, entries):
+    # the constructor checks generation, with build_algebra's message
+    with pytest.raises(GenerationFailure) as exc:
+        GradedLieAlgebra(names, weights, _rows(len(names), entries))
+    assert str(exc.value) == "layer -1 does not generate the lower layers"
 
 
 def test_rational_coefficients_in_brackets():
@@ -106,7 +115,7 @@ def test_deterministic_structure():
 def test_abelian_layers():
     g = make_abelian(3)
     assert g.layer_dims == [3]
-    assert check_generation(g)
+    assert g.spanned_by == {}
 
 
 def _rows(n, entries):
@@ -169,3 +178,38 @@ def test_bracket_accepts_polynomial_coefficients(engel):
     out = engel.bracket([x, y, zero, zero], [zero, ring.one(), x, zero])
     assert out[2] == x
     assert out[3] == x * x
+
+
+def _spec_algebra(text):
+    from carnot.cli import parse_spec_text, spec_algebra
+    return spec_algebra(parse_spec_text(text))
+
+
+def _file_algebra(name):
+    from carnot.cli import parse_spec_file, spec_algebra
+    return spec_algebra(parse_spec_file(spec_file(name)))
+
+
+PROOF_CASES = [pytest.param(lambda name=name: _file_algebra(name), id=name)
+               for name in BUNDLED + tuple(sorted(p.stem for p in GOLDEN.glob("*.alg")))]
+PROOF_CASES += [
+    pytest.param(lambda: make_heisenberg_n(2), id="h2"),
+    pytest.param(lambda: _spec_algebra(free_step_two_spec(3, FULL_DERIVATIONS)), id="free_3"),
+    pytest.param(lambda: _spec_algebra(cartan_235_spec(FULL_DERIVATIONS)), id="cartan_235_text"),
+]
+
+
+@pytest.mark.parametrize("make", PROOF_CASES)
+def test_spanned_by_proves_generation(make):
+    # every element below layer -1, in layer order, is a combination of
+    # brackets of layer -1 with the layer just above it
+    g = make()
+    below = [t for d in range(2, g.step + 1) for t in g.layer_indices(d)]
+    assert list(g.spanned_by) == below
+    for t, terms in g.spanned_by.items():
+        total = [Fraction(0)] * g.dim
+        for c, i, j in terms:
+            assert c and g.weights[i] == -1 and g.weights[j] == g.weights[t] + 1
+            total = [x + c * y for x, y in
+                     zip(total, g.bracket(g.basis_vector(i), g.basis_vector(j)))]
+        assert total == g.basis_vector(t)
