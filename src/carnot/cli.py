@@ -60,6 +60,7 @@ _SECTIONS = ("algebra", "g0", "recipe", "options")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
 _ENTRY_RE = re.compile(r"([+-]?)\s*(B\((\d+),(\d+)\))")
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 
 def _parse_terms(expr: str, filename: str, lineno: int, base_col: int):
@@ -222,8 +223,14 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
 
 
 def parse_spec_file(path: str) -> AlgebraSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read(), path)
+    # an undecodable byte reads as a lone surrogate, reported where it stands
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        bad = _UNDECODABLE_RE.search(line)
+        if bad:
+            raise ParseError(path, lineno, bad.start() + 1, "not UTF-8 text")
+    return parse_spec_text(text, path)
 
 
 def spec_algebra(spec: AlgebraSpec) -> GradedLieAlgebra:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import prod
 from operator import add
 from typing import Sequence
 
@@ -43,10 +42,6 @@ class CoordinateCollision(ValueError):
 
 
 class NonpositiveScale(ValueError):
-    pass
-
-
-class NotInvertible(ValueError):
     pass
 
 
@@ -399,10 +394,6 @@ class PolyMap:
 
     components: tuple[Poly, ...]
 
-    def jacobian(self) -> list[list[Poly]]:
-        n = len(self.components)
-        return [[self.components[c].diff(d) for d in range(n)] for c in range(n)]
-
 
 def dilation(recipe: CoordinateRecipe, scale) -> PolyMap:
     """The automorphic dilation: coordinate of weight w scales by scale**w."""
@@ -487,64 +478,15 @@ class SimilarityResult:
         return self.ok
 
 
-def _poly_det(rows: list[list[Poly]], ring: PolyRing) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = ring.zero()
-    for r in range(n):
-        piv = rows[r][0]
-        if piv.is_zero():
-            continue
-        minor = [[rows[i][j] for j in range(1, n)] for i in range(n) if i != r]
-        sub = _poly_det(minor, ring)
-        term = piv * sub
-        out = out + term if r % 2 == 0 else out - term
-    return out
-
-
-def _jacobian_probe(n: int) -> list[Fraction]:
-    """The fixed rational point at which a Jacobian is first evaluated:
-    p_d = 1/(d + 2), nonzero with an integer reciprocal, which
-    :func:`_jacobian_at_probe` relies on."""
-    return [Fraction(1, c + 2) for c in range(n)]
-
-
-def _jacobian_at_probe(pmap: PolyMap) -> list[dict[int, Fraction]]:
-    """The map's Jacobian at :func:`_jacobian_probe` as sparse rows, read
-    from the terms: the probe coordinate p_d is 1/(d + 2), so the partial
-    of x^e there is ``e_d (d + 2) p^e``, an integer multiple of the value
-    of x^e, which is computed once per monomial."""
-    at_probe: dict[tuple[int, ...], Fraction] = {}
-    rows = []
-    for phi in pmap.components:
-        row: dict[int, Fraction] = {}
-        for exp, c in phi.terms.items():
-            value = at_probe.get(exp)
-            if value is None:
-                value = at_probe[exp] = Fraction(1, prod((d + 2) ** k for d, k in enumerate(exp)))
-            v = c * value
-            for d, k in enumerate(exp):
-                if k:
-                    row[d] = row.get(d, 0) + k * (d + 2) * v
-        rows.append({d: x for d, x in row.items() if x})
-    return rows
-
-
 def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     """One column per horizontal frame field: ``cols[i][j]`` is the frame-j
     component of the pushforward of X_i, a polynomial in the source point.
 
     In coordinates the pushforward of X_i has components X_i(phi_c), read
     from the frame's derivative table; its frame components at the image
-    point solve the frame matrix composed with the map.
+    point solve the frame matrix composed with the map.  The map may be
+    singular; :func:`similarity_check` says why no test of that is needed.
     """
-    # a Jacobian of full rank at the probe settles invertibility; only a
-    # singular one there builds the symbolic determinant
-    n = len(frame)
-    if (Subspace.from_vectors(_jacobian_at_probe(pmap), n).dim < n
-            and _poly_det(pmap.jacobian(), frame.ring).is_zero()):
-        raise NotInvertible("map has identically singular Jacobian")
     # the frame matrix at the image point, below the diagonal: all the solve reads
     moved = iter(substitute([x for row in frame._below for _, x in row], pmap.components))
     below = [[(j, next(moved)) for j, _ in row] for row in frame._below]
@@ -556,24 +498,25 @@ def similarity_check(pmap: PolyMap, frame: Frame) -> SimilarityResult:
     """Whether the map is a horizontal similarity: pushforward A with A A^t = k I.
 
     The horizontal frame is declared orthonormal.  The check is an exact
-    polynomial identity; ``scale`` is the conformal factor k on success.
+    polynomial identity, on the m(m+1)/2 distinct entries of A A^t, each
+    read once; ``scale`` is the conformal factor k on success.  A map with
+    an identically singular Jacobian fails, so none is tested for: ``ok``
+    needs the map contact and k(p) != 0 at some p, so A(p) is invertible.
+    The Maurer-Cartan equations, pulled back and evaluated on [X_a, X_b]
+    with X_a in layer -1, show by induction on the layer that the frame
+    Jacobian at p keeps layers -1..-d and acts on layer -d by the map A
+    induces through brackets with layer -1.  Layer -1 generates, so each
+    such block is onto, and the Jacobian at p is invertible.
     """
     m = frame.horizontal
     cols = pushforward_in_frame(pmap, frame)
     if any(not x.is_zero() for col in cols for x in col[m:]):
         return SimilarityResult(False, None)
-    gram = [[sum((cols[i][r] * cols[i][s] for i in range(m)), frame.ring.zero())
-             for s in range(m)] for r in range(m)]
+    zero, k = frame.ring.zero(), None
     for r in range(m):
-        for s in range(m):
-            if r == s:
-                continue
-            if not gram[r][s].is_zero():
+        for s in range(r, m):
+            entry = sum((col[r] * col[s] for col in cols), zero)
+            k = entry if k is None else k
+            if k.is_zero() or entry != (k if r == s else zero):
                 return SimilarityResult(False, None)
-    k = gram[0][0]
-    for r in range(1, m):
-        if gram[r][r] != k:
-            return SimilarityResult(False, None)
-    if k.is_zero():
-        return SimilarityResult(False, None)
     return SimilarityResult(True, k)

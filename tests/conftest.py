@@ -156,6 +156,13 @@ def subs_reference(p, values):
     return acc
 
 
+def jacobian_reference(pmap):
+    """The symbolic Jacobian of a polynomial map: entry (c, d) is the partial
+    of component c in coordinate d."""
+    comps = pmap.components
+    return [[comps[c].diff(d) for d in range(len(comps))] for c in range(len(comps))]
+
+
 def group_inverse(recipe, p):
     """The inverse of the point p in recipe coordinates."""
     return factor_log(recipe, [-x for x in log_of_coords(recipe, p)])

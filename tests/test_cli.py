@@ -592,6 +592,17 @@ def test_zero_denominator_is_a_located_parse_error(tmp_path, capsys):
     assert re.search(r"bad\.alg:4:11: zero denominator", capsys.readouterr().err)
 
 
+# the bad byte follows a two-byte "é" and a line ended by "\r\n"
+def test_non_utf8_file_is_a_located_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"[algebra]\r\nname = \xc3\xa9\xff\nlayer -1 = X1\n")
+    with pytest.raises(ParseError) as err:
+        parse_spec_file(str(bad))
+    assert (err.value.line, err.value.col) == (2, 9)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bad}:2:9: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("condition, entry, col", [
     ("B(0,0)", "B(0,0)", 13),
     ("B(1,2) - B(5,1)", "B(5,1)", 22),

@@ -51,12 +51,14 @@ def spec_texts(draw):
 
 
 # Pieces of the spec language that malformed files are made of: section
-# headers, recipe factors, first-layer conditions and degenerate numbers.
+# headers, recipe factors, first-layer conditions and degenerate numbers,
+# and a line holding the byte 0xff, which is not UTF-8 (the lone surrogate
+# "\udcff" is written as the byte it escapes).
 TOKENS = ("[recipe]", "[algebra]", "[g0]", "[options]", "factor", "=", "factor =", "B(1,2)",
           "B(3,1)", "B(0,0)", "1/0", "0", "1/2", "-", "+", "X1", "X2", "x1", "Y", "Z", "Q",
           "layer", "-1", "-4", "[X1,Y]", "explicit", "condition", "max_k", "#")
-LINES = ("[recipe]", "factor = X1 Q", "factor = X2 Y Z", "factor = X1", "factor =",
-         "[recipe]\nfactor = X1 X2 Y", "[recipe]\nfactor = X2 x1", "[X1,X2] = 1/0 Y",
+LINES = ("[recipe]", "name = \udcff", "factor = X1 Q", "factor = X2 Y Z", "factor = X1",
+         "factor =", "[recipe]\nfactor = X1 X2 Y", "[recipe]\nfactor = X2 x1", "[X1,X2] = 1/0 Y",
          "[X1,X2] = Y + Y", "[X2,Y] = Z", "[X1,Z] = Y", "constraint = explicit",
          "condition = B(1,2) - B(3,1)", "condition = B(1,1)", "layer -2 = x1", "layer -3 = Z",
          "layer -4 = W", "oracle_degree = 1")
@@ -143,7 +145,7 @@ def check_realization(out, text):
 def test_malformed_spec_text_ends_in_a_report_or_a_located_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutated.alg")
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", errors="surrogateescape") as fh:
             fh.write(text)
         for command in COMMANDS:
             argv = [command[0], path, "--max-k", "2", *command[1:]]

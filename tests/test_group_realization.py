@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix, solve, sparse_row
+from carnot.exact_linalg import Matrix, solve
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInvertible,
-                                      NotRealizable, NotTerminated, PolyMap, UnsupportedStep,
+from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotRealizable,
+                                      NotTerminated, PolyMap, SimilarityResult, UnsupportedStep,
                                       _flow_generators, _translation_system, bch, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       group_product, left_invariant_frame,
@@ -16,8 +16,8 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotInv
 from carnot.polynomials import Poly, substitute
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, dense_bracket,
                        factorwise_automorphism, factorwise_image, flow_generators_reference,
-                       group_inverse, make_abelian, named_algebra_frame, permuted, rand_point,
-                       spec_file, subs_reference, t_extended_ring)
+                       group_inverse, jacobian_reference, make_abelian, named_algebra_frame,
+                       permuted, rand_point, spec_file, subs_reference, t_extended_ring)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -433,7 +433,7 @@ def reference_pushforward(pmap, frame):
     """All n columns F(phi)^-1 J F: entry [j][i] is the frame-j component,
     at the image point, of the pushforward of frame field i."""
     n = len(frame)
-    jac = pmap.jacobian()
+    jac = jacobian_reference(pmap)
     image = list(pmap.components)
     # F(phi), the frame matrix at the image point: entry (c, j) is columns[j][c]
     moved = [substitute([frame.columns[j][c] for j in range(n)], image) for c in range(n)]
@@ -537,65 +537,55 @@ def test_swap_block_does_not_extend(engel):
         extend_first_layer_automorphism(engel, Matrix([[0, 1], [1, 0]]))
 
 
-def test_not_invertible(engel_recipe, engel_frame):
+def failed_condition(pmap, frame):
+    """Reference for the first similarity condition the map fails, or None:
+    "contact", "off-diagonal", "diagonal" or "scale", read off the full
+    Gram matrix of the pushforward."""
+    m = frame.horizontal
+    cols = pushforward_in_frame(pmap, frame)
+    if any(not x.is_zero() for col in cols for x in col[m:]):
+        return "contact"
+    gram = [[sum((col[r] * col[s] for col in cols), frame.ring.zero()) for s in range(m)]
+            for r in range(m)]
+    if any(not gram[r][s].is_zero() for r in range(m) for s in range(m) if r != s):
+        return "off-diagonal"
+    if any(gram[r][r] != gram[0][0] for r in range(m)):
+        return "diagonal"
+    return "scale" if gram[0][0].is_zero() else None
+
+
+def automorphism(block):
+    return lambda recipe, x, zero: graded_automorphism(
+        recipe, extend_first_layer_automorphism(recipe.algebra, Matrix(block)))
+
+
+# engel's block [[1, 0], [3, 2]] extends; the last three maps have
+# identically singular Jacobians, and fail without raising
+@pytest.mark.parametrize("make_map, condition", [
+    (lambda recipe, x, zero: PolyMap((x[0], x[1], x[2] + x[0], x[3])), "contact"),
+    (automorphism([[1, 0], [3, 2]]), "off-diagonal"),
+    (automorphism([[1, 0], [0, 2]]), "diagonal"),
+    (lambda recipe, x, zero: PolyMap((x[0],) * 4), "contact"),
+    (lambda recipe, x, zero: PolyMap((zero,) * 4), "scale"),
+    (lambda recipe, x, zero: PolyMap((x[0], x[1], zero, zero)), "contact"),
+], ids=["shear", "off-diagonal", "unequal-diagonal", "x1-everywhere", "zero", "x1-x2-0-0"])
+def test_similarity_verdicts(engel_recipe, engel_frame, make_map, condition):
     ring = engel_recipe.ring
-    comps = tuple(ring.var(0) for _ in range(4))
-    with pytest.raises(NotInvertible):
-        similarity_check(PolyMap(comps), engel_frame)
+    pmap = make_map(engel_recipe, [ring.var(i) for i in range(4)], ring.zero())
+    assert failed_condition(pmap, engel_frame) == condition
+    assert similarity_check(pmap, engel_frame) == SimilarityResult(False, None)
 
 
-def counted_poly_det(monkeypatch):
-    """Record each call of the symbolic determinant expansion."""
-    from carnot import group_realization
-    calls = []
-    original = group_realization._poly_det
-
-    def counting(rows, ring):
-        calls.append(len(rows))
-        return original(rows, ring)
-
-    monkeypatch.setattr(group_realization, "_poly_det", counting)
-    return calls
-
-
-def test_jacobian_zero_at_the_probe_falls_back_to_the_expansion(engel_recipe, engel_frame,
-                                                                 monkeypatch):
-    from carnot.group_realization import _jacobian_probe
-    calls = counted_poly_det(monkeypatch)
+def test_pushforward_of_a_map_singular_on_a_hyperplane(engel_recipe, engel_frame):
     ring = engel_recipe.ring
     x = [ring.var(i) for i in range(4)]
-    a = _jacobian_probe(4)[0]
-    # det of the Jacobian is 2 (x1 - a): zero at the probe, not identically
+    a = Fraction(1, 2)
+    # det of the Jacobian is 2 (x1 - a): zero on x1 = a, not identically
     pmap = PolyMap(((x[0] - a) ** 2, x[1], x[2], x[3]))
     push = pushforward_in_frame(pmap, engel_frame)
-    # the expansion recurses through its minors
-    assert calls[:1] == [4]
     assert push[0][0] == 2 * (x[0] - a)
-
-
-@pytest.mark.parametrize("name", ["engel", "cartan_235", "two_centre"])
-def test_jacobian_at_the_probe_matches_the_symbolic_jacobian(name, rng):
-    # translations, dilations, and a map whose Jacobian vanishes at the probe
-    from carnot.group_realization import _jacobian_at_probe, _jacobian_probe
-    g, frame = named_algebra_frame(name)
-    recipe = frame.recipe
-    x = [recipe.ring.var(i) for i in range(g.dim)]
-    point = _jacobian_probe(g.dim)
-    maps = [left_translation(recipe, rand_point(rng, g.dim)) for _ in range(3)]
-    maps += [dilation(recipe, Fraction(2, 3)),
-             PolyMap(((x[0] - point[0]) ** 2, *x[1:]))]
-    for pmap in maps:
-        expected = [sparse_row([p.eval(point) for p in row]) for row in pmap.jacobian()]
-        assert _jacobian_at_probe(pmap) == expected
-
-
-def test_jacobian_nonzero_at_the_probe_skips_the_expansion(engel_recipe, engel_frame, rng,
-                                                           monkeypatch):
-    calls = counted_poly_det(monkeypatch)
-    for pmap in (left_translation(engel_recipe, rand_point(rng, 4)),
-                 dilation(engel_recipe, Fraction(2, 3))):
-        assert similarity_check(pmap, engel_frame).ok
-    assert calls == []
+    assert push == [[reference_pushforward(pmap, engel_frame)[j][i] for j in range(4)]
+                    for i in range(engel_frame.horizontal)]
 
 
 def test_recipe_partition_enforced(engel):
