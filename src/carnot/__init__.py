@@ -12,9 +12,9 @@ from .graded_lie import GradedLieAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, Level, ProlongationAlgebra, TerminationReport,
                            constrain_g0, degree_zero_matrix, full_prolongation, prolong_step,
                            strata_derivations)
-from .group_realization import (CoordinateRecipe, Frame, PolyMap, PolyVectorField,
-                                bch, dilation, group_product, left_invariant_frame,
-                                left_translation, realize_tau, similarity_check)
+from .group_realization import (CoordinateRecipe, Frame, PolyVectorField, bch, dilation,
+                                group_product, left_invariant_frame, left_translation,
+                                realize_tau, similarity_check)
 from .contact_pde import (ContactJet, DefectReport, conformal_defect, contact_defect,
                           jet, jet_jacobi_check, solve_h_system, solve_polynomial_conformal)
 

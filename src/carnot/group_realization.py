@@ -109,8 +109,10 @@ class CoordinateRecipe:
     def coord_weights(self) -> tuple[int, ...]:
         return tuple(-w for w in self.algebra.weights)
 
-    @property
+    @cached_property
     def ring(self) -> PolyRing:
+        """The coordinate ring, one object per recipe: its frame and every
+        map built from it share it."""
         return PolyRing(self.coord_names, self.coord_weights)
 
     @cached_property
@@ -211,7 +213,8 @@ def _unit_lower_solve(below: Sequence[Sequence[tuple[int, Poly]]],
 
 
 class Frame:
-    """The left-invariant frame of a recipe, as coordinate vector fields.
+    """The left-invariant frame of a recipe, as coordinate vector fields
+    over the recipe's ring; ``algebra`` and ``ring`` are the recipe's.
 
     ``columns[j][c]`` is the d/dx_c coefficient of the frame field of
     basis element j: the part of component c of the recipe's law mu(x, y)
@@ -225,11 +228,10 @@ class Frame:
     table through it.
     """
 
-    def __init__(self, algebra: GradedLieAlgebra, recipe: CoordinateRecipe,
-                 ring: PolyRing, columns: Sequence[Sequence[Poly]]):
-        self.algebra = algebra
+    def __init__(self, recipe: CoordinateRecipe, columns: Sequence[Sequence[Poly]]):
+        self.algebra = algebra = recipe.algebra
         self.recipe = recipe
-        self.ring = ring
+        self.ring = ring = recipe.ring
         self.columns = tuple(tuple(col) for col in columns)
         self.horizontal = len(algebra.layer_indices(1))
         # the contact and conformal residuals read the horizontal frame
@@ -305,10 +307,10 @@ def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
     return [[Poly(ring, terms) for terms in col] for col in columns]
 
 
-def left_invariant_frame(g: GradedLieAlgebra, recipe: CoordinateRecipe) -> Frame:
-    """Frame field of each basis element X: p -> d/dt (p * exp(tX)) at t=0,
-    read off the recipe's group law."""
-    return Frame(g, recipe, recipe.ring, _flow_generators(recipe, right=False))
+def left_invariant_frame(recipe: CoordinateRecipe) -> Frame:
+    """Frame field of each basis element X of the recipe's algebra:
+    p -> d/dt (p * exp(tX)) at t=0, read off the recipe's group law."""
+    return Frame(recipe, _flow_generators(recipe, right=False))
 
 
 def _translation_system(generators: Sequence[Sequence[Poly]], ring: PolyRing,
@@ -388,57 +390,42 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     return fields
 
 
-@dataclass(frozen=True)
-class PolyMap:
-    """A polynomial self-map of the group in recipe coordinates."""
-
-    components: tuple[Poly, ...]
-
-
-def dilation(recipe: CoordinateRecipe, scale) -> PolyMap:
-    """The automorphic dilation: coordinate of weight w scales by scale**w."""
+def dilation(recipe: CoordinateRecipe, scale) -> tuple[Poly, ...]:
+    """The automorphic dilation, as its components in the recipe's ring:
+    coordinate of weight w scales by scale**w."""
     lam = Fraction(scale)
     if lam <= 0:
         raise NonpositiveScale(f"dilation scale must be positive, got {lam}")
     ring = recipe.ring
-    comps = [lam ** w * ring.var(i) for i, w in enumerate(recipe.coord_weights)]
-    return PolyMap(tuple(comps))
+    return tuple(lam ** w * ring.var(i) for i, w in enumerate(recipe.coord_weights))
 
 
-def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> PolyMap:
-    """q -> p * q as a polynomial map: the group law with the constants p
-    put in for its first point."""
+def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> tuple[Poly, ...]:
+    """q -> p * q as its components in the recipe's ring: the group law
+    with the constants p put in for its first point."""
     n = recipe.algebra.dim
     if len(p) != n:
         raise ValueError("point has wrong length")
     ring = recipe.ring
     values = [ring.const(x) for x in p] + [ring.var(i) for i in range(n)]
-    return PolyMap(tuple(substitute(recipe.law, values)))
+    return tuple(substitute(recipe.law, values))
 
 
-def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> PolyMap:
+def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> tuple[Poly, ...]:
     """The group map induced by a graded algebra automorphism phi:
-    exp(m) -> exp(phi m), read through :func:`log_of_coords`."""
+    exp(m) -> exp(phi m), read through :func:`log_of_coords`, as its
+    components in the recipe's ring.
+
+    phi must be an automorphism, as :func:`extend_first_layer_automorphism`
+    returns one; it is not checked again here.
+    """
     g = recipe.algebra
-    _require_automorphism(g, phi)
     ring = recipe.ring
     # phi respects brackets, so it commutes with BCH: phi(log x) = log phi(x)
     m = log_of_coords(recipe, [ring.var(i) for i in range(g.dim)])
     zero = ring.zero()
     moved = [sum((c * x for c, x in zip(row, m) if c), zero) for row in phi.entries]
-    return PolyMap(tuple(_as_poly(ring, c) for c in factor_log(recipe, moved)))
-
-
-def _require_automorphism(g: GradedLieAlgebra, phi: Matrix) -> None:
-    if Subspace.from_vectors(map(sparse_row, phi.entries), phi.cols).dim != g.dim:
-        raise ValueError("matrix is singular, not an automorphism")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = g.bracket(phi.col(i), phi.col(j))
-            rhs = [sum(c * row[k] for k, c in g.rows[i][j]) for row in phi.entries]
-            if lhs != rhs:
-                raise ValueError(
-                    f"matrix does not respect the bracket on ({g.names[i]},{g.names[j]})")
+    return tuple(_as_poly(ring, c) for c in factor_log(recipe, moved))
 
 
 def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matrix:
@@ -446,8 +433,10 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
 
     Deeper images are forced: ``e_t = sum c [e_i, e_j]`` over
     ``g.spanned_by[t]``, the proof of generation the algebra keeps, maps to
-    ``sum c [phi e_i, phi e_j]``.  The result is checked against every
-    bracket, which rejects a block that does not extend.
+    ``sum c [phi e_i, phi e_j]``.  The result is checked once, for rank
+    and against every bracket, which rejects a block that does not extend
+    with a ``ValueError``; what it returns is an automorphism, as
+    :func:`graded_automorphism` needs.
     """
     m = len(g.layer_indices(1))
     if block.rows != m or block.cols != m:
@@ -465,22 +454,22 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
             img = [x + c * y for x, y in zip(img, piece)]
         images[gt] = img
     phi = Matrix([[images[j][i] for j in range(g.dim)] for i in range(g.dim)])
-    _require_automorphism(g, phi)
+    if Subspace.from_vectors(map(sparse_row, phi.entries), phi.cols).dim != g.dim:
+        raise ValueError("matrix is singular, not an automorphism")
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = g.bracket(phi.col(i), phi.col(j))
+            rhs = [sum(c * row[k] for k, c in g.rows[i][j]) for row in phi.entries]
+            if lhs != rhs:
+                raise ValueError(
+                    f"matrix does not respect the bracket on ({g.names[i]},{g.names[j]})")
     return phi
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
-    ok: bool
-    scale: Poly | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
+def pushforward_in_frame(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
     """One column per horizontal frame field: ``cols[i][j]`` is the frame-j
-    component of the pushforward of X_i, a polynomial in the source point.
+    component of the pushforward of X_i, a polynomial in the source point,
+    for the map with the components ``pmap`` in the frame's ring.
 
     In coordinates the pushforward of X_i has components X_i(phi_c), read
     from the frame's derivative table; its frame components at the image
@@ -488,20 +477,23 @@ def pushforward_in_frame(pmap: PolyMap, frame: Frame) -> list[list[Poly]]:
     singular; :func:`similarity_check` says why no test of that is needed.
     """
     # the frame matrix at the image point, below the diagonal: all the solve reads
-    moved = iter(substitute([x for row in frame._below for _, x in row], pmap.components))
+    moved = iter(substitute([x for row in frame._below for _, x in row], pmap))
     below = [[(j, next(moved)) for j, _ in row] for row in frame._below]
-    return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap.components])
+    return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap])
             for i in range(frame.horizontal)]
 
 
-def similarity_check(pmap: PolyMap, frame: Frame) -> SimilarityResult:
-    """Whether the map is a horizontal similarity: pushforward A with A A^t = k I.
+def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
+    """The conformal factor k of a horizontal similarity, or None.
 
-    The horizontal frame is declared orthonormal.  The check is an exact
-    polynomial identity, on the m(m+1)/2 distinct entries of A A^t, each
-    read once; ``scale`` is the conformal factor k on success.  A map with
-    an identically singular Jacobian fails, so none is tested for: ``ok``
-    needs the map contact and k(p) != 0 at some p, so A(p) is invertible.
+    The map, given by its components in the frame's ring, is a similarity
+    when it is contact and its horizontal pushforward A has A A^t = k I
+    with k not identically zero; the horizontal frame is declared
+    orthonormal.  The check is an exact polynomial identity, on the
+    m(m+1)/2 distinct entries of A A^t, each read once.  A map with an
+    identically singular Jacobian gets None, so none is tested for: a
+    factor needs the map contact and k(p) != 0 at some p, so A(p) is
+    invertible.
     The Maurer-Cartan equations, pulled back and evaluated on [X_a, X_b]
     with X_a in layer -1, show by induction on the layer that the frame
     Jacobian at p keeps layers -1..-d and acts on layer -d by the map A
@@ -511,12 +503,12 @@ def similarity_check(pmap: PolyMap, frame: Frame) -> SimilarityResult:
     m = frame.horizontal
     cols = pushforward_in_frame(pmap, frame)
     if any(not x.is_zero() for col in cols for x in col[m:]):
-        return SimilarityResult(False, None)
+        return None
     zero, k = frame.ring.zero(), None
     for r in range(m):
         for s in range(r, m):
             entry = sum((col[r] * col[s] for col in cols), zero)
             k = entry if k is None else k
             if k.is_zero() or entry != (k if r == s else zero):
-                return SimilarityResult(False, None)
-    return SimilarityResult(True, k)
+                return None
+    return k

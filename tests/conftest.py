@@ -99,7 +99,7 @@ def named_algebra_frame(name):
         n = int(name[1:])
         g = make_heisenberg_n(n) if name[0] == "h" else make_abelian(n)
         recipe = CoordinateRecipe.single_factor(g)
-    return g, left_invariant_frame(g, recipe)
+    return g, left_invariant_frame(recipe)
 
 
 CONFORMAL = GZeroConstraint.conformal()
@@ -156,10 +156,9 @@ def subs_reference(p, values):
     return acc
 
 
-def jacobian_reference(pmap):
-    """The symbolic Jacobian of a polynomial map: entry (c, d) is the partial
-    of component c in coordinate d."""
-    comps = pmap.components
+def jacobian_reference(comps):
+    """The symbolic Jacobian of a polynomial map with the components
+    ``comps``: entry (c, d) is the partial of component c in coordinate d."""
     return [[comps[c].diff(d) for d in range(len(comps))] for c in range(len(comps))]
 
 
@@ -289,8 +288,8 @@ def engel_recipe(engel):
 
 
 @pytest.fixture(scope="session")
-def engel_frame(engel, engel_recipe):
-    return left_invariant_frame(engel, engel_recipe)
+def engel_frame(engel_recipe):
+    return left_invariant_frame(engel_recipe)
 
 
 @pytest.fixture(scope="session")
@@ -311,7 +310,7 @@ def heisenberg():
 
 @pytest.fixture(scope="session")
 def heisenberg_frame(heisenberg):
-    return left_invariant_frame(heisenberg, CoordinateRecipe.single_factor(heisenberg))
+    return left_invariant_frame(CoordinateRecipe.single_factor(heisenberg))
 
 
 @pytest.fixture

@@ -100,11 +100,19 @@ def test_validate_parse_failure_exit_2(tmp_path, capsys):
 
 
 def test_validate_semantic_failure_exit_1(tmp_path):
+    # the whole report, as main renders every InvalidAlgebra
     bad = tmp_path / "bad.alg"
-    bad.write_text("[algebra]\nlayer -1 = A B\nlayer -2 = C\n[A,B] = A\n")
-    code, out = run_cli(["validate", str(bad)])
-    assert code == 1
-    assert "GradingViolation" in out
+    for text, violation in [
+            ("[algebra]\nlayer -1 = A B\nlayer -2 = C\n[A,B] = A\n",
+             "GradingViolation: [A,B] has component A of weight -1, expected -2"),
+            ("[algebra]\nlayer -1 = A B\nlayer -2 = C\n",
+             "GenerationFailure: layer -1 does not generate the lower layers")]:
+        bad.write_text(text)
+        assert run_cli(["validate", str(bad)]) == (
+            1, f"command = validate\nname = unnamed\nvalid = false\nviolation = {violation}\n")
+        assert run_cli(["validate", str(bad), "--format", "struct"]) == (
+            1, '{\n  "command": "validate",\n  "name": "unnamed",\n  "valid": false,\n'
+               f'  "violation": "{violation}"\n}}\n')
 
 
 def test_prolong_engel_report():
@@ -221,7 +229,7 @@ def test_verify_with_injected_field_fails():
     from carnot.cli import spec_algebra, spec_recipe
     from carnot.group_realization import left_invariant_frame
     g = spec_algebra(spec)
-    frame = left_invariant_frame(g, spec_recipe(spec, g))
+    frame = left_invariant_frame(spec_recipe(spec, g))
     ring = frame.ring
     bad = PolyVectorField((ring.zero(), ring.zero(), ring.one(), ring.zero()))
     report = Report()
@@ -542,7 +550,7 @@ def test_oracle_fields_match_saved_copy(name, degree):
     stored = GOLDEN / f"{name}.alg"
     spec = parse_spec_file(str(stored) if stored.exists() else spec_path(name + ".alg"))
     g = spec_algebra(spec)
-    frame = left_invariant_frame(g, spec_recipe(spec, g))
+    frame = left_invariant_frame(spec_recipe(spec, g))
     fields = solve_polynomial_conformal(frame, spec_constraint(spec), degree).fields
     out = "".join(f"field_{i} = {_field_str(g, f)}\n" for i, f in enumerate(fields, start=1))
     assert out == (GOLDEN / f"oracle_fields_{name}.txt").read_text(encoding="utf-8")
@@ -601,6 +609,24 @@ def test_non_utf8_file_is_a_located_parse_error(tmp_path, capsys):
     assert (err.value.line, err.value.col) == (2, 9)
     assert main(["validate", str(bad)]) == 2
     assert capsys.readouterr().err == f"carnot: {bad}:2:9: not UTF-8 text\n"
+
+
+def test_byte_order_mark_is_not_content(tmp_path, capsys):
+    engel = spec_path("engel.alg")
+    bom = tmp_path / "bom.alg"
+    with open(engel, "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    for argv in (["validate"], ["prolong"]):
+        for fmt in ("text", "struct"):
+            assert run_cli(argv + [str(bom), "--format", fmt]) == \
+                run_cli(argv + [engel, "--format", fmt])
+    # errors on line 1 keep their columns: the mark is not counted
+    bom.write_bytes(b"\xef\xbb\xbf  [nope]\n")
+    assert main(["validate", str(bom)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bom}:1:3: content before any [section] header\n"
+    bom.write_bytes(b"\xef\xbb\xbfname = \xc3\xa9\xff\n")
+    assert main(["validate", str(bom)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bom}:1:9: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("condition, entry, col", [

@@ -552,13 +552,13 @@ def test_heisenberg_ansatz_dimension(heisenberg_frame):
 
 def test_r3_ansatz_dimension():
     g = make_abelian(3)
-    frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
+    frame = left_invariant_frame(CoordinateRecipe.single_factor(g))
     assert solve_polynomial_conformal(frame, CONFORMAL, 3).dim == 10
 
 
 def test_r2_ansatz_grows_without_bound():
     g = make_abelian(2)
-    frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
+    frame = left_invariant_frame(CoordinateRecipe.single_factor(g))
     dims = [solve_polynomial_conformal(frame, CONFORMAL, d).dim for d in range(4)]
     assert dims == [4, 6, 8, 10]
 
@@ -582,7 +582,7 @@ def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
     from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
     spec = parse_spec_file(bundled_spec(name + ".alg"))
     g = spec_algebra(spec)
-    frame = left_invariant_frame(g, spec_recipe(spec, g))
+    frame = left_invariant_frame(spec_recipe(spec, g))
     degree = 4
     sol = solve_polynomial_conformal(frame, CONFORMAL, degree)
     blocks = [conformal_fields_of_degree(frame, CONFORMAL, delta)

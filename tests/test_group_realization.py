@@ -7,7 +7,7 @@ from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotRealizable,
-                                      NotTerminated, PolyMap, SimilarityResult, UnsupportedStep,
+                                      NotTerminated, UnsupportedStep,
                                       _flow_generators, _translation_system, bch, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       group_product, left_invariant_frame,
@@ -126,7 +126,7 @@ def test_left_translation_is_the_product_with_the_point(name, rng):
     xs = [ring.var(i) for i in range(g.dim)]
     for p in [[Fraction(0)] * g.dim] + [rand_point(rng, g.dim) for _ in range(4)]:
         expect = group_product(recipe, [ring.const(x) for x in p], xs)
-        assert list(left_translation(recipe, p).components) == expect
+        assert list(left_translation(recipe, p)) == expect
 
 
 # -- frames -------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_frame_rejects_a_basis_with_layer_one_after_a_deeper_element():
     g = build_algebra([["X1", "X2", "X3"], ["Y"]], {("X1", "X2"): [(1, "Y")]})
     shuffled = permuted(g, [0, 1, 3, 2])
     with pytest.raises(ValueError, match="layer -1 first"):
-        left_invariant_frame(shuffled, CoordinateRecipe.single_factor(shuffled))
+        left_invariant_frame(CoordinateRecipe.single_factor(shuffled))
 
 
 def test_apply_matches_the_derivative_sum(rng):
@@ -257,7 +257,7 @@ def test_tau_requires_termination():
     g = make_abelian(2)
     s, rep = full_prolongation(g, conformal_g0(g), max_k=4)
     with pytest.raises(NotTerminated):
-        realize_tau(s, left_invariant_frame(g, CoordinateRecipe.single_factor(g)))
+        realize_tau(s, left_invariant_frame(CoordinateRecipe.single_factor(g)))
 
 
 def test_tau_realizes_positive_levels():
@@ -387,7 +387,7 @@ def test_degree_zero_fields_are_the_automorphism_flows(name):
 
 def apply_map(pmap, point):
     """The image of a rational point under a polynomial map."""
-    return [c.eval(list(point)) for c in pmap.components]
+    return [c.eval(list(point)) for c in pmap]
 
 
 def test_dilation_identity(engel_recipe):
@@ -434,7 +434,7 @@ def reference_pushforward(pmap, frame):
     at the image point, of the pushforward of frame field i."""
     n = len(frame)
     jac = jacobian_reference(pmap)
-    image = list(pmap.components)
+    image = list(pmap)
     # F(phi), the frame matrix at the image point: entry (c, j) is columns[j][c]
     moved = [substitute([frame.columns[j][c] for j in range(n)], image) for c in range(n)]
     result = [[None] * n for _ in range(n)]
@@ -477,7 +477,7 @@ def test_substitute_matches_subs_on_the_frame_entries(name, diagonal, rng):
     entries = [x for row in frame._below for _, x in row]
     assert entries
     for pmap in maps:
-        values = list(pmap.components)
+        values = list(pmap)
         assert substitute(entries, values) == [subs_reference(x, values) for x in entries]
 
 
@@ -492,28 +492,41 @@ def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
         assert cols == [[reference[j][i] for j in range(g.dim)] for i in range(m)]
 
 
+@pytest.mark.parametrize("name, diagonal", [("engel", (1, 2)), ("two_centre", (1, 2, 2, 1))])
+def test_frame_and_maps_share_the_recipe_ring(name, diagonal, rng):
+    # one ring object per recipe: the frame's, and that of every component
+    # of the translations, dilations and automorphism verify checks
+    g, frame, maps = similarity_maps(name, diagonal, rng)
+    recipe = frame.recipe
+    assert frame.ring is recipe.ring
+    assert frame.algebra is recipe.algebra is g
+    assert all(x.ring is recipe.ring for col in frame.columns for x in col)
+    assert len(maps) == 7
+    for pmap in maps:
+        assert isinstance(pmap, tuple) and len(pmap) == g.dim
+        assert all(c.ring is recipe.ring for c in pmap)
+
+
 # -- similarity ---------------------------------------------------------
 
 
 def test_left_translations_are_similar(engel_recipe, engel_frame, rng):
     for _ in range(5):
-        res = similarity_check(left_translation(engel_recipe, rand_point(rng, 4)), engel_frame)
-        assert res.ok
-        assert res.scale == engel_frame.ring.one()
+        k = similarity_check(left_translation(engel_recipe, rand_point(rng, 4)), engel_frame)
+        assert k == engel_frame.ring.one()
 
 
 def test_dilation_similarity_scale(engel_recipe, engel_frame):
     lam = Fraction(5, 3)
-    res = similarity_check(dilation(engel_recipe, lam), engel_frame)
-    assert res.ok
-    assert res.scale == engel_frame.ring.const(lam * lam)
+    k = similarity_check(dilation(engel_recipe, lam), engel_frame)
+    assert k == engel_frame.ring.const(lam * lam)
 
 
 def test_anisotropic_automorphism_not_similar(engel, engel_recipe, engel_frame):
     phi = extend_first_layer_automorphism(engel, Matrix([[1, 0], [0, 2]]))
     expected = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     assert phi == Matrix(expected)
-    assert not similarity_check(graded_automorphism(engel_recipe, phi), engel_frame)
+    assert similarity_check(graded_automorphism(engel_recipe, phi), engel_frame) is None
 
 
 # engel is the one spec with a two-factor recipe; free_3_2 is free, so its
@@ -527,8 +540,8 @@ def test_graded_automorphism_matches_the_factorwise_fold(name, block):
     phi = extend_first_layer_automorphism(g, Matrix(block))
     pmap = graded_automorphism(frame.recipe, phi)
     reference = factorwise_automorphism(frame.recipe, phi)
-    assert len(pmap.components) == len(reference) == g.dim
-    for got, expect in zip(pmap.components, reference):
+    assert len(pmap) == len(reference) == g.dim
+    for got, expect in zip(pmap, reference):
         assert got == expect
 
 
@@ -562,18 +575,18 @@ def automorphism(block):
 # engel's block [[1, 0], [3, 2]] extends; the last three maps have
 # identically singular Jacobians, and fail without raising
 @pytest.mark.parametrize("make_map, condition", [
-    (lambda recipe, x, zero: PolyMap((x[0], x[1], x[2] + x[0], x[3])), "contact"),
+    (lambda recipe, x, zero: (x[0], x[1], x[2] + x[0], x[3]), "contact"),
     (automorphism([[1, 0], [3, 2]]), "off-diagonal"),
     (automorphism([[1, 0], [0, 2]]), "diagonal"),
-    (lambda recipe, x, zero: PolyMap((x[0],) * 4), "contact"),
-    (lambda recipe, x, zero: PolyMap((zero,) * 4), "scale"),
-    (lambda recipe, x, zero: PolyMap((x[0], x[1], zero, zero)), "contact"),
+    (lambda recipe, x, zero: (x[0],) * 4, "contact"),
+    (lambda recipe, x, zero: (zero,) * 4, "scale"),
+    (lambda recipe, x, zero: (x[0], x[1], zero, zero), "contact"),
 ], ids=["shear", "off-diagonal", "unequal-diagonal", "x1-everywhere", "zero", "x1-x2-0-0"])
 def test_similarity_verdicts(engel_recipe, engel_frame, make_map, condition):
     ring = engel_recipe.ring
     pmap = make_map(engel_recipe, [ring.var(i) for i in range(4)], ring.zero())
     assert failed_condition(pmap, engel_frame) == condition
-    assert similarity_check(pmap, engel_frame) == SimilarityResult(False, None)
+    assert similarity_check(pmap, engel_frame) is None
 
 
 def test_pushforward_of_a_map_singular_on_a_hyperplane(engel_recipe, engel_frame):
@@ -581,7 +594,7 @@ def test_pushforward_of_a_map_singular_on_a_hyperplane(engel_recipe, engel_frame
     x = [ring.var(i) for i in range(4)]
     a = Fraction(1, 2)
     # det of the Jacobian is 2 (x1 - a): zero on x1 = a, not identically
-    pmap = PolyMap(((x[0] - a) ** 2, x[1], x[2], x[3]))
+    pmap = ((x[0] - a) ** 2, x[1], x[2], x[3])
     push = pushforward_in_frame(pmap, engel_frame)
     assert push[0][0] == 2 * (x[0] - a)
     assert push == [[reference_pushforward(pmap, engel_frame)[j][i] for j in range(4)]

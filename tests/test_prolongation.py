@@ -27,7 +27,7 @@ def test_abelian_r3_first_level():
     lvl1 = prolong_step(g, [lvl0], 1)
     assert lvl1.dim == 3
     # oracle: homogeneous conformal fields of matching graded degree
-    frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
+    frame = left_invariant_frame(CoordinateRecipe.single_factor(g))
     assert len(conformal_fields_of_degree(frame, CONFORMAL, 1)) == 3
 
 
@@ -136,7 +136,7 @@ def test_full_prolongation_heisenberg():
     assert rep.total_dim == 8
     s.verify()
     # oracle: level dims equal homogeneous conformal field counts
-    frame = left_invariant_frame(g, CoordinateRecipe.single_factor(g))
+    frame = left_invariant_frame(CoordinateRecipe.single_factor(g))
     for k, d in enumerate(rep.level_dims):
         assert len(conformal_fields_of_degree(frame, CONFORMAL, k)) == d
 
