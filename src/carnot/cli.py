@@ -126,7 +126,11 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
         stripped = line.strip()
         col = line.index(stripped[0]) + 1
         m = re.fullmatch(r"\[(\w+)\]", stripped)
-        if m and m.group(1) in _SECTIONS:
+        if m:
+            if m.group(1) not in _SECTIONS:
+                raise ParseError(filename, lineno, col,
+                                 f"unknown section [{m.group(1)}]; the sections are "
+                                 + ", ".join(f"[{name}]" for name in _SECTIONS))
             section = m.group(1)
             continue
         if section is None:
@@ -172,9 +176,10 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 row: dict = {}
                 for em in _ENTRY_RE.finditer(m.group(1)):
                     r, c = int(em.group(3)) - 1, int(em.group(4)) - 1
-                    coeff = Fraction(-1 if em.group(1) == "-" else 1)
-                    row[(r, c)] = row.get((r, c), Fraction(0)) + coeff
+                    row[(r, c)] = row.get((r, c), 0) + (-1 if em.group(1) == "-" else 1)
                     entry_positions.append((lineno, col + m.start(1) + em.start(2), r, c))
+                # entries that cancel constrain nothing
+                row = {rc: a for rc, a in row.items() if a}
                 if not row:
                     raise ParseError(filename, lineno, col, "empty condition")
                 spec.g0_conditions.append(row)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ONE, ZERO, SparseRows, Subspace, nullspace, span_equal
+from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, span_equal
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
@@ -345,7 +345,7 @@ def conformal_fields_of_degree(frame: Frame, constraint: GZeroConstraint,
     if not basis:
         return []
     rows = constraint.first_layer_rows(frame.horizontal)
-    columns = (conformal_system_residuals({i: {exp: ONE}}, frame, rows) for i, exp in basis)
+    columns = (conformal_system_residuals({i: {exp: 1}}, frame, rows) for i, exp in basis)
     space = nullspace(SparseRows(_residual_rows(columns), len(basis)))
     fields = []
     for v in space.basis:

@@ -1,8 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 Every rank and dimension decision downstream is a nullspace computation,
-so the arithmetic here is exact.  A linear system is a :class:`SparseRows`:
-each row is a mapping ``{column: coefficient}`` of its nonzero entries,
+so the arithmetic here is exact.  The package holds a coefficient that is
+never reported as an ``int`` when it is integral and as a ``Fraction``
+only otherwise (:func:`exact`); integer arithmetic is the cheaper.  A
+linear system is a :class:`SparseRows`: each row is a mapping
+``{column: coefficient}`` of its nonzero entries, ints or Fractions,
 together with the column count.  One kernel, :func:`rref`, eliminates:
 ``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it,
 once per call; ``solve`` carries every right-hand side it is given
@@ -11,7 +14,9 @@ column order and reads the canonical kernel basis straight off that one
 reduction; ``from_vectors`` remains for vectors that do not come from an
 elimination.  ``rref`` scales each row to a primitive integer row,
 touches nonzero entries only, and reduces in a single Gauss–Jordan
-pass, shortest rows first.
+pass, shortest rows first.  What it returns is reported, so it holds
+``Fraction`` entries only: so do the results of ``nullspace`` and
+``solve`` and the bases of a ``Subspace``.
 The reduced row-echelon form is unique per row space, so the order in
 which rows are taken changes the work, not the result.  A
 :class:`Subspace` keeps the rows ``rref`` returns as its basis, in the
@@ -35,6 +40,11 @@ ONE = Fraction(1)
 
 class AmbientMismatch(ValueError):
     """Raised when two subspaces of different ambient dimension are compared."""
+
+
+def exact(x: Rational) -> int | Fraction:
+    """``x`` as an ``int`` when it is integral, unchanged otherwise."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def vec_zero(n: int) -> list[Fraction]:

@@ -15,7 +15,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import SparseRows, solve
+from .exact_linalg import SparseRows, exact, solve
 
 
 class InvalidAlgebra(ValueError):
@@ -48,8 +48,11 @@ class GradedLieAlgebra:
     ``rows[i][j]`` is ``[e_i, e_j]`` as a tuple of nonzero ``(k, c)`` terms
     sorted by ``k``, the format of ``ProlongationAlgebra.bracket_table``;
     the constructor accepts any such terms, sums repeated ``k`` and drops
-    zeros.  Construction verifies antisymmetry, the grading and the Jacobi
-    identity with :func:`table_violation`, then that layer -1 generates:
+    zeros.  Each ``c`` is stored as an ``int`` when it is integral and as a
+    ``Fraction`` only otherwise, the convention of every table and
+    polynomial built from it.  Construction verifies antisymmetry, the
+    grading and the Jacobi identity with :func:`table_violation`, then
+    that layer -1 generates:
     for each layer ``-d`` with ``d >= 2``, one elimination solves the
     products of layer -1 with layer ``-(d-1)`` for every basis element of
     layer ``-d``, and :class:`GenerationFailure` is raised if one has no
@@ -86,7 +89,7 @@ class GradedLieAlgebra:
                     raise InvalidAlgebra(f"[{self.names[i]},{self.names[j]}] has "
                                          f"component index {k!r} outside the basis")
                 sums[i][j][k] = sums[i][j].get(k, 0) + Fraction(c)
-        self.rows = tuple(tuple(tuple(sorted((k, c) for k, c in terms.items() if c))
+        self.rows = tuple(tuple(tuple(sorted((k, exact(c)) for k, c in terms.items() if c))
                                 for terms in row) for row in sums)
         self._index = {name: i for i, name in enumerate(self.names)}
         self._layers = {d: tuple(i for i, w in enumerate(self.weights) if w == -d)
@@ -139,8 +142,8 @@ class GradedLieAlgebra:
     def bracket(self, a: Sequence, b: Sequence) -> list:
         """Bilinear bracket of coefficient vectors.
 
-        Coefficients may be Fractions or any ring elements supporting
-        addition and multiplication by Fractions (e.g. polynomials).
+        Coefficients may be ints, Fractions or any ring elements supporting
+        addition and multiplication by them (e.g. polynomials).
         """
         out = [Fraction(0)] * self.dim
         for i, j, row in self._nonzero:

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Sequence
 
-from .exact_linalg import Matrix, SparseRows, Subspace, solve, sparse_row
+from .exact_linalg import Matrix, SparseRows, Subspace, exact, solve, sparse_row
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly, PolyRing, substitute
 
@@ -197,7 +197,7 @@ def _derivative_terms(column: Sequence[Poly], exp: tuple[int, ...]) -> tuple:
         for e, x in coeff.terms.items():
             e = tuple(map(add, lowered, e))
             out[e] = out[e] + a * x if e in out else a * x
-    return tuple((e, x) for e, x in out.items() if x)
+    return tuple((e, exact(x)) for e, x in out.items() if x)
 
 
 def _unit_lower_solve(below: Sequence[Sequence[tuple[int, Poly]]],
@@ -221,7 +221,9 @@ class Frame:
     linear in y_j.  The frame matrix (entry (c, j) is ``columns[j][c]``)
     is unit lower triangular in declaration order, so conversion between
     coordinate and frame components is a forward product or a forward
-    substitution over its entries below the diagonal.
+    substitution over its entries below the diagonal.  The columns and
+    the derivative table hold a coefficient as an ``int`` when it is
+    integral and as a ``Fraction`` only otherwise.
     :meth:`derivative_terms` reads ``X_j(x^a)`` from a table of monomials
     that the frame fills the first time each ``(j, a)`` is asked for;
     :meth:`apply`, the pushforward and the contact residuals read the
@@ -302,7 +304,7 @@ def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
         for e, x in comp.terms.items():
             moved = e[flow]
             if sum(moved) == 1:
-                columns[moved.index(1)][c][e[point]] = x
+                columns[moved.index(1)][c][e[point]] = exact(x)
     ring = recipe.ring
     return [[Poly(ring, terms) for terms in col] for col in columns]
 

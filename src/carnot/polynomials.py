@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials with weighted variables over the rationals.
 
 Terms live in a dict keyed by exponent tuples, so everything stays exact.
-Each variable carries a positive integer weight; the weighted degree of a
-term is sum(exponent * weight), which is how group coordinates of
-different layers are graded.
+The ring's constants and variables hold a coefficient as an ``int`` when
+it is integral and as a ``Fraction`` only otherwise, so arithmetic on
+them runs on the cheaper ints until a non-integral coefficient enters;
+``int`` and ``Fraction`` compare, hash and print alike.  Each variable
+carries a positive integer weight; the weighted degree of a term is
+sum(exponent * weight), which is how group coordinates of different
+layers are graded.  Terms print in order of weighted degree, then of
+exponent tuple.
 
 Example
 -------
 >>> ring = PolyRing(("x", "y"), (1, 2))
 >>> p = ring.var(0) ** 2 + 3 * ring.var(1)
 >>> str(p)
-'x^2 + 3 y'
+'3 y + x^2'
 >>> p.weighted_degree()
 2
 """
@@ -21,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Iterator, Sequence
+
+from .exact_linalg import exact
 
 
 @dataclass(frozen=True)
@@ -47,13 +54,13 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c) -> "Poly":
-        c = Fraction(c)
+        c = exact(Fraction(c))
         return Poly(self, {(0,) * self.nvars: c} if c else {})
 
     def var(self, i: int) -> "Poly":
         exp = [0] * self.nvars
         exp[i] = 1
-        return Poly(self, {tuple(exp): Fraction(1)})
+        return Poly(self, {tuple(exp): 1})
 
     def term_degree(self, exp: Sequence[int]) -> int:
         return sum(e * w for e, w in zip(exp, self.weights))

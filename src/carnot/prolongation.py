@@ -13,11 +13,14 @@ a level is zero, generation by layer -1 forces all later levels to vanish,
 and the finite algebra s = g + g_0 + ... is assembled with a full bracket
 table.
 
-The table is worked out in sparse rows of exact integers: a coefficient
-is an ``int`` when it is integral and a ``Fraction`` only otherwise.  A
-level-level bracket is summed from rows already in the table, and its
-coordinates are read at the pivot cells of the target level.  The
-finished table is converted once to ``Fraction`` entries.
+The table is worked out and kept in sparse rows whose coefficients follow
+the package's convention (:func:`~carnot.exact_linalg.exact`): an ``int``
+when it is integral and a ``Fraction`` only otherwise, as in the rows of
+the negative part and in the conformal condition rows.  A level-level
+bracket is summed from rows already in the table, and its coordinates
+are read at the pivot cells of the target level.  What is reported, the
+level bases and their actions, comes from exact elimination and holds
+``Fraction`` entries.
 """
 
 from __future__ import annotations
@@ -26,13 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exact_linalg import ONE, SparseRows, Subspace, nullspace, vec_zero
+from .exact_linalg import SparseRows, Subspace, exact, nullspace, vec_zero
 from .graded_lie import GradedLieAlgebra, table_violation
-
-
-def _exact(x: Fraction) -> int | Fraction:
-    """``x`` as an int when it is integral."""
-    return x.numerator if x.denominator == 1 else x
 
 
 class PriorLevelsMissing(ValueError):
@@ -137,9 +135,9 @@ class GZeroConstraint:
             rows: list[dict] = []
             for i in range(m):
                 for j in range(i + 1, m):
-                    rows.append({(i, j): Fraction(1), (j, i): Fraction(1)})
+                    rows.append({(i, j): 1, (j, i): 1})
             for i in range(1, m):
-                rows.append({(i, i): Fraction(1), (0, 0): Fraction(-1)})
+                rows.append({(i, i): 1, (0, 0): -1})
             return rows
         if self.kind == "explicit":
             for row in self.conditions:
@@ -263,8 +261,8 @@ class ProlongationAlgebra:
     Basis ordering: negative layers deepest first, then the levels; within
     a level the canonical echelon order, so each degree occupies one
     contiguous block.  ``bracket_table[a][b]`` is the sparse bracket
-    ``[e_a, e_b]``: a tuple of ``(k, c)`` with ``c`` a nonzero ``Fraction``,
-    sorted by ``k``.
+    ``[e_a, e_b]``: a tuple of ``(k, c)`` sorted by ``k``, with ``c`` a
+    nonzero ``int`` when it is integral and a ``Fraction`` only otherwise.
     It is only built for terminating prolongations (a cutoff leaves it as
     None).
     """
@@ -330,7 +328,7 @@ class ProlongationAlgebra:
         for a in negs:
             row = g.rows[self.sbasis[a][1]]
             for b in negs:
-                table[a][b] = tuple(sorted((self._pos[("neg", k)], _exact(c))
+                table[a][b] = tuple(sorted((self._pos[("neg", k)], c)
                                            for k, c in row[self.sbasis[b][1]]))
         # [u, e_j] = u(e_j): these rows are the sparse actions of the levels
         for a in levs:
@@ -338,7 +336,7 @@ class ProlongationAlgebra:
             for b in negs:
                 j = self.sbasis[b][1]
                 value = self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k)
-                put(a, b, tuple((i, _exact(c)) for i, c in value))
+                put(a, b, tuple((i, exact(c)) for i, c in value))
         # per level, the s-index of each basis element keyed by its pivot
         # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
         pivot_cells = []
@@ -353,10 +351,6 @@ class ProlongationAlgebra:
         lev_pairs.sort(key=lambda ab: self.sbasis[ab[0]][1] + self.sbasis[ab[1]][1])
         for a, b in lev_pairs:
             put(a, b, self._lev_lev_bracket(table, negs, pivot_cells, a, b))
-        # one Fraction object per distinct coefficient
-        fractions = {c: Fraction(c) for rows in table for row in rows for _, c in row}
-        for rows in table:
-            rows[:] = [tuple((k, fractions[c]) for k, c in row) for row in rows]
         self.bracket_table = table
 
     def _lev_lev_bracket(self, table, negs: Sequence[int],
@@ -397,7 +391,7 @@ class ProlongationAlgebra:
             for m, y in value.items():
                 i = pivots.get((x, m))
                 if i is not None and y:
-                    coords[i] = y
+                    coords[i] = exact(y)
         for i, c in coords.items():
             for x in negs:
                 value = values[x]
@@ -437,7 +431,7 @@ class ProlongationAlgebra:
                     continue
                 j = bkey[1]
                 value = self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k)
-                if self.bracket_vec({a: ONE}, {b: ONE}) != dict(value):
+                if self.bracket_vec({a: 1}, {b: 1}) != dict(value):
                     raise JacobiAssemblyFailure(f"[u,X] != u(X) at ({a},{b})")
         violation = table_violation(self.bracket_table, self.weights)
         if violation is None:

@@ -43,8 +43,9 @@ def permuted(g, order):
 
 GOLDEN = Path(__file__).parent / "golden"
 BUNDLED = ("engel", "heisenberg", "r1", "r2_co2", "r3_co3")
-# generated specs whose text is stored in tests/golden
-GENERATED = ("heis_x_r", "free_3_2", "cartan_235", "two_centre")
+# generated specs whose text is stored in tests/golden; half_constants has
+# the non-integral structure constants
+GENERATED = ("heis_x_r", "free_3_2", "cartan_235", "two_centre", "half_constants")
 
 
 def spec_text(name, layers, brackets, g0):
@@ -103,6 +104,15 @@ def named_algebra_frame(name):
 
 
 CONFORMAL = GZeroConstraint.conformal()
+
+
+def assert_int_when_integral(coefficients):
+    """Pin the coefficient convention: each one is an ``int`` when it is
+    integral and a ``Fraction`` only otherwise."""
+    coefficients = list(coefficients)
+    assert coefficients
+    for c in coefficients:
+        assert type(c) is (int if c.denominator == 1 else Fraction), (c, type(c))
 
 
 def conformal_g0(g):

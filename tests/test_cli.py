@@ -11,8 +11,9 @@ from carnot.cli import (ParseError, Report, _field_str, main, parse_spec_file, p
 from carnot.contact_pde import solve_polynomial_conformal
 from carnot.group_realization import PolyVectorField, left_invariant_frame
 from carnot.prolongation import constrain_g0, full_prolongation, strata_derivations
-from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, cartan_235_spec, dense_action,
-                       free_step_two_spec, heisenberg_spec, spec_text)
+from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, assert_int_when_integral,
+                       cartan_235_spec, dense_action, free_step_two_spec, heisenberg_spec,
+                       spec_text)
 
 
 def run_cli(argv):
@@ -502,6 +503,10 @@ def test_outputs_are_byte_identical(argv):
     ("oracle", "free_3_2"),
     ("oracle", "cartan_235"),
     ("oracle", "two_centre"),
+    # non-integral structure constants
+    ("prolong", "half_constants"),
+    ("verify", "half_constants"),
+    ("oracle", "half_constants"),
     # saved as --format struct (.json)
     ("prolong", "free_3_2"),
     ("prolong", "cartan_235"),
@@ -532,6 +537,28 @@ def test_report_matches_saved_copy(command, name):
     code, out = run_cli(argv)
     assert code == 0
     assert out == saved.read_text(encoding="utf-8")
+
+
+# every verify and degree-2 oracle report of engel and of the specs stored
+# in tests/golden, in --format struct, with its exit code.  The JSON pins
+# the type of each reported number: a Fraction prints as a string such as
+# "1", so an int that reached a report would show as 1
+STRUCT_SPECS = ("engel", "cartan_235", "free_3_2", "g2_full", "h1_der", "half_constants",
+                "heis_x_r", "r3_gl", "two_centre")
+FAILING_STRUCT = {("verify", "g2_full"), ("verify", "h1_der"), ("verify", "r3_gl"),
+                  ("oracle_degree2", "g2_full")}
+
+
+@pytest.mark.parametrize("saved", ["verify", "oracle_degree2"])
+@pytest.mark.parametrize("name", STRUCT_SPECS)
+def test_struct_report_matches_saved_copy(saved, name):
+    stored = GOLDEN / f"{name}.alg"
+    argv = [saved.split("_")[0], str(stored) if stored.exists() else spec_path(name + ".alg")]
+    if saved == "oracle_degree2":
+        argv += ["--degree", "2"]
+    code, out = run_cli(argv + ["--format", "struct"])
+    assert code == (1 if (saved, name) in FAILING_STRUCT else 0)
+    assert out == (GOLDEN / "struct" / f"{saved}_{name}.json").read_text(encoding="utf-8")
 
 
 # the bundled specs with g1 != 0: verify fails at part 1 of the jets, and
@@ -623,7 +650,8 @@ def test_byte_order_mark_is_not_content(tmp_path, capsys):
     # errors on line 1 keep their columns: the mark is not counted
     bom.write_bytes(b"\xef\xbb\xbf  [nope]\n")
     assert main(["validate", str(bom)]) == 2
-    assert capsys.readouterr().err == f"carnot: {bom}:1:3: content before any [section] header\n"
+    assert capsys.readouterr().err == (f"carnot: {bom}:1:3: unknown section [nope]; the sections "
+                                       "are [algebra], [g0], [recipe], [options]\n")
     bom.write_bytes(b"\xef\xbb\xbfname = \xc3\xa9\xff\n")
     assert main(["validate", str(bom)]) == 2
     assert capsys.readouterr().err == f"carnot: {bom}:1:9: not UTF-8 text\n"
@@ -643,6 +671,40 @@ def test_condition_outside_first_layer_is_a_parse_error(tmp_path, capsys, condit
     assert f"{entry} outside the 2x2 first-layer block" in str(err.value)
     assert main(["prolong", str(bad)]) == 2
     assert f"bad.alg:6:{col}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, col", [
+    ("[bogus]\n[algebra]\nlayer -1 = A\n", 1, 1),
+    ("[algebra]\nlayer -1 = A B\n  [bogus]\n[A,B] = 0\n", 3, 3),
+])
+def test_unknown_section_is_a_located_parse_error(tmp_path, capsys, text, line, col):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"carnot: {bad}:{line}:{col}: unknown section [bogus]; "
+                                       "the sections are [algebra], [g0], [recipe], [options]\n")
+
+
+@pytest.mark.parametrize("condition, row", [
+    ("B(1,2) + B(2,1) - B(1,2)", {(1, 0): 1}),
+    ("B(1,1) - B(2,2) + B(1,1) + B(2,2)", {(0, 0): 2}),
+    ("B(1,1) - B(1,1)", None),
+    ("B(1,2) - B(2,1) + B(2,1) - B(1,2)", None),
+])
+def test_condition_entries_that_cancel_are_dropped(tmp_path, capsys, condition, row):
+    text = ("[algebra]\nlayer -1 = X1 X2\nlayer -2 = Y\n[X1,X2] = Y\n[g0]\n"
+            f"constraint = explicit\ncondition = {condition}\n")
+    bad = tmp_path / "cond.alg"
+    bad.write_text(text)
+    if row is None:
+        # a row that constrains nothing is the empty condition
+        assert main(["prolong", str(bad)]) == 2
+        assert capsys.readouterr().err == f"carnot: {bad}:7:1: empty condition\n"
+        return
+    spec = parse_spec_text(text)
+    assert spec.g0_conditions == [row]
+    assert_int_when_integral(row.values())
+    assert main(["prolong", str(bad)]) == 0
 
 
 def test_condition_range_is_only_checked_under_explicit_constraint():

@@ -5,8 +5,9 @@ import pytest
 from carnot.graded_lie import (AntisymmetryViolation, DuplicateBracket, GenerationFailure,
                                GradedLieAlgebra, GradingViolation, InvalidAlgebra,
                                JacobiViolation, build_algebra)
-from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, cartan_235_spec, free_step_two_spec,
-                       make_abelian, make_engel, make_heisenberg, make_heisenberg_n, spec_file)
+from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, assert_int_when_integral,
+                       cartan_235_spec, free_step_two_spec, make_abelian, make_engel,
+                       make_heisenberg, make_heisenberg_n, spec_file)
 
 
 def test_engel_layer_dims(engel):
@@ -149,12 +150,13 @@ def test_engel_rows():
 
 
 def test_direct_construction_normalizes_rows():
-    # coefficients become Fractions, repeated components add up, zeros drop
+    # repeated components add up, zeros drop, and a coefficient is an int
+    # when it is integral: 1/2 + 1/2 is stored as 1
     rows = _rows(3, {(0, 1, 2): "1/2", (1, 0, 2): -1})
     rows[0][1] += [(2, Fraction(1, 2)), (0, 0)]
     g = GradedLieAlgebra(["A", "B", "C"], [-1, -1, -2], rows)
-    assert g.rows[0][1] == ((2, Fraction(1)),)
-    assert all(type(c) is Fraction for row in g.rows for entry in row for _, c in entry)
+    assert g.rows[0][1] == ((2, 1),)
+    assert_int_when_integral(c for row in g.rows for entry in row for _, c in entry)
     assert g.rows[2] == ((), (), ())
 
 

@@ -11,9 +11,9 @@ from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, action_vector, conformal_g0, dense_action,
-                       dense_bracket, jacobiator, make_abelian, make_engel, make_heisenberg,
-                       make_heisenberg_n, permuted, spec_file)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, action_vector, assert_int_when_integral,
+                       conformal_g0, dense_action, dense_bracket, jacobiator, make_abelian,
+                       make_engel, make_heisenberg, make_heisenberg_n, permuted, spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -583,7 +583,7 @@ def test_assembled_table_matches_dense_reference(make):
     s, rep = full_prolongation(g, conformal_g0(g))
     assert rep.terminated
     assert s.bracket_table == _dense_reference_table(s)
-    assert all(type(c) is Fraction for row in s.bracket_table for terms in row for _, c in terms)
+    assert_int_when_integral(c for row in s.bracket_table for terms in row for _, c in terms)
 
 
 def _fraction_violation(rows, weights):
