@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact_linalg import Matrix
+from .exact_linalg import Matrix, exact
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                            full_prolongation, strata_derivations)
@@ -59,12 +59,14 @@ class AlgebraSpec:
 _SECTIONS = ("algebra", "g0", "recipe", "options")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(/\d+)?")
-_ENTRY_RE = re.compile(r"([+-]?)\s*(B\((\d+),(\d+)\))")
+_ENTRY_RE = re.compile(r"B\((\d+),(\d+)\)")
 _UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
 
 
-def _parse_terms(expr: str, filename: str, lineno: int, base_col: int):
-    """Parse 'c1 N1 + c2 N2 - N3' style linear combinations of names."""
+def _parse_terms(expr: str, filename: str, lineno: int, base_col: int,
+                 term_re: re.Pattern = _NAME_RE, what: str = "a basis name"):
+    """Parse 'c1 N1 + c2 N2 - N3' style linear combinations: a list of
+    ``(coefficient, match)``, one per term N that ``term_re`` matches."""
     terms = []
     pos = 0
     sign = Fraction(1)
@@ -99,12 +101,12 @@ def _parse_terms(expr: str, filename: str, lineno: int, base_col: int):
             pos = m.end()
             while pos < len(expr) and expr[pos].isspace():
                 pos += 1
-        m = _NAME_RE.match(expr, pos)
+        m = term_re.match(expr, pos)
         if m is None:
             if coeff == 0 and not terms and expr.strip() == "0":
                 return []
-            raise ParseError(filename, lineno, base_col + pos + 1, "expected a basis name")
-        terms.append((sign * coeff, m.group(0)))
+            raise ParseError(filename, lineno, base_col + pos + 1, f"expected {what}")
+        terms.append((sign * coeff, m))
         pos = m.end()
         sign = Fraction(1)
         expect_term = False
@@ -119,6 +121,13 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
     declared_layers: dict[int, list[str]] = {}
     entry_positions: list[tuple[int, int, int, int]] = []  # line, column, r, c of each B(r,c)
     factor_positions: list[tuple[int, int, str]] = []  # line, column, name of each factor entry
+    given: set[str] = set()  # the single-valued keys read so far
+
+    def once(key: str, lineno: int, col: int) -> None:
+        if key in given:
+            raise ParseError(filename, lineno, col, f"{key} listed twice")
+        given.add(key)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -144,10 +153,12 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 key = (a, b)
                 if key in spec.brackets:
                     raise ParseError(filename, lineno, col, f"bracket [{a},{b}] listed twice")
-                spec.brackets[key] = _parse_terms(expr, filename, lineno, col + m.start(3) - 1)
+                spec.brackets[key] = [(c, t.group(0)) for c, t in
+                                      _parse_terms(expr, filename, lineno, col + m.start(3) - 1)]
                 continue
             m = re.match(r"name\s*=\s*(\S+)$", stripped)
             if m:
+                once("name", lineno, col)
                 spec.name = m.group(1)
                 continue
             m = re.match(r"layer\s+(-\d+)\s*=\s*(.*)", stripped)
@@ -169,17 +180,20 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 kind = m.group(1)
                 if kind not in ("conformal", "full_derivations", "explicit"):
                     raise ParseError(filename, lineno, col, f"unknown constraint {kind!r}")
+                once("constraint", lineno, col)
                 spec.g0_kind = kind
                 continue
             m = re.match(r"condition\s*=\s*(.*)", stripped)
             if m:
                 row: dict = {}
-                for em in _ENTRY_RE.finditer(m.group(1)):
-                    r, c = int(em.group(3)) - 1, int(em.group(4)) - 1
-                    row[(r, c)] = row.get((r, c), 0) + (-1 if em.group(1) == "-" else 1)
-                    entry_positions.append((lineno, col + m.start(1) + em.start(2), r, c))
+                start = col + m.start(1)
+                for a, em in _parse_terms(m.group(1), filename, lineno, start - 1,
+                                          _ENTRY_RE, "B(r,c)"):
+                    r, c = int(em.group(1)) - 1, int(em.group(2)) - 1
+                    row[(r, c)] = row.get((r, c), 0) + a
+                    entry_positions.append((lineno, start + em.start(), r, c))
                 # entries that cancel constrain nothing
-                row = {rc: a for rc, a in row.items() if a}
+                row = {rc: exact(a) for rc, a in row.items() if a}
                 if not row:
                     raise ParseError(filename, lineno, col, "empty condition")
                 spec.g0_conditions.append(row)
@@ -199,6 +213,7 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
         if section == "options":
             m = re.match(r"(max_k|oracle_degree)\s*=\s*(\d+)$", stripped)
             if m:
+                once(m.group(1), lineno, col)
                 setattr(spec, m.group(1), int(m.group(2)))
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized option line: {stripped!r}")
@@ -429,11 +444,14 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     jets_one_ok = True
     jacobi_ok = True
     if contact_ok and g0_ok:
+        # with the g0 defects zero, every part 0 lies in g0; the tower drops
+        # a zero g0, but the jets read part 1 in it
+        levels = [g0] + algebra.levels[1:]
         for label, fld in zip(labels, fields):
             points = set()
             while len(points) < JET_POINTS_PER_FIELD:
                 points.add(tuple(_rand_point(rng, g.dim)))
-            for jt in jet(fld, frame, sorted(points)):
+            for jt in jet(fld, frame, levels, sorted(points)):
                 at = _render_value(jt.point)
                 in_g0 = g0.coordinates_of_values(jt.parts[0]) is not None
                 if not in_g0:

@@ -6,11 +6,12 @@ in the spec's ``g0`` when it meets ``GZeroConstraint.first_layer_rows``,
 the rows ``constrain_g0`` reads for the tower.  Residuals are full
 polynomials, never point samples, so every verdict is an identity check.
 The jet of a field at a point is built by one rule: part k on e_j is X_j
-applied to whatever has weight w_j + k, the field's components on that
-layer while the weight is negative and part w_j + k otherwise.  Each part
-is a dense tuple in the local coordinates t that ``Level.actions`` holds
-sparsely as ``{t: c}``, the form ``Level.coordinates_of_values`` takes, so
-the levels of the tower decide membership and the derivation law.  The
+applied to whatever has degree w_j + k, in the local coordinates of that
+degree: the field's components on that layer while the degree is
+negative, and otherwise the coordinates of part w_j + k in its level,
+read at ``Level.pivot_cells``.  Each value is ``{t: c}``, the form of
+``Level.actions`` that ``Level.coordinates_of_values`` takes, so the
+levels of the tower decide membership and the derivation law.  The
 bounded-degree ansatz solver at the end is the brute-force cross-check for
 the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_linalg import ZERO, SparseRows, Subspace, nullspace, span_equal
+from .exact_linalg import SparseRows, Subspace, nullspace, span_equal
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
@@ -187,58 +188,52 @@ def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
 class ContactJet:
     """Parts 0 and 1 of a contact field's jet at a point.
 
-    ``parts[k][j]`` is the value of part k on e_j as a dense tuple, indexed
-    by the local coordinates t of ``Level.actions`` (which holds a value
-    sparsely, as ``{t: c}``): while the weight w_j + k is negative, the
-    coordinates of that layer; otherwise the values of part w_j + k on
-    every basis element, which that part's level reads in turn.  So
-    ``g0.coordinates_of_values``, which takes dense values, reads part 0
-    directly.
+    ``parts[k][j]`` is the value of part k on e_j as its nonzero
+    components ``{t: c}`` in the local coordinates of degree w_j + k, the
+    form of ``Level.actions``: a layer's coordinates while the degree is
+    negative, and otherwise coordinates in the level of that degree.  So
+    ``g0.coordinates_of_values`` reads part 0 directly.
     """
 
     point: tuple[Fraction, ...]
     parts: tuple
 
     def part_is_zero(self, k: int) -> bool:
-        return _all_zero(self.parts[k])
+        return not any(self.parts[k])
 
 
-def _nested(f, x: tuple) -> tuple:
-    """``f`` applied to every leaf of ``x``, a nonempty tuple of nonempty
-    tuples, nested to any depth."""
-    if isinstance(x[0], tuple):
-        return tuple([_nested(f, y) for y in x])
-    return tuple([f(y) for y in x])
-
-
-def _all_zero(x) -> bool:
-    return all(map(_all_zero, x)) if isinstance(x, tuple) else not x
-
-
-def jet(V: PolyVectorField, frame: Frame,
+def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level],
         points: Iterable[Sequence[Fraction]]) -> list[ContactJet]:
     """Parts 0 and 1 of a contact field's jet at each rational point.
 
-    Part k on e_j is X_j applied to whatever has weight w_j + k: the
-    field's components on that layer, or part w_j + k, already built.
+    Part k on e_j is X_j applied to whatever has degree w_j + k: the
+    field's components on that layer, or the coordinates of part w_j + k
+    in ``levels[w_j + k]``, its entries at that level's pivot cells.  So
+    ``levels[0]`` must hold part 0: ``g0`` once V meets the spec's
+    condition rows, ``strata_derivations(g)`` for any contact field.
     Contact is certified once, and the symbolic parts are built once; each
     point only evaluates them.
     """
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
-    comps = V.components
-    parts: list[tuple] = []
+    zero = frame.ring.zero()
+    parts: list[list[dict[int, Poly]]] = []
     for k in range(2):
-        sources = [parts[w + k] if w + k >= 0
-                   else tuple(comps[r] for r in g.layer_indices(-w - k)) for w in g.weights]
-        parts.append(tuple([_nested(lambda f: frame.apply(j, f) if f.terms else f, source)
-                            for j, source in enumerate(sources)]))
+        part = []
+        for j, w in enumerate(g.weights):
+            if w + k < 0:
+                sources = [V.components[r] for r in g.layer_indices(-w - k)]
+            else:
+                sources = [parts[w + k][i].get(t, zero) for i, t in levels[w + k].pivot_cells]
+            part.append({t: df for t, f in enumerate(sources) if (df := frame.apply(j, f)).terms})
+        parts.append(part)
     jets = []
     for point in points:
         pt = [Fraction(x) for x in point]
-        jets.append(ContactJet(tuple(pt), _nested(lambda f: f.eval(pt) if f.terms else ZERO,
-                                                  tuple(parts))))
+        evaluated = tuple(tuple({t: x for t, f in value.items() if (x := f.eval(pt))}
+                                for value in part) for part in parts)
+        jets.append(ContactJet(tuple(pt), evaluated))
     return jets
 
 

@@ -134,11 +134,6 @@ class GradedLieAlgebra:
     def layer_dims(self) -> list[int]:
         return [len(self.layer_indices(d)) for d in range(1, self.step + 1)]
 
-    def basis_vector(self, i: int) -> list[Fraction]:
-        v = [Fraction(0)] * self.dim
-        v[i] = Fraction(1)
-        return v
-
     def bracket(self, a: Sequence, b: Sequence) -> list:
         """Bilinear bracket of coefficient vectors.
 

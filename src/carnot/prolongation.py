@@ -49,9 +49,12 @@ class Level:
     local coordinates of the degree weight(j)+k space; the value has
     ``len(columns[j])`` components.  ``actions[b][j]`` is that value for
     the b-th basis element, as its nonzero components ``{t: c}`` in
-    ascending t.  It is the only form of a level element: the Leibniz
-    systems of later levels, the bracket table and the ``prolong`` report
-    all read it.
+    ascending t.  It is the only form of a level element's values: the
+    Leibniz systems of later levels, the bracket table, the jets and the
+    ``prolong`` report all read it.  ``pivot_cells[b]`` is the cell
+    ``(j, t)`` of the pivot of basis element b.  The basis is in reduced
+    echelon form, so a value that lies in the level has its coordinates
+    at those cells.
     """
 
     def __init__(self, algebra: GradedLieAlgebra, k: int, subspace: Subspace,
@@ -72,17 +75,18 @@ class Level:
                 values[j][t] = x
             actions.append(values)
         self.actions = tuple(actions)
+        self.pivot_cells = tuple(cell[c] for c in subspace.pivots)
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
-    def coordinates_of_values(self, values: Sequence[Sequence[Fraction]]) -> list[Fraction] | None:
+    def coordinates_of_values(self,
+                              values: Sequence[Mapping[int, Fraction]]) -> list[Fraction] | None:
         """Coordinates in this level's basis of a map given by its values
-        on g_-, each a dense tuple indexed by the local coordinates t of
-        :attr:`actions`."""
+        on g_-, each ``{t: c}`` as in :attr:`actions`."""
         return self.subspace.coordinates_of(
-            {c: x for cols, value in zip(self.columns, values) for c, x in zip(cols, value)})
+            {cols[t]: x for cols, value in zip(self.columns, values) for t, x in value.items()})
 
     def __repr__(self) -> str:
         return f"Level(k={self.k}, dim={self.dim})"
@@ -339,12 +343,9 @@ class ProlongationAlgebra:
                 put(a, b, tuple((i, exact(c)) for i, c in value))
         # per level, the s-index of each basis element keyed by its pivot
         # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
-        pivot_cells = []
-        for lvl in self.levels:
-            cell = {col: (self._pos[("neg", j)], self._block[g.weights[j] + lvl.k][t])
-                    for j, cols in enumerate(lvl.columns) for t, col in enumerate(cols)}
-            pivot_cells.append({cell[col]: i for col, i in
-                                zip(lvl.subspace.pivots, self._block.get(lvl.k, ()))})
+        pivot_cells = [{(self._pos[("neg", j)], self._block[g.weights[j] + lvl.k][t]): i
+                        for (j, t), i in zip(lvl.pivot_cells, self._block.get(lvl.k, ()))}
+                       for lvl in self.levels]
         # positive-positive brackets, built by total level so the recursive
         # action formula only consults already-filled entries
         lev_pairs = [(a, b) for a in levs for b in levs if a < b]

@@ -124,10 +124,23 @@ def zero_matrices(level):
     return [degree_zero_matrix(level.algebra, values) for values in level.actions]
 
 
+def basis_vector(g, i):
+    """The dense coefficient vector of basis element i of ``g``."""
+    v = [Fraction(0)] * g.dim
+    v[i] = Fraction(1)
+    return v
+
+
+def sparse_values(values):
+    """The ``{t: c}`` form of a map's values given as dense tuples: the
+    form of ``Level.actions`` that ``Level.coordinates_of_values`` takes
+    and the jets hold."""
+    return tuple(sparse_row(value) for value in values)
+
+
 def dense_values_matrix(g, values):
-    """Full n x n rows of a degree-zero map given by dense values, such as
-    a jet's zero part."""
-    return degree_zero_matrix(g, [sparse_row(value) for value in values])
+    """Full n x n rows of a degree-zero map given by dense values."""
+    return degree_zero_matrix(g, sparse_values(values))
 
 
 def values_of(g, rows):
@@ -305,6 +318,12 @@ def engel_frame(engel_recipe):
 @pytest.fixture(scope="session")
 def engel_prolongation(engel):
     return full_prolongation(engel, conformal_g0(engel))
+
+
+@pytest.fixture(scope="session")
+def engel_levels(engel_prolongation):
+    algebra, _ = engel_prolongation
+    return algebra.levels
 
 
 @pytest.fixture(scope="session")

@@ -70,7 +70,7 @@ def test_criterion_04_tau_table(engel_prolongation, engel_tau):
     report(4, ok, "realized fields equal the five-field table coefficient for coefficient")
 
 
-def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, engel_tau):
+def test_criterion_05_defects_and_jets(engel, engel_frame, engel_levels, engel_tau):
     g0 = conformal_g0(engel)
     ders = strata_derivations(engel)
     rng = random.Random(5)
@@ -83,7 +83,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_prolongation, e
         points = set()
         while len(points) < 5:
             points.add(tuple(rand_point(rng, 4)))
-        for jt in jet(field, engel_frame, sorted(points)):
+        for jt in jet(field, engel_frame, engel_levels, sorted(points)):
             if g0.coordinates_of_values(jt.parts[0]) is None:
                 ok = False
             if not jt.part_is_zero(1):

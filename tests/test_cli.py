@@ -2,6 +2,7 @@ import io
 import json
 import re
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -705,6 +706,64 @@ def test_condition_entries_that_cancel_are_dropped(tmp_path, capsys, condition, 
     assert spec.g0_conditions == [row]
     assert_int_when_integral(row.values())
     assert main(["prolong", str(bad)]) == 0
+
+
+@pytest.mark.parametrize("condition, row", [
+    ("2 B(1,1) - B(2,2)", {(0, 0): 2, (1, 1): -1}),
+    ("1/2 B(1,2) + B(2,1)", {(0, 1): Fraction(1, 2), (1, 0): 1}),
+])
+def test_condition_coefficients_are_read_as_in_brackets(tmp_path, condition, row):
+    text = f"[algebra]\nlayer -1 = X1 X2\n[g0]\nconstraint = explicit\ncondition = {condition}\n"
+    spec = parse_spec_text(text)
+    assert spec.g0_conditions == [row]
+    assert_int_when_integral(row.values())
+    path = tmp_path / "cond.alg"
+    path.write_text(text)
+    code, out = run_cli(["prolong", str(path), "--max-k", "0"])
+    assert code == 0
+    # the one condition leaves a 3-dimensional g0 inside gl(2)
+    assert as_dict(out)["g0_dim"] == "3"
+
+
+@pytest.mark.parametrize("condition, col, message", [
+    ("B(1,1) foo B(2,2)", 20, "expected '+' or '-'"),
+    ("B(1,1) B(2,2)", 20, "expected '+' or '-'"),
+    ("1/0 B(1,1)", 13, "zero denominator in coefficient"),
+    ("2 X1", 15, "expected B(r,c)"),
+])
+def test_condition_text_that_is_not_a_term_is_a_located_parse_error(tmp_path, capsys, condition,
+                                                                     col, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"[algebra]\nlayer -1 = X1 X2\n[g0]\nconstraint = explicit\n"
+                   f"condition = {condition}\n")
+    assert main(["prolong", str(bad)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bad}:5:{col}: {message}\n"
+
+
+SINGLE_VALUED = ("[algebra]\nname = some\nlayer -1 = X1 X2\n[g0]\nconstraint = conformal\n"
+                 "[options]\nmax_k = 2\noracle_degree = 2\n")
+
+
+@pytest.mark.parametrize("first, repeat", [
+    ("name = some", "name = other"),
+    ("constraint = conformal", "constraint = full_derivations"),
+    ("max_k = 2", "max_k = 4"),
+    ("oracle_degree = 2", "oracle_degree = 4"),
+])
+def test_a_repeated_single_valued_line_is_a_located_parse_error(tmp_path, capsys, first, repeat):
+    text = SINGLE_VALUED.replace(f"{first}\n", f"{first}\n  {repeat}\n")
+    lineno = text.splitlines().index(f"  {repeat}") + 1
+    key = repeat.split(" = ")[0]
+    with pytest.raises(ParseError) as err:
+        parse_spec_text(text)
+    assert (err.value.line, err.value.col) == (lineno, 3)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bad}:{lineno}:3: {key} listed twice\n"
+    # each line given once is accepted
+    (tmp_path / "good.alg").write_text(SINGLE_VALUED)
+    assert main(["validate", str(tmp_path / "good.alg")]) == 0
 
 
 def test_condition_range_is_only_checked_under_explicit_constraint():

@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from carnot.exact_linalg import Matrix, SparseRows, Subspace, nullspace, span_equal
+from carnot.exact_linalg import Matrix, SparseRows, Subspace, nullspace, span_equal, sparse_row
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import GZeroConstraint, full_prolongation, strata_derivations
+from carnot.prolongation import (GZeroConstraint, degree_zero_matrix, full_prolongation,
+                                 strata_derivations)
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 same_span, solve_h_system, solve_polynomial_conformal,
                                 vf_bracket)
 from carnot.polynomials import Poly
-from .conftest import (CONFORMAL, apply_rows, components, conformal_g0, dense_action,
-                       dense_values_matrix, make_abelian, named_algebra_frame, rand_point,
-                       residual_polys, values_of)
+from .conftest import (CONFORMAL, apply_rows, basis_vector, components, conformal_g0,
+                       dense_action, dense_values_matrix, make_abelian, named_algebra_frame,
+                       rand_point, residual_polys, sparse_values, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -289,41 +290,42 @@ def test_conformal_defect_requires_contact(engel_frame):
 # -- jets ----------------------------------------------------------------
 
 
-def test_jet_of_weight_map_field(engel, engel_frame, engel_tau, rng):
+def test_jet_of_weight_map_field(engel, engel_frame, engel_levels, engel_tau, rng):
     d_field = engel_tau[4]
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
-    for jt in jet(d_field, engel_frame, [rand_point(rng, 4) for _ in range(3)]):
-        assert dense_values_matrix(engel, jt.parts[0]) == expected
+    for jt in jet(d_field, engel_frame, engel_levels, [rand_point(rng, 4) for _ in range(3)]):
+        assert degree_zero_matrix(engel, jt.parts[0]) == expected
         assert jt.part_is_zero(1)
 
 
-def test_jet_of_constant_field_vanishes(engel_frame, engel_tau, rng):
-    [jt] = jet(engel_tau[0], engel_frame, [rand_point(rng, 4)])
+def test_jet_of_constant_field_vanishes(engel_frame, engel_levels, engel_tau, rng):
+    [jt] = jet(engel_tau[0], engel_frame, engel_levels, [rand_point(rng, 4)])
     assert jt.part_is_zero(0) and jt.part_is_zero(1)
 
 
-def test_jet_of_x2_translation_at_origin(engel_frame, engel_tau):
-    [jt] = jet(engel_tau[3], engel_frame, [[0, 0, 0, 0]])
+def test_jet_of_x2_translation_at_origin(engel_frame, engel_levels, engel_tau):
+    [jt] = jet(engel_tau[3], engel_frame, engel_levels, [[0, 0, 0, 0]])
     assert jt.part_is_zero(0) and jt.part_is_zero(1)
 
 
-def test_jet_requires_contact(engel_frame, rng):
+def test_jet_requires_contact(engel_frame, engel_levels, rng):
     with pytest.raises(NotContact):
-        jet(unit_frame_field(engel_frame, 2), engel_frame, [rand_point(rng, 4)])
+        jet(unit_frame_field(engel_frame, 2), engel_frame, engel_levels, [rand_point(rng, 4)])
 
 
-def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, engel_tau, rng):
+def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, engel_levels,
+                                                    engel_tau, rng):
     import carnot.contact_pde as contact_pde
     calls = []
     original = contact_pde.contact_defect
     monkeypatch.setattr(contact_pde, "contact_defect",
                         lambda *args: calls.append(args) or original(*args))
     points = [rand_point(rng, 4) for _ in range(5)]
-    jets = jet(engel_tau[4], engel_frame, points)
+    jets = jet(engel_tau[4], engel_frame, engel_levels, points)
     assert len(calls) == 1
     assert [jt.point for jt in jets] == [tuple(p) for p in points]
     for jt, p in zip(jets, points):
-        assert jt == jet(engel_tau[4], engel_frame, [p])[0]
+        assert jt == jet(engel_tau[4], engel_frame, engel_levels, [p])[0]
 
 
 def dense_jet_parts(V, frame, pt):
@@ -370,22 +372,28 @@ def full_values(g, m):
     return values_of(g, m.entries)
 
 
-def assert_jet_matches_the_dense_reference(field, frame, rng):
+def assert_jet_matches_the_dense_reference(field, frame, levels, rng):
     """Compare the jet with the reference at a random point; return
-    whether its part 1 is zero."""
+    whether its part 1 is zero.  ``levels[0]`` holds part 0 of the field."""
     g = frame.algebra
     pt = rand_point(rng, len(frame))
-    [jt] = jet(field, frame, [pt])
+    [jt] = jet(field, frame, levels, [pt])
     blocks, matrices, vectors = dense_jet_parts(field, frame, pt)
     assert jt.point == tuple(pt)
-    assert jt.parts[0] == block_values(g, blocks)
-    # part 1 on a horizontal source is a degree-zero map; a deeper source
-    # is read on the layer above it
-    one = {c1: full_values(g, m) for c1, m in matrices}
+    assert jt.parts[0] == sparse_values(block_values(g, blocks))
+    # part 1 on a horizontal source is a degree-zero map in levels[0], read
+    # at its pivot cells; a deeper source is read on the layer above it
+    one = {}
+    for c1, m in matrices:
+        full = full_values(g, m)
+        coords = levels[0].coordinates_of_values(sparse_values(full))
+        assert coords is not None
+        one[c1] = sparse_row([full[j][t] for j, t in levels[0].pivot_cells])
+        assert one[c1] == sparse_row(coords)
     for src, full in vectors:
         above = g.layer_indices(-g.weights[src] - 1)
         assert all(full[i] == 0 for i in range(g.dim) if i not in above)
-        one[src] = tuple(full[i] for i in above)
+        one[src] = sparse_row([full[i] for i in above])
     assert jt.parts[1] == tuple(one[j] for j in range(g.dim))
     return jt.part_is_zero(1)
 
@@ -399,42 +407,46 @@ def test_jet_matches_the_dense_reference(name, rng):
     s, _ = full_prolongation(g, conformal_g0(g))
     fields = realize_tau(s, frame)
     assert len(fields) == s.dim
-    zero = [assert_jet_matches_the_dense_reference(field, frame, rng) for field in fields]
+    zero = [assert_jet_matches_the_dense_reference(field, frame, s.levels, rng)
+            for field in fields]
     assert all(zero) == (s.top_level() == 0)
 
 
-def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel_frame, rng):
-    # the realized fields all have a zero one-part; these contact fields do not
+def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel, engel_frame, rng):
+    # the realized fields all have a zero one-part; these contact fields do
+    # not.  They leave the conformal tower, but part 0 of every contact
+    # field is a strata-preserving derivation.
     g, frame = named_algebra_frame("r3")
     ring = frame.ring
     cubic = [ring.var(0) ** 3 - ring.var(1) * ring.var(2), ring.var(1) ** 2, ring.zero()]
-    cases = [(PolyVectorField(tuple(cubic)), frame)]
-    cases += [(monomial_family(engel_frame, k), engel_frame) for k in (4, 5)]
-    for field, frm in cases:
-        assert not assert_jet_matches_the_dense_reference(field, frm, rng)
+    cases = [(PolyVectorField(tuple(cubic)), frame, [strata_derivations(g)])]
+    cases += [(monomial_family(engel_frame, k), engel_frame, [strata_derivations(engel)])
+              for k in (4, 5)]
+    for field, frm, levels in cases:
+        assert not assert_jet_matches_the_dense_reference(field, frm, levels, rng)
 
 
-def test_jet_jacobi_check(engel, engel_frame, engel_tau, rng):
+def test_jet_jacobi_check(engel, engel_frame, engel_levels, engel_tau, rng):
     ders = strata_derivations(engel)
     for field in engel_tau:
-        [jt] = jet(field, engel_frame, [rand_point(rng, 4)])
+        [jt] = jet(field, engel_frame, engel_levels, [rand_point(rng, 4)])
         assert jet_jacobi_check(jt, ders)
     # corrupting the forbidden off-diagonal slot breaks the law
-    [jt] = jet(engel_tau[4], engel_frame, [rand_point(rng, 4)])
-    values = [list(value) for value in jt.parts[0]]
+    [jt] = jet(engel_tau[4], engel_frame, engel_levels, [rand_point(rng, 4)])
+    values = [dict(value) for value in jt.parts[0]]
     values[1][0] = Fraction(1)  # component X1 of the image of X2
-    corrupted = ContactJet(jt.point, (tuple(map(tuple, values)), jt.parts[1]))
+    corrupted = ContactJet(jt.point, (tuple(values), jt.parts[1]))
     assert not jet_jacobi_check(corrupted, ders)
 
 
 def dense_jet_jacobi_check(j, g):
     """The dense form of the derivation law, kept as the reference."""
-    d = dense_values_matrix(g, j.parts[0])
+    d = degree_zero_matrix(g, j.parts[0])
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
             lhs = [sum(c * row[k] for k, c in g.rows[a][b]) for row in d]
-            rhs1 = g.bracket(apply_rows(d, g.basis_vector(a)), g.basis_vector(b))
-            rhs2 = g.bracket(apply_rows(d, g.basis_vector(b)), g.basis_vector(a))
+            rhs1 = g.bracket(apply_rows(d, basis_vector(g, a)), basis_vector(g, b))
+            rhs2 = g.bracket(apply_rows(d, basis_vector(g, b)), basis_vector(g, a))
             if any(x != y - z for x, y, z in zip(lhs, rhs1, rhs2)):
                 return False
     return True
@@ -446,7 +458,7 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
     ders = strata_derivations(g)
     g0 = conformal_g0(g)
     basis = [tuple(dense_action(g0, b, j) for j in range(g.dim)) for b in range(g0.dim)]
-    for values in basis:
+    for values in g0.actions:
         jt = ContactJet((), (values,))
         assert jet_jacobi_check(jt, ders) and dense_jet_jacobi_check(jt, g)
     verdicts = set()
@@ -465,17 +477,17 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
                 if t % 4 == 2:
                     ent[rng.randrange(dim)][rng.randrange(dim)] += 1
             blocks.append(Matrix(ent, cols=dim))
-        jt = ContactJet((), (block_values(g, blocks),))
+        jt = ContactJet((), (sparse_values(block_values(g, blocks)),))
         verdict = jet_jacobi_check(jt, ders)
         assert verdict == dense_jet_jacobi_check(jt, g)
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
-def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_tau, rng):
+def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_levels, engel_tau, rng):
     g0 = conformal_g0(engel)
     for field in engel_tau:
-        for jt in jet(field, engel_frame, [rand_point(rng, 4) for _ in range(2)]):
+        for jt in jet(field, engel_frame, engel_levels, [rand_point(rng, 4) for _ in range(2)]):
             assert g0.coordinates_of_values(jt.parts[0]) is not None
 
 

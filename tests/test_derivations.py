@@ -7,8 +7,8 @@ from carnot.exact_linalg import Subspace, span_equal, sparse_row, vec_zero
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix, prolong_step,
                                  strata_derivations)
-from .conftest import (apply_rows, dense_action, dense_values_matrix, make_abelian, make_engel,
-                       make_heisenberg, values_of, zero_matrices)
+from .conftest import (apply_rows, basis_vector, dense_action, dense_values_matrix, make_abelian,
+                       make_engel, make_heisenberg, sparse_values, values_of, zero_matrices)
 
 
 def packed_dim(g):
@@ -57,9 +57,9 @@ def brute_force_derivations(g):
                     v = vec_zero(total)
                     v[u] = Fraction(1)
                     d = from_packed(g, v)
-                    lhs = apply_rows(d, g.bracket(g.basis_vector(i), g.basis_vector(j)))[comp]
-                    r1 = g.bracket(apply_rows(d, g.basis_vector(i)), g.basis_vector(j))[comp]
-                    r2 = g.bracket(g.basis_vector(i), apply_rows(d, g.basis_vector(j)))[comp]
+                    lhs = apply_rows(d, g.bracket(basis_vector(g, i), basis_vector(g, j)))[comp]
+                    r1 = g.bracket(apply_rows(d, basis_vector(g, i)), basis_vector(g, j))[comp]
+                    r2 = g.bracket(basis_vector(g, i), apply_rows(d, basis_vector(g, j)))[comp]
                     row[u] = lhs - r1 - r2
                 if any(row):
                     rows.append(row)
@@ -122,9 +122,9 @@ def test_derivation_law_holds_exactly(engel):
     for m in zero_matrices(strata_derivations(engel)):
         for i in range(engel.dim):
             for j in range(engel.dim):
-                lhs = apply_rows(m, engel.bracket(engel.basis_vector(i), engel.basis_vector(j)))
-                rhs1 = engel.bracket(apply_rows(m, engel.basis_vector(i)), engel.basis_vector(j))
-                rhs2 = engel.bracket(engel.basis_vector(i), apply_rows(m, engel.basis_vector(j)))
+                lhs = apply_rows(m, engel.bracket(basis_vector(engel, i), basis_vector(engel, j)))
+                rhs1 = engel.bracket(apply_rows(m, basis_vector(engel, i)), basis_vector(engel, j))
+                rhs2 = engel.bracket(basis_vector(engel, i), apply_rows(m, basis_vector(engel, j)))
                 assert lhs == [a + b for a, b in zip(rhs1, rhs2)]
 
 
@@ -224,7 +224,8 @@ def test_commutator_of_degree_zero_maps(engel):
         maps = zero_matrices(g0)
         for a in maps:
             for b in maps:
-                assert g0.coordinates_of_values(values_of(g, commutator(a, b))) is not None
+                values = sparse_values(values_of(g, commutator(a, b)))
+                assert g0.coordinates_of_values(values) is not None
 
 
 def test_values_roundtrip(engel):
@@ -233,4 +234,5 @@ def test_values_roundtrip(engel):
         dense = tuple(dense_action(ders, b, j) for j in range(engel.dim))
         assert values_of(engel, degree_zero_matrix(engel, values)) == dense
         assert dense_values_matrix(engel, dense) == degree_zero_matrix(engel, values)
-        assert ders.coordinates_of_values(dense) == [int(i == b) for i in range(ders.dim)]
+        assert sparse_values(dense) == values
+        assert ders.coordinates_of_values(values) == [int(i == b) for i in range(ders.dim)]

@@ -14,10 +14,11 @@ from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotRea
                                       left_translation, realize_tau, similarity_check,
                                       pushforward_in_frame)
 from carnot.polynomials import Poly, substitute
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, dense_bracket,
-                       factorwise_automorphism, factorwise_image, flow_generators_reference,
-                       group_inverse, jacobian_reference, make_abelian, named_algebra_frame,
-                       permuted, rand_point, spec_file, subs_reference, t_extended_ring)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, basis_vector, conformal_g0,
+                       dense_bracket, factorwise_automorphism, factorwise_image,
+                       flow_generators_reference, group_inverse, jacobian_reference, make_abelian,
+                       named_algebra_frame, permuted, rand_point, spec_file, subs_reference,
+                       t_extended_ring)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -26,7 +27,7 @@ from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, conformal_g0, 
 def test_bch_engel_generators(engel):
     # frozen by expanding a + b + [a,b]/2 + ([a,[a,b]] + [b,[b,a]])/12 with
     # [X1,X2] = Y, [X1,[X1,X2]] = Z, [X2,[X2,X1]] = 0
-    out = bch(engel, engel.basis_vector(0), engel.basis_vector(1))
+    out = bch(engel, basis_vector(engel, 0), basis_vector(engel, 1))
     assert out == [1, 1, Fraction(1, 2), Fraction(1, 12)]
 
 
@@ -45,7 +46,7 @@ def test_bch_unsupported_step():
                       {("X1", "X2"): [(1, "Y")], ("X1", "Y"): [(1, "Z")],
                        ("X1", "Z"): [(1, "W")]})
     with pytest.raises(UnsupportedStep):
-        bch(g, g.basis_vector(0), g.basis_vector(1))
+        bch(g, basis_vector(g, 0), basis_vector(g, 1))
 
 
 # -- group law ----------------------------------------------------------

@@ -2,10 +2,11 @@
 
 A level element is kept as its values, each the sparse ``{t: c}`` of
 ``Level.actions``; ``Matrix`` is the value type of graded automorphisms
-alone.  The dense tuple of a level element's value, indexed by the same
-local coordinates t, is a test-only view (``tests.conftest.dense_action``);
-the dense tuples under ``src`` are jet parts, computed from a field and
-read by ``Level.coordinates_of_values``.  These tests read every module under
+alone.  The jets hold their parts in the same form, and
+``Level.coordinates_of_values`` takes it.  The dense tuple of a value,
+indexed by the same local coordinates t, is a test-only view
+(``tests.conftest.dense_action``); ``src`` writes a value out densely
+only to print it.  These tests read every module under
 ``src/carnot`` and list those that import ``Matrix`` or read it as an
 attribute, and those that call a method named ``action``.
 """

@@ -13,7 +13,8 @@ from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, action_vector, assert_int_when_integral,
                        conformal_g0, dense_action, dense_bracket, jacobiator, make_abelian,
-                       make_engel, make_heisenberg, make_heisenberg_n, permuted, spec_file)
+                       make_engel, make_heisenberg, make_heisenberg_n, permuted, sparse_values,
+                       spec_file)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -262,7 +263,7 @@ def test_levels_keep_sparse_rows_without_zeros(name):
     for lvl in levels:
         for b, per in enumerate(lvl.actions):
             assert all(x != 0 for value in per for x in value.values())
-            coords = lvl.coordinates_of_values([dense_action(lvl, b, j) for j in range(g.dim)])
+            coords = lvl.coordinates_of_values(per)
             assert coords == [int(i == b) for i in range(lvl.dim)]
 
 
@@ -299,6 +300,24 @@ def test_level_actions_match_the_per_column_reference(case):
         for per, ref in zip(lvl.actions, reference):
             assert [list(value) for value in per] == [list(value) for value in ref]
             assert all(list(value) == sorted(value) for value in per)
+
+
+# every bundled spec and every spec stored in tests/golden
+STORED = BUNDLED + GENERATED + ("g2_full", "h1_der", "r3_gl")
+
+
+@pytest.mark.parametrize("case", list(STORED)
+                         + [(make_abelian(n), False, 10) for n in (3, 4, 5)]
+                         + [(make_heisenberg_n(n), False, 10) for n in (1, 2)],
+                         ids=list(STORED) + ["r3", "r4", "r5", "h1", "h2"])
+def test_each_basis_element_is_one_at_its_pivot_cell_and_zero_at_the_others(case):
+    # so the coordinates of a value that lies in a level are its entries
+    # at the pivot cells, as the jets and the bracket table read them
+    for lvl in _tower_levels(case):
+        assert len(lvl.pivot_cells) == lvl.dim
+        for b, per in enumerate(lvl.actions):
+            assert ([per[j].get(t, 0) for j, t in lvl.pivot_cells]
+                    == [int(i == b) for i in range(lvl.dim)])
 
 
 def test_closed_g0_required_for_assembly():
@@ -558,7 +577,7 @@ def _dense_reference_table(s):
             act(b, dense_action(s.levels[ka], qa, t), g.weights[t] + ka, value, -1)
             values.append(value)
         if ka + kb <= s.top_level():
-            coords = s.levels[ka + kb].coordinates_of_values(values)
+            coords = s.levels[ka + kb].coordinates_of_values(sparse_values(values))
             assert coords is not None
             put(a, b, sparse_value(coords, ka + kb))
         else:
