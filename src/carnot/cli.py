@@ -121,6 +121,7 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
     declared_layers: dict[int, list[str]] = {}
     entry_positions: list[tuple[int, int, int, int]] = []  # line, column, r, c of each B(r,c)
     factor_positions: list[tuple[int, int, str]] = []  # line, column, name of each factor entry
+    condition_line = None  # line and column of the first condition line
     given: set[str] = set()  # the single-valued keys read so far
 
     def once(key: str, lineno: int, col: int) -> None:
@@ -197,6 +198,7 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 if not row:
                     raise ParseError(filename, lineno, col, "empty condition")
                 spec.g0_conditions.append(row)
+                condition_line = condition_line or (lineno, col)
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized g0 line: {stripped!r}")
         if section == "recipe":
@@ -230,6 +232,10 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 raise ParseError(filename, lineno, entry_col,
                                  f"condition entry B({r + 1},{c + 1}) outside the "
                                  f"{width}x{width} first-layer block")
+    elif condition_line is not None:
+        # any other constraint would drop the rows unread
+        raise ParseError(filename, *condition_line,
+                         f"a condition line needs constraint = explicit, not {spec.g0_kind}")
     if spec.recipe_factors is not None:
         unplaced = list(dict.fromkeys(name for layer in spec.layers for name in layer))
         for lineno, name_col, name in factor_positions:
@@ -444,14 +450,12 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     jets_one_ok = True
     jacobi_ok = True
     if contact_ok and g0_ok:
-        # with the g0 defects zero, every part 0 lies in g0; the tower drops
-        # a zero g0, but the jets read part 1 in it
-        levels = [g0] + algebra.levels[1:]
+        # with the g0 defects zero, every part 0 lies in g0 = levels[0]
         for label, fld in zip(labels, fields):
             points = set()
             while len(points) < JET_POINTS_PER_FIELD:
                 points.add(tuple(_rand_point(rng, g.dim)))
-            for jt in jet(fld, frame, levels, sorted(points)):
+            for jt in jet(fld, frame, algebra.levels, sorted(points)):
                 at = _render_value(jt.point)
                 in_g0 = g0.coordinates_of_values(jt.parts[0]) is not None
                 if not in_g0:

@@ -332,11 +332,9 @@ def conformal_fields_of_degree(frame: Frame, constraint: GZeroConstraint,
     """
     g = frame.algebra
     ring = frame.ring
-    basis: list[tuple[int, tuple[int, ...]]] = []
-    for i in range(g.dim):
-        d = delta + (-g.weights[i])
-        for exp in ring.monomials_exact(d):
-            basis.append((i, exp))
+    # component i takes the monomials of degree delta + |w_i|, listed once per degree
+    monomials = {d: ring.monomials_exact(d) for d in {delta - w for w in g.weights}}
+    basis = [(i, exp) for i, w in enumerate(g.weights) for exp in monomials[delta - w]]
     if not basis:
         return []
     rows = constraint.first_layer_rows(frame.horizontal)

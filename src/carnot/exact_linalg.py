@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over the rationals.
 
 Every rank and dimension decision downstream is a nullspace computation,
-so the arithmetic here is exact.  The package holds a coefficient that is
-never reported as an ``int`` when it is integral and as a ``Fraction``
-only otherwise (:func:`exact`); integer arithmetic is the cheaper.  A
+so the arithmetic here is exact.  The package holds a coefficient as an
+``int`` when it is integral and as a ``Fraction`` only otherwise
+(:func:`exact`), except where a report shows it as a number; integer
+arithmetic is the cheaper.  A
 linear system is a :class:`SparseRows`: each row is a mapping
 ``{column: coefficient}`` of its nonzero entries, ints or Fractions,
 together with the column count.  One kernel, :func:`rref`, eliminates:
@@ -14,9 +15,13 @@ column order and reads the canonical kernel basis straight off that one
 reduction; ``from_vectors`` remains for vectors that do not come from an
 elimination.  ``rref`` scales each row to a primitive integer row,
 touches nonzero entries only, and reduces in a single Gauss–Jordan
-pass, shortest rows first.  What it returns is reported, so it holds
-``Fraction`` entries only: so do the results of ``nullspace`` and
-``solve`` and the bases of a ``Subspace``.
+pass, shortest rows first.  What it returns follows the convention too:
+each reduced entry is an ``int`` when its division by the pivot is
+exact, so the results of ``nullspace`` and ``solve`` and the bases of
+a ``Subspace`` hold ints wherever they are integral.  The one report
+that shows such values as numbers, the ``g0`` matrices of ``prolong``,
+converts them to ``Fraction`` where it is built
+(``prolongation.degree_zero_matrix``).
 The reduced row-echelon form is unique per row space, so the order in
 which rows are taken changes the work, not the result.  A
 :class:`Subspace` keeps the rows ``rref`` returns as its basis, in the
@@ -156,7 +161,9 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     Returns ``(echelon, rank, pivots)`` where ``pivots`` lists the pivot
     column of each nonzero row, leftmost first.  The echelon system has
     the shape of ``m``, its zero rows last; each row holds its columns in
-    ascending order.
+    ascending order.  Each entry is the integer row's entry over its
+    pivot entry: an ``int`` when that division is exact (the pivot 1s
+    among them), a ``Fraction`` only otherwise.
 
     Rows are taken shortest first.  Each is cleared of the pivots found
     so far; its smallest remaining column becomes a new pivot, which is
@@ -192,7 +199,11 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     for p in pivots:
         row = pivot_rows[p]
         lead = row[p]
-        out.append({c: Fraction(row[c], lead) for c in sorted(row)})
+        reduced = {}
+        for c in sorted(row):
+            q, r = divmod(row[c], lead)
+            reduced[c] = Fraction(row[c], lead) if r else q
+        out.append(reduced)
     out.extend({} for _ in range(m.rows - len(pivots)))
     return SparseRows(out, ncols), len(pivots), pivots
 
@@ -208,7 +219,7 @@ def _check_columns(m: SparseRows) -> None:
                 raise ValueError(f"column {c} outside a system of {n} columns")
 
 
-def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Fraction] | None]:
+def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Rational] | None]:
     """For each right-hand side b in ``rhs``, one exact solution of
     ``m x = b`` (free variables at zero), or None where there is none.
 
@@ -231,7 +242,7 @@ def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Fractio
             if x:
                 aug[r][n + k] = x
     ech, rank, pivots = rref(SparseRows(aug, n + len(rhs)))
-    solutions = [vec_zero(n) for _ in rhs]
+    solutions = [[0] * n for _ in rhs]
     consistent = [True] * len(rhs)
     for col, row in zip(pivots, ech.entries):
         for c, x in row.items():
@@ -247,8 +258,9 @@ def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Fractio
 class Subspace:
     """A linear subspace of Q^n held as a canonical reduced-echelon basis.
 
-    Each basis row is a sparse row ``{column: Fraction}`` with no zero
-    entry and its columns in ascending order, as :func:`rref` returns it:
+    Each basis row is a sparse row ``{column: coefficient}`` with no zero
+    entry and its columns in ascending order, as :func:`rref` returns it,
+    an ``int`` when it is integral and a ``Fraction`` only otherwise:
     a leading 1 in its own pivot column, and no entry in any other row's
     pivot column.  So two Subspace objects span the same set iff their
     bases are equal.
@@ -256,7 +268,8 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: Sequence[dict[int, Fraction]], pivots: Sequence[int]):
+    def __init__(self, ambient_dim: int, basis: Sequence[dict[int, Rational]],
+                 pivots: Sequence[int]):
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
@@ -271,13 +284,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates_of(self, v: Mapping[int, Rational]) -> list[Fraction] | None:
+    def coordinates_of(self, v: Mapping[int, Rational]) -> list[Rational] | None:
         """Coefficients of the sparse row ``v`` in the canonical basis, or
         None if it lies outside."""
         for c in v:
             if not 0 <= c < self.ambient_dim:
                 raise AmbientMismatch(f"column {c} outside ambient {self.ambient_dim}")
-        coords = [Fraction(v.get(p, 0)) for p in self.pivots]
+        coords = [v.get(p, 0) for p in self.pivots]
         residue = dict(v)
         for c, row in zip(coords, self.basis):
             if c:
@@ -312,7 +325,7 @@ def nullspace(m: SparseRows) -> Subspace:
                                           for row in m.entries], n))
     pivot_set = {last - p for p in rpivots}
     free = [c for c in range(n) if c not in pivot_set]
-    vectors = {f: {f: ONE} for f in free}
+    vectors = {f: {f: 1} for f in free}
     # pivots ascending, so each vector's columns stay in ascending order
     for rp, row in zip(reversed(rpivots), reversed(ech.entries[:rank])):
         p = last - rp

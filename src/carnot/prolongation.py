@@ -18,9 +18,12 @@ the package's convention (:func:`~carnot.exact_linalg.exact`): an ``int``
 when it is integral and a ``Fraction`` only otherwise, as in the rows of
 the negative part and in the conformal condition rows.  A level-level
 bracket is summed from rows already in the table, and its coordinates
-are read at the pivot cells of the target level.  What is reported, the
-level bases and their actions, comes from exact elimination and holds
-``Fraction`` entries.
+are read at the pivot cells of the target level.  The level bases and
+their actions come from exact elimination and follow the same
+convention, so each level's Leibniz system is built from ints wherever
+the levels below it are integral.  :func:`degree_zero_matrix` is the
+report boundary: it turns the values of a ``g0`` element into the
+``Fraction`` entries of the reported matrix.
 """
 
 from __future__ import annotations
@@ -97,12 +100,13 @@ def degree_zero_matrix(g: GradedLieAlgebra,
     """Full n x n rows of the layer-preserving map sending e_j to
     ``values[j]``, the nonzero components ``{t: c}`` in local coordinates
     of e_j's layer (the convention of :attr:`Level.actions`): entry (r, c)
-    is component r of the image of e_c."""
+    is component r of the image of e_c.  The rows are reported, so every
+    entry is a ``Fraction``, an integral one too."""
     rows = [vec_zero(g.dim) for _ in range(g.dim)]
     for c, value in enumerate(values):
         layer = g.layer_indices(-g.weights[c])
         for t, x in value.items():
-            rows[layer[t]][c] = x
+            rows[layer[t]][c] = Fraction(x)
     return rows
 
 
@@ -268,15 +272,15 @@ class ProlongationAlgebra:
     ``[e_a, e_b]``: a tuple of ``(k, c)`` sorted by ``k``, with ``c`` a
     nonzero ``int`` when it is integral and a ``Fraction`` only otherwise.
     It is only built for terminating prolongations (a cutoff leaves it as
-    None).
+    None).  ``levels[k]`` is g_k for 0 <= k <= :meth:`top_level`; a zero
+    g0 is still level 0.
     """
 
     def __init__(self, negative: GradedLieAlgebra, levels: Sequence[Level],
                  build_table: bool = True):
         self.negative = negative
+        # level 0 stays even when it is zero, so levels[k] is g_k up to the top
         self.levels = [lvl for lvl in levels if lvl.dim > 0 or lvl.k == 0]
-        while self.levels and self.levels[-1].dim == 0:
-            self.levels.pop()
         g = negative
         sbasis: list[tuple] = []
         labels: list[str] = []
@@ -334,13 +338,13 @@ class ProlongationAlgebra:
             for b in negs:
                 table[a][b] = tuple(sorted((self._pos[("neg", k)], c)
                                            for k, c in row[self.sbasis[b][1]]))
-        # [u, e_j] = u(e_j): these rows are the sparse actions of the levels
+        # [u, e_j] = u(e_j): these rows are the sparse actions of the levels,
+        # whose entries already follow the convention
         for a in levs:
             _, k, p = self.sbasis[a]
             for b in negs:
                 j = self.sbasis[b][1]
-                value = self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k)
-                put(a, b, tuple((i, exact(c)) for i, c in value))
+                put(a, b, self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k))
         # per level, the s-index of each basis element keyed by its pivot
         # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
         pivot_cells = [{(self._pos[("neg", j)], self._block[g.weights[j] + lvl.k][t]): i

@@ -767,8 +767,32 @@ def test_a_repeated_single_valued_line_is_a_located_parse_error(tmp_path, capsys
 
 
 def test_condition_range_is_only_checked_under_explicit_constraint():
-    spec = parse_spec_text("[algebra]\nlayer -1 = X1 X2\n[g0]\ncondition = B(5,1)\n")
-    assert spec.g0_kind == "conformal"
+    # without constraint = explicit the condition line itself is the error
+    with pytest.raises(ParseError) as err:
+        parse_spec_text("[algebra]\nlayer -1 = X1 X2\n[g0]\ncondition = B(5,1)\n")
+    assert (err.value.line, err.value.col) == (4, 1)
+    assert "outside" not in str(err.value)
+    assert "needs constraint = explicit, not conformal" in str(err.value)
+
+
+@pytest.mark.parametrize("g0, line, col, kind", [
+    ("condition = B(1,2)", 4, 1, "conformal"),
+    ("  condition = B(1,2)\nconstraint = full_derivations", 4, 3, "full_derivations"),
+    ("constraint = conformal\ncondition = B(1,1)\ncondition = B(1,2)", 5, 1, "conformal"),
+])
+def test_a_condition_without_explicit_constraint_is_a_located_parse_error(tmp_path, capsys,
+                                                                          g0, line, col, kind):
+    path = tmp_path / "spec.alg"
+    path.write_text(f"[algebra]\nlayer -1 = X1 X2\n[g0]\n{g0}\n")
+    assert main(["prolong", str(path)]) == 2
+    assert capsys.readouterr().err == (f"carnot: {path}:{line}:{col}: a condition line needs "
+                                       f"constraint = explicit, not {kind}\n")
+    # the same lines under constraint = explicit are accepted
+    explicit = g0.replace(f"constraint = {kind}", "constraint = explicit")
+    if explicit == g0:
+        explicit = "constraint = explicit\n" + g0
+    path.write_text(f"[algebra]\nlayer -1 = X1 X2\n[g0]\n{explicit}\n")
+    assert main(["validate", str(path)]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,10 +14,11 @@ from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 same_span, solve_h_system, solve_polynomial_conformal,
                                 vf_bracket)
-from carnot.polynomials import Poly
-from .conftest import (CONFORMAL, apply_rows, basis_vector, components, conformal_g0,
-                       dense_action, dense_values_matrix, make_abelian, named_algebra_frame,
-                       rand_point, residual_polys, sparse_values, values_of)
+from carnot.polynomials import Poly, PolyRing
+from .conftest import (CONFORMAL, ZERO_G0, apply_rows, basis_vector, components,
+                       conformal_g0, dense_action, dense_values_matrix, heisenberg_spec,
+                       make_abelian, named_algebra_frame, rand_point, residual_polys,
+                       sparse_values, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -412,6 +413,24 @@ def test_jet_matches_the_dense_reference(name, rng):
     assert all(zero) == (s.top_level() == 0)
 
 
+def test_jet_reads_a_zero_g0_as_level_0_of_the_tower(tmp_path, rng):
+    # every block entry vanishes: g0 = 0 and the tower of H_1 is g_- alone,
+    # with the zero g0 kept as its level 0
+    from carnot.cli import _prolong, parse_spec_file, spec_recipe
+    path = tmp_path / "heis_rigid.alg"
+    path.write_text(heisenberg_spec(ZERO_G0))
+    spec = parse_spec_file(str(path))
+    g, ders, g0, s, rep = _prolong(spec, spec.max_k)
+    assert rep.terminated and [lvl.dim for lvl in s.levels] == [0]
+    assert s.levels[0] is g0 and s.top_level() == 0
+    frame = left_invariant_frame(spec_recipe(spec, g))
+    fields = realize_tau(s, frame)
+    assert len(fields) == s.dim == 3
+    for field in fields:
+        for jt in jet(field, frame, s.levels, [rand_point(rng, g.dim) for _ in range(3)]):
+            assert jt.part_is_zero(0) and jt.part_is_zero(1)
+
+
 def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel, engel_frame, rng):
     # the realized fields all have a zero one-part; these contact fields do
     # not.  They leave the conformal tower, but part 0 of every contact
@@ -602,6 +621,24 @@ def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
     assert sol.dim > 0
     assert sol.block_dims == tuple(map(len, blocks))
     assert sol.fields == tuple(f for block in blocks for f in block)
+
+
+def test_each_block_lists_the_monomials_of_a_degree_once(monkeypatch):
+    # two_centre has four components of weight -1 and two of weight -2, so
+    # each block reads the monomials of two degrees
+    g, frame = named_algebra_frame("two_centre")
+    calls = Counter()
+    listed = PolyRing.monomials_exact
+
+    def counted(ring, degree):
+        calls[degree] += 1
+        return listed(ring, degree)
+
+    monkeypatch.setattr(PolyRing, "monomials_exact", counted)
+    for delta in range(-g.step, 4):
+        calls.clear()
+        conformal_fields_of_degree(frame, CONFORMAL, delta)
+        assert calls == Counter({delta + 1: 1, delta + 2: 1})
 
 
 
