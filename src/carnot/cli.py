@@ -213,10 +213,14 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized recipe line: {stripped!r}")
         if section == "options":
-            m = re.match(r"(max_k|oracle_degree)\s*=\s*(\d+)$", stripped)
+            m = re.match(r"(max_k|oracle_degree)\s*=\s*(.*)", stripped)
             if m:
-                once(m.group(1), lineno, col)
-                setattr(spec, m.group(1), int(m.group(2)))
+                key, value = m.group(1), m.group(2)
+                if not re.fullmatch(r"\d+", value):
+                    raise ParseError(filename, lineno, col + m.start(2),
+                                     f"{key} must be a non-negative integer")
+                once(key, lineno, col)
+                setattr(spec, key, int(value))
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized option line: {stripped!r}")
     if not declared_layers:

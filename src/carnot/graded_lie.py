@@ -160,14 +160,25 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
     grading on pairs ``a < b``, then Jacobi on triples ``a < b < c``, each in
     lexicographic order, and returns ``(kind, a, b, c)`` for the first
     failure (``c`` is the offending component for "grading", equal to ``b``
-    for "antisymmetry"), or None.  Jacobi stays exhaustive: a triple is
-    skipped only when ``w_a + w_b + w_c`` is not a basis weight, and then the
-    grading, already checked, forces all three double brackets to vanish.
+    for "antisymmetry"), or None.
 
     The Jacobi sums run in integers.  Every coefficient is first multiplied
     by the lcm ``L`` of their denominators.  The Jacobi expression is
     bilinear in the table, so each sum of the scaled table is ``L**2``
     times the sum of the given one, and is zero exactly when that one is.
+
+    Jacobi is checked one smallest index ``a`` at a time, and only through
+    products of two nonzero table entries.  With antisymmetry the sum of
+    ``(a, b, c)`` is ``[e_a,[e_b,e_c]] - [e_b,[e_a,e_c]] + [e_c,[e_a,e_b]]``.
+    The first term is ``[e_a, e_m]`` times the ``e_m`` coefficient of
+    ``[e_b, e_c]``, summed over ``m``; the other two are ``[e_o, e_m]``
+    times the ``e_m`` coefficient of ``[e_a, e_q]``, with ``{o, q} =
+    {b, c}``.  Each such product with both factors nonzero is added to the
+    sum of its triple, and these are all the nonzero products.  So the
+    check stays exhaustive: a triple that no product reaches has the sum 0.
+    The sums of one ``a`` are complete before the next ``a`` starts, so the
+    least failing ``(b, c)`` of the least failing ``a`` is the first failing
+    triple in lexicographic order, and only one ``a``'s sums are held.
     """
     n = len(rows)
     for a in range(n):
@@ -184,24 +195,48 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
     scale = lcm(*{c.denominator for row in rows for terms in row for _, c in terms})
     rows = [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
              for terms in row] for row in rows]
-    live = set(weights)
+    # holders[m]: every (o, [e_o, e_m]) that is nonzero; with_term[m]: every
+    # (b, c, x) with b < c where [e_b, e_c] has the coefficient x at e_m
+    holders: list[list] = [[] for _ in range(n)]
+    with_term: list[list] = [[] for _ in range(n)]
+    for b in range(n):
+        for c, terms in enumerate(rows[b]):
+            if terms:
+                holders[c].append((b, terms))
+                if b < c:
+                    for m, x in terms:
+                        with_term[m].append((b, c, x))
     for a in range(n):
-        ra = rows[a]
-        for b in range(a + 1, n):
-            rb = rows[b]
-            wab = weights[a] + weights[b]
-            for c in range(b + 1, n):
-                if wab + weights[c] not in live:
-                    continue
-                rc = rows[c]
-                total: dict[int, int] = {}
-                # [e_a,[e_b,e_c]] + [e_b,[e_c,e_a]] + [e_c,[e_a,e_b]]
-                for outer, inner in ((ra, rb[c]), (rb, rc[a]), (rc, ra[b])):
-                    for m, x in inner:
-                        for k, y in outer[m]:
-                            total[k] = total.get(k, 0) + x * y
-                if any(total.values()):
-                    return ("jacobi", a, b, c)
+        # the sum of (a, b, c) at e_k is kept under the key (b * n + c) * n + k
+        total: dict[int, int] = {}
+        for q, aq in enumerate(rows[a]):
+            if not aq:
+                continue
+            # [e_a,[e_b,e_c]] where [e_b,e_c] has a term at e_q
+            for b, c, x in with_term[q]:
+                if b > a:
+                    base = (b * n + c) * n
+                    for k, y in aq:
+                        key = base + k
+                        total[key] = total.get(key, 0) + x * y
+            if q < a:
+                continue
+            # -[e_o,[e_a,e_q]] for a < o < q and [e_o,[e_a,e_q]] for o > q
+            for m, x in aq:
+                for o, outer in holders[m]:
+                    if o <= a or o == q:
+                        continue
+                    if o < q:
+                        base, x_o = (o * n + q) * n, -x
+                    else:
+                        base, x_o = (q * n + o) * n, x
+                    for k, y in outer:
+                        key = base + k
+                        total[key] = total.get(key, 0) + x_o * y
+        failing = [key for key, value in total.items() if value]
+        if failing:
+            b, c = divmod(min(failing) // n, n)
+            return ("jacobi", a, b, c)
     return None
 
 

@@ -766,6 +766,25 @@ def test_a_repeated_single_valued_line_is_a_located_parse_error(tmp_path, capsys
     assert main(["validate", str(tmp_path / "good.alg")]) == 0
 
 
+@pytest.mark.parametrize("line, col, message", [
+    ("max_k = -1", 9, "max_k must be a non-negative integer"),
+    ("oracle_degree = x", 17, "oracle_degree must be a non-negative integer"),
+    ("  max_k=1.5", 9, "max_k must be a non-negative integer"),
+    ("oracle_degree =", 16, "oracle_degree must be a non-negative integer"),
+    ("max_depth = 3", 1, "unrecognized option line: 'max_depth = 3'"),
+])
+def test_an_option_value_that_is_not_a_count_is_a_located_parse_error(tmp_path, capsys, line,
+                                                                       col, message):
+    text = f"[algebra]\nlayer -1 = X1 X2\n[options]\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_spec_text(text)
+    assert (err.value.line, err.value.col) == (4, col)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"carnot: {bad}:4:{col}: {message}\n"
+
+
 def test_condition_range_is_only_checked_under_explicit_constraint():
     # without constraint = explicit the condition line itself is the error
     with pytest.raises(ParseError) as err:

@@ -399,7 +399,7 @@ def test_koranyi_reimann_closed_form(n):
     assert rep.total_dim == s.dim == (n + 2) ** 2 - 1
 
 
-# -- the sparse table and its exhaustive, weight-pruned check ----------------
+# -- the sparse table and its exhaustive Jacobi check ------------------------
 
 
 def _r3_algebra():
@@ -455,8 +455,17 @@ def test_verify_rejects_broken_antisymmetry():
         s.verify()
 
 
+REFERENCE_TOWERS = (
+    [(f"R{n}", lambda n=n: make_abelian(n)) for n in range(3, 7)]
+    + [(f"H{n}", lambda n=n: make_heisenberg_n(n)) for n in range(1, 4)]
+    + [("engel", make_engel),
+       ("engel_interleaved", lambda: permuted(make_engel(), [0, 3, 1, 2])),
+       ("heisenberg_interleaved", lambda: permuted(make_heisenberg(), [2, 0, 1])),
+       ("cartan_235_interleaved", lambda: permuted(make_cartan_235(), [3, 0, 2, 4, 1]))])
+
+
 def _dense_violation(rows, weights):
-    """Unpruned dense reference for ``table_violation``."""
+    """Dense reference for ``table_violation``: every triple, dense vectors."""
     n = len(rows)
     dense = [[[0] * n for _ in range(n)] for _ in range(n)]
     for a in range(n):
@@ -478,8 +487,9 @@ def _dense_violation(rows, weights):
     def outer(a, v):
         out = [0] * n
         for m, x in enumerate(v):
-            for k in range(n):
-                out[k] += x * dense[a][m][k]
+            if x:
+                for k in range(n):
+                    out[k] += x * dense[a][m][k]
         return out
 
     for a in range(n):
@@ -491,30 +501,101 @@ def _dense_violation(rows, weights):
     return None
 
 
-@pytest.mark.parametrize("make", [lambda: make_abelian(3), make_heisenberg])
-def test_pruned_check_matches_dense_reference(make):
-    g = make()
-    s, _ = full_prolongation(g, conformal_g0(g))
-    weights = s.weights
-    rng = random.Random(7)
-    assert table_violation(s.bracket_table, weights) is None
-    assert _dense_violation(s.bracket_table, weights) is None
-    outcomes = set()
-    for _ in range(40):
-        rows = [list(r) for r in s.bracket_table]
-        a, b = sorted(rng.sample(range(s.dim), 2))
+def _corruptions(rows, weights, rng, count):
+    """``count`` tables, each ``rows`` with one entry ``[e_a, e_b]`` changed.
+
+    The added term sits at a weight ``w_a + w_b`` slot when one exists, four
+    times out of five, and nine times out of ten ``[e_b, e_a]`` follows, so
+    all three kinds of violation occur.
+    """
+    n = len(rows)
+    for _ in range(count):
+        table = [list(r) for r in rows]
+        a, b = sorted(rng.sample(range(n), 2))
         if rng.random() < 0.8:
             live = [k for k, w in enumerate(weights) if w == weights[a] + weights[b]]
-            k = rng.choice(live or range(s.dim))
+            k = rng.choice(live or range(n))
         else:
-            k = rng.randrange(s.dim)
-        rows[a][b] = _add_term(rows[a][b], k, Fraction(rng.choice([-2, -1, 1, 3])))
+            k = rng.randrange(n)
+        table[a][b] = _add_term(table[a][b], k, Fraction(rng.choice([-2, -1, 1, 3])))
         if rng.random() < 0.9:
-            rows[b][a] = tuple((i, -c) for i, c in rows[a][b])
-        found = table_violation(rows, weights)
-        assert found == _dense_violation(rows, weights)
-        outcomes.add(found and found[0])
+            table[b][a] = tuple((i, -c) for i, c in table[a][b])
+        yield table
+
+
+@pytest.mark.parametrize("make", [m for _, m in REFERENCE_TOWERS],
+                         ids=[name for name, _ in REFERENCE_TOWERS])
+def test_jacobi_check_matches_dense_reference(make):
+    g = make()
+    s, _ = full_prolongation(g, conformal_g0(g))
+    rng = random.Random(7)
+    outcomes = set()
+    # the tower's table, and the algebra's own in declaration order, whose
+    # weights are unsorted on the interleaved towers
+    for rows, weights, count in ((s.bracket_table, s.weights, 40), (g.rows, g.weights, 10)):
+        assert table_violation(rows, weights) is None
+        assert _dense_violation(rows, weights) is None
+        for table in _corruptions(rows, weights, rng, count):
+            found = table_violation(table, weights)
+            assert found == _dense_violation(table, weights)
+            outcomes.add(found and found[0])
     assert {"antisymmetry", "grading", "jacobi"} <= outcomes
+
+
+def _graded_table(n, brackets):
+    """An antisymmetric table of dimension ``n`` from ``{(i, j): ((k, c), ...)}``."""
+    rows = [[() for _ in range(n)] for _ in range(n)]
+    for (i, j), terms in brackets.items():
+        rows[i][j] = tuple((k, Fraction(c)) for k, c in terms)
+        rows[j][i] = tuple((k, -Fraction(c)) for k, c in terms)
+    return rows
+
+
+# e0..e3 of weight -1, e4 = [., .] of weight -2, e5 of weight -3
+STEP_THREE_WEIGHTS = (-1, -1, -1, -1, -2, -3)
+
+
+@pytest.mark.parametrize("brackets, first", [
+    # [e0,e4] = e5: the triples (0,1,3) and (0,2,3) fail
+    ({(0, 4): ((5, 1),), (1, 3): ((4, 1),), (2, 3): ((4, 1),)}, (0, 1, 3)),
+    # [e3,e4] = e5: the triples (0,2,3) and (1,2,3) fail
+    ({(3, 4): ((5, 1),), (0, 2): ((4, 1),), (1, 2): ((4, 2),)}, (0, 2, 3)),
+])
+def test_the_lexicographically_first_failing_triple_is_reported(brackets, first):
+    rows = _graded_table(6, brackets)
+    found = ("jacobi",) + first
+    assert table_violation(rows, STEP_THREE_WEIGHTS) == found
+    assert _dense_violation(rows, STEP_THREE_WEIGHTS) == found
+    assert _fraction_violation(rows, STEP_THREE_WEIGHTS) == found
+
+
+# free step two on e0, e1, e2 (e3 = [e0,e1], e4 = [e0,e2], e5 = [e1,e2]),
+# with e6 of weight -3 and the third brackets [e_i, e_{5-i}] to be chosen
+FREE_STEP_TWO = {(0, 1): ((3, 1),), (0, 2): ((4, 1),), (1, 2): ((5, 1),)}
+FREE_WEIGHTS = (-1, -1, -1, -2, -2, -2, -3)
+
+
+@pytest.mark.parametrize("outer, found", [
+    # [e0,[e1,e2]] = [e0,e5]: the corrupted row is [e_a, e_m]
+    ({(0, 5): 1}, ("jacobi", 0, 1, 2)),
+    # -[e1,[e0,e2]] = -[e1,e4]: it is [e_o, e_m] with o < q
+    ({(1, 4): 1}, ("jacobi", 0, 1, 2)),
+    # [e2,[e0,e1]] = [e2,e3]: it is [e_o, e_m] with o > q
+    ({(2, 3): 1}, ("jacobi", 0, 1, 2)),
+    # [e0,e5] - [e1,e4] + [e2,e3] = 0: the three routes cancel
+    ({(0, 5): 1, (1, 4): 1}, None),
+    ({(0, 5): 1, (2, 3): -1}, None),
+    ({(0, 5): 2, (1, 4): 3, (2, 3): 1}, None),
+])
+def test_a_corrupted_outer_row_is_seen_in_every_triple_it_enters(outer, found):
+    # each (i, j) of ``outer`` sets [e_i, e_j] to a multiple of e6, which is
+    # central: a triple with that entry as its inner bracket gains nothing,
+    # so only (0, 1, 2), where it is the outer row [e_o, e_m], can fail
+    brackets = dict(FREE_STEP_TWO)
+    brackets.update({ij: ((6, c),) for ij, c in outer.items()})
+    rows = _graded_table(7, brackets)
+    assert table_violation(rows, FREE_WEIGHTS) == found
+    assert _dense_violation(rows, FREE_WEIGHTS) == found
 
 
 # -- the integer assembly and the scaled Jacobi check against Fraction paths --
@@ -586,15 +667,6 @@ def _dense_reference_table(s):
     return table
 
 
-REFERENCE_TOWERS = (
-    [(f"R{n}", lambda n=n: make_abelian(n)) for n in range(3, 7)]
-    + [(f"H{n}", lambda n=n: make_heisenberg_n(n)) for n in range(1, 4)]
-    + [("engel", make_engel),
-       ("engel_interleaved", lambda: permuted(make_engel(), [0, 3, 1, 2])),
-       ("heisenberg_interleaved", lambda: permuted(make_heisenberg(), [2, 0, 1])),
-       ("cartan_235_interleaved", lambda: permuted(make_cartan_235(), [3, 0, 2, 4, 1]))])
-
-
 @pytest.mark.parametrize("make", [m for _, m in REFERENCE_TOWERS],
                          ids=[name for name, _ in REFERENCE_TOWERS])
 def test_assembled_table_matches_dense_reference(make):
@@ -606,7 +678,12 @@ def test_assembled_table_matches_dense_reference(make):
 
 
 def _fraction_violation(rows, weights):
-    """``table_violation`` with its Jacobi sums taken in Fractions, unscaled."""
+    """The triple-by-triple reference for ``table_violation``.
+
+    It visits every triple ``a < b < c`` whose weight sum is a weight, the
+    only triples the grading lets fail, and takes the three double brackets
+    in Fractions, on the unscaled table.
+    """
     n = len(rows)
     for a in range(n):
         if rows[a][a]:
@@ -634,6 +711,27 @@ def _fraction_violation(rows, weights):
                 if any(total.values()):
                     return ("jacobi", a, b, c)
     return None
+
+
+@pytest.mark.parametrize("make", [lambda: make_abelian(8), lambda: make_heisenberg_n(3)],
+                         ids=["R8", "H3"])
+def test_jacobi_check_matches_fraction_reference_on_wide_tables(make):
+    g = make()
+    s, _ = full_prolongation(g, conformal_g0(g))
+    table, weights = s.bracket_table, s.weights
+    levels = [a for a, w in enumerate(weights) if w >= 0]
+    slots = [(a, b, k) for a in levels for b in levels if a < b
+             for k, w in enumerate(weights) if w == weights[a] + weights[b]]
+    rng = random.Random(11)
+    kinds = set()
+    for a, b, k in rng.sample(slots, 20):
+        rows = [list(r) for r in table]
+        rows[a][b] = _add_term(rows[a][b], k, rng.choice([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+        rows[b][a] = tuple((i, -c) for i, c in rows[a][b])
+        found = table_violation(rows, weights)
+        assert found == _fraction_violation(rows, weights)
+        kinds.add(found and found[0])
+    assert kinds == {"jacobi"}
 
 
 def test_scaled_jacobi_check_matches_fraction_reference():
