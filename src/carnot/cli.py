@@ -4,11 +4,17 @@ Commands: ``carnot validate|prolong|verify|oracle <file>``.  Reports are
 flat ``key = value`` text or a JSON object (``--format struct``); all
 numbers are exact rationals rendered as ``p/q``.  Exit codes: 0 all checks
 pass, 1 semantic failure, 2 parse or usage error.
+
+The argument parser is a constant: it is built once per process, on the
+first :func:`main` call (not at import), and every later call reuses it.
+``parse_args`` returns a fresh namespace each time and leaves the parser
+unchanged, so no call sees the arguments of another.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -372,11 +378,14 @@ def _prolong(spec: AlgebraSpec, max_k: int):
 
 def _dense_str(value: dict[int, Fraction], size: int) -> str:
     """The ``size`` local coordinates of a level value ``{t: c}``, comma
-    separated; only the nonzero ones are formatted."""
-    cells = ["0"] * size
-    for t, c in value.items():
-        cells[t] = str(c)
-    return ", ".join(cells)
+    separated; each run of zeros is written in one step, so the work grows
+    with the entries of ``value``, not with ``size``."""
+    text = ""
+    pos = 0
+    for t in sorted(value):
+        text += "0, " * (t - pos) + str(value[t]) + ", "
+        pos = t + 1
+    return (text + "0, " * (size - pos))[:-2]
 
 
 def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
@@ -588,13 +597,17 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carnot",
         description="Exact prolongation of stratified Lie algebras and the "
@@ -613,7 +626,11 @@ def main(argv: list[str] | None = None) -> int:
         if name == "oracle":
             p.add_argument("--degree", type=_nonnegative_int, default=None,
                            help="ansatz degree bound")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = parse_spec_file(args.file)
     except OSError as exc:

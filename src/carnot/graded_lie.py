@@ -162,10 +162,12 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
     failure (``c`` is the offending component for "grading", equal to ``b``
     for "antisymmetry"), or None.
 
-    The Jacobi sums run in integers.  Every coefficient is first multiplied
-    by the lcm ``L`` of their denominators.  The Jacobi expression is
-    bilinear in the table, so each sum of the scaled table is ``L**2``
-    times the sum of the given one, and is zero exactly when that one is.
+    The Jacobi sums run in integers.  When the lcm ``L`` of the
+    denominators exceeds 1, every coefficient is first multiplied by ``L``;
+    the tables built here hold ``int``s wherever integral, so ``L = 1``
+    leaves them as they are.  The Jacobi expression is bilinear in the
+    table, so each sum of the scaled table is ``L**2`` times the sum of the
+    given one, and is zero exactly when that one is.
 
     Jacobi is checked one smallest index ``a`` at a time, and only through
     products of two nonzero table entries.  With antisymmetry the sum of
@@ -181,20 +183,29 @@ def table_violation(rows: Sequence[Sequence[Sequence[tuple[int, Fraction]]]],
     triple in lexicographic order, and only one ``a``'s sums are held.
     """
     n = len(rows)
-    for a in range(n):
-        if rows[a][a]:
+    for a, row in enumerate(rows):
+        if row[a]:
             return ("antisymmetry", a, a, a)
         for b in range(a + 1, n):
-            if tuple(rows[b][a]) != tuple((k, -c) for k, c in rows[a][b]):
+            ab, ba = row[b], rows[b][a]
+            if (ab or ba) and tuple(ba) != tuple((k, -c) for k, c in ab):
                 return ("antisymmetry", a, b, b)
-    for a in range(n):
+    # with antisymmetry, the entries a < b hold every denominator
+    denominators = set()
+    for a, row in enumerate(rows):
+        wa = weights[a]
         for b in range(a + 1, n):
-            for k, _ in rows[a][b]:
-                if weights[k] != weights[a] + weights[b]:
-                    return ("grading", a, b, k)
-    scale = lcm(*{c.denominator for row in rows for terms in row for _, c in terms})
-    rows = [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
-             for terms in row] for row in rows]
+            terms = row[b]
+            if terms:
+                wab = wa + weights[b]
+                for k, c in terms:
+                    if weights[k] != wab:
+                        return ("grading", a, b, k)
+                    denominators.add(c.denominator)
+    scale = lcm(*denominators)
+    if scale > 1:
+        rows = [[tuple((k, c.numerator * (scale // c.denominator)) for k, c in terms)
+                 for terms in row] for row in rows]
     # holders[m]: every (o, [e_o, e_m]) that is nonzero; with_term[m]: every
     # (b, c, x) with b < c where [e_b, e_c] has the coefficient x at e_m
     holders: list[list] = [[] for _ in range(n)]

@@ -1,14 +1,22 @@
+import argparse
 import io
 import json
+import os
+import random
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import carnot
 from carnot import bundled_spec as spec_path
-from carnot.cli import (ParseError, Report, _field_str, main, parse_spec_file, parse_spec_text,
-                        run_verify, spec_algebra, spec_constraint, spec_recipe)
+from carnot.cli import (ParseError, Report, _dense_str, _field_str, _parser, main,
+                        parse_spec_file, parse_spec_text, run_verify, spec_algebra,
+                        spec_constraint, spec_recipe)
 from carnot.contact_pde import solve_polynomial_conformal
 from carnot.group_realization import PolyVectorField, left_invariant_frame
 from carnot.prolongation import constrain_g0, full_prolongation, strata_derivations
@@ -380,22 +388,27 @@ def scale_family_spec(tmp_path, name):
     return str(path)
 
 
-# two specs whose level bases hold non-integer entries, and two cut-off towers
-@pytest.mark.parametrize("name, fractional", [
-    ("heisenberg", True), ("h3", True), ("r3_gl", False), ("h1_der", False)])
-def test_level_basis_lines_equal_the_dense_rendering(tmp_path, name, fractional):
-    # each g{k}_basis_{b} line is built from the nonzero entries alone; the
-    # reference renders every local coordinate, zeros included
+# two specs whose level bases hold non-integer entries, and four cut-off towers
+@pytest.mark.parametrize("name, fractional, max_k", [
+    pytest.param("heisenberg", True, None, id="heisenberg-True"),
+    pytest.param("h3", True, None, id="h3-True"),
+    pytest.param("r3_gl", False, None, id="r3_gl-False"),
+    pytest.param("h1_der", False, None, id="h1_der-False"),
+    ("r1", False, 6), ("r2_co2", False, 6)])
+def test_level_basis_lines_equal_the_dense_rendering(tmp_path, name, fractional, max_k):
+    # each g{k}_basis_{b} line writes only the nonzero entries and the runs
+    # of zeros between them; the reference writes every local coordinate
     if name == "h3":
         path = scale_family_spec(tmp_path, name)
-    elif name == "heisenberg":
-        path = spec_path(name + ".alg")
-    else:
+    elif (GOLDEN / f"{name}.alg").exists():
         path = str(GOLDEN / f"{name}.alg")
+    else:
+        path = spec_path(name + ".alg")
     spec = parse_spec_file(path)
     g = spec_algebra(spec)
     g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
-    s, _ = full_prolongation(g, g0, max_k=spec.max_k)
+    max_k = spec.max_k if max_k is None else max_k
+    s, _ = full_prolongation(g, g0, max_k=max_k)
     expected = {}
     for lvl in s.levels[1:]:
         for b in range(lvl.dim):
@@ -404,7 +417,7 @@ def test_level_basis_lines_equal_the_dense_rendering(tmp_path, name, fractional)
                 for j in range(g.dim))
     assert any("/" in line for line in expected.values()) == fractional
     for fmt in ("text", "struct"):
-        code, out = run_cli(["prolong", path, "--format", fmt])
+        code, out = run_cli(["prolong", path, "--format", fmt, "--max-k", str(max_k)])
         assert code == 0
         d = as_dict(out) if fmt == "text" else json.loads(out)
         assert {k: v for k, v in d.items() if re.fullmatch(r"g[1-9]\d*_basis_\d+", k)} == expected
@@ -827,6 +840,98 @@ def test_negative_or_malformed_counts_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert "--max-k" in err or "--degree" in err
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["prolong", "ENGEL", "--max-k", "abc"], "argument --max-k: must be a non-negative integer, "
+                                             "got 'abc'"),
+    (["prolong", "ENGEL", "--max-k", "-1"], "argument --max-k: must be a non-negative integer, "
+                                            "got '-1'"),
+    (["oracle", "ENGEL", "--degree", "1.5"], "argument --degree: must be a non-negative integer, "
+                                             "got '1.5'"),
+])
+def test_a_bad_count_names_the_rule_not_the_converter(argv, last, capsys):
+    argv = [a if a != "ENGEL" else spec_path("engel.alg") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert err.splitlines()[-1] == f"carnot {argv[0]}: error: {last}"
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``argv`` run by a new interpreter."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(carnot.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "carnot.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_the_shared_parser_carries_nothing_from_one_call_to_the_next(monkeypatch, capsys):
+    # COLUMNS fixes the width of the usage lines on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    engel = spec_path("engel.alg")
+    calls = [["prolong", engel, "--format", "struct"],
+             ["oracle", engel, "--degree", "x"],
+             ["oracle", engel, "--degree", "2"],
+             ["prolong", engel]]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0]
+    assert out.startswith("command = prolong\n")
+    assert "degree" not in as_dict(out)
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch):
+    # argparse's own super() calls name the class, so its __init__ is
+    # wrapped in place; the four subcommand parsers pass through it too
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    _parser.cache_clear()
+    engel = spec_path("engel.alg")
+    for argv in (["validate", engel], ["prolong", engel], ["prolong", engel, "--max-k", "1"],
+                 ["validate", engel, "--format", "struct"], ["validate", engel]):
+        assert run_cli(argv)[0] == 0
+    assert built == ["carnot"] + [f"carnot {name}" for name in
+                                  ("validate", "prolong", "verify", "oracle")]
+
+
+def _dense_reference(value, size):
+    """Every local coordinate of a level value written out, zeros included."""
+    cells = ["0"] * size
+    for t, c in value.items():
+        cells[t] = str(c)
+    return ", ".join(cells)
+
+
+def test_sparse_values_format_as_the_dense_join():
+    rng = random.Random(2718)
+    entries = (1, -1, 7, -12, Fraction(1, 2), Fraction(-3, 4), Fraction(22, 7))
+    cases = [({}, 0), ({}, 1), ({0: 5}, 1), ({0: Fraction(-1, 3)}, 1), ({9: -2}, 10),
+             ({3: 1, 0: Fraction(2, 5)}, 4)]
+    for _ in range(300):
+        size = rng.randrange(1, 40)
+        picked = rng.sample(range(size), rng.randrange(min(size, 6) + 1))
+        if rng.random() < 0.3:
+            picked.append(size - 1)
+        cases.append(({t: rng.choice(entries) for t in picked}, size))
+    for value, size in cases:
+        assert _dense_str(value, size) == _dense_reference(value, size), (value, size)
 
 
 def test_zero_max_k_is_accepted():

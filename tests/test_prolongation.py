@@ -560,6 +560,9 @@ STEP_THREE_WEIGHTS = (-1, -1, -1, -1, -2, -3)
     ({(0, 4): ((5, 1),), (1, 3): ((4, 1),), (2, 3): ((4, 1),)}, (0, 1, 3)),
     # [e3,e4] = e5: the triples (0,2,3) and (1,2,3) fail
     ({(3, 4): ((5, 1),), (0, 2): ((4, 1),), (1, 2): ((4, 2),)}, (0, 2, 3)),
+    # non-integral constants (lcm 6): the triples (0,1,3) and (0,2,3) fail
+    ({(0, 4): ((5, Fraction(1, 2)),), (1, 3): ((4, Fraction(2, 3)),), (2, 3): ((4, 1),)},
+     (0, 1, 3)),
 ])
 def test_the_lexicographically_first_failing_triple_is_reported(brackets, first):
     rows = _graded_table(6, brackets)
@@ -586,6 +589,10 @@ FREE_WEIGHTS = (-1, -1, -1, -2, -2, -2, -3)
     ({(0, 5): 1, (1, 4): 1}, None),
     ({(0, 5): 1, (2, 3): -1}, None),
     ({(0, 5): 2, (1, 4): 3, (2, 3): 1}, None),
+    # non-integral multiples, which the check scales to integers
+    ({(0, 5): Fraction(1, 3)}, ("jacobi", 0, 1, 2)),
+    ({(0, 5): Fraction(2, 3), (1, 4): Fraction(1, 2)}, ("jacobi", 0, 1, 2)),
+    ({(0, 5): Fraction(1, 2), (1, 4): Fraction(1, 2)}, None),
 ])
 def test_a_corrupted_outer_row_is_seen_in_every_triple_it_enters(outer, found):
     # each (i, j) of ``outer`` sets [e_i, e_j] to a multiple of e6, which is
@@ -596,6 +603,18 @@ def test_a_corrupted_outer_row_is_seen_in_every_triple_it_enters(outer, found):
     rows = _graded_table(7, brackets)
     assert table_violation(rows, FREE_WEIGHTS) == found
     assert _dense_violation(rows, FREE_WEIGHTS) == found
+    assert _fraction_violation(rows, FREE_WEIGHTS) == found
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (3, 1)])
+def test_an_empty_bracket_facing_a_nonempty_one_breaks_antisymmetry(a, b):
+    # [e_a, e_b] = e4 while [e_b, e_a] stays empty, in either orientation
+    rows = _graded_table(6, {(0, 2): ((4, 1),)})
+    rows[a][b] = ((4, Fraction(1)),)
+    found = ("antisymmetry", min(a, b), max(a, b), max(a, b))
+    assert table_violation(rows, STEP_THREE_WEIGHTS) == found
+    assert _dense_violation(rows, STEP_THREE_WEIGHTS) == found
+    assert _fraction_violation(rows, STEP_THREE_WEIGHTS) == found
 
 
 # -- the integer assembly and the scaled Jacobi check against Fraction paths --
