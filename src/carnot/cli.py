@@ -291,14 +291,19 @@ def spec_constraint(spec: AlgebraSpec) -> GZeroConstraint:
 # -- report rendering ----------------------------------------------------
 
 
+_NUMBERS = {int, Fraction}  # compared with exact types, so a bool is not one
+
+
 def _render_value(v) -> str:
+    # bool is an int subclass, so it is told apart first
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, tuple):  # a point
         return "(" + ", ".join(_render_value(x) for x in v) + ")"
     if isinstance(v, list):
+        if _NUMBERS.issuperset(map(type, v)):
+            # a flat list of numbers, such as a row of a g0_basis matrix
+            return "[" + ", ".join(map(str, v)) + "]"
         return "[" + ", ".join(_render_value(x) for x in v) + "]"
     return str(v)
 
@@ -412,6 +417,62 @@ def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     return 0
 
 
+def _homomorphism_check(algebra, taucoords: list, ring, labels: list[str]
+                        ) -> tuple[Fraction | None, list[str]]:
+    """``[tau(a), tau(b)] = epsilon tau([a, b])`` with one sign ``epsilon``:
+    the first sign matched (None when every checked pair is zero on both
+    sides), and a failure line per pair that matches neither sign or not
+    ``epsilon``.  ``taucoords[a]`` is ``tau(e_a)`` in coordinates.
+
+    Only the pairs ``a < b`` with a member of weight -1 are bracketed, in
+    lexicographic order; they prove the rest.  Write ``D(a, b)`` for the
+    defect ``[tau(a), tau(b)] - epsilon tau([a, b])``, zero on every
+    checked pair, so on every pair with a member x in layer -1.
+
+    - A negative element of depth d > 1 is a sum of brackets [x, a'] with
+      x in layer -1 and a' of depth d - 1, since layer -1 generates.  The
+      Jacobi identity for vector fields and in s (``table_violation``
+      checks the latter exhaustively), with ``epsilon**2 = 1``, gives
+      ``D([x, a'], b) = epsilon [tau(x), D(a', b)] - epsilon [tau(a'),
+      D(x, b)] - D(a', [x, b])``.  By induction on depth, D vanishes on
+      every pair with a negative member.
+    - For u in level i and v in level j, the same expansion gives
+      ``[tau(x), D(u, v)] = epsilon (D([x, u], v) + D(u, [x, v]))`` for x
+      in layer -1: pairs of lower total level, or with a negative member.
+      By induction on i + j, ``D(u, v)`` commutes with every ``tau(x)``,
+      the right-invariant field R_x (see ``realize_tau``).  A field that
+      commutes with every R_x is left-invariant, of negative degree,
+      while ``D(u, v)`` is homogeneous of degree i + j >= 0, because
+      ``realize_tau`` builds each field of level i homogeneous of degree
+      i.  So ``D(u, v) = 0``.
+    """
+    epsilon = None
+    failures: list[str] = []
+    weights = algebra.weights
+    for a in range(algebra.dim):
+        for b in range(a + 1, algebra.dim):
+            if weights[a] != -1 and weights[b] != -1:
+                continue
+            lhs = vf_bracket(taucoords[a], taucoords[b])
+            rhs = [ring.zero()] * len(lhs)
+            for i, c in algebra.bracket_table[a][b]:
+                rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
+            if all(r.is_zero() for r in rhs) and all(l.is_zero() for l in lhs):
+                continue
+            matched = None
+            for cand in (Fraction(1), Fraction(-1)):
+                if all((l - cand * r).is_zero() for l, r in zip(lhs, rhs)):
+                    matched = cand
+                    break
+            if matched is None:
+                failures.append(f"bracket mismatch at ({labels[a]},{labels[b]})")
+            elif epsilon is None:
+                epsilon = matched
+            elif matched != epsilon:
+                failures.append("homomorphism sign is not uniform")
+    return epsilon, failures
+
+
 def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
                extra_fields: list[PolyVectorField] | None = None) -> int:
     report.add("command", "verify")
@@ -486,34 +547,12 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     report.add("jet_one_part_zero", jets_one_ok)
     report.add("jet_derivation_law", jacobi_ok)
 
-    epsilon = None
     if not extra_fields and contact_ok:
-        sign_ok = True
         taucoords = [frame.to_coords(list(f.components)) for f in fields]
-        ring = frame.ring
-        for a in range(algebra.dim):
-            for b in range(a + 1, algebra.dim):
-                lhs = vf_bracket(taucoords[a], taucoords[b])
-                rhs = [ring.zero()] * g.dim
-                for i, c in algebra.bracket_table[a][b]:
-                    rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
-                if all(r.is_zero() for r in rhs) and all(l.is_zero() for l in lhs):
-                    continue
-                matched = None
-                for cand in (Fraction(1), Fraction(-1)):
-                    if all((l - cand * r).is_zero() for l, r in zip(lhs, rhs)):
-                        matched = cand
-                        break
-                if matched is None:
-                    sign_ok = False
-                    failures.append(f"bracket mismatch at ({labels[a]},{labels[b]})")
-                elif epsilon is None:
-                    epsilon = matched
-                elif matched != epsilon:
-                    sign_ok = False
-                    failures.append("homomorphism sign is not uniform")
+        epsilon, mismatches = _homomorphism_check(algebra, taucoords, frame.ring, labels)
+        failures += mismatches
         report.add("epsilon", epsilon if epsilon is not None else 0)
-        report.add("homomorphism_sign_uniform", sign_ok)
+        report.add("homomorphism_sign_uniform", not mismatches)
 
     translations_ok = True
     for _ in range(TRANSLATION_SAMPLES):

@@ -14,7 +14,10 @@ read at ``Level.pivot_cells``.  Each value is ``{t: c}``, the form of
 levels of the tower decide membership and the derivation law.  The
 bounded-degree ansatz solver at the end is the brute-force cross-check for
 the prolongation: it returns the fields of each homogeneous block, and
-:func:`same_span` compares them with the realized fields.
+:func:`same_span` compares them with the realized fields.  The brute force
+runs up to the first zero block of degree >= 0; from there on a lemma
+(Tanaka's finiteness argument, see :func:`solve_polynomial_conformal`)
+proves every later block zero.
 
 The contact residuals are computed in frame components, without
 coordinates.  The left-invariant frame realizes the algebra,
@@ -372,12 +375,31 @@ def solve_polynomial_conformal(frame: Frame, constraint: GZeroConstraint,
     weighted degree up to ``max_weighted_degree + |w|``.  The system
     commutes with the weighted grading, so the solution is the sum of the
     homogeneous blocks of graded degree ``-step .. max_weighted_degree``,
-    each with its canonical echelon basis.  If the cutoff is too small the
-    result only bounds the true dimension from below; stability under
-    raising the cutoff is the sanity check.
+    each with its canonical echelon basis.  Each block is exact, so a
+    cutoff below the top degree misses only the fields above it.  After a
+    zero block of degree >= 0 the result holds for every degree: every
+    later block is zero, and is listed as empty without being solved.
+
+    The proof uses one lemma: a polynomial field that commutes with every
+    right-invariant R_X, X in layer -1, is left-invariant, because layer
+    -1 generates and the fields commuting with every right-invariant field
+    are the left-invariant ones.  Let block delta >= 0 be zero and V =
+    sum_j f_j X_j lie in block delta + 1.  R_X has degree -1 and commutes
+    with every frame field X_c, so [R_X, V] = sum_j R_X(f_j) X_j has
+    degree delta.  It is contact: [[R_X, V], X_i] = [R_X, [V, X_i]], and
+    R_X maps the horizontal field [V, X_i] to a horizontal one.  It meets
+    the condition rows, which are constant linear rows on ``M[r][c] =
+    X_c(f_r)``, because its matrix is ``R_X(M)``.  So [R_X, V] lies in
+    block delta and is 0 for every X, and V is left-invariant: its f_j
+    are constants, and a constant f_j has degree w_j < 0 in V, while V has
+    degree delta + 1 > 0, so V = 0.  By induction every later block is 0.
     """
-    blocks = [conformal_fields_of_degree(frame, constraint, delta)
-              for delta in range(-frame.algebra.step, max_weighted_degree + 1)]
+    blocks: list[list[PolyVectorField]] = []
+    for delta in range(-frame.algebra.step, max_weighted_degree + 1):
+        if delta > 0 and not blocks[-1]:
+            blocks.append([])
+        else:
+            blocks.append(conformal_fields_of_degree(frame, constraint, delta))
     return ConformalSolution(tuple(f for block in blocks for f in block),
                              tuple(map(len, blocks)))
 

@@ -103,6 +103,33 @@ def named_algebra_frame(name):
     return g, left_invariant_frame(recipe)
 
 
+def scale_family_text(name):
+    """Spec text of H_n (``h<n>``) or R^n (``r<n>``) with the conformal g0."""
+    n = int(name[1:])
+    xs = [f"X{i}" for i in range(1, n + 1)]
+    if name[0] == "h":
+        ys = [f"Y{i}" for i in range(1, n + 1)]
+        body = f"layer -1 = {' '.join(xs + ys)}\nlayer -2 = T\n"
+        body += "".join(f"[{x},{y}] = T\n" for x, y in zip(xs, ys))
+    else:
+        body = f"layer -1 = {' '.join(xs)}\n"
+    return f"[algebra]\nname = {name}\n{body}[g0]\nconstraint = conformal\n"
+
+
+def named_spec(name):
+    """The parsed spec of a bundled spec, of one stored in tests/golden, or
+    of a scale family ``h<n>`` / ``r<n>``."""
+    from carnot.cli import parse_spec_file, parse_spec_text
+    if name in BUNDLED or (GOLDEN / f"{name}.alg").exists():
+        return parse_spec_file(spec_file(name))
+    return parse_spec_text(scale_family_text(name))
+
+
+# the bundled and tests/golden specs whose towers terminate; the others
+# (r1, r2_co2, h1_der, r3_gl) are cut off
+TERMINATING = ("engel", "heisenberg", "r3_co3", "cartan_235", "free_3_2", "g2_full",
+               "half_constants", "heis_x_r", "two_centre")
+
 CONFORMAL = GZeroConstraint.conformal()
 
 

@@ -14,15 +14,16 @@ import pytest
 
 import carnot
 from carnot import bundled_spec as spec_path
-from carnot.cli import (ParseError, Report, _dense_str, _field_str, _parser, main,
-                        parse_spec_file, parse_spec_text, run_verify, spec_algebra,
-                        spec_constraint, spec_recipe)
+from carnot.cli import (ParseError, Report, _dense_str, _field_str, _homomorphism_check,
+                        _parser, main, parse_spec_file, parse_spec_text, run_verify,
+                        spec_algebra, spec_constraint, spec_recipe)
 from carnot.contact_pde import solve_polynomial_conformal
 from carnot.group_realization import PolyVectorField, left_invariant_frame
 from carnot.prolongation import constrain_g0, full_prolongation, strata_derivations
-from .conftest import (FULL_DERIVATIONS, GOLDEN, ZERO_G0, assert_int_when_integral,
-                       cartan_235_spec, dense_action, free_step_two_spec, heisenberg_spec,
-                       spec_text)
+from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, TERMINATING, ZERO_G0,
+                       assert_int_when_integral, cartan_235_spec, dense_action,
+                       free_step_two_spec, heisenberg_spec, named_spec, scale_family_text,
+                       spec_file, spec_text)
 
 
 def run_cli(argv):
@@ -251,6 +252,106 @@ def test_verify_with_injected_field_fails():
     assert d["failure_1"].startswith("contact defect nonzero for injected_1: ")
 
 
+def _all_pairs_homomorphism(algebra, taucoords, ring, labels):
+    """Reference for the homomorphism check: every pair a < b is bracketed."""
+    from carnot.contact_pde import vf_bracket
+    epsilon = None
+    failures = []
+    for a in range(algebra.dim):
+        for b in range(a + 1, algebra.dim):
+            lhs = vf_bracket(taucoords[a], taucoords[b])
+            rhs = [ring.zero()] * len(lhs)
+            for i, c in algebra.bracket_table[a][b]:
+                rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
+            if all(r.is_zero() for r in rhs) and all(l.is_zero() for l in lhs):
+                continue
+            matched = None
+            for cand in (Fraction(1), Fraction(-1)):
+                if all((l - cand * r).is_zero() for l, r in zip(lhs, rhs)):
+                    matched = cand
+                    break
+            if matched is None:
+                failures.append(f"bracket mismatch at ({labels[a]},{labels[b]})")
+            elif epsilon is None:
+                epsilon = matched
+            elif matched != epsilon:
+                failures.append("homomorphism sign is not uniform")
+    return epsilon, failures
+
+
+def realized_coordinates(name):
+    """The prolongation algebra of a named spec and its realized fields in
+    coordinates, as ``run_verify`` passes them to the homomorphism check."""
+    from carnot.group_realization import realize_tau
+    spec = named_spec(name)
+    g = spec_algebra(spec)
+    g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
+    algebra, _ = full_prolongation(g, g0, max_k=spec.max_k)
+    frame = left_invariant_frame(spec_recipe(spec, g))
+    fields = realize_tau(algebra, frame)
+    return algebra, [frame.to_coords(list(f.components)) for f in fields], frame.ring
+
+
+def test_terminating_names_every_bundled_and_saved_tower_that_terminates():
+    names = BUNDLED + tuple(path.stem for path in GOLDEN.glob("*.alg"))
+    terminating = set()
+    for name in names:
+        spec = named_spec(name)
+        g = spec_algebra(spec)
+        g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
+        if full_prolongation(g, g0, max_k=spec.max_k)[1].terminated:
+            terminating.add(name)
+    assert terminating == set(TERMINATING)
+
+
+@pytest.mark.parametrize("name", TERMINATING + ("r3", "r4", "r5", "r6", "r7", "r8",
+                                                "h1", "h2", "h3"))
+def test_layer_minus_one_pairs_give_the_verdict_of_all_pairs(name):
+    algebra, taucoords, ring = realized_coordinates(name)
+    labels = list(algebra.labels)
+    result = _homomorphism_check(algebra, taucoords, ring, labels)
+    assert result == (Fraction(-1), [])
+    assert _all_pairs_homomorphism(algebra, taucoords, ring, labels) == result
+
+
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "two_centre"])
+def test_a_corrupted_level_field_fails_at_a_layer_minus_one_pair(name):
+    # x1 d/dx2 has degree 1 - 1 = 0: a wrong term of the same degree as the
+    # first level field, so the field stays homogeneous
+    algebra, taucoords, ring = realized_coordinates(name)
+    labels = list(algebra.labels)
+    u = algebra.weights.index(0)
+    assert tuple(algebra.negative.weights[:2]) == (-1, -1)
+    taucoords[u] = list(taucoords[u])
+    taucoords[u][1] = taucoords[u][1] + ring.var(0)
+    _, failures = _homomorphism_check(algebra, taucoords, ring, labels)
+    _, reference = _all_pairs_homomorphism(algebra, taucoords, ring, labels)
+    assert failures and set(failures) <= set(reference)
+    # a pair fails where the field is bracketed and where it is a bracket
+    pairs = [set(re.fullmatch(r"bracket mismatch at \((\w+),(\w+)\)", line).groups())
+             for line in failures]
+    horizontal = {labels[a] for a, w in enumerate(algebra.weights) if w == -1}
+    assert all(pair & horizontal for pair in pairs)
+    assert any(labels[u] in pair for pair in pairs)
+
+
+@pytest.mark.parametrize("name, calls", [("engel", 7), ("heis_x_r", 12), ("free_3_2", 24),
+                                         ("cartan_235", 11), ("two_centre", 34)])
+def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatch, name,
+                                                                     calls):
+    # all pairs were 10, 15, 45, 21 and 55
+    import carnot.cli as cli
+    counted = []
+
+    def counting(*args, _original=cli.vf_bracket):
+        counted.append(args)
+        return _original(*args)
+    monkeypatch.setattr(cli, "vf_bracket", counting)
+    code, _ = run_cli(["verify", spec_file(name)])
+    assert code == 0
+    assert len(counted) == calls
+
+
 def test_oracle_engel():
     code, out = run_cli(["oracle", spec_path("engel.alg"), "--degree", "6"])
     assert code == 0
@@ -375,16 +476,8 @@ def test_oracle_blocks_equal_the_levels_of_a_cut_off_tower(tmp_path, text, degre
 
 def scale_family_spec(tmp_path, name):
     """Spec file of H_n (``h<n>``) or R^n (``r<n>``) with the conformal g0."""
-    n = int(name[1:])
-    xs = [f"X{i}" for i in range(1, n + 1)]
-    if name[0] == "h":
-        ys = [f"Y{i}" for i in range(1, n + 1)]
-        body = f"layer -1 = {' '.join(xs + ys)}\nlayer -2 = T\n"
-        body += "".join(f"[{x},{y}] = T\n" for x, y in zip(xs, ys))
-    else:
-        body = f"layer -1 = {' '.join(xs)}\n"
     path = tmp_path / f"{name}.alg"
-    path.write_text(f"[algebra]\nname = {name}\n{body}[g0]\nconstraint = conformal\n")
+    path.write_text(scale_family_text(name))
     return str(path)
 
 

@@ -4,21 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from carnot import contact_pde
 from carnot.exact_linalg import Matrix, SparseRows, Subspace, nullspace, span_equal, sparse_row
 from carnot.group_realization import (CoordinateRecipe, PolyVectorField, left_invariant_frame,
                                       realize_tau)
-from carnot.prolongation import (GZeroConstraint, degree_zero_matrix, full_prolongation,
-                                 strata_derivations)
+from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
+                                 full_prolongation, strata_derivations)
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
                                 contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
                                 same_span, solve_h_system, solve_polynomial_conformal,
                                 vf_bracket)
 from carnot.polynomials import Poly, PolyRing
-from .conftest import (CONFORMAL, ZERO_G0, apply_rows, basis_vector, components,
+from .conftest import (CONFORMAL, TERMINATING, ZERO_G0, apply_rows, basis_vector, components,
                        conformal_g0, dense_action, dense_values_matrix, heisenberg_spec,
-                       make_abelian, named_algebra_frame, rand_point, residual_polys,
-                       sparse_values, values_of)
+                       make_abelian, named_algebra_frame, named_spec, rand_point,
+                       residual_polys, sparse_values, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -606,21 +607,43 @@ def test_ansatz_determinism(engel_frame):
     assert a.block_dims == b.block_dims
 
 
-@pytest.mark.parametrize("name", ["engel", "heisenberg", "r3_co3"])
+@pytest.mark.parametrize("name", TERMINATING + ("r4", "r5", "h1", "h2"))
 def test_ansatz_basis_is_the_echelon_basis_of_the_blocks(name):
-    # the ansatz basis is the blocks' echelon bases, graded degree -step first
-    from carnot import bundled_spec
-    from carnot.cli import parse_spec_file, spec_algebra, spec_recipe
-    spec = parse_spec_file(bundled_spec(name + ".alg"))
+    # the ansatz basis is the blocks' echelon bases, graded degree -step
+    # first; every block is solved here directly, also those the solver
+    # lists as zero after its first zero block of degree >= 0
+    from carnot.cli import spec_algebra, spec_constraint, spec_recipe
+    spec = named_spec(name)
     g = spec_algebra(spec)
+    constraint = spec_constraint(spec)
+    s, rep = full_prolongation(g, constrain_g0(strata_derivations(g), constraint),
+                               max_k=spec.max_k)
+    assert rep.terminated
     frame = left_invariant_frame(spec_recipe(spec, g))
-    degree = 4
-    sol = solve_polynomial_conformal(frame, CONFORMAL, degree)
-    blocks = [conformal_fields_of_degree(frame, CONFORMAL, delta)
+    degree = s.top_level() + 3
+    sol = solve_polynomial_conformal(frame, constraint, degree)
+    blocks = [conformal_fields_of_degree(frame, constraint, delta)
               for delta in range(-g.step, degree + 1)]
-    assert sol.dim > 0
+    assert sol.dim == s.dim
     assert sol.block_dims == tuple(map(len, blocks))
     assert sol.fields == tuple(f for block in blocks for f in block)
+
+
+def test_ansatz_solves_no_block_after_the_first_zero_one(engel_frame, monkeypatch):
+    # engel's top level is 0, so block 1 is zero and proves blocks 2 .. 40 zero
+    solved = []
+    block = contact_pde.conformal_fields_of_degree
+
+    def recorded(frame, constraint, delta):
+        solved.append(delta)
+        return block(frame, constraint, delta)
+
+    monkeypatch.setattr(contact_pde, "conformal_fields_of_degree", recorded)
+    sol = solve_polynomial_conformal(engel_frame, CONFORMAL, 40)
+    assert solved == [-3, -2, -1, 0, 1]
+    assert len(sol.block_dims) == 44
+    assert sol.block_dims[:5] == (1, 1, 2, 1, 0)
+    assert sol.block_dims[5:] == (0,) * 39
 
 
 def test_each_block_lists_the_monomials_of_a_degree_once(monkeypatch):
