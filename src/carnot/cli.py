@@ -27,10 +27,10 @@ from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                            full_prolongation, strata_derivations)
 from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealizable,
-                                PolyVectorField, UnsupportedStep, dilation,
+                                PolyVectorField, UnsupportedStep, conformal_factor, dilation,
                                 extend_first_layer_automorphism, graded_automorphism,
-                                left_invariant_frame, left_translation, realize_tau,
-                                similarity_check)
+                                left_invariant_frame, realize_tau, similarity_check,
+                                translation_pushforwards)
 from .contact_pde import (NotContact, conformal_defect, contact_defect, jet,
                           jet_jacobi_check, same_span, solve_polynomial_conformal, vf_bracket)
 
@@ -158,8 +158,14 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                     raise ParseError(filename, lineno, col, "malformed bracket relation")
                 a, b, expr = m.group(1), m.group(2), m.group(3)
                 key = (a, b)
+                if a == b:
+                    raise ParseError(filename, lineno, col,
+                                     f"bracket [{a},{a}] of an element with itself")
                 if key in spec.brackets:
                     raise ParseError(filename, lineno, col, f"bracket [{a},{b}] listed twice")
+                if (b, a) in spec.brackets:
+                    raise ParseError(filename, lineno, col,
+                                     f"bracket [{a},{b}] listed twice (as [{b},{a}])")
                 spec.brackets[key] = [(c, t.group(0)) for c, t in
                                       _parse_terms(expr, filename, lineno, col + m.start(3) - 1)]
                 continue
@@ -555,9 +561,9 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         report.add("homomorphism_sign_uniform", not mismatches)
 
     translations_ok = True
-    for _ in range(TRANSLATION_SAMPLES):
-        p = _rand_point(rng, g.dim)
-        if similarity_check(left_translation(recipe, p), frame) is None:
+    points = [_rand_point(rng, g.dim) for _ in range(TRANSLATION_SAMPLES)]
+    for p, cols in zip(points, translation_pushforwards(frame, points)):
+        if conformal_factor(cols, frame) is None:
             translations_ok = False
             failures.append(f"left translation by {_render_value(tuple(p))} not similar")
     report.add("translations_checked", TRANSLATION_SAMPLES)

@@ -8,13 +8,15 @@ mu(x, y) = x * y once, symbolically in both points
 (:attr:`CoordinateRecipe.law`), and everything else is read off it: the
 left-invariant frame field of e_j is the part of mu linear in y_j, the
 right-invariant field of e_j (the generator of left translations) the
-part linear in x_j, and the left translation by p is mu(p, y).  So every
-coefficient is an exact polynomial.  Every vector field is held by its
-components in the left-invariant frame.  The prolongation algebra is
-realized level by level: an element u of level k >= 0 is the unique
-field of degree k whose bracket with the right-invariant field of each
-X in layer -1 is minus the field of [u, X], found by exact linear solves,
-one elimination per level and layer.
+part linear in x_j, and the left translations are the family
+y -> mu(x, y), whose horizontal pushforward is computed once, with x
+symbolic, and specialized at each point p.  So every coefficient is an
+exact polynomial.  Every vector field is held by its components in the
+left-invariant frame.  The prolongation algebra is realized level by
+level: an element u of level k >= 0 is the unique field of degree k
+whose bracket with the right-invariant field of each X in layer -1 is
+minus the field of [u, X], found by exact linear solves, one elimination
+per level and layer.
 """
 
 from __future__ import annotations
@@ -468,6 +470,14 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
     return phi
 
 
+def _frame_at(frame: Frame, pmap: Sequence[Poly]) -> list[list[tuple[int, Poly]]]:
+    """The entries below the diagonal of the frame matrix at the image
+    point of the map ``pmap``, in the layout of ``frame._below``: the
+    frame's entries with the map put in through one ``substitute`` call."""
+    moved = iter(substitute([x for row in frame._below for _, x in row], pmap))
+    return [[(j, next(moved)) for j, _ in row] for row in frame._below]
+
+
 def pushforward_in_frame(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
     """One column per horizontal frame field: ``cols[i][j]`` is the frame-j
     component of the pushforward of X_i, a polynomial in the source point,
@@ -476,26 +486,65 @@ def pushforward_in_frame(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]
     In coordinates the pushforward of X_i has components X_i(phi_c), read
     from the frame's derivative table; its frame components at the image
     point solve the frame matrix composed with the map.  The map may be
-    singular; :func:`similarity_check` says why no test of that is needed.
+    singular; :func:`conformal_factor` says why no test of that is needed.
+    Left translations do not come here one by one:
+    :func:`translation_pushforwards` reads them all off one pushforward of
+    the group law.
     """
-    # the frame matrix at the image point, below the diagonal: all the solve reads
-    moved = iter(substitute([x for row in frame._below for _, x in row], pmap))
-    below = [[(j, next(moved)) for j, _ in row] for row in frame._below]
+    below = _frame_at(frame, pmap)
     return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap])
             for i in range(frame.horizontal)]
 
 
-def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
-    """The conformal factor k of a horizontal similarity, or None.
+def translation_pushforwards(frame: Frame,
+                             points: Sequence[Sequence[Fraction]]) -> list[list[list[Poly]]]:
+    """The horizontal pushforward of the left translation by each point:
+    for each p, the columns ``pushforward_in_frame(left_translation(recipe,
+    p), frame)`` returns, from one pushforward of the whole family.
 
-    The map, given by its components in the frame's ring, is a similarity
-    when it is contact and its horizontal pushforward A has A A^t = k I
-    with k not identically zero; the horizontal frame is declared
-    orthonormal.  The check is an exact polynomial identity, on the
-    m(m+1)/2 distinct entries of A A^t, each read once.  A map with an
-    identically singular Jacobian gets None, so none is tested for: a
-    factor needs the map contact and k(p) != 0 at some p, so A(p) is
-    invertible.
+    The family is y -> mu(x, y) with x symbolic, the recipe's
+    :attr:`CoordinateRecipe.law` in its 2n-variable ring.  It is pushed
+    forward once there: the frame fields act on the y variables, and the
+    entries below the frame's diagonal are composed with mu; the unit
+    lower solve finishes it.  Each point is then put in for x, one
+    ``substitute`` call per point.  Putting x = p is a ring homomorphism
+    that fixes y, so it commutes with derivatives in y, with composition,
+    and with the unit lower solve, which uses only + and *.  So each
+    point's columns are exactly the pushforward of mu(p, y).
+    """
+    law = frame.recipe.law
+    n = len(frame)
+    big = law[0].ring
+    zero = big.zero()
+    ys = [big.var(n + c) for c in range(n)]
+    below = _frame_at(frame, law)
+    family = []
+    for i in range(frame.horizontal):
+        column = [(n + c, x) for c, x in enumerate(substitute(frame.columns[i], ys))
+                  if not x.is_zero()]
+        family += _unit_lower_solve(
+            below, [sum((x * phi.diff(v) for v, x in column), zero) for phi in law])
+    ring = frame.ring
+    xs = [ring.var(c) for c in range(n)]  # y, renamed to the point translated
+    out = []
+    for p in points:
+        moved = substitute(family, [ring.const(x) for x in p] + xs)
+        out.append([moved[i:i + n] for i in range(0, len(moved), n)])
+    return out
+
+
+def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | None:
+    """The conformal factor k of a map with the horizontal pushforward
+    ``cols`` (as :func:`pushforward_in_frame` returns it), or None when
+    the map is no similarity.
+
+    The map is a similarity when it is contact and its horizontal
+    pushforward A has A A^t = k I with k not identically zero; the
+    horizontal frame is declared orthonormal.  The check is an exact
+    polynomial identity, on the m(m+1)/2 distinct entries of A A^t, each
+    read once.  A map with an identically singular Jacobian gets None, so
+    none is tested for: a factor needs the map contact and k(p) != 0 at
+    some p, so A(p) is invertible.
     The Maurer-Cartan equations, pulled back and evaluated on [X_a, X_b]
     with X_a in layer -1, show by induction on the layer that the frame
     Jacobian at p keeps layers -1..-d and acts on layer -d by the map A
@@ -503,7 +552,6 @@ def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
     such block is onto, and the Jacobian at p is invertible.
     """
     m = frame.horizontal
-    cols = pushforward_in_frame(pmap, frame)
     if any(not x.is_zero() for col in cols for x in col[m:]):
         return None
     zero, k = frame.ring.zero(), None
@@ -514,3 +562,14 @@ def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
             if k.is_zero() or entry != (k if r == s else zero):
                 return None
     return k
+
+
+def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
+    """The conformal factor k of a horizontal similarity, or None: the
+    :func:`conformal_factor` of the map's :func:`pushforward_in_frame`.
+
+    The map is given by its components in the frame's ring.  verify runs
+    it on the dilations and the anisotropic automorphism; its left
+    translations go through :func:`translation_pushforwards` instead.
+    """
+    return conformal_factor(pushforward_in_frame(pmap, frame), frame)

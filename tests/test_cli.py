@@ -18,7 +18,8 @@ from carnot.cli import (ParseError, Report, _dense_str, _field_str, _homomorphis
                         _parser, main, parse_spec_file, parse_spec_text, run_verify,
                         spec_algebra, spec_constraint, spec_recipe)
 from carnot.contact_pde import solve_polynomial_conformal
-from carnot.group_realization import PolyVectorField, left_invariant_frame
+from carnot.group_realization import (Frame, PolyVectorField, _flow_generators,
+                                      left_invariant_frame)
 from carnot.prolongation import constrain_g0, full_prolongation, strata_derivations
 from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, TERMINATING, ZERO_G0,
                        assert_int_when_integral, cartan_235_spec, dense_action,
@@ -110,6 +111,23 @@ def test_validate_parse_failure_exit_2(tmp_path, capsys):
     assert re.search(r"bad\.alg:3:\d+", err)
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("[X1,X2] = Y", "[X1,X2] = 2 Y", "bracket [X1,X2] listed twice"),
+    ("[X1,X2] = Y", "[X2,X1] = Y", "bracket [X2,X1] listed twice (as [X1,X2])"),
+    ("[X2,X1] = -Y", "[X1,X2] = Y", "bracket [X1,X2] listed twice (as [X2,X1])"),
+    ("[X1,X2] = Y", "[X1,X1] = Y", "bracket [X1,X1] of an element with itself"),
+])
+def test_a_repeated_or_self_bracket_is_a_located_parse_error(tmp_path, capsys, first, second,
+                                                             message):
+    # either orientation of a listed pair, or an element with itself, is
+    # found at its line, before any algebra is built
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"[algebra]\nlayer -1 = X1 X2\nlayer -2 = Y\n{first}\n  {second}\n")
+    for command in ("validate", "verify"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr() == ("", f"carnot: {bad}:5:3: {message}\n")
+
+
 def test_validate_semantic_failure_exit_1(tmp_path):
     # the whole report, as main renders every InvalidAlgebra
     bad = tmp_path / "bad.alg"
@@ -160,6 +178,51 @@ def test_verify_engel_passes():
     assert d["epsilon"] == "-1"
     assert d["automorphism_similar"] == "false"
     assert d["translations_similar"] == "true"
+
+
+def test_verify_pushes_the_translation_family_forward_once(monkeypatch):
+    # the 10 sampled translations are read off one pushforward of the law;
+    # only the 3 dilations and the automorphism are pushed forward one by one
+    import carnot
+    import carnot.cli as cli
+    import carnot.group_realization as group_realization
+    calls = {"family": 0, "translation": 0, "pushforward": 0}
+
+    def counting(key, original):
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        return wrapper
+    monkeypatch.setattr(cli, "translation_pushforwards",
+                        counting("family", cli.translation_pushforwards))
+    for module in (carnot, group_realization):
+        monkeypatch.setattr(module, "left_translation",
+                            counting("translation", module.left_translation))
+    monkeypatch.setattr(group_realization, "pushforward_in_frame",
+                        counting("pushforward", group_realization.pushforward_in_frame))
+    code, _ = run_cli(["verify", spec_path("engel.alg")])
+    assert code == 0
+    assert calls == {"family": 1, "translation": 0, "pushforward": 4}
+
+
+def test_verify_reports_each_translation_that_is_not_similar(monkeypatch):
+    # on the right-invariant frame no left translation is a similarity; the
+    # failure lines name the sampled points in the order they are drawn
+    import carnot.cli as cli
+    monkeypatch.setattr(cli, "left_invariant_frame",
+                        lambda recipe: Frame(recipe, _flow_generators(recipe, right=True)))
+    code, out = run_cli(["verify", spec_path("engel.alg")])
+    assert code == 1
+    d = as_dict(out)
+    assert d["translations_checked"] == "10"
+    assert d["translations_similar"] == "false"
+    points = ["(-5/2, 3, -5/4, -3)", "(-1, -3/5, 9/7, -2/3)", "(0, 2, 5/6, 1/5)",
+              "(-1, -9/7, 4, 0)", "(-2/9, 9/5, 1/2, -8)", "(1/4, 3/7, -7/6, 1)",
+              "(7/5, 0, -7/5, -7/2)", "(-7/5, 0, 0, -2/3)", "(-6, -1/6, 2, 3)",
+              "(2/9, -5/3, 4, -2/3)"]
+    assert [d[f"failure_{i}"] for i in range(5, 15)] == \
+        [f"left translation by {p} not similar" for p in points]
+    assert "failure_15" not in d
 
 
 @pytest.mark.parametrize("command", ["verify", "oracle"])

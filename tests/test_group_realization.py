@@ -1,4 +1,7 @@
+import importlib
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,16 +9,17 @@ from carnot.exact_linalg import Matrix, solve
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateRecipe, NonpositiveScale, NotRealizable,
-                                      NotTerminated, UnsupportedStep,
-                                      _flow_generators, _translation_system, bch, dilation,
+from carnot.group_realization import (CoordinateRecipe, Frame, NonpositiveScale,
+                                      NotRealizable, NotTerminated, UnsupportedStep,
+                                      _flow_generators, _translation_system, bch,
+                                      conformal_factor, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       group_product, left_invariant_frame,
                                       left_translation, realize_tau, similarity_check,
-                                      pushforward_in_frame)
+                                      pushforward_in_frame, translation_pushforwards)
 from carnot.polynomials import Poly, substitute
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, apply_rows, basis_vector, conformal_g0,
-                       dense_bracket, factorwise_automorphism, factorwise_image,
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, apply_rows, basis_vector,
+                       conformal_g0, dense_bracket, factorwise_automorphism, factorwise_image,
                        flow_generators_reference, group_inverse, jacobian_reference, make_abelian,
                        named_algebra_frame, permuted, rand_point, spec_file, subs_reference,
                        t_extended_ring)
@@ -506,6 +510,61 @@ def test_frame_and_maps_share_the_recipe_ring(name, diagonal, rng):
     for pmap in maps:
         assert isinstance(pmap, tuple) and len(pmap) == g.dim
         assert all(c.ring is recipe.ring for c in pmap)
+
+
+# -- the translation family ---------------------------------------------
+
+
+def _workload_specs():
+    """The spec texts the benchmark generates, by file stem."""
+    bench = str(Path(__file__).parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads").SPECS
+    finally:
+        sys.path.remove(bench)
+
+
+WORKLOAD_SPECS = _workload_specs()
+# every bundled spec (engel's is the two-factor recipe), every spec stored
+# in tests/golden, and every spec of the benchmark's workloads
+FAMILY_SPECS = ([("file", name) for name in BUNDLED]
+                + [("file", path.stem) for path in sorted(GOLDEN.glob("*.alg"))]
+                + [("workload", stem) for stem in WORKLOAD_SPECS])
+
+
+def spec_frame(source, name):
+    from carnot.cli import parse_spec_text, spec_algebra, spec_recipe
+    text = WORKLOAD_SPECS[name] if source == "workload" else Path(spec_file(name)).read_text()
+    spec = parse_spec_text(text)
+    return left_invariant_frame(spec_recipe(spec, spec_algebra(spec)))
+
+
+def one_pushforward_per_translation(frame, points):
+    return [pushforward_in_frame(left_translation(frame.recipe, p), frame) for p in points]
+
+
+@pytest.mark.parametrize("source, name", FAMILY_SPECS,
+                         ids=[f"{source}-{name}" for source, name in FAMILY_SPECS])
+def test_translation_pushforwards_specialize_the_family(source, name, rng):
+    frame = spec_frame(source, name)
+    points = [rand_point(rng, len(frame)) for _ in range(10)]
+    assert translation_pushforwards(frame, points) == \
+        one_pushforward_per_translation(frame, points)
+
+
+@pytest.mark.parametrize("name", ["engel", "heis_x_r", "cartan_235", "two_centre"])
+def test_translation_pushforwards_on_a_right_invariant_frame(name, rng):
+    # the right-invariant fields make a frame too, unit lower triangular,
+    # on which left translations are not similarities: their columns are
+    # not the identity, so the comparison is not one of constant columns
+    g, left = named_algebra_frame(name)
+    recipe = left.recipe
+    frame = Frame(recipe, _flow_generators(recipe, right=True))
+    points = [rand_point(rng, g.dim) for _ in range(10)]
+    cols = translation_pushforwards(frame, points)
+    assert cols == one_pushforward_per_translation(frame, points)
+    assert all(conformal_factor(c, frame) is None for c in cols)
 
 
 # -- similarity ---------------------------------------------------------
