@@ -13,8 +13,8 @@ from .prolongation import (GZeroConstraint, Level, ProlongationAlgebra, Terminat
                            constrain_g0, degree_zero_matrix, full_prolongation, prolong_step,
                            strata_derivations)
 from .group_realization import (CoordinateRecipe, Frame, PolyVectorField, bch, dilation,
-                                group_product, left_invariant_frame, left_translation,
-                                realize_tau, similarity_check)
+                                group_product, left_invariant_frame, realize_tau,
+                                similarity_check)
 from .contact_pde import (ContactJet, DefectReport, conformal_defect, contact_defect,
                           jet, jet_jacobi_check, solve_h_system, solve_polynomial_conformal)
 

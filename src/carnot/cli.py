@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 from dataclasses import dataclass, field
@@ -34,9 +33,6 @@ from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealiz
 from .contact_pde import (NotContact, conformal_defect, contact_defect, jet,
                           jet_jacobi_check, same_span, solve_polynomial_conformal, vf_bracket)
 
-VERIFY_SEED = 271828
-JET_POINTS_PER_FIELD = 5
-TRANSLATION_SAMPLES = 10
 DILATION_SCALES = (Fraction(2), Fraction(1, 2), Fraction(7, 3))
 
 
@@ -304,8 +300,6 @@ def _render_value(v) -> str:
     # bool is an int subclass, so it is told apart first
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, tuple):  # a point
-        return "(" + ", ".join(_render_value(x) for x in v) + ")"
     if isinstance(v, list):
         if _NUMBERS.issuperset(map(type, v)):
             # a flat list of numbers, such as a row of a g0_basis matrix
@@ -319,7 +313,7 @@ def _json_value(v):
         return v
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         return [_json_value(x) for x in v]
     return v
 
@@ -353,16 +347,6 @@ def _field_str(g, field: PolyVectorField) -> str:
 
 
 # -- commands -------------------------------------------------------------
-
-
-def _rand_fraction(rng: random.Random) -> Fraction:
-    num = rng.randint(-9, 9)
-    den = rng.randint(1, 9)
-    return Fraction(num, den)
-
-
-def _rand_point(rng: random.Random, n: int) -> list[Fraction]:
-    return [_rand_fraction(rng) for _ in range(n)]
 
 
 def cmd_validate(spec: AlgebraSpec, report: Report) -> int:
@@ -505,7 +489,6 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     for label, fld in zip(labels, fields):
         report.add(f"tau_{label}", _field_str(g, fld))
     failures: list[str] = []
-    rng = random.Random(VERIFY_SEED)
 
     constraint = spec_constraint(spec)
     g0_name = "conformal" if constraint.kind == "conformal" else "g0"
@@ -530,25 +513,21 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     jets_one_ok = True
     jacobi_ok = True
     if contact_ok and g0_ok:
-        # with the g0 defects zero, every part 0 lies in g0 = levels[0]
+        # with the g0 defects zero, every part 0 lies in g0 = levels[0]; the
+        # parts are polynomials in the point, so each check is an identity
         for label, fld in zip(labels, fields):
-            points = set()
-            while len(points) < JET_POINTS_PER_FIELD:
-                points.add(tuple(_rand_point(rng, g.dim)))
-            for jt in jet(fld, frame, algebra.levels, sorted(points)):
-                at = _render_value(jt.point)
-                in_g0 = g0.coordinates_of_values(jt.parts[0]) is not None
-                if not in_g0:
-                    jets_zero_ok = False
-                    failures.append(f"zero-part of {label} jet leaves g0 at {at}")
-                if not jt.part_is_zero(1):
-                    jets_one_ok = False
-                    failures.append(f"one-part of {label} jet nonzero at {at}")
-                # g0 is built inside ders, so only a part outside g0 can fail the law
-                if not in_g0 and not jet_jacobi_check(jt, ders):
-                    jacobi_ok = False
-                    failures.append(f"jet of {label} fails the derivation law at {at}")
-    report.add("jet_points_per_field", JET_POINTS_PER_FIELD)
+            jt = jet(fld, frame, algebra.levels)
+            in_g0 = g0.coordinates_of_values(jt.parts[0]) is not None
+            if not in_g0:
+                jets_zero_ok = False
+                failures.append(f"zero-part of {label} jet leaves g0")
+            if not jt.part_is_zero(1):
+                jets_one_ok = False
+                failures.append(f"one-part of {label} jet nonzero")
+            # g0 is built inside ders, so only a part outside g0 can fail the law
+            if not in_g0 and not jet_jacobi_check(jt, ders):
+                jacobi_ok = False
+                failures.append(f"jet of {label} fails the derivation law")
     report.add("jet_zero_part_in_g0", jets_zero_ok)
     report.add("jet_one_part_zero", jets_one_ok)
     report.add("jet_derivation_law", jacobi_ok)
@@ -560,13 +539,10 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         report.add("epsilon", epsilon if epsilon is not None else 0)
         report.add("homomorphism_sign_uniform", not mismatches)
 
-    translations_ok = True
-    points = [_rand_point(rng, g.dim) for _ in range(TRANSLATION_SAMPLES)]
-    for p, cols in zip(points, translation_pushforwards(frame, points)):
-        if conformal_factor(cols, frame) is None:
-            translations_ok = False
-            failures.append(f"left translation by {_render_value(tuple(p))} not similar")
-    report.add("translations_checked", TRANSLATION_SAMPLES)
+    # one identity in the translating point decides every left translation
+    translations_ok = conformal_factor(translation_pushforwards(frame), frame) is not None
+    if not translations_ok:
+        failures.append("left translations not similar")
     report.add("translations_similar", translations_ok)
 
     dilation_ok = True

@@ -5,13 +5,14 @@ horizontal frame field X, and its horizontal derivative matrix then lies
 in the spec's ``g0`` when it meets ``GZeroConstraint.first_layer_rows``,
 the rows ``constrain_g0`` reads for the tower.  Residuals are full
 polynomials, never point samples, so every verdict is an identity check.
-The jet of a field at a point is built by one rule: part k on e_j is X_j
-applied to whatever has degree w_j + k, in the local coordinates of that
-degree: the field's components on that layer while the degree is
-negative, and otherwise the coordinates of part w_j + k in its level,
-read at ``Level.pivot_cells``.  Each value is ``{t: c}``, the form of
-``Level.actions`` that ``Level.coordinates_of_values`` takes, so the
-levels of the tower decide membership and the derivation law.  The
+The jet of a field is built by one rule, with the point symbolic: part
+k on e_j is X_j applied to whatever has degree w_j + k, in the local
+coordinates of that degree: the field's components on that layer while
+the degree is negative, and otherwise the coordinates of part w_j + k in
+its level, read at ``Level.pivot_cells``.  Each value is ``{t: f}`` with
+polynomial entries, the form of ``Level.actions`` that
+``Level.coordinates_of_values`` takes, so the levels of the tower decide
+membership and the derivation law as identities in the point.  The
 bounded-degree ansatz solver at the end is the brute-force cross-check for
 the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.  The brute force
@@ -184,38 +185,38 @@ def _residual_rows(residuals: Iterable[Terms]) -> list[dict[int, Fraction]]:
     return list(rows.values())
 
 
-# -- pointwise jets ----------------------------------------------------
+# -- jets ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ContactJet:
-    """Parts 0 and 1 of a contact field's jet at a point.
+    """Parts 0 and 1 of a contact field's jet, at a symbolic point.
 
     ``parts[k][j]`` is the value of part k on e_j as its nonzero
-    components ``{t: c}`` in the local coordinates of degree w_j + k, the
-    form of ``Level.actions``: a layer's coordinates while the degree is
+    components ``{t: f}`` in the local coordinates of degree w_j + k, the
+    form of ``Level.actions`` with a polynomial ``f`` in the point for
+    each rational entry: a layer's coordinates while the degree is
     negative, and otherwise coordinates in the level of that degree.  So
-    ``g0.coordinates_of_values`` reads part 0 directly.
+    ``g0.coordinates_of_values`` reads part 0 directly, and a part holds
+    at every point exactly when it holds as an identity.
     """
 
-    point: tuple[Fraction, ...]
     parts: tuple
 
     def part_is_zero(self, k: int) -> bool:
         return not any(self.parts[k])
 
 
-def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level],
-        points: Iterable[Sequence[Fraction]]) -> list[ContactJet]:
-    """Parts 0 and 1 of a contact field's jet at each rational point.
+def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level]) -> ContactJet:
+    """Parts 0 and 1 of a contact field's jet, with the point symbolic.
 
     Part k on e_j is X_j applied to whatever has degree w_j + k: the
     field's components on that layer, or the coordinates of part w_j + k
     in ``levels[w_j + k]``, its entries at that level's pivot cells.  So
     ``levels[0]`` must hold part 0: ``g0`` once V meets the spec's
     condition rows, ``strata_derivations(g)`` for any contact field.
-    Contact is certified once, and the symbolic parts are built once; each
-    point only evaluates them.
+    The jet at a rational point p is the parts with each entry evaluated
+    at p (:meth:`Poly.eval`).
     """
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
@@ -229,15 +230,9 @@ def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level],
                 sources = [V.components[r] for r in g.layer_indices(-w - k)]
             else:
                 sources = [parts[w + k][i].get(t, zero) for i, t in levels[w + k].pivot_cells]
-            part.append({t: df for t, f in enumerate(sources) if (df := frame.apply(j, f)).terms})
+            part.append({t: df for t, f in enumerate(sources) if (df := frame.apply(j, f))})
         parts.append(part)
-    jets = []
-    for point in points:
-        pt = [Fraction(x) for x in point]
-        evaluated = tuple(tuple({t: x for t, f in value.items() if (x := f.eval(pt))}
-                                for value in part) for part in parts)
-        jets.append(ContactJet(tuple(pt), evaluated))
-    return jets
+    return ContactJet(tuple(tuple(part) for part in parts))
 
 
 def jet_jacobi_check(j: ContactJet, ders: Level) -> bool:

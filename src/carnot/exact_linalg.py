@@ -286,7 +286,9 @@ class Subspace:
 
     def coordinates_of(self, v: Mapping[int, Rational]) -> list[Rational] | None:
         """Coefficients of the sparse row ``v`` in the canonical basis, or
-        None if it lies outside."""
+        None if it lies outside.  The entries may be polynomials, false
+        exactly when zero as numbers are: then the coefficients are
+        polynomials, and None means that ``v`` lies outside at some point."""
         for c in v:
             if not 0 <= c < self.ambient_dim:
                 raise AmbientMismatch(f"column {c} outside ambient {self.ambient_dim}")

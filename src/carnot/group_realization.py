@@ -10,13 +10,13 @@ left-invariant frame field of e_j is the part of mu linear in y_j, the
 right-invariant field of e_j (the generator of left translations) the
 part linear in x_j, and the left translations are the family
 y -> mu(x, y), whose horizontal pushforward is computed once, with x
-symbolic, and specialized at each point p.  So every coefficient is an
-exact polynomial.  Every vector field is held by its components in the
-left-invariant frame.  The prolongation algebra is realized level by
-level: an element u of level k >= 0 is the unique field of degree k
-whose bracket with the right-invariant field of each X in layer -1 is
-minus the field of [u, X], found by exact linear solves, one elimination
-per level and layer.
+symbolic, and tested as one polynomial identity in x and y.  So every
+coefficient is an exact polynomial.  Every vector field is held by its
+components in the left-invariant frame.  The prolongation algebra is
+realized level by level: an element u of level k >= 0 is the unique
+field of degree k whose bracket with the right-invariant field of each X
+in layer -1 is minus the field of [u, X], found by exact linear solves,
+one elimination per level and layer.
 """
 
 from __future__ import annotations
@@ -404,17 +404,6 @@ def dilation(recipe: CoordinateRecipe, scale) -> tuple[Poly, ...]:
     return tuple(lam ** w * ring.var(i) for i, w in enumerate(recipe.coord_weights))
 
 
-def left_translation(recipe: CoordinateRecipe, p: Sequence[Fraction]) -> tuple[Poly, ...]:
-    """q -> p * q as its components in the recipe's ring: the group law
-    with the constants p put in for its first point."""
-    n = recipe.algebra.dim
-    if len(p) != n:
-        raise ValueError("point has wrong length")
-    ring = recipe.ring
-    values = [ring.const(x) for x in p] + [ring.var(i) for i in range(n)]
-    return tuple(substitute(recipe.law, values))
-
-
 def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> tuple[Poly, ...]:
     """The group map induced by a graded algebra automorphism phi:
     exp(m) -> exp(phi m), read through :func:`log_of_coords`, as its
@@ -487,30 +476,28 @@ def pushforward_in_frame(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]
     from the frame's derivative table; its frame components at the image
     point solve the frame matrix composed with the map.  The map may be
     singular; :func:`conformal_factor` says why no test of that is needed.
-    Left translations do not come here one by one:
-    :func:`translation_pushforwards` reads them all off one pushforward of
-    the group law.
+    The left translations do not come here: :func:`translation_pushforwards`
+    pushes their whole family forward at once.
     """
     below = _frame_at(frame, pmap)
     return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap])
             for i in range(frame.horizontal)]
 
 
-def translation_pushforwards(frame: Frame,
-                             points: Sequence[Sequence[Fraction]]) -> list[list[list[Poly]]]:
-    """The horizontal pushforward of the left translation by each point:
-    for each p, the columns ``pushforward_in_frame(left_translation(recipe,
-    p), frame)`` returns, from one pushforward of the whole family.
+def translation_pushforwards(frame: Frame) -> list[list[Poly]]:
+    """The horizontal pushforward of the family of left translations
+    y -> mu(x, y), with x symbolic: the columns :func:`pushforward_in_frame`
+    returns for one map, here in the 2n-variable ring of the recipe's
+    :attr:`CoordinateRecipe.law`, x and then y.
 
-    The family is y -> mu(x, y) with x symbolic, the recipe's
-    :attr:`CoordinateRecipe.law` in its 2n-variable ring.  It is pushed
-    forward once there: the frame fields act on the y variables, and the
-    entries below the frame's diagonal are composed with mu; the unit
-    lower solve finishes it.  Each point is then put in for x, one
-    ``substitute`` call per point.  Putting x = p is a ring homomorphism
-    that fixes y, so it commutes with derivatives in y, with composition,
-    and with the unit lower solve, which uses only + and *.  So each
-    point's columns are exactly the pushforward of mu(p, y).
+    The family is pushed forward once: the frame fields act on the y
+    variables, and the entries below the frame's diagonal are composed
+    with mu; the unit lower solve finishes it.  Putting x = p is a ring
+    homomorphism that fixes y, so it commutes with derivatives in y, with
+    composition, and with the unit lower solve, which uses only + and *:
+    at x = p the columns are exactly the pushforward of mu(p, y).
+    :func:`conformal_factor` says why one test of them decides every
+    translation.
     """
     law = frame.recipe.law
     n = len(frame)
@@ -518,19 +505,13 @@ def translation_pushforwards(frame: Frame,
     zero = big.zero()
     ys = [big.var(n + c) for c in range(n)]
     below = _frame_at(frame, law)
-    family = []
+    cols = []
     for i in range(frame.horizontal):
         column = [(n + c, x) for c, x in enumerate(substitute(frame.columns[i], ys))
                   if not x.is_zero()]
-        family += _unit_lower_solve(
-            below, [sum((x * phi.diff(v) for v, x in column), zero) for phi in law])
-    ring = frame.ring
-    xs = [ring.var(c) for c in range(n)]  # y, renamed to the point translated
-    out = []
-    for p in points:
-        moved = substitute(family, [ring.const(x) for x in p] + xs)
-        out.append([moved[i:i + n] for i in range(0, len(moved), n)])
-    return out
+        cols.append(_unit_lower_solve(
+            below, [sum((x * phi.diff(v) for v, x in column), zero) for phi in law]))
+    return cols
 
 
 def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | None:
@@ -542,19 +523,28 @@ def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | Non
     pushforward A has A A^t = k I with k not identically zero; the
     horizontal frame is declared orthonormal.  The check is an exact
     polynomial identity, on the m(m+1)/2 distinct entries of A A^t, each
-    read once.  A map with an identically singular Jacobian gets None, so
-    none is tested for: a factor needs the map contact and k(p) != 0 at
-    some p, so A(p) is invertible.
+    read once, in the ring of the columns.  A map with an identically
+    singular Jacobian gets None, so none is tested for: a factor needs the
+    map contact and k(p) != 0 at some p, so A(p) is invertible.
     The Maurer-Cartan equations, pulled back and evaluated on [X_a, X_b]
     with X_a in layer -1, show by induction on the layer that the frame
     Jacobian at p keeps layers -1..-d and acts on layer -d by the map A
     induces through brackets with layer -1.  Layer -1 generates, so each
     such block is onto, and the Jacobian at p is invertible.
+
+    The columns of :func:`translation_pushforwards` lie in Q[x, y], and
+    one test of them decides every left translation.  Putting x = p is a
+    ring homomorphism, so an identity in Q[x, y] holds at every p.  Its
+    factor k(p, .) is not zero, because each translation is a
+    diffeomorphism, so its A is invertible.  A failed identity leaves a
+    nonzero polynomial, a component off layer -1 or an entry of A A^t
+    other than k I, and a nonzero polynomial is nonzero at some rational
+    (p, q): the translation by that rational p is no similarity.
     """
     m = frame.horizontal
     if any(not x.is_zero() for col in cols for x in col[m:]):
         return None
-    zero, k = frame.ring.zero(), None
+    zero, k = cols[0][0].ring.zero(), None
     for r in range(m):
         for s in range(r, m):
             entry = sum((col[r] * col[s] for col in cols), zero)
@@ -569,7 +559,7 @@ def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
     :func:`conformal_factor` of the map's :func:`pushforward_in_frame`.
 
     The map is given by its components in the frame's ring.  verify runs
-    it on the dilations and the anisotropic automorphism; its left
-    translations go through :func:`translation_pushforwards` instead.
+    it on the dilations and the anisotropic automorphism; it tests the
+    left translations as one family, on :func:`translation_pushforwards`.
     """
     return conformal_factor(pushforward_in_frame(pmap, frame), frame)

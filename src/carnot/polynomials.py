@@ -215,6 +215,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        # false exactly for the zero polynomial, as for int and Fraction, so
+        # exact_linalg's membership tests take Poly entries as they are
+        return bool(self.terms)
+
     def diff(self, i: int) -> "Poly":
         out: dict = {}
         for e, c in self.terms.items():

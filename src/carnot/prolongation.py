@@ -87,7 +87,8 @@ class Level:
     def coordinates_of_values(self,
                               values: Sequence[Mapping[int, Fraction]]) -> list[Fraction] | None:
         """Coordinates in this level's basis of a map given by its values
-        on g_-, each ``{t: c}`` as in :attr:`actions`."""
+        on g_-, each ``{t: c}`` as in :attr:`actions`, with rational or
+        polynomial entries."""
         return self.subspace.coordinates_of(
             {cols[t]: x for cols, value in zip(self.columns, values) for t, x in value.items()})
 

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from carnot.contact_pde import ContactJet
 from carnot.exact_linalg import sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
-from carnot.polynomials import Poly, PolyRing
+from carnot.polynomials import Poly, PolyRing, substitute
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
 from carnot.group_realization import (CoordinateRecipe, bch, factor_log, group_product,
@@ -212,6 +213,18 @@ def jacobian_reference(comps):
     return [[comps[c].diff(d) for d in range(len(comps))] for c in range(len(comps))]
 
 
+def left_translation(recipe, p):
+    """Reference for the family of ``translation_pushforwards``: q -> p * q
+    as its components in the recipe's ring, the group law with the
+    constants p put in for its first point."""
+    n = recipe.algebra.dim
+    if len(p) != n:
+        raise ValueError("point has wrong length")
+    ring = recipe.ring
+    values = [ring.const(x) for x in p] + [ring.var(i) for i in range(n)]
+    return tuple(substitute(recipe.law, values))
+
+
 def group_inverse(recipe, p):
     """The inverse of the point p in recipe coordinates."""
     return factor_log(recipe, [-x for x in log_of_coords(recipe, p)])
@@ -321,6 +334,14 @@ def residual_polys(terms, frame, rows):
     for (eq, exp), c in terms.items():
         parts[eq][exp] = c
     return [Poly(frame.ring, t) for t in parts]
+
+
+def jet_at(jt, point):
+    """The jet at a rational point: the symbolic parts of ``jt`` with each
+    entry evaluated there, zeros dropped."""
+    pt = [Fraction(x) for x in point]
+    return ContactJet(tuple(tuple({t: x for t, f in value.items() if (x := f.eval(pt))}
+                                  for value in part) for part in jt.parts))
 
 
 def rand_point(rng, n):

@@ -9,14 +9,15 @@ from fractions import Fraction
 
 from carnot.exact_linalg import Matrix
 from carnot.prolongation import full_prolongation, strata_derivations
-from carnot.group_realization import (CoordinateRecipe, PolyVectorField, dilation,
-                                      extend_first_layer_automorphism, graded_automorphism,
-                                      left_invariant_frame, left_translation,
-                                      similarity_check)
+from carnot.group_realization import (CoordinateRecipe, PolyVectorField, conformal_factor,
+                                      dilation, extend_first_layer_automorphism,
+                                      graded_automorphism, left_invariant_frame,
+                                      similarity_check, translation_pushforwards)
 from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check, same_span,
                                 solve_polynomial_conformal, vf_bracket)
 from .conftest import (CONFORMAL, action_vector, conformal_g0, dense_bracket, jacobiator,
-                       make_abelian, make_heisenberg, rand_point, zero_matrices)
+                       jet_at, left_translation, make_abelian, make_heisenberg, rand_point,
+                       zero_matrices)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -80,10 +81,12 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_levels, engel_t
             ok = False
         if not conformal_defect(field, engel_frame, CONFORMAL).all_zero:
             ok = False
+        symbolic = jet(field, engel_frame, engel_levels)
+        # the identities, then the jet at 5 random points per field
         points = set()
         while len(points) < 5:
             points.add(tuple(rand_point(rng, 4)))
-        for jt in jet(field, engel_frame, engel_levels, sorted(points)):
+        for jt in [symbolic] + [jet_at(symbolic, p) for p in sorted(points)]:
             if g0.coordinates_of_values(jt.parts[0]) is None:
                 ok = False
             if not jt.part_is_zero(1):
@@ -91,7 +94,7 @@ def test_criterion_05_defects_and_jets(engel, engel_frame, engel_levels, engel_t
             if not jet_jacobi_check(jt, ders):
                 ok = False
     report(5, ok, "defects identically zero; jets in span{diag(1,1,2,3)} with zero "
-                  "degree-one part at 5 random points per field")
+                  "degree-one part, as identities and at 5 random points per field")
 
 
 def test_criterion_06_engel_oracle(engel_frame, engel_tau):
@@ -172,6 +175,8 @@ def test_criterion_11_contact_family(engel_frame):
 def test_criterion_12_similarities(engel, engel_recipe, engel_frame):
     rng = random.Random(12)
     ok = True
+    if conformal_factor(translation_pushforwards(engel_frame), engel_frame) != 1:
+        ok = False
     for _ in range(10):
         if similarity_check(left_translation(engel_recipe, rand_point(rng, 4)),
                             engel_frame) is None:
@@ -183,7 +188,8 @@ def test_criterion_12_similarities(engel, engel_recipe, engel_frame):
     phi = extend_first_layer_automorphism(engel, Matrix([[1, 0], [0, 2]]))
     if similarity_check(graded_automorphism(engel_recipe, phi), engel_frame) is not None:
         ok = False
-    report(12, ok, "10 random translations similar, dilations similar with k = lambda^2, "
+    report(12, ok, "the translation family similar with k = 1, as are 10 random translations, "
+                   "dilations similar with k = lambda^2, "
                    "diag(1,2) automorphism not similar")
 
 

@@ -6,12 +6,11 @@ included; a value that reaches a report as a number stays a
 report boundary of the level values: ``prolong`` prints its entries."""
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
 
-from carnot.cli import (Report, _prolong, _rand_point, main, parse_spec_file, run_verify,
+from carnot.cli import (Report, _prolong, main, parse_spec_file, run_verify,
                         spec_constraint, spec_recipe)
 from carnot.contact_pde import solve_polynomial_conformal
 from carnot.exact_linalg import SparseRows, Subspace, nullspace, rref, solve
@@ -127,4 +126,3 @@ def test_reported_numbers_of_verify_are_fractions(name):
     assert type(items["epsilon"]) is Fraction
     assert_fractions(items["dilation_scales"])
     assert_fractions(x for row in items["automorphism_block"] for x in row)
-    assert_fractions(_rand_point(random.Random(0), 6))

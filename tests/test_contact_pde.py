@@ -18,7 +18,7 @@ from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
 from carnot.polynomials import Poly, PolyRing
 from .conftest import (CONFORMAL, TERMINATING, ZERO_G0, apply_rows, basis_vector, components,
                        conformal_g0, dense_action, dense_values_matrix, heisenberg_spec,
-                       make_abelian, named_algebra_frame, named_spec, rand_point,
+                       jet_at, make_abelian, named_algebra_frame, named_spec, rand_point,
                        residual_polys, sparse_values, values_of)
 
 
@@ -295,24 +295,29 @@ def test_conformal_defect_requires_contact(engel_frame):
 def test_jet_of_weight_map_field(engel, engel_frame, engel_levels, engel_tau, rng):
     d_field = engel_tau[4]
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]
-    for jt in jet(d_field, engel_frame, engel_levels, [rand_point(rng, 4) for _ in range(3)]):
+    symbolic = jet(d_field, engel_frame, engel_levels)
+    # the weight map is linear, so its part 0 is constant and its part 1 zero
+    assert all(f.weighted_degree() == 0 for value in symbolic.parts[0] for f in value.values())
+    assert symbolic.part_is_zero(1)
+    for jt in [jet_at(symbolic, rand_point(rng, 4)) for _ in range(3)]:
         assert degree_zero_matrix(engel, jt.parts[0]) == expected
         assert jt.part_is_zero(1)
 
 
-def test_jet_of_constant_field_vanishes(engel_frame, engel_levels, engel_tau, rng):
-    [jt] = jet(engel_tau[0], engel_frame, engel_levels, [rand_point(rng, 4)])
+def test_jet_of_constant_field_vanishes(engel_frame, engel_levels, engel_tau):
+    jt = jet(engel_tau[0], engel_frame, engel_levels)
     assert jt.part_is_zero(0) and jt.part_is_zero(1)
 
 
 def test_jet_of_x2_translation_at_origin(engel_frame, engel_levels, engel_tau):
-    [jt] = jet(engel_tau[3], engel_frame, engel_levels, [[0, 0, 0, 0]])
-    assert jt.part_is_zero(0) and jt.part_is_zero(1)
+    symbolic = jet(engel_tau[3], engel_frame, engel_levels)
+    for jt in (symbolic, jet_at(symbolic, [0, 0, 0, 0])):
+        assert jt.part_is_zero(0) and jt.part_is_zero(1)
 
 
-def test_jet_requires_contact(engel_frame, engel_levels, rng):
+def test_jet_requires_contact(engel_frame, engel_levels):
     with pytest.raises(NotContact):
-        jet(unit_frame_field(engel_frame, 2), engel_frame, engel_levels, [rand_point(rng, 4)])
+        jet(unit_frame_field(engel_frame, 2), engel_frame, engel_levels)
 
 
 def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, engel_levels,
@@ -322,12 +327,16 @@ def test_jet_certifies_contact_once_for_all_points(monkeypatch, engel_frame, eng
     original = contact_pde.contact_defect
     monkeypatch.setattr(contact_pde, "contact_defect",
                         lambda *args: calls.append(args) or original(*args))
-    points = [rand_point(rng, 4) for _ in range(5)]
-    jets = jet(engel_tau[4], engel_frame, engel_levels, points)
+    # one jet with the point symbolic: every entry is a polynomial in the
+    # frame's ring, and a point only evaluates it
+    jt = jet(engel_tau[4], engel_frame, engel_levels)
     assert len(calls) == 1
-    assert [jt.point for jt in jets] == [tuple(p) for p in points]
-    for jt, p in zip(jets, points):
-        assert jt == jet(engel_tau[4], engel_frame, engel_levels, [p])[0]
+    entries = [f for part in jt.parts for value in part for f in value.values()]
+    assert entries and all(isinstance(f, Poly) and f.ring is engel_frame.ring for f in entries)
+    for p in [rand_point(rng, 4) for _ in range(5)]:
+        assert jet_at(jt, p).parts == tuple(
+            tuple({t: f.eval(p) for t, f in value.items()} for value in part)
+            for part in jt.parts)
 
 
 def dense_jet_parts(V, frame, pt):
@@ -379,9 +388,9 @@ def assert_jet_matches_the_dense_reference(field, frame, levels, rng):
     whether its part 1 is zero.  ``levels[0]`` holds part 0 of the field."""
     g = frame.algebra
     pt = rand_point(rng, len(frame))
-    [jt] = jet(field, frame, levels, [pt])
+    symbolic = jet(field, frame, levels)
+    jt = jet_at(symbolic, pt)
     blocks, matrices, vectors = dense_jet_parts(field, frame, pt)
-    assert jt.point == tuple(pt)
     assert jt.parts[0] == sparse_values(block_values(g, blocks))
     # part 1 on a horizontal source is a degree-zero map in levels[0], read
     # at its pivot cells; a deeper source is read on the layer above it
@@ -397,7 +406,10 @@ def assert_jet_matches_the_dense_reference(field, frame, levels, rng):
         assert all(full[i] == 0 for i in range(g.dim) if i not in above)
         one[src] = sparse_row([full[i] for i in above])
     assert jt.parts[1] == tuple(one[j] for j in range(g.dim))
-    return jt.part_is_zero(1)
+    assert jt.part_is_zero(1) == (not any(one.values()))
+    # a part zero as an identity is zero at every point
+    assert jt.part_is_zero(1) or not symbolic.part_is_zero(1)
+    return symbolic.part_is_zero(1)
 
 
 # heisenberg, r3 and h2 have g1 != 0, so some of their realized fields have
@@ -414,7 +426,7 @@ def test_jet_matches_the_dense_reference(name, rng):
     assert all(zero) == (s.top_level() == 0)
 
 
-def test_jet_reads_a_zero_g0_as_level_0_of_the_tower(tmp_path, rng):
+def test_jet_reads_a_zero_g0_as_level_0_of_the_tower(tmp_path):
     # every block entry vanishes: g0 = 0 and the tower of H_1 is g_- alone,
     # with the zero g0 kept as its level 0
     from carnot.cli import _prolong, parse_spec_file, spec_recipe
@@ -428,8 +440,8 @@ def test_jet_reads_a_zero_g0_as_level_0_of_the_tower(tmp_path, rng):
     fields = realize_tau(s, frame)
     assert len(fields) == s.dim == 3
     for field in fields:
-        for jt in jet(field, frame, s.levels, [rand_point(rng, g.dim) for _ in range(3)]):
-            assert jt.part_is_zero(0) and jt.part_is_zero(1)
+        jt = jet(field, frame, s.levels)
+        assert jt.part_is_zero(0) and jt.part_is_zero(1)
 
 
 def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel, engel_frame, rng):
@@ -439,7 +451,10 @@ def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel, engel_fr
     g, frame = named_algebra_frame("r3")
     ring = frame.ring
     cubic = [ring.var(0) ** 3 - ring.var(1) * ring.var(2), ring.var(1) ** 2, ring.zero()]
-    cases = [(PolyVectorField(tuple(cubic)), frame, [strata_derivations(g)])]
+    # part 1 of x3^2 d/dx1 is nonzero on e_3 alone, the last component
+    last = [ring.var(2) ** 2, ring.zero(), ring.zero()]
+    cases = [(PolyVectorField(tuple(comps)), frame, [strata_derivations(g)])
+             for comps in (cubic, last)]
     cases += [(monomial_family(engel_frame, k), engel_frame, [strata_derivations(engel)])
               for k in (4, 5)]
     for field, frm, levels in cases:
@@ -449,14 +464,17 @@ def test_jet_matches_the_dense_reference_with_a_nonzero_one_part(engel, engel_fr
 def test_jet_jacobi_check(engel, engel_frame, engel_levels, engel_tau, rng):
     ders = strata_derivations(engel)
     for field in engel_tau:
-        [jt] = jet(field, engel_frame, engel_levels, [rand_point(rng, 4)])
-        assert jet_jacobi_check(jt, ders)
-    # corrupting the forbidden off-diagonal slot breaks the law
-    [jt] = jet(engel_tau[4], engel_frame, engel_levels, [rand_point(rng, 4)])
-    values = [dict(value) for value in jt.parts[0]]
-    values[1][0] = Fraction(1)  # component X1 of the image of X2
-    corrupted = ContactJet(jt.point, (tuple(values), jt.parts[1]))
-    assert not jet_jacobi_check(corrupted, ders)
+        symbolic = jet(field, engel_frame, engel_levels)
+        assert jet_jacobi_check(symbolic, ders)
+        assert jet_jacobi_check(jet_at(symbolic, rand_point(rng, 4)), ders)
+    # corrupting the forbidden off-diagonal slot breaks the law, by a
+    # constant or by a polynomial in the point
+    jt = jet(engel_tau[4], engel_frame, engel_levels)
+    for entry in (Fraction(1), engel_frame.ring.var(0)):
+        values = [dict(value) for value in jt.parts[0]]
+        values[1][0] = entry  # component X1 of the image of X2
+        corrupted = ContactJet((tuple(values), jt.parts[1]))
+        assert not jet_jacobi_check(corrupted, ders)
 
 
 def dense_jet_jacobi_check(j, g):
@@ -479,7 +497,7 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
     g0 = conformal_g0(g)
     basis = [tuple(dense_action(g0, b, j) for j in range(g.dim)) for b in range(g0.dim)]
     for values in g0.actions:
-        jt = ContactJet((), (values,))
+        jt = ContactJet((values,))
         assert jet_jacobi_check(jt, ders) and dense_jet_jacobi_check(jt, g)
     verdicts = set()
     for t in range(40):
@@ -497,7 +515,7 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
                 if t % 4 == 2:
                     ent[rng.randrange(dim)][rng.randrange(dim)] += 1
             blocks.append(Matrix(ent, cols=dim))
-        jt = ContactJet((), (sparse_values(block_values(g, blocks)),))
+        jt = ContactJet((sparse_values(block_values(g, blocks)),))
         verdict = jet_jacobi_check(jt, ders)
         assert verdict == dense_jet_jacobi_check(jt, g)
         verdicts.add(verdict)
@@ -507,8 +525,32 @@ def test_jet_jacobi_check_matches_the_dense_reference(name, rng):
 def test_jet_zero_part_stays_in_g0(engel, engel_frame, engel_levels, engel_tau, rng):
     g0 = conformal_g0(engel)
     for field in engel_tau:
-        for jt in jet(field, engel_frame, engel_levels, [rand_point(rng, 4) for _ in range(2)]):
+        symbolic = jet(field, engel_frame, engel_levels)
+        for jt in [symbolic] + [jet_at(symbolic, rand_point(rng, 4)) for _ in range(2)]:
             assert g0.coordinates_of_values(jt.parts[0]) is not None
+
+
+def test_coordinates_of_a_symbolic_value(engel, engel_frame):
+    # a value with polynomial entries lies in g0 exactly when it is a
+    # polynomial multiple of the basis, diag(1,1,2,3), and its coordinate
+    # is that polynomial
+    g0 = conformal_g0(engel)
+    ring = engel_frame.ring
+    f = ring.var(0) * ring.var(1) - Fraction(1, 2) * ring.var(3)
+    [action] = g0.actions
+    values = tuple({t: c * f for t, c in value.items()} for value in action)
+    assert g0.coordinates_of_values(values) == [f]
+    # a zero polynomial in an entry is zero, and the zero map has coordinate 0
+    assert g0.coordinates_of_values(values[:1] + ({**values[1], 0: ring.zero()},)
+                                    + values[2:]) == [f]
+    assert g0.coordinates_of_values(tuple({} for _ in action)) == [0]
+    # values off g0
+    outside = [dict(value) for value in values]
+    outside[1][0] = ring.var(2)  # component X1 of the image of X2
+    assert g0.coordinates_of_values(tuple(outside)) is None
+    outside = [dict(value) for value in values]
+    outside[2][0] = 2 * f + ring.var(0)  # Y goes to (2 f + x1) Y, X1 to f X1
+    assert g0.coordinates_of_values(tuple(outside)) is None
 
 
 def test_weighted_derivative_identities_of_conformal_fields(engel_frame, engel_tau):

@@ -14,15 +14,15 @@ from carnot.group_realization import (CoordinateRecipe, Frame, NonpositiveScale,
                                       _flow_generators, _translation_system, bch,
                                       conformal_factor, dilation,
                                       extend_first_layer_automorphism, graded_automorphism,
-                                      group_product, left_invariant_frame,
-                                      left_translation, realize_tau, similarity_check,
-                                      pushforward_in_frame, translation_pushforwards)
+                                      group_product, left_invariant_frame, realize_tau,
+                                      similarity_check, pushforward_in_frame,
+                                      translation_pushforwards)
 from carnot.polynomials import Poly, substitute
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, apply_rows, basis_vector,
                        conformal_g0, dense_bracket, factorwise_automorphism, factorwise_image,
-                       flow_generators_reference, group_inverse, jacobian_reference, make_abelian,
-                       named_algebra_frame, permuted, rand_point, spec_file, subs_reference,
-                       t_extended_ring)
+                       flow_generators_reference, group_inverse, jacobian_reference,
+                       left_translation, make_abelian, named_algebra_frame, permuted,
+                       rand_point, spec_file, subs_reference, t_extended_ring)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -544,13 +544,29 @@ def one_pushforward_per_translation(frame, points):
     return [pushforward_in_frame(left_translation(frame.recipe, p), frame) for p in points]
 
 
+def specialized(family, frame, points):
+    """The family's columns with each point put in for x, and y renamed to
+    the coordinates of the frame's ring."""
+    ring = frame.ring
+    xs = [ring.var(c) for c in range(len(frame))]
+    return [[substitute(col, [ring.const(x) for x in p] + xs) for col in family]
+            for p in points]
+
+
 @pytest.mark.parametrize("source, name", FAMILY_SPECS,
                          ids=[f"{source}-{name}" for source, name in FAMILY_SPECS])
 def test_translation_pushforwards_specialize_the_family(source, name, rng):
     frame = spec_frame(source, name)
+    family = translation_pushforwards(frame)
+    law_ring = frame.recipe.law[0].ring
+    assert len(family) == frame.horizontal
+    assert all(len(col) == len(frame) and all(x.ring is law_ring for x in col)
+               for col in family)
     points = [rand_point(rng, len(frame)) for _ in range(10)]
-    assert translation_pushforwards(frame, points) == \
-        one_pushforward_per_translation(frame, points)
+    assert specialized(family, frame, points) == one_pushforward_per_translation(frame, points)
+    # left translations are isometries: one identity in x and y says so
+    # for every point
+    assert conformal_factor(family, frame) == law_ring.one()
 
 
 @pytest.mark.parametrize("name", ["engel", "heis_x_r", "cartan_235", "two_centre"])
@@ -561,10 +577,12 @@ def test_translation_pushforwards_on_a_right_invariant_frame(name, rng):
     g, left = named_algebra_frame(name)
     recipe = left.recipe
     frame = Frame(recipe, _flow_generators(recipe, right=True))
+    family = translation_pushforwards(frame)
     points = [rand_point(rng, g.dim) for _ in range(10)]
-    cols = translation_pushforwards(frame, points)
+    cols = specialized(family, frame, points)
     assert cols == one_pushforward_per_translation(frame, points)
     assert all(conformal_factor(c, frame) is None for c in cols)
+    assert conformal_factor(family, frame) is None
 
 
 # -- similarity ---------------------------------------------------------

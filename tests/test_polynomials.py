@@ -18,6 +18,18 @@ def test_basic_arithmetic():
     assert Fraction(1, 2) * (x1 + x1) == x1
 
 
+def test_truth_value_is_nonzero_as_for_numbers():
+    x1, x2 = RING.var(0), RING.var(1)
+    for p in (RING.zero(), x1 - x1, RING.const(0), Poly(RING, {(1, 0, 0, 0): 0}),
+              (x1 + x2) * 0):
+        assert not p and p.is_zero()
+    for p in (RING.one(), x1, x1 - x2, RING.const(Fraction(-1, 3))):
+        assert p and not p.is_zero()
+    # so any() over Poly entries reads them as numbers
+    assert not any([RING.zero(), 0, Fraction(0), x1 - x1])
+    assert any([RING.zero(), x2])
+
+
 def naive_sum(a, b, sign=1):
     out = dict(a)
     for e, c in b.items():
