@@ -12,7 +12,7 @@ from .graded_lie import GradedLieAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, Level, ProlongationAlgebra, TerminationReport,
                            constrain_g0, degree_zero_matrix, full_prolongation, prolong_step,
                            strata_derivations)
-from .group_realization import (CoordinateRecipe, Frame, PolyVectorField, bch, dilation,
+from .group_realization import (CoordinateRecipe, Frame, PolyVectorField, bch, dilations,
                                 group_product, left_invariant_frame, realize_tau,
                                 similarity_check)
 from .contact_pde import (ContactJet, DefectReport, conformal_defect, contact_defect,

@@ -26,14 +26,11 @@ from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                            full_prolongation, strata_derivations)
 from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealizable,
-                                PolyVectorField, UnsupportedStep, conformal_factor, dilation,
+                                PolyVectorField, UnsupportedStep, dilations,
                                 extend_first_layer_automorphism, graded_automorphism,
-                                left_invariant_frame, realize_tau, similarity_check,
-                                translation_pushforwards)
+                                left_invariant_frame, realize_tau, similarity_check)
 from .contact_pde import (NotContact, conformal_defect, contact_defect, jet,
                           jet_jacobi_check, same_span, solve_polynomial_conformal, vf_bracket)
-
-DILATION_SCALES = (Fraction(2), Fraction(1, 2), Fraction(7, 3))
 
 
 class ParseError(Exception):
@@ -180,6 +177,11 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                     raise ParseError(filename, lineno, col, f"layer -{depth} declared twice")
                 if not names:
                     raise ParseError(filename, lineno, col, "empty layer")
+                for nm in re.finditer(r"\S+", m.group(2)):
+                    if not _NAME_RE.fullmatch(nm.group(0)):
+                        raise ParseError(filename, lineno, col + m.start(2) + nm.start(),
+                                         f"layer entry {nm.group(0)!r} is no basis name: "
+                                         "a letter, then letters, digits or _")
                 declared_layers[depth] = names
                 continue
             raise ParseError(filename, lineno, col, f"unrecognized algebra line: {stripped!r}")
@@ -539,18 +541,18 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         report.add("epsilon", epsilon if epsilon is not None else 0)
         report.add("homomorphism_sign_uniform", not mismatches)
 
-    # one identity in the translating point decides every left translation
-    translations_ok = conformal_factor(translation_pushforwards(frame), frame) is not None
+    # one identity in the parameters decides every member of a family: the
+    # translating point for the left translations, the scale for the dilations
+    translations_ok = similarity_check(recipe.law, frame) is not None
     if not translations_ok:
         failures.append("left translations not similar")
     report.add("translations_similar", translations_ok)
 
-    dilation_ok = True
-    for lam in DILATION_SCALES:
-        if similarity_check(dilation(recipe, lam), frame) != frame.ring.const(lam * lam):
-            dilation_ok = False
-            failures.append(f"dilation {lam} failed the similarity check")
-    report.add("dilation_scales", list(DILATION_SCALES))
+    family = dilations(recipe)
+    scale = family[0].ring.var(0)
+    dilation_ok = similarity_check(family, frame) == scale * scale
+    if not dilation_ok:
+        failures.append("dilations not similar with the square of the scale")
     report.add("dilation_similar_with_square_scale", dilation_ok)
 
     m = frame.horizontal

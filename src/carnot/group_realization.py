@@ -9,14 +9,16 @@ mu(x, y) = x * y once, symbolically in both points
 left-invariant frame field of e_j is the part of mu linear in y_j, the
 right-invariant field of e_j (the generator of left translations) the
 part linear in x_j, and the left translations are the family
-y -> mu(x, y), whose horizontal pushforward is computed once, with x
-symbolic, and tested as one polynomial identity in x and y.  So every
-coefficient is an exact polynomial.  Every vector field is held by its
-components in the left-invariant frame.  The prolongation algebra is
-realized level by level: an element u of level k >= 0 is the unique
-field of degree k whose bracket with the right-invariant field of each X
-in layer -1 is minus the field of [u, X], found by exact linear solves,
-one elimination per level and layer.
+y -> mu(x, y).  A family of maps is pushed forward once, with its
+parameters symbolic (x for the translations, the scale for the
+dilations), and tested as one polynomial identity in the parameters and
+the point.  So every coefficient is an exact polynomial.  Every vector
+field is held by its components in the left-invariant frame.  The
+prolongation algebra is realized level by level: an element u of level
+k >= 0 is the unique field of degree k whose bracket with the
+right-invariant field of each X in layer -1 is minus the field of
+[u, X], found by exact linear solves, one elimination per level and
+layer.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ class UnsupportedStep(ValueError):
 
 class CoordinateCollision(ValueError):
     """Two basis names lowercase to the same coordinate name."""
-
-
-class NonpositiveScale(ValueError):
-    pass
 
 
 class NotTerminated(ValueError):
@@ -228,8 +226,7 @@ class Frame:
     integral and as a ``Fraction`` only otherwise.
     :meth:`derivative_terms` reads ``X_j(x^a)`` from a table of monomials
     that the frame fills the first time each ``(j, a)`` is asked for;
-    :meth:`apply`, the pushforward and the contact residuals read the
-    table through it.
+    :meth:`apply` and the contact residuals read the table through it.
     """
 
     def __init__(self, recipe: CoordinateRecipe, columns: Sequence[Sequence[Poly]]):
@@ -394,14 +391,16 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     return fields
 
 
-def dilation(recipe: CoordinateRecipe, scale) -> tuple[Poly, ...]:
-    """The automorphic dilation, as its components in the recipe's ring:
-    coordinate of weight w scales by scale**w."""
-    lam = Fraction(scale)
-    if lam <= 0:
-        raise NonpositiveScale(f"dilation scale must be positive, got {lam}")
-    ring = recipe.ring
-    return tuple(lam ** w * ring.var(i) for i, w in enumerate(recipe.coord_weights))
+def dilations(recipe: CoordinateRecipe) -> tuple[Poly, ...]:
+    """The family of automorphic dilations delta_lambda, lambda > 0, with
+    the scale symbolic: component c is lambda**w_c y_c for the coordinate
+    y_c of weight w_c, in a ring of the scale and then the recipe's
+    coordinates.  The scale is named ``λ``, which no coordinate name is:
+    spec names are ASCII."""
+    weights = recipe.coord_weights
+    ring = PolyRing(("λ",) + recipe.coord_names, (1,) + weights)
+    lam = ring.var(0)
+    return tuple(lam ** w * ring.var(1 + c) for c, w in enumerate(weights))
 
 
 def graded_automorphism(recipe: CoordinateRecipe, phi: Matrix) -> tuple[Poly, ...]:
@@ -459,65 +458,48 @@ def extend_first_layer_automorphism(g: GradedLieAlgebra, block: Matrix) -> Matri
     return phi
 
 
-def _frame_at(frame: Frame, pmap: Sequence[Poly]) -> list[list[tuple[int, Poly]]]:
-    """The entries below the diagonal of the frame matrix at the image
-    point of the map ``pmap``, in the layout of ``frame._below``: the
-    frame's entries with the map put in through one ``substitute`` call."""
-    moved = iter(substitute([x for row in frame._below for _, x in row], pmap))
-    return [[(j, next(moved)) for j, _ in row] for row in frame._below]
-
-
-def pushforward_in_frame(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
+def pushforward(pmap: Sequence[Poly], frame: Frame) -> list[list[Poly]]:
     """One column per horizontal frame field: ``cols[i][j]`` is the frame-j
-    component of the pushforward of X_i, a polynomial in the source point,
-    for the map with the components ``pmap`` in the frame's ring.
+    component of the pushforward of X_i, for the map or family of maps
+    with the components ``pmap``.
 
-    In coordinates the pushforward of X_i has components X_i(phi_c), read
-    from the frame's derivative table; its frame components at the image
-    point solve the frame matrix composed with the map.  The map may be
-    singular; :func:`conformal_factor` says why no test of that is needed.
-    The left translations do not come here: :func:`translation_pushforwards`
-    pushes their whole family forward at once.
-    """
-    below = _frame_at(frame, pmap)
-    return [_unit_lower_solve(below, [frame.apply(i, phi) for phi in pmap])
-            for i in range(frame.horizontal)]
-
-
-def translation_pushforwards(frame: Frame) -> list[list[Poly]]:
-    """The horizontal pushforward of the family of left translations
-    y -> mu(x, y), with x symbolic: the columns :func:`pushforward_in_frame`
-    returns for one map, here in the 2n-variable ring of the recipe's
-    :attr:`CoordinateRecipe.law`, x and then y.
-
-    The family is pushed forward once: the frame fields act on the y
-    variables, and the entries below the frame's diagonal are composed
-    with mu; the unit lower solve finishes it.  Putting x = p is a ring
-    homomorphism that fixes y, so it commutes with derivatives in y, with
+    The frame acts on the last n = ``len(frame)`` variables of the map's
+    ring, the source point; any variables before them are parameters of a
+    family: x for the left translations y -> mu(x, y)
+    (:attr:`CoordinateRecipe.law`), the scale for :func:`dilations`, and
+    none for one map in the frame's ring.  In coordinates the pushforward
+    of X_i has components X_i(phi_c), derivatives in the source point; its
+    frame components at the image point solve the frame matrix, its
+    entries below the diagonal composed with the map, by a unit lower
+    solve.  Putting in parameter values is a ring homomorphism that fixes
+    the source point, so it commutes with derivatives in it, with
     composition, and with the unit lower solve, which uses only + and *:
-    at x = p the columns are exactly the pushforward of mu(p, y).
-    :func:`conformal_factor` says why one test of them decides every
-    translation.
+    the family's columns at those values are exactly the pushforward of
+    that one map.  The map may be singular; :func:`conformal_factor` says
+    why no test of that is needed.
     """
-    law = frame.recipe.law
+    ring = pmap[0].ring
     n = len(frame)
-    big = law[0].ring
-    zero = big.zero()
-    ys = [big.var(n + c) for c in range(n)]
-    below = _frame_at(frame, law)
+    first = ring.nvars - n
+    zero = ring.zero()
+    ys = [ring.var(first + c) for c in range(n)]
+    # the entries below the frame's diagonal at the image point, the map
+    # put in through one substitute call
+    moved = iter(substitute([x for row in frame._below for _, x in row], pmap))
+    below = [[(j, next(moved)) for j, _ in row] for row in frame._below]
     cols = []
     for i in range(frame.horizontal):
-        column = [(n + c, x) for c, x in enumerate(substitute(frame.columns[i], ys))
+        column = [(first + c, x) for c, x in enumerate(substitute(frame.columns[i], ys))
                   if not x.is_zero()]
         cols.append(_unit_lower_solve(
-            below, [sum((x * phi.diff(v) for v, x in column), zero) for phi in law]))
+            below, [sum((x * phi.diff(v) for v, x in column), zero) for phi in pmap]))
     return cols
 
 
 def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | None:
     """The conformal factor k of a map with the horizontal pushforward
-    ``cols`` (as :func:`pushforward_in_frame` returns it), or None when
-    the map is no similarity.
+    ``cols`` (as :func:`pushforward` returns it), or None when the map is
+    no similarity.
 
     The map is a similarity when it is contact and its horizontal
     pushforward A has A A^t = k I with k not identically zero; the
@@ -532,14 +514,16 @@ def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | Non
     induces through brackets with layer -1.  Layer -1 generates, so each
     such block is onto, and the Jacobian at p is invertible.
 
-    The columns of :func:`translation_pushforwards` lie in Q[x, y], and
-    one test of them decides every left translation.  Putting x = p is a
-    ring homomorphism, so an identity in Q[x, y] holds at every p.  Its
-    factor k(p, .) is not zero, because each translation is a
-    diffeomorphism, so its A is invertible.  A failed identity leaves a
-    nonzero polynomial, a component off layer -1 or an entry of A A^t
-    other than k I, and a nonzero polynomial is nonzero at some rational
-    (p, q): the translation by that rational p is no similarity.
+    The columns of a family (see :func:`pushforward`) lie in Q[t, y], t
+    its parameters, and one test of them decides every member.  Putting
+    t = p is a ring homomorphism, so an identity in Q[t, y] holds at every
+    p, with the factor k(p, .).  That factor is not zero wherever the
+    member is a diffeomorphism, as each left translation and each dilation
+    is: its A is invertible.  A failed identity leaves a nonzero
+    polynomial, a component off layer -1 or an entry of A A^t other than
+    k I.  A nonzero polynomial vanishes on no open set, so it is nonzero
+    at some rational (p, q) with p where the family lives, the scale
+    positive for the dilations: the member at that p is no similarity.
     """
     m = frame.horizontal
     if any(not x.is_zero() for col in cols for x in col[m:]):
@@ -556,10 +540,12 @@ def conformal_factor(cols: Sequence[Sequence[Poly]], frame: Frame) -> Poly | Non
 
 def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
     """The conformal factor k of a horizontal similarity, or None: the
-    :func:`conformal_factor` of the map's :func:`pushforward_in_frame`.
+    :func:`conformal_factor` of the :func:`pushforward` of the map or
+    family with the components ``pmap``.
 
-    The map is given by its components in the frame's ring.  verify runs
-    it on the dilations and the anisotropic automorphism; it tests the
-    left translations as one family, on :func:`translation_pushforwards`.
+    verify runs it three times: on the left translations, the group law
+    with its first point symbolic, factor 1; on the :func:`dilations`,
+    factor the square of the scale; and on the anisotropic automorphism,
+    which is no similarity.
     """
-    return conformal_factor(pushforward_in_frame(pmap, frame), frame)
+    return conformal_factor(pushforward(pmap, frame), frame)

@@ -9,10 +9,9 @@ from fractions import Fraction
 
 from carnot.exact_linalg import Matrix
 from carnot.prolongation import full_prolongation, strata_derivations
-from carnot.group_realization import (CoordinateRecipe, PolyVectorField, conformal_factor,
-                                      dilation, extend_first_layer_automorphism,
-                                      graded_automorphism, left_invariant_frame,
-                                      similarity_check, translation_pushforwards)
+from carnot.group_realization import (CoordinateRecipe, PolyVectorField, dilations,
+                                      extend_first_layer_automorphism, graded_automorphism,
+                                      left_invariant_frame, similarity_check)
 from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacobi_check, same_span,
                                 solve_polynomial_conformal, vf_bracket)
 from .conftest import (CONFORMAL, action_vector, conformal_g0, dense_bracket, jacobiator,
@@ -175,21 +174,21 @@ def test_criterion_11_contact_family(engel_frame):
 def test_criterion_12_similarities(engel, engel_recipe, engel_frame):
     rng = random.Random(12)
     ok = True
-    if conformal_factor(translation_pushforwards(engel_frame), engel_frame) != 1:
+    if similarity_check(engel_recipe.law, engel_frame) != 1:
         ok = False
     for _ in range(10):
         if similarity_check(left_translation(engel_recipe, rand_point(rng, 4)),
                             engel_frame) is None:
             ok = False
-    for lam in (Fraction(2), Fraction(1, 2), Fraction(7, 3)):
-        if similarity_check(dilation(engel_recipe, lam), engel_frame) != \
-                engel_frame.ring.const(lam * lam):
-            ok = False
+    family = dilations(engel_recipe)
+    lam = family[0].ring.var(0)
+    if similarity_check(family, engel_frame) != lam * lam:
+        ok = False
     phi = extend_first_layer_automorphism(engel, Matrix([[1, 0], [0, 2]]))
     if similarity_check(graded_automorphism(engel_recipe, phi), engel_frame) is not None:
         ok = False
     report(12, ok, "the translation family similar with k = 1, as are 10 random translations, "
-                   "dilations similar with k = lambda^2, "
+                   "the dilation family similar with k = lambda^2, "
                    "diag(1,2) automorphism not similar")
 
 

@@ -108,13 +108,13 @@ def _exponents(weights, degree):
 def test_tracer_counts_the_bracket_and_similarity_call_sites():
     # verify's [u,X] = u(X) check makes one bracket_vec call per level and
     # negative element: R^3 + co(3) has levels 4 + 3, H_1 has 2 + 2 + 1, and
-    # both have 3 negative elements; verify engel checks the similarity of
-    # 3 dilations and one automorphism, map by map, while its 10 left
-    # translations are read off one pushforward of the group law
+    # both have 3 negative elements; verify engel makes three similarity
+    # checks: the family of left translations, the family of dilations,
+    # each with its parameters symbolic, and one automorphism
     tracer = import_tracer()
     cases = [(["prolong", bundled_spec("r3_co3.alg")], "prolongation.bracket_vec_calls", 21),
              (["prolong", bundled_spec("heisenberg.alg")], "prolongation.bracket_vec_calls", 15),
-             (["verify", bundled_spec("engel.alg")], "group_realization.similarity_calls", 4)]
+             (["verify", bundled_spec("engel.alg")], "group_realization.similarity_calls", 3)]
     for argv, name, count in cases:
         with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
             assert main(argv) == 0
@@ -130,10 +130,10 @@ def test_tracer_counts_one_elimination_per_kernel():
     # generation matrix is eliminated only at construction.  verify engel
     # adds its degree-0 system, g0, level 1, three realization solves and
     # the rank check of its automorphism, made once, when the first-layer
-    # block is extended; the pushforward of its translation family and the
-    # similarity checks of its 3 dilations and 1 automorphism eliminate
-    # nothing.  oracle cartan_235 --degree 2 solves ansatz blocks -3 .. 1
-    # only: block 1 is zero, so block 2 is known to be zero without an
+    # block is extended; its three similarity checks, of the translation
+    # family, the dilation family and the automorphism, eliminate nothing.
+    # oracle cartan_235 --degree 2 solves ansatz blocks -3 .. 1 only:
+    # block 1 is zero, so block 2 is known to be zero without an
     # elimination
     tracer = import_tracer()
     golden = os.path.join(os.path.dirname(__file__), "golden")

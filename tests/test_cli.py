@@ -128,6 +128,21 @@ def test_a_repeated_or_self_bracket_is_a_located_parse_error(tmp_path, capsys, f
         assert capsys.readouterr() == ("", f"carnot: {bad}:5:3: {message}\n")
 
 
+@pytest.mark.parametrize("layer, col, name", [
+    ("X X' W", 14, '"X\'"'), ("X1 1Y", 15, "'1Y'")])
+def test_a_layer_entry_outside_the_name_grammar_is_a_located_parse_error(tmp_path, capsys,
+                                                                        layer, col, name):
+    # a primed name would collide with the primed copy of a coordinate in
+    # the ring of the group law; every command stops at the name
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"[algebra]\nlayer -1 = {layer}\n")
+    for command in ("validate", "prolong", "verify", "oracle"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr() == (
+            "", f"carnot: {bad}:2:{col}: layer entry {name} is no basis name: "
+                "a letter, then letters, digits or _\n")
+
+
 def test_validate_semantic_failure_exit_1(tmp_path):
     # the whole report, as main renders every InvalidAlgebra
     bad = tmp_path / "bad.alg"
@@ -181,30 +196,66 @@ def test_verify_engel_passes():
 
 
 def test_verify_pushes_the_translation_family_forward_once(monkeypatch):
-    # every left translation is decided by one pushforward of the law and
-    # one Gram test of its columns; only the 3 dilations and the
-    # automorphism are pushed forward one by one.  No single translation is
-    # built at runtime: the tests keep left_translation as the reference
+    # every left translation is decided by one pushforward of the law, with
+    # its first point symbolic, and one Gram test of its columns; so is
+    # every dilation, by the family with the scale symbolic.  No single
+    # translation or dilation is built at runtime: the tests keep
+    # left_translation as the reference
     import carnot
-    import carnot.cli as cli
     import carnot.group_realization as group_realization
     assert not hasattr(carnot, "left_translation")
     assert not hasattr(group_realization, "left_translation")
-    calls = {"family": 0, "factor": 0, "pushforward": 0}
+    rings = []
+    original = group_realization.pushforward
 
-    def counting(key, original):
-        def wrapper(*args):
-            calls[key] += 1
-            return original(*args)
-        return wrapper
-    monkeypatch.setattr(cli, "translation_pushforwards",
-                        counting("family", cli.translation_pushforwards))
-    monkeypatch.setattr(cli, "conformal_factor", counting("factor", cli.conformal_factor))
-    monkeypatch.setattr(group_realization, "pushforward_in_frame",
-                        counting("pushforward", group_realization.pushforward_in_frame))
+    def counting(pmap, frame):
+        rings.append(pmap[0].ring.names)
+        return original(pmap, frame)
+    monkeypatch.setattr(group_realization, "pushforward", counting)
     code, _ = run_cli(["verify", spec_path("engel.alg")])
     assert code == 0
-    assert calls == {"family": 1, "factor": 1, "pushforward": 4}
+    coords = ("x1", "x2", "y", "z")
+    assert rings == [coords + tuple(f"{x}'" for x in coords), ("λ",) + coords, coords]
+
+
+def test_verify_makes_three_similarity_checks(monkeypatch):
+    # the translation family, the dilation family and the automorphism:
+    # no check at a sampled point or at a fixed scale
+    import carnot.cli as cli
+    assert not hasattr(cli, "DILATION_SCALES")
+    factors = []
+    original = cli.similarity_check
+
+    def counting(pmap, frame):
+        factors.append(original(pmap, frame))
+        return factors[-1]
+    monkeypatch.setattr(cli, "similarity_check", counting)
+    code, out = run_cli(["verify", spec_path("engel.alg")])
+    assert code == 0
+    assert "dilation_scales" not in as_dict(out)
+    assert [str(k) for k in factors] == ["1", "λ^2", "None"]
+
+
+def test_a_misweighted_dilation_family_fails_verify(monkeypatch):
+    # scaled by lambda^(2w) the family is a similarity with the factor
+    # lambda^4, not the square of the scale: one failure line, for the
+    # family, naming no scale
+    import carnot.cli as cli
+    from carnot.group_realization import dilations
+
+    def squared(recipe):
+        ring = dilations(recipe)[0].ring
+        lam = ring.var(0)
+        return tuple(lam ** (2 * w) * ring.var(1 + c)
+                     for c, w in enumerate(recipe.coord_weights))
+    monkeypatch.setattr(cli, "dilations", squared)
+    code, out = run_cli(["verify", spec_path("engel.alg")])
+    assert code == 1
+    d = as_dict(out)
+    assert d["translations_similar"] == "true"
+    assert d["dilation_similar_with_square_scale"] == "false"
+    failures = [v for k, v in d.items() if k.startswith("failure_")]
+    assert failures == ["dilations not similar with the square of the scale"]
 
 
 def test_verify_reports_each_translation_that_is_not_similar(monkeypatch):

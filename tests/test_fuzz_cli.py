@@ -60,8 +60,8 @@ TOKENS = ("[recipe]", "[algebra]", "[g0]", "[options]", "factor", "=", "factor =
 LINES = ("[recipe]", "name = \udcff", "factor = X1 Q", "factor = X2 Y Z", "factor = X1",
          "factor =", "[recipe]\nfactor = X1 X2 Y", "[recipe]\nfactor = X2 x1", "[X1,X2] = 1/0 Y",
          "[X1,X2] = Y + Y", "[X2,Y] = Z", "[X1,Z] = Y", "constraint = explicit",
-         "condition = B(1,2) - B(3,1)", "condition = B(1,1)", "layer -2 = x1", "layer -3 = Z",
-         "layer -4 = W", "oracle_degree = 1")
+         "condition = B(1,2) - B(3,1)", "condition = B(1,1)", "layer -2 = x1", "layer -2 = Y'",
+         "layer -3 = Z", "layer -4 = W", "oracle_degree = 1")
 
 
 def _statements(name):

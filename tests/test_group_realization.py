@@ -9,14 +9,12 @@ from carnot.exact_linalg import Matrix, solve
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateRecipe, Frame, NonpositiveScale,
-                                      NotRealizable, NotTerminated, UnsupportedStep,
-                                      _flow_generators, _translation_system, bch,
-                                      conformal_factor, dilation,
+from carnot.group_realization import (CoordinateRecipe, Frame, NotRealizable, NotTerminated,
+                                      UnsupportedStep, _flow_generators, _translation_system,
+                                      bch, conformal_factor, dilations,
                                       extend_first_layer_automorphism, graded_automorphism,
-                                      group_product, left_invariant_frame, realize_tau,
-                                      similarity_check, pushforward_in_frame,
-                                      translation_pushforwards)
+                                      group_product, left_invariant_frame, pushforward,
+                                      realize_tau, similarity_check)
 from carnot.polynomials import Poly, substitute
 from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, apply_rows, basis_vector,
                        conformal_g0, dense_bracket, factorwise_automorphism, factorwise_image,
@@ -395,43 +393,59 @@ def apply_map(pmap, point):
     return [c.eval(list(point)) for c in pmap]
 
 
+def at(polys, ring, params):
+    """``polys``, polynomials in the ring of a family of maps, with the
+    values ``params`` put in for the family's parameters (the variables
+    before the last n = ``ring.nvars``) and the last n variables renamed
+    to those of ``ring``."""
+    return substitute(polys, [ring.const(x) for x in params]
+                      + [ring.var(c) for c in range(ring.nvars)])
+
+
+def dilation_at(recipe, scale):
+    """The dilation of the given scale: the family :func:`dilations` with
+    the scale put in, as its components in the recipe's ring."""
+    return tuple(at(dilations(recipe), recipe.ring, [scale]))
+
+
 def test_dilation_identity(engel_recipe):
-    d = dilation(engel_recipe, 1)
+    d = dilation_at(engel_recipe, 1)
     pt = [Fraction(3), Fraction(-2), Fraction(5, 7), Fraction(1, 3)]
     assert apply_map(d, pt) == pt
 
 
 def test_dilation_weights(engel_recipe):
-    d = dilation(engel_recipe, 2)
+    d = dilation_at(engel_recipe, 2)
     assert apply_map(d, [1, 1, 1, 1]) == [2, 2, 4, 8]
 
 
 def test_dilation_composition(engel_recipe, rng):
     lam, mu = Fraction(3, 2), Fraction(5, 7)
-    d1, d2, d12 = dilation(engel_recipe, lam), dilation(engel_recipe, mu), \
-        dilation(engel_recipe, lam * mu)
+    d1, d2, d12 = dilation_at(engel_recipe, lam), dilation_at(engel_recipe, mu), \
+        dilation_at(engel_recipe, lam * mu)
     for _ in range(5):
         p = rand_point(rng, 4)
         assert apply_map(d1, apply_map(d2, p)) == apply_map(d12, p)
 
 
-def test_dilation_rejects_nonpositive(engel_recipe):
-    with pytest.raises(NonpositiveScale):
-        dilation(engel_recipe, 0)
-    with pytest.raises(NonpositiveScale):
-        dilation(engel_recipe, Fraction(-2))
-
-
 def test_dilation_scales_frame_fields(engel, engel_recipe, engel_frame):
-    # one column per horizontal frame field: deep columns are not computed
-    lam = Fraction(3)
-    push = pushforward_in_frame(dilation(engel_recipe, lam), engel_frame)
+    # one column per horizontal frame field, deep columns not computed:
+    # the family's pushforward scales frame field i by the scale to its
+    # weight, and at the scale 3 it is the pushforward of that dilation
+    family = dilations(engel_recipe)
+    ring = family[0].ring
+    assert ring.names == ("λ",) + engel_recipe.ring.names
+    lam = ring.var(0)
+    push = pushforward(family, engel_frame)
     assert len(push) == engel_frame.horizontal == 2
     for i, col in enumerate(push):
         w = -engel.weights[i]
         for j in range(4):
-            expect = engel_frame.ring.const(lam ** w) if i == j else engel_frame.ring.zero()
-            assert col[j] == expect
+            assert col[j] == (lam ** w if i == j else ring.zero())
+    three = [at(col, engel_frame.ring, [3]) for col in push]
+    assert three == pushforward(dilation_at(engel_recipe, 3), engel_frame)
+    assert all(three[i][j] == (3 ** -engel.weights[i] if i == j else 0)
+               for i in range(2) for j in range(4))
 
 
 def reference_pushforward(pmap, frame):
@@ -457,28 +471,33 @@ def reference_pushforward(pmap, frame):
     return result
 
 
+def reference_columns(pmap, frame):
+    """The horizontal columns of :func:`reference_pushforward`, in the
+    layout :func:`pushforward` returns."""
+    reference = reference_pushforward(pmap, frame)
+    return [[reference[j][i] for j in range(len(frame))] for i in range(frame.horizontal)]
+
+
 # verify's anisotropic block diag(1, 2) does not extend on two_centre, whose
 # brackets ask for a1 a3 = a2 a4 of a diagonal block; diag(1, 2, 2, 1) does
-def similarity_maps(name, diagonal, rng):
-    """What verify checks for similarity: left translations, the dilations,
-    and the anisotropic automorphism with the given first-layer block."""
-    from carnot.cli import DILATION_SCALES
+def similarity_maps(name, diagonal):
+    """What verify checks for similarity: the family of left translations
+    (the group law), the family of dilations, and the anisotropic
+    automorphism with the given first-layer block."""
     g, frame = named_algebra_frame(name)
     recipe = frame.recipe
     m = frame.horizontal
     block = Matrix([[x if r == c else 0 for c in range(m)] for r, x in enumerate(diagonal)])
-    maps = [left_translation(recipe, rand_point(rng, g.dim)) for _ in range(3)]
-    maps += [dilation(recipe, lam) for lam in DILATION_SCALES]
-    maps.append(graded_automorphism(recipe, extend_first_layer_automorphism(g, block)))
-    return g, frame, maps
+    automorphism = graded_automorphism(recipe, extend_first_layer_automorphism(g, block))
+    return g, frame, [recipe.law, dilations(recipe), automorphism]
 
 
 @pytest.mark.parametrize("name, diagonal", [
     ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
-def test_substitute_matches_subs_on_the_frame_entries(name, diagonal, rng):
+def test_substitute_matches_subs_on_the_frame_entries(name, diagonal):
     # the composition the pushforward makes: every entry below the frame's
     # diagonal with the map put in for the coordinates
-    g, frame, maps = similarity_maps(name, diagonal, rng)
+    g, frame, maps = similarity_maps(name, diagonal)
     entries = [x for row in frame._below for _, x in row]
     assert entries
     for pmap in maps:
@@ -489,27 +508,38 @@ def test_substitute_matches_subs_on_the_frame_entries(name, diagonal, rng):
 @pytest.mark.parametrize("name, diagonal", [
     ("engel", (1, 2)), ("cartan_235", (1, 2)), ("two_centre", (1, 2, 2, 1))])
 def test_pushforward_matches_the_jacobian_reference(name, diagonal, rng):
-    g, frame, maps = similarity_maps(name, diagonal, rng)
-    m = frame.horizontal
+    # a family's columns, with parameter values put in, are the reference
+    # pushforward of the one map at those values
+    g, frame, maps = similarity_maps(name, diagonal)
     for pmap in maps:
-        reference = reference_pushforward(pmap, frame)
-        cols = pushforward_in_frame(pmap, frame)
-        assert cols == [[reference[j][i] for j in range(g.dim)] for i in range(m)]
+        cols = pushforward(pmap, frame)
+        count = pmap[0].ring.nvars - g.dim
+        for params in [rand_point(rng, count) for _ in range(3)] if count else [[]]:
+            member = at(pmap, frame.ring, params)
+            assert [at(col, frame.ring, params) for col in cols] == \
+                reference_columns(member, frame)
 
 
 @pytest.mark.parametrize("name, diagonal", [("engel", (1, 2)), ("two_centre", (1, 2, 2, 1))])
-def test_frame_and_maps_share_the_recipe_ring(name, diagonal, rng):
-    # one ring object per recipe: the frame's, and that of every component
-    # of the translations, dilations and automorphism verify checks
-    g, frame, maps = similarity_maps(name, diagonal, rng)
+def test_frame_and_maps_share_the_recipe_ring(name, diagonal):
+    # one ring object per recipe: the frame's and the automorphism's.  The
+    # families have one ring object each, the parameters and then the
+    # point, graded as the recipe's, and their pushforwards stay in it
+    g, frame, maps = similarity_maps(name, diagonal)
     recipe = frame.recipe
     assert frame.ring is recipe.ring
     assert frame.algebra is recipe.algebra is g
     assert all(x.ring is recipe.ring for col in frame.columns for x in col)
-    assert len(maps) == 7
+    law, family, automorphism = maps
+    assert law is recipe.law and law[0].ring.nvars == 2 * g.dim
+    assert family[0].ring.names == ("λ",) + recipe.ring.names
+    assert automorphism[0].ring is recipe.ring
     for pmap in maps:
+        ring = pmap[0].ring
         assert isinstance(pmap, tuple) and len(pmap) == g.dim
-        assert all(c.ring is recipe.ring for c in pmap)
+        assert all(c.ring is ring for c in pmap)
+        assert ring.weights[-g.dim:] == recipe.ring.weights
+        assert all(x.ring is ring for col in pushforward(pmap, frame) for x in col)
 
 
 # -- the translation family ---------------------------------------------
@@ -540,30 +570,28 @@ def spec_frame(source, name):
     return left_invariant_frame(spec_recipe(spec, spec_algebra(spec)))
 
 
-def one_pushforward_per_translation(frame, points):
-    return [pushforward_in_frame(left_translation(frame.recipe, p), frame) for p in points]
-
-
 def specialized(family, frame, points):
     """The family's columns with each point put in for x, and y renamed to
     the coordinates of the frame's ring."""
-    ring = frame.ring
-    xs = [ring.var(c) for c in range(len(frame))]
-    return [[substitute(col, [ring.const(x) for x in p] + xs) for col in family]
-            for p in points]
+    return [[at(col, frame.ring, p) for col in family] for p in points]
+
+
+def reference_per_translation(frame, points):
+    return [reference_columns(left_translation(frame.recipe, p), frame) for p in points]
 
 
 @pytest.mark.parametrize("source, name", FAMILY_SPECS,
                          ids=[f"{source}-{name}" for source, name in FAMILY_SPECS])
 def test_translation_pushforwards_specialize_the_family(source, name, rng):
     frame = spec_frame(source, name)
-    family = translation_pushforwards(frame)
-    law_ring = frame.recipe.law[0].ring
+    law = frame.recipe.law
+    family = pushforward(law, frame)
+    law_ring = law[0].ring
     assert len(family) == frame.horizontal
     assert all(len(col) == len(frame) and all(x.ring is law_ring for x in col)
                for col in family)
     points = [rand_point(rng, len(frame)) for _ in range(10)]
-    assert specialized(family, frame, points) == one_pushforward_per_translation(frame, points)
+    assert specialized(family, frame, points) == reference_per_translation(frame, points)
     # left translations are isometries: one identity in x and y says so
     # for every point
     assert conformal_factor(family, frame) == law_ring.one()
@@ -577,10 +605,10 @@ def test_translation_pushforwards_on_a_right_invariant_frame(name, rng):
     g, left = named_algebra_frame(name)
     recipe = left.recipe
     frame = Frame(recipe, _flow_generators(recipe, right=True))
-    family = translation_pushforwards(frame)
+    family = pushforward(recipe.law, frame)
     points = [rand_point(rng, g.dim) for _ in range(10)]
     cols = specialized(family, frame, points)
-    assert cols == one_pushforward_per_translation(frame, points)
+    assert cols == reference_per_translation(frame, points)
     assert all(conformal_factor(c, frame) is None for c in cols)
     assert conformal_factor(family, frame) is None
 
@@ -595,9 +623,27 @@ def test_left_translations_are_similar(engel_recipe, engel_frame, rng):
 
 
 def test_dilation_similarity_scale(engel_recipe, engel_frame):
-    lam = Fraction(5, 3)
-    k = similarity_check(dilation(engel_recipe, lam), engel_frame)
-    assert k == engel_frame.ring.const(lam * lam)
+    # one factor for the whole family, the square of the scale, and at the
+    # scale 5/3 the factor of that one dilation
+    family = dilations(engel_recipe)
+    lam = family[0].ring.var(0)
+    assert similarity_check(family, engel_frame) == lam * lam
+    k = similarity_check(dilation_at(engel_recipe, Fraction(5, 3)), engel_frame)
+    assert k == engel_frame.ring.const(Fraction(25, 9))
+
+
+@pytest.mark.parametrize("exponent, factor", [(lambda w: 2 * w, 4), (lambda w: 1, None)],
+                         ids=["square-weights", "flat"])
+def test_a_misweighted_family_has_another_factor(engel_recipe, engel_frame, exponent, factor):
+    # scaled by lambda^(2w) the family is still a similarity, with the
+    # factor lambda^4; scaled by lambda flat it is no automorphism, and not
+    # contact
+    ring = dilations(engel_recipe)[0].ring
+    lam = ring.var(0)
+    family = tuple(lam ** exponent(w) * ring.var(1 + c)
+                   for c, w in enumerate(engel_recipe.coord_weights))
+    k = similarity_check(family, engel_frame)
+    assert k == (None if factor is None else lam ** factor)
 
 
 def test_anisotropic_automorphism_not_similar(engel, engel_recipe, engel_frame):
@@ -633,7 +679,7 @@ def failed_condition(pmap, frame):
     "contact", "off-diagonal", "diagonal" or "scale", read off the full
     Gram matrix of the pushforward."""
     m = frame.horizontal
-    cols = pushforward_in_frame(pmap, frame)
+    cols = pushforward(pmap, frame)
     if any(not x.is_zero() for col in cols for x in col[m:]):
         return "contact"
     gram = [[sum((col[r] * col[s] for col in cols), frame.ring.zero()) for s in range(m)]
@@ -673,10 +719,9 @@ def test_pushforward_of_a_map_singular_on_a_hyperplane(engel_recipe, engel_frame
     a = Fraction(1, 2)
     # det of the Jacobian is 2 (x1 - a): zero on x1 = a, not identically
     pmap = ((x[0] - a) ** 2, x[1], x[2], x[3])
-    push = pushforward_in_frame(pmap, engel_frame)
+    push = pushforward(pmap, engel_frame)
     assert push[0][0] == 2 * (x[0] - a)
-    assert push == [[reference_pushforward(pmap, engel_frame)[j][i] for j in range(4)]
-                    for i in range(engel_frame.horizontal)]
+    assert push == reference_columns(pmap, engel_frame)
 
 
 def test_recipe_partition_enforced(engel):
