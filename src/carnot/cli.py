@@ -150,6 +150,11 @@ def parse_spec_text(text: str, filename: str = "<spec>") -> AlgebraSpec:
                 if m is None:
                     raise ParseError(filename, lineno, col, "malformed bracket relation")
                 a, b, expr = m.group(1), m.group(2), m.group(3)
+                for group in (1, 2):
+                    if not _NAME_RE.fullmatch(m.group(group)):
+                        raise ParseError(filename, lineno, col + m.start(group),
+                                         f"bracket entry {m.group(group)!r} is no basis "
+                                         "name: a letter, then letters, digits or _")
                 key = (a, b)
                 if a == b:
                     raise ParseError(filename, lineno, col,

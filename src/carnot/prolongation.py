@@ -17,9 +17,10 @@ The table is worked out and kept in sparse rows whose coefficients follow
 the package's convention (:func:`~carnot.exact_linalg.exact`): an ``int``
 when it is integral and a ``Fraction`` only otherwise, as in the rows of
 the negative part and in the conformal condition rows.  A level-level
-bracket is summed from rows already in the table, and its coordinates
-are read at the pivot cells of the target level.  The level bases and
-their actions come from exact elimination and follow the same
+bracket is summed from rows already in the table only at the pivot cells
+of the target level, its coordinates; that it lies in the level is left
+to the Jacobi check of :meth:`ProlongationAlgebra.verify`.  The level
+bases and their actions come from exact elimination and follow the same
 convention, so each level's Leibniz system is built from ints wherever
 the levels below it are integral.  :func:`degree_zero_matrix` is the
 report boundary: it turns the values of a ``g0`` element into the
@@ -275,6 +276,12 @@ class ProlongationAlgebra:
     It is only built for terminating prolongations (a cutoff leaves it as
     None).  ``levels[k]`` is g_k for 0 <= k <= :meth:`top_level`; a zero
     g0 is still level 0.
+
+    Assembly reads each level-level bracket [u_a, u_b] at the pivot cells
+    of its target level and checks nothing: the residue it leaves at X is
+    the Jacobi sum of (u_a, u_b, X) (see :meth:`_lev_lev_bracket`).  So a
+    directly constructed table is a Lie table only after :meth:`verify`,
+    which :func:`full_prolongation` runs on every table it returns.
     """
 
     def __init__(self, negative: GradedLieAlgebra, levels: Sequence[Level],
@@ -346,36 +353,38 @@ class ProlongationAlgebra:
             for b in negs:
                 j = self.sbasis[b][1]
                 put(a, b, self._sparse_value(self.levels[k].actions[p][j], g.weights[j] + k))
-        # per level, the s-index of each basis element keyed by its pivot
-        # cell (x, m): the s-indices of e_j and of the pivot entry of u(e_j)
-        pivot_cells = [{(self._pos[("neg", j)], self._block[g.weights[j] + lvl.k][t]): i
-                        for (j, t), i in zip(lvl.pivot_cells, self._block.get(lvl.k, ()))}
-                       for lvl in self.levels]
-        # positive-positive brackets, built by total level so the recursive
+        # per level k, the s-index i of each basis element keyed by its
+        # pivot cell as {x: {m: i}}: the s-indices of e_j and of the pivot
+        # entry of u(e_j); a level past the top has no cells
+        pivot_cells: dict[int, dict[int, dict[int, int]]] = {}
+        for lvl in self.levels:
+            by_x = pivot_cells[lvl.k] = {}
+            for (j, t), i in zip(lvl.pivot_cells, self._block.get(lvl.k, ())):
+                m = self._block[g.weights[j] + lvl.k][t]
+                by_x.setdefault(self._pos[("neg", j)], {})[m] = i
+        # positive-positive brackets, built by total level k so the recursive
         # action formula only consults already-filled entries
-        lev_pairs = [(a, b) for a in levs for b in levs if a < b]
-        lev_pairs.sort(key=lambda ab: self.sbasis[ab[0]][1] + self.sbasis[ab[1]][1])
-        for a, b in lev_pairs:
-            put(a, b, self._lev_lev_bracket(table, negs, pivot_cells, a, b))
+        for k, a, b in sorted((self.sbasis[a][1] + self.sbasis[b][1], a, b)
+                              for a in levs for b in levs if a < b):
+            put(a, b, self._lev_lev_bracket(table, pivot_cells.get(k, {}), a, b))
         self.bracket_table = table
 
-    def _lev_lev_bracket(self, table, negs: Sequence[int],
-                         pivot_cells: Sequence[dict[tuple[int, int], int]],
+    def _lev_lev_bracket(self, table, pivots: Mapping[int, Mapping[int, int]],
                          a: int, b: int) -> tuple:
-        """Sparse row of [u_a, u_b] from its values on g_-.
+        """Sparse row of [u_a, u_b] from its values at ``pivots``, the pivot
+        cells ``{x: {m: i}}`` of level k_a + k_b (none past the top: zero).
 
         [u_a, u_b](X) = [u_a, u_b(X)] - [u_b, u_a(X)] sums rows of the
         table: those of the level-negative brackets and of level pairs of
         smaller total level.  The target level's reduced echelon basis is
-        the identity at its pivot cells, so the coordinates are the values
-        there; the residue left after subtracting their combination must
-        vanish for the map to lie in that level.
+        the identity at its pivot cells, so the coordinates c_i are the
+        values there, and only those cells are summed.  Nothing checks
+        that the map lies in the level: its residue at X,
+        ``sum c_i u_i(X) - [u_a, u_b(X)] + [u_b, u_a(X)]``, is the Jacobi
+        sum of ``(u_a, u_b, X)`` in the table, which :meth:`verify` checks.
         """
-        ka = self.sbasis[a][1]
-        kb = self.sbasis[b][1]
-        level_sum = ka + kb
-        values = {}
-        for x in negs:
+        coords = {}
+        for x, cells in pivots.items():
             value = {}
             for outer, inner, sign in ((a, table[b][x], 1), (b, table[a][x], -1)):
                 for i, c in inner:
@@ -384,28 +393,11 @@ class ProlongationAlgebra:
                         raise JacobiAssemblyFailure("bracket table filled out of order")
                     c = sign * c
                     for m, y in row:
-                        value[m] = value.get(m, 0) + c * y
-            values[x] = value
-        if level_sum > self.top_level():
-            if any(y for value in values.values() for y in value.values()):
-                raise JacobiAssemblyFailure(
-                    f"[level {ka}, level {kb}] is nonzero but level {level_sum} vanished")
-            return ()
-        pivots = pivot_cells[level_sum]
-        coords = {}
-        for x, value in values.items():
+                        if m in cells:
+                            value[m] = value.get(m, 0) + c * y
             for m, y in value.items():
-                i = pivots.get((x, m))
-                if i is not None and y:
-                    coords[i] = exact(y)
-        for i, c in coords.items():
-            for x in negs:
-                value = values[x]
-                for m, y in table[i][x]:
-                    value[m] = value.get(m, 0) - c * y
-        if any(y for value in values.values() for y in value.values()):
-            raise JacobiAssemblyFailure(
-                f"[level {ka}, level {kb}] leaves the computed level {level_sum}")
+                if y:
+                    coords[cells[m]] = exact(y)
         return tuple(sorted(coords.items()))
 
     # -- algebra operations -------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from carnot.contact_pde import ContactJet
-from carnot.exact_linalg import sparse_row
+from carnot.exact_linalg import exact, sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.polynomials import Poly, PolyRing, substitute
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
@@ -279,6 +279,76 @@ def flow_generators_reference(recipe, right):
         columns.append([Poly(xring, {e[:t_index]: x for e, x in c.terms.items()
                                      if e[t_index] == 1}) for c in prod])
     return columns
+
+
+def spec_tower(spec):
+    """The prolongation algebra and termination report of a parsed spec."""
+    from carnot.cli import spec_algebra, spec_constraint
+    g = spec_algebra(spec)
+    g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
+    return full_prolongation(g, g0, max_k=spec.max_k)
+
+
+def reference_bracket_table(s):
+    """The bracket table of a prolongation algebra, every level-level entry
+    worked out from the full value of [u_a, u_b] on g_-: its coordinates
+    are read at the pivot cells of the target level, and the residue left
+    after subtracting their combination must vanish on every X (as must
+    the whole value when the target level is past the top).  The
+    reference for the pivot-only assembly of ``ProlongationAlgebra``."""
+    g = s.negative
+    n = s.dim
+    table = [[None] * n for _ in range(n)]
+    for a in range(n):
+        table[a][a] = ()
+
+    def put(a, b, row):
+        table[a][b] = row
+        table[b][a] = tuple((k, -c) for k, c in row)
+
+    negs = [i for i, key in enumerate(s.sbasis) if key[0] == "neg"]
+    levs = [i for i, key in enumerate(s.sbasis) if key[0] == "lev"]
+    for a in negs:
+        row = g.rows[s.sbasis[a][1]]
+        for b in negs:
+            table[a][b] = tuple(sorted((s._pos[("neg", k)], c) for k, c in row[s.sbasis[b][1]]))
+    for a in levs:
+        _, k, p = s.sbasis[a]
+        for b in negs:
+            j = s.sbasis[b][1]
+            put(a, b, s._sparse_value(s.levels[k].actions[p][j], g.weights[j] + k))
+    pivot_cells = [{(s._pos[("neg", j)], s._block[g.weights[j] + lvl.k][t]): i
+                    for (j, t), i in zip(lvl.pivot_cells, s._block.get(lvl.k, ()))}
+                   for lvl in s.levels]
+    lev_pairs = sorted(((a, b) for a in levs for b in levs if a < b),
+                       key=lambda ab: s.sbasis[ab[0]][1] + s.sbasis[ab[1]][1])
+    for a, b in lev_pairs:
+        level_sum = s.sbasis[a][1] + s.sbasis[b][1]
+        values = {}
+        for x in negs:
+            value = {}
+            for outer, inner, sign in ((a, table[b][x], 1), (b, table[a][x], -1)):
+                for i, c in inner:
+                    for m, y in table[outer][i]:
+                        value[m] = value.get(m, 0) + sign * c * y
+            values[x] = value
+        coords = {}
+        if level_sum <= s.top_level():
+            pivots = pivot_cells[level_sum]
+            for x, value in values.items():
+                for m, y in value.items():
+                    i = pivots.get((x, m))
+                    if i is not None and y:
+                        coords[i] = exact(y)
+            for i, c in coords.items():
+                for x in negs:
+                    value = values[x]
+                    for m, y in table[i][x]:
+                        value[m] = value.get(m, 0) - c * y
+        assert not any(y for value in values.values() for y in value.values()), (
+            f"[{s.labels[a]}, {s.labels[b]}] leaves level {level_sum}")
+        put(a, b, tuple(sorted(coords.items())))
+    return table
 
 
 def dense_bracket(s, a, b):

@@ -24,7 +24,7 @@ from carnot.prolongation import constrain_g0, full_prolongation, strata_derivati
 from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, TERMINATING, ZERO_G0,
                        assert_int_when_integral, cartan_235_spec, dense_action,
                        free_step_two_spec, heisenberg_spec, named_spec, scale_family_text,
-                       spec_file, spec_text)
+                       spec_file, spec_text, spec_tower)
 
 
 def run_cli(argv):
@@ -141,6 +141,21 @@ def test_a_layer_entry_outside_the_name_grammar_is_a_located_parse_error(tmp_pat
         assert capsys.readouterr() == (
             "", f"carnot: {bad}:2:{col}: layer entry {name} is no basis name: "
                 "a letter, then letters, digits or _\n")
+
+
+@pytest.mark.parametrize("line, col, name", [
+    ("[1X,X2] = Y", 2, "'1X'"), ("  [Xé, X2] = Y", 4, "'Xé'"), ("[X1, 2 ] = Y", 6, "'2'")])
+def test_a_bracket_entry_outside_the_name_grammar_is_a_located_parse_error(tmp_path, capsys,
+                                                                          line, col, name):
+    # the two names of a bracket line follow the grammar of layer entries,
+    # so a Unicode word or a leading digit is no unknown name but a parse error
+    bad = tmp_path / "bad.alg"
+    bad.write_text(f"[algebra]\nlayer -1 = X1 X2\nlayer -2 = Y\n{line}\n", encoding="utf-8")
+    for command in ("validate", "verify"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"carnot: {bad}:4:{col}: bracket entry {name} is no basis name: "
+            "a letter, then letters, digits or _")
 
 
 def test_validate_semantic_failure_exit_1(tmp_path):
@@ -407,10 +422,7 @@ def test_terminating_names_every_bundled_and_saved_tower_that_terminates():
     names = BUNDLED + tuple(path.stem for path in GOLDEN.glob("*.alg"))
     terminating = set()
     for name in names:
-        spec = named_spec(name)
-        g = spec_algebra(spec)
-        g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
-        if full_prolongation(g, g0, max_k=spec.max_k)[1].terminated:
+        if spec_tower(named_spec(name))[1].terminated:
             terminating.add(name)
     assert terminating == set(TERMINATING)
 

@@ -5,16 +5,19 @@ import pytest
 import sympy
 
 import carnot.prolongation
+from carnot.cli import parse_spec_text
 from carnot.graded_lie import build_algebra, table_violation
 from carnot.prolongation import (GZeroConstraint, JacobiAssemblyFailure, Level,
                                  PriorLevelsMissing, constrain_g0, full_prolongation,
                                  prolong_step, strata_derivations)
 from carnot.group_realization import CoordinateRecipe, left_invariant_frame
 from carnot.contact_pde import conformal_fields_of_degree
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, action_vector, assert_int_when_integral,
-                       conformal_g0, dense_action, dense_bracket, jacobiator, make_abelian,
-                       make_engel, make_heisenberg, make_heisenberg_n, permuted, sparse_values,
-                       spec_file)
+from .conftest import (BUNDLED, CONFORMAL, FULL_DERIVATIONS, GENERATED, TERMINATING,
+                       action_vector, assert_int_when_integral, conformal_g0, dense_action,
+                       dense_bracket, free_step_two_spec, jacobiator, make_abelian, make_engel,
+                       make_heisenberg, make_heisenberg_n, named_spec, permuted,
+                       reference_bracket_table, scale_family_text, sparse_values, spec_file,
+                       spec_tower)
 
 
 def test_engel_first_level_vanishes(engel):
@@ -321,8 +324,8 @@ def test_each_basis_element_is_one_at_its_pivot_cell_and_zero_at_the_others(case
 
 
 def test_closed_g0_required_for_assembly():
-    # a degree-zero space that is not closed under commutators must be
-    # detected while the bracket table is assembled
+    # a degree-zero space that is not closed under commutators assembles,
+    # but its table is no Lie table: verify finds the Jacobi failure
     from carnot.exact_linalg import Subspace
     from carnot.prolongation import ProlongationAlgebra
     g = make_abelian(2)
@@ -332,7 +335,7 @@ def test_closed_g0_required_for_assembly():
     vectors = [{1: 1}, {2: 1}]
     lvl0 = Level(g, 0, Subspace.from_vectors(vectors, 4), ders.columns)
     with pytest.raises(JacobiAssemblyFailure):
-        ProlongationAlgebra(g, [lvl0], build_table=True)
+        ProlongationAlgebra(g, [lvl0], build_table=True).verify()
 
 
 def test_assembly_errors_name_the_failing_levels():
@@ -341,17 +344,64 @@ def test_assembly_errors_name_the_failing_levels():
     g = make_abelian(2)
     ders = prolong_step(g, [], 0)
     lvl0 = Level(g, 0, Subspace.from_vectors([{1: 1}, {2: 1}], 4), ders.columns)
-    with pytest.raises(JacobiAssemblyFailure,
-                       match=r"\[level 0, level 0\] leaves the computed level 0"):
-        ProlongationAlgebra(g, [lvl0])
-    # the tower of R^1 never ends: [u_1, u_2] lies in level 3, absent from a cut tower
+    # [D1, D2] leaves level 0: the residue at X1 is the Jacobi sum of (X1, D1, D2)
+    with pytest.raises(JacobiAssemblyFailure, match=r"^Jacobi fails on \(X1,D1,D2\)$"):
+        ProlongationAlgebra(g, [lvl0]).verify()
+    # the tower of R^1 never ends: [u_1, u_2] lies in level 3, absent from a
+    # cut tower, so the table holds zero there and Jacobi fails on (X1, u_1, u_2)
     g = make_abelian(1)
     levels = [conformal_g0(g)]
     for k in (1, 2):
         levels.append(prolong_step(g, levels, k))
-    with pytest.raises(JacobiAssemblyFailure,
-                       match=r"\[level 1, level 2\] is nonzero but level 3 vanished"):
-        ProlongationAlgebra(g, levels)
+    with pytest.raises(JacobiAssemblyFailure, match=r"^Jacobi fails on \(X1,u1_1,u2_1\)$"):
+        ProlongationAlgebra(g, levels).verify()
+
+
+@pytest.mark.parametrize("name", TERMINATING + tuple(f"r{n}" for n in range(3, 11))
+                         + tuple(f"h{n}" for n in range(1, 5)) + ("free_full_3", "free_full_4"))
+def test_pivot_cell_assembly_matches_the_full_value_reference(name):
+    # the table is read at the pivot cells only; the reference sums the full
+    # value of every level-level bracket and checks its residue on all of g_-
+    if name.startswith("free_full_"):
+        spec = parse_spec_text(free_step_two_spec(int(name[-1]), FULL_DERIVATIONS))
+    else:
+        spec = named_spec(name)
+    s, rep = spec_tower(spec)
+    assert rep.terminated
+    reference = reference_bracket_table(s)
+    assert len(s.bracket_table) == len(reference) == s.dim
+    for row, ref_row in zip(s.bracket_table, reference):
+        for terms, ref_terms in zip(row, ref_row):
+            assert [(k, c, type(c)) for k, c in terms] == \
+                [(k, c, type(c)) for k, c in ref_terms]
+
+
+# the dimension of each table checked: so(9,1), su(4,1), Engel's s; none
+# for the cut tower of R^1
+@pytest.mark.parametrize("name, max_k, checked", [
+    ("r8", None, [45]), ("h3", None, [24]), ("engel", None, [5]), ("r1", 5, [])])
+def test_every_table_prolong_hands_out_is_checked_once(monkeypatch, tmp_path, capsys,
+                                                       name, max_k, checked):
+    # the assembly reads the pivot cells only and proves nothing about the
+    # rest of each bracket: the exhaustive Jacobi check must see every table
+    from carnot.cli import main
+    seen = []
+    real = carnot.prolongation.table_violation
+
+    def counted(rows, weights):
+        seen.append(len(rows))
+        return real(rows, weights)
+
+    monkeypatch.setattr(carnot.prolongation, "table_violation", counted)
+    if name in BUNDLED:
+        path = spec_file(name)
+    else:
+        path = tmp_path / f"{name}.alg"
+        path.write_text(scale_family_text(name))
+    argv = ["prolong", str(path)] + ([] if max_k is None else ["--max-k", str(max_k)])
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == checked
 
 
 def make_cartan_235():
