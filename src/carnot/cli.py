@@ -25,10 +25,12 @@ from .exact_linalg import Matrix, exact
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                            full_prolongation, strata_derivations)
-from .group_realization import (CoordinateCollision, CoordinateRecipe, NotRealizable,
-                                PolyVectorField, UnsupportedStep, dilations,
+from .group_realization import (CoordinateCollision, CoordinateRecipe, Frame, NotRealizable,
+                                PolyVectorField, UnsupportedStep, conformal_factor, dilations,
                                 extend_first_layer_automorphism, graded_automorphism,
-                                left_invariant_frame, realize_tau, similarity_check)
+                                left_invariant_frame, pushforward, realize_tau,
+                                similarity_check)
+from .polynomials import Poly
 from .contact_pde import (NotContact, conformal_defect, contact_defect, jet,
                           jet_jacobi_check, same_span, solve_polynomial_conformal, vf_bracket)
 
@@ -414,12 +416,63 @@ def cmd_prolong(spec: AlgebraSpec, report: Report, max_k: int) -> int:
     return 0
 
 
-def _homomorphism_check(algebra, taucoords: list, ring, labels: list[str]
+def _commutation_failure(frame: Frame, translations: list[list[Poly]]) -> str | None:
+    """The failure line of the first premise of ``_homomorphism_check``
+    that fails, P1 to P3, or None when all three hold.  ``translations``
+    is the pushforward of the left translation family y -> mu(x, y)."""
+    law = frame.recipe.law
+    ring = law[0].ring
+    n = len(frame)
+    # P1: mu(0, y) = y, the part of the law free of x
+    for c, comp in enumerate(law):
+        if {e: x for e, x in comp.terms.items() if not any(e[:n])} != ring.var(n + c).terms:
+            return "group law does not fix the identity"
+    # P2: every left translation pushes each horizontal frame field to itself
+    zero, one = ring.zero(), ring.one()
+    if any(x != (one if i == j else zero)
+           for i, col in enumerate(translations) for j, x in enumerate(col)):
+        return "left translations do not preserve the frame"
+    # P3: [X_i, X_j] = sum_k c_ij^k X_k on every generation pair
+    g = frame.algebra
+    zero = frame.ring.zero()
+    for i, j in dict.fromkeys((i, j) for terms in g.spanned_by.values() for _, i, j in terms):
+        expect = [sum((c * frame.columns[k][r] for k, c in g.rows[i][j]), zero)
+                  for r in range(n)]
+        if vf_bracket(frame.columns[i], frame.columns[j]) != expect:
+            return f"frame bracket [{g.names[i]},{g.names[j]}] is not the algebra's"
+    return None
+
+
+def _homomorphism_check(algebra, fields: list[PolyVectorField], frame: Frame,
+                        translations: list[list[Poly]], labels: list[str]
                         ) -> tuple[Fraction | None, list[str]]:
     """``[tau(a), tau(b)] = epsilon tau([a, b])`` with one sign ``epsilon``:
     the first sign matched (None when every checked pair is zero on both
     sides), and a failure line per pair that matches neither sign or not
-    ``epsilon``.  ``taucoords[a]`` is ``tau(e_a)`` in coordinates.
+    ``epsilon``.  ``fields[a]`` is ``tau(e_a)`` in components of
+    ``frame``, and ``translations`` the pushforward of the left
+    translation family y -> mu(x, y) (:func:`pushforward` of the law).
+
+    A checked pair has a member x in layer -1, and ``tau(x)`` is the
+    right-invariant field R_x (see ``realize_tau``).  For the other member
+    ``tau(b) = sum_j f_j X_j``, ``[R_x, tau(b)] = sum_j R_x(f_j) X_j``
+    once ``[R_v, X_j] = 0`` for every v and j: n derivatives along R_x,
+    read from the recipe's table, compared with ``tau([x, b])`` term by
+    term in frame components.  The commutation is proved, not assumed,
+    from three premises, checked first; a failed one is the only failure
+    line, with no pair verdicts.
+
+    - P1: the law fixes the identity, ``mu(0, y) = y``.
+    - P2: the translation family preserves the frame: its columns are
+      the identity, ``translations[i][j] = delta_ij``, not only a
+      similarity.  With L_0 = id by P1, differentiating
+      ``(L_{t e_v})_* X_i = X_i`` at t = 0 gives ``[R_v, X_i] = 0`` for
+      every horizontal X_i, since R_v is d/dt L_{t e_v} at t = 0.
+    - P3: the frame relations ``[X_i, X_j] = sum_k c_ij^k X_k`` hold on
+      each generation pair of ``g.spanned_by``.  So each deep X_t is
+      ``sum c [X_i, X_j]`` over ``spanned_by[t]``, with X_i horizontal
+      and X_j shallower, and the Jacobi identity for vector fields
+      carries ``[R_v, X_t] = 0`` down by induction on depth.
 
     Only the pairs ``a < b`` with a member of weight -1 are bracketed, in
     lexicographic order; they prove the rest.  Write ``D(a, b)`` for the
@@ -437,36 +490,60 @@ def _homomorphism_check(algebra, taucoords: list, ring, labels: list[str]
       ``[tau(x), D(u, v)] = epsilon (D([x, u], v) + D(u, [x, v]))`` for x
       in layer -1: pairs of lower total level, or with a negative member.
       By induction on i + j, ``D(u, v)`` commutes with every ``tau(x)``,
-      the right-invariant field R_x (see ``realize_tau``).  A field that
-      commutes with every R_x is left-invariant, of negative degree,
-      while ``D(u, v)`` is homogeneous of degree i + j >= 0, because
-      ``realize_tau`` builds each field of level i homogeneous of degree
-      i.  So ``D(u, v) = 0``.
+      the right-invariant field R_x.  A field that commutes with every
+      R_x is left-invariant, of negative degree, while ``D(u, v)`` is
+      homogeneous of degree i + j >= 0, because ``realize_tau`` builds
+      each field of level i homogeneous of degree i.  So ``D(u, v) = 0``.
     """
+    premise = _commutation_failure(frame, translations)
+    if premise is not None:
+        return None, [premise]
+    right = frame.recipe.right_invariant
+    comps = [[f.terms for f in fld.components] for fld in fields]
+
+    def put(out: dict, key: tuple, x) -> None:
+        out[key] = out[key] + x if key in out else x
+
+    def along(x: int, b: int) -> dict:
+        """``[R_x, tau(b)]`` as frame terms ``{(j, e): c}``."""
+        v = algebra.sbasis[x][1]
+        out: dict = {}
+        for j, terms in enumerate(comps[b]):
+            for exp, c in terms.items():
+                for e, d in right.derivative_terms(v, exp):
+                    put(out, (j, e), c * d)
+        return {key: c for key, c in out.items() if c}
+
     epsilon = None
     failures: list[str] = []
     weights = algebra.weights
     for a in range(algebra.dim):
         for b in range(a + 1, algebra.dim):
-            if weights[a] != -1 and weights[b] != -1:
+            if weights[a] == -1:
+                lhs = along(a, b)
+            elif weights[b] == -1:
+                lhs = {key: -c for key, c in along(b, a).items()}
+            else:
                 continue
-            lhs = vf_bracket(taucoords[a], taucoords[b])
-            rhs = [ring.zero()] * len(lhs)
+            rhs: dict = {}
             for i, c in algebra.bracket_table[a][b]:
-                rhs = [x + c * y for x, y in zip(rhs, taucoords[i])]
-            if all(r.is_zero() for r in rhs) and all(l.is_zero() for l in lhs):
+                for j, terms in enumerate(comps[i]):
+                    for e, x in terms.items():
+                        put(rhs, (j, e), c * x)
+            rhs = {key: x for key, x in rhs.items() if x}
+            if not lhs and not rhs:
                 continue
-            matched = None
-            for cand in (Fraction(1), Fraction(-1)):
-                if all((l - cand * r).is_zero() for l, r in zip(lhs, rhs)):
-                    matched = cand
-                    break
-            if matched is None:
+            if lhs == rhs:
+                matched = Fraction(1)
+            elif lhs == {key: -x for key, x in rhs.items()}:
+                matched = Fraction(-1)
+            else:
                 failures.append(f"bracket mismatch at ({labels[a]},{labels[b]})")
-            elif epsilon is None:
+                continue
+            if epsilon is None:
                 epsilon = matched
             elif matched != epsilon:
-                failures.append("homomorphism sign is not uniform")
+                failures.append(f"homomorphism sign flips at ({labels[a]},{labels[b]})")
     return epsilon, failures
 
 
@@ -539,16 +616,17 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
     report.add("jet_one_part_zero", jets_one_ok)
     report.add("jet_derivation_law", jacobi_ok)
 
+    # one identity in the parameters decides every member of a family: the
+    # translating point for the left translations, the scale for the
+    # dilations; the homomorphism check reads the translation columns too
+    translations = pushforward(recipe.law, frame)
     if not extra_fields and contact_ok:
-        taucoords = [frame.to_coords(list(f.components)) for f in fields]
-        epsilon, mismatches = _homomorphism_check(algebra, taucoords, frame.ring, labels)
+        epsilon, mismatches = _homomorphism_check(algebra, fields, frame, translations, labels)
         failures += mismatches
         report.add("epsilon", epsilon if epsilon is not None else 0)
         report.add("homomorphism_sign_uniform", not mismatches)
 
-    # one identity in the parameters decides every member of a family: the
-    # translating point for the left translations, the scale for the dilations
-    translations_ok = similarity_check(recipe.law, frame) is not None
+    translations_ok = conformal_factor(translations, frame) is not None
     if not translations_ok:
         failures.append("left translations not similar")
     report.add("translations_similar", translations_ok)

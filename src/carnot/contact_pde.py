@@ -27,8 +27,10 @@ coordinates.  The left-invariant frame realizes the algebra,
 
     [V, X_i] = sum_k (sum_j f_j c_ji^k - X_i(f_k)) X_k,
 
-and the residuals are the components ``k`` outside layer -1.  The
-premise is checked on every bundled and generated spec by
+and the residuals are the components ``k`` outside layer -1.  ``verify``
+checks the premise at runtime on the generation pairs of ``g.spanned_by``,
+one coordinate :func:`vf_bracket` each (premise P3 of its homomorphism
+check); the full table is checked on every bundled and generated spec by
 ``test_frame_brackets`` in ``tests/test_group_realization.py``.
 
 One kernel, :func:`conformal_system_residuals`, computes the contact and

@@ -8,17 +8,17 @@ mu(x, y) = x * y once, symbolically in both points
 (:attr:`CoordinateRecipe.law`), and everything else is read off it: the
 left-invariant frame field of e_j is the part of mu linear in y_j, the
 right-invariant field of e_j (the generator of left translations) the
-part linear in x_j, and the left translations are the family
-y -> mu(x, y).  A family of maps is pushed forward once, with its
-parameters symbolic (x for the translations, the scale for the
-dilations), and tested as one polynomial identity in the parameters and
-the point.  So every coefficient is an exact polynomial.  Every vector
-field is held by its components in the left-invariant frame.  The
-prolongation algebra is realized level by level: an element u of level
-k >= 0 is the unique field of degree k whose bracket with the
-right-invariant field of each X in layer -1 is minus the field of
-[u, X], found by exact linear solves, one elimination per level and
-layer.
+part linear in x_j (:attr:`CoordinateRecipe.right_invariant`), and the
+left translations are the family y -> mu(x, y).  A family of maps is
+pushed forward once, with its parameters symbolic (x for the
+translations, the scale for the dilations), and tested as one
+polynomial identity in the parameters and the point.  So every
+coefficient is an exact polynomial.  Every vector field is held by its
+components in the left-invariant frame.  The prolongation algebra is
+realized level by level: an element u of level k >= 0 is the unique
+field of degree k whose bracket with the right-invariant field of each
+X in layer -1 is minus the field of [u, X], found by exact linear
+solves, one elimination per level and layer.
 """
 
 from __future__ import annotations
@@ -131,6 +131,14 @@ class CoordinateRecipe:
         ys = [ring.var(n + i) for i in range(n)]
         return tuple(_as_poly(ring, c) for c in group_product(self, xs, ys))
 
+    @cached_property
+    def right_invariant(self) -> "CoordinateFields":
+        """The right-invariant field R_j of each basis element e_j, the
+        generator of left translations by exp(t e_j), read off :attr:`law`
+        once per recipe: ``realize_tau`` solves against them, and verify
+        brackets with them, through one table of their derivatives."""
+        return CoordinateFields(self.ring, _flow_generators(self, right=True))
+
 
 def _zero_like(x):
     return x - x
@@ -212,35 +220,64 @@ def _unit_lower_solve(below: Sequence[Sequence[tuple[int, Poly]]],
     return a
 
 
-class Frame:
+class CoordinateFields:
+    """Coordinate vector fields over ``ring``: ``columns[j][c]`` is the
+    d/dx_c coefficient of field j.  A coefficient is held as an ``int``
+    when it is integral and as a ``Fraction`` only otherwise.
+    :meth:`derivative_terms` reads ``V_j(x^a)`` from a table of monomials
+    that is filled the first time each ``(j, a)`` is asked for;
+    :meth:`apply` reads the table through it.
+    """
+
+    def __init__(self, ring: PolyRing, columns: Sequence[Sequence[Poly]]):
+        self.ring = ring
+        self.columns = tuple(tuple(col) for col in columns)
+        self._monomial_derivatives: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def derivative_terms(self, j: int, exp: tuple[int, ...]) -> tuple:
+        """The nonzero terms ``(e, d)`` of V_j(x^exp), from the table."""
+        terms = self._monomial_derivatives.get((j, exp))
+        if terms is None:
+            terms = self._monomial_derivatives[(j, exp)] = \
+                _derivative_terms(self.columns[j], exp)
+        return terms
+
+    def apply(self, j: int, f: Poly) -> Poly:
+        """Derivative of the function f along field j."""
+        out: dict = {}
+        for exp, c in f.terms.items():
+            for e, d in self.derivative_terms(j, exp):
+                out[e] = out[e] + c * d if e in out else c * d
+        return Poly(self.ring, out)
+
+
+class Frame(CoordinateFields):
     """The left-invariant frame of a recipe, as coordinate vector fields
     over the recipe's ring; ``algebra`` and ``ring`` are the recipe's.
 
     ``columns[j][c]`` is the d/dx_c coefficient of the frame field of
     basis element j: the part of component c of the recipe's law mu(x, y)
     linear in y_j.  The frame matrix (entry (c, j) is ``columns[j][c]``)
-    is unit lower triangular in declaration order, so conversion between
-    coordinate and frame components is a forward product or a forward
-    substitution over its entries below the diagonal.  The columns and
-    the derivative table hold a coefficient as an ``int`` when it is
-    integral and as a ``Fraction`` only otherwise.
-    :meth:`derivative_terms` reads ``X_j(x^a)`` from a table of monomials
-    that the frame fills the first time each ``(j, a)`` is asked for;
-    :meth:`apply` and the contact residuals read the table through it.
+    is unit lower triangular in declaration order, so conversion from
+    coordinate to frame components is a forward substitution over its
+    entries below the diagonal.  ``derivative_terms`` reads ``X_j(x^a)``
+    from the frame's own table; ``apply`` and the contact residuals read
+    the table through it.
     """
 
     def __init__(self, recipe: CoordinateRecipe, columns: Sequence[Sequence[Poly]]):
+        super().__init__(recipe.ring, columns)
         self.algebra = algebra = recipe.algebra
         self.recipe = recipe
-        self.ring = ring = recipe.ring
-        self.columns = tuple(tuple(col) for col in columns)
         self.horizontal = len(algebra.layer_indices(1))
         # the contact and conformal residuals read the horizontal frame
         # fields as the first ``horizontal`` basis elements
         if algebra.layer_indices(1) != tuple(range(self.horizontal)):
             raise ValueError("a frame needs layer -1 first in the basis")
-        self._monomial_derivatives: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        one = ring.one()
+        one = self.ring.one()
         for j, col in enumerate(self.columns):
             if any(not x.is_zero() for x in col[:j]):
                 raise AssertionError("frame matrix is not lower triangular")
@@ -250,39 +287,9 @@ class Frame:
         self._below = tuple(tuple((j, self.columns[j][c]) for j in range(c)
                                   if not self.columns[j][c].is_zero()) for c in range(n))
 
-    def __len__(self) -> int:
-        return self.algebra.dim
-
-    def derivative_terms(self, j: int, exp: tuple[int, ...]) -> tuple:
-        """The nonzero terms ``(e, d)`` of X_j(x^exp), from the table."""
-        terms = self._monomial_derivatives.get((j, exp))
-        if terms is None:
-            terms = self._monomial_derivatives[(j, exp)] = \
-                _derivative_terms(self.columns[j], exp)
-        return terms
-
-    def apply(self, j: int, f: Poly) -> Poly:
-        """Derivative of the function f along frame field j."""
-        out: dict = {}
-        for exp, c in f.terms.items():
-            for e, d in self.derivative_terms(j, exp):
-                out[e] = out[e] + c * d if e in out else c * d
-        return Poly(self.ring, out)
-
     def to_frame(self, coord_components: Sequence[Poly]) -> list[Poly]:
         """Frame components of a coordinate vector field (triangular solve)."""
         return _unit_lower_solve(self._below, [_as_poly(self.ring, c) for c in coord_components])
-
-    def to_coords(self, frame_components: Sequence[Poly]) -> list[Poly]:
-        """Coordinate components of a field given in frame components (the
-        forward product that :meth:`to_frame` inverts)."""
-        a = [_as_poly(self.ring, x) for x in frame_components]
-        out = []
-        for c, acc in enumerate(a):
-            for j, x in self._below[c]:
-                acc = acc + x * a[j]
-            out.append(acc)
-        return out
 
 
 def _flow_generators(recipe: CoordinateRecipe, right: bool) -> list[list[Poly]]:
@@ -314,19 +321,20 @@ def left_invariant_frame(recipe: CoordinateRecipe) -> Frame:
     return Frame(recipe, _flow_generators(recipe, right=False))
 
 
-def _translation_system(generators: Sequence[Sequence[Poly]], ring: PolyRing,
+def _translation_system(generators: CoordinateFields, horizontal: Sequence[int],
                         degree: int) -> tuple[list, SparseRows, dict]:
-    """The map f -> (R_i f)_i on polynomials of weighted degree ``degree``:
-    its columns are the monomials of that degree, and row ``index[(i, e)]``
-    holds the coefficient of x^e in R_i f.  Each R_i has degree -1."""
+    """The map f -> (R_i f)_i, i over ``horizontal``, on polynomials of
+    weighted degree ``degree``: its columns are the monomials of that
+    degree, and row ``index[(i, e)]`` holds the coefficient of x^e in
+    R_i f.  Each R_i has degree -1."""
+    ring = generators.ring
     monos = ring.monomials_exact(degree)
     lower = ring.monomials_exact(degree - 1)
-    index = {key: r for r, key in enumerate((i, e) for i in range(len(generators))
-                                            for e in lower)}
+    index = {key: r for r, key in enumerate((i, e) for i in horizontal for e in lower)}
     rows: list[dict] = [{} for _ in index]
     for col, exp in enumerate(monos):
-        for i, column in enumerate(generators):
-            for e, x in _derivative_terms(column, exp):
+        for i in horizontal:
+            for e, x in generators.derivative_terms(i, exp):
                 rows[index[(i, e)]][col] = x
     return monos, SparseRows(rows, len(monos)), index
 
@@ -352,15 +360,15 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     g = s.negative
     ring = frame.ring
     zero = ring.zero()
-    generators = _flow_generators(frame.recipe, right=True)
-    horizontal = [generators[i] for i in g.layer_indices(1)]
-    xs = [s.sbasis.index(("neg", i)) for i in g.layer_indices(1)]  # the same X, in s
+    generators = frame.recipe.right_invariant
+    horizontal = g.layer_indices(1)
+    xs = [s.sbasis.index(("neg", i)) for i in horizontal]  # the same X, in s
     systems: dict[int, tuple] = {}
     fields: list[PolyVectorField | None] = [None] * s.dim
     levels: dict[int, list[int]] = {}
     for a, key in enumerate(s.sbasis):
         if key[0] == "neg":
-            fields[a] = PolyVectorField(tuple(frame.to_frame(generators[key[1]])))
+            fields[a] = PolyVectorField(tuple(frame.to_frame(generators.columns[key[1]])))
         else:
             levels.setdefault(key[1], []).append(a)
     for k in sorted(levels):
@@ -369,13 +377,13 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
         for depth in range(1, g.step + 1):
             degree = k + depth
             if degree not in systems:
-                systems[degree] = _translation_system(horizontal, ring, degree)
+                systems[degree] = _translation_system(generators, horizontal, degree)
             monos, system, index = systems[degree]
             keys = [(a, j) for a in elements for j in g.layer_indices(depth)]
             rhs = []
             for a, j in keys:
                 b = [0] * system.rows
-                for i, x in enumerate(xs):
+                for i, x in zip(horizontal, xs):
                     target = sum((c * fields[u].components[j] for u, c in s.bracket_table[a][x]),
                                  zero)
                     for e, c in target.terms.items():
@@ -543,9 +551,11 @@ def similarity_check(pmap: Sequence[Poly], frame: Frame) -> Poly | None:
     :func:`conformal_factor` of the :func:`pushforward` of the map or
     family with the components ``pmap``.
 
-    verify runs it three times: on the left translations, the group law
-    with its first point symbolic, factor 1; on the :func:`dilations`,
-    factor the square of the scale; and on the anisotropic automorphism,
-    which is no similarity.
+    verify runs it twice: on the :func:`dilations`, factor the square of
+    the scale, and on the anisotropic automorphism, which is no
+    similarity.  The left translations, the group law with its first
+    point symbolic, are pushed forward in verify itself, because its
+    homomorphism check reads their columns too; their factor is the
+    :func:`conformal_factor` of those columns.
     """
     return conformal_factor(pushforward(pmap, frame), frame)

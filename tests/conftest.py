@@ -225,6 +225,17 @@ def left_translation(recipe, p):
     return tuple(substitute(recipe.law, values))
 
 
+def to_coords(frame, frame_components):
+    """Coordinate components of the field sum_j f_j X_j given by its frame
+    components f_j (polynomials or constants): component c is
+    sum_j f_j columns[j][c], the coordinate reference the homomorphism and
+    residual tests bracket in."""
+    ring = frame.ring
+    comps = [f if isinstance(f, Poly) else ring.const(f) for f in frame_components]
+    return [sum((f * col[c] for f, col in zip(comps, frame.columns)), ring.zero())
+            for c in range(len(frame))]
+
+
 def group_inverse(recipe, p):
     """The inverse of the point p in recipe coordinates."""
     return factor_log(recipe, [-x for x in log_of_coords(recipe, p)])

@@ -16,7 +16,7 @@ from carnot.contact_pde import (conformal_defect, contact_defect, jet, jet_jacob
                                 solve_polynomial_conformal, vf_bracket)
 from .conftest import (CONFORMAL, action_vector, conformal_g0, dense_bracket, jacobiator,
                        jet_at, left_translation, make_abelian, make_heisenberg, rand_point,
-                       zero_matrices)
+                       to_coords, zero_matrices)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -195,7 +195,7 @@ def test_criterion_12_similarities(engel, engel_recipe, engel_frame):
 def test_criterion_13_homomorphism_sign(engel_prolongation, engel_frame, engel_tau):
     algebra, _ = engel_prolongation
     ring = engel_frame.ring
-    coords = [engel_frame.to_coords(list(f.components)) for f in engel_tau]
+    coords = [to_coords(engel_frame, f.components) for f in engel_tau]
     epsilon = None
     ok = True
     pairs = 0

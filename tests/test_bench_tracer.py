@@ -108,13 +108,15 @@ def _exponents(weights, degree):
 def test_tracer_counts_the_bracket_and_similarity_call_sites():
     # verify's [u,X] = u(X) check makes one bracket_vec call per level and
     # negative element: R^3 + co(3) has levels 4 + 3, H_1 has 2 + 2 + 1, and
-    # both have 3 negative elements; verify engel makes three similarity
-    # checks: the family of left translations, the family of dilations,
-    # each with its parameters symbolic, and one automorphism
+    # both have 3 negative elements; verify engel makes two similarity
+    # checks: the family of dilations, with its scale symbolic, and one
+    # automorphism (verify pushes the family of left translations forward
+    # itself, for its homomorphism check, and reads its factor off those
+    # columns)
     tracer = import_tracer()
     cases = [(["prolong", bundled_spec("r3_co3.alg")], "prolongation.bracket_vec_calls", 21),
              (["prolong", bundled_spec("heisenberg.alg")], "prolongation.bracket_vec_calls", 15),
-             (["verify", bundled_spec("engel.alg")], "group_realization.similarity_calls", 3)]
+             (["verify", bundled_spec("engel.alg")], "group_realization.similarity_calls", 2)]
     for argv, name, count in cases:
         with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
             assert main(argv) == 0
@@ -130,8 +132,9 @@ def test_tracer_counts_one_elimination_per_kernel():
     # generation matrix is eliminated only at construction.  verify engel
     # adds its degree-0 system, g0, level 1, three realization solves and
     # the rank check of its automorphism, made once, when the first-layer
-    # block is extended; its three similarity checks, of the translation
-    # family, the dilation family and the automorphism, eliminate nothing.
+    # block is extended; the pushforward of its translation family and its
+    # two similarity checks, of the dilation family and the automorphism,
+    # eliminate nothing.
     # oracle cartan_235 --degree 2 solves ansatz blocks -3 .. 1 only:
     # block 1 is zero, so block 2 is known to be zero without an
     # elimination

@@ -24,7 +24,7 @@ from carnot.prolongation import constrain_g0, full_prolongation, strata_derivati
 from .conftest import (BUNDLED, FULL_DERIVATIONS, GOLDEN, TERMINATING, ZERO_G0,
                        assert_int_when_integral, cartan_235_spec, dense_action,
                        free_step_two_spec, heisenberg_spec, named_spec, scale_family_text,
-                       spec_file, spec_text, spec_tower)
+                       spec_file, spec_text, spec_tower, to_coords)
 
 
 def run_cli(argv):
@@ -220,12 +220,16 @@ def test_verify_pushes_the_translation_family_forward_once(monkeypatch):
     import carnot.group_realization as group_realization
     assert not hasattr(carnot, "left_translation")
     assert not hasattr(group_realization, "left_translation")
+    import carnot.cli as cli
     rings = []
     original = group_realization.pushforward
 
     def counting(pmap, frame):
         rings.append(pmap[0].ring.names)
         return original(pmap, frame)
+    # verify pushes the translation family forward itself, and the other
+    # two maps through similarity_check
+    monkeypatch.setattr(cli, "pushforward", counting)
     monkeypatch.setattr(group_realization, "pushforward", counting)
     code, _ = run_cli(["verify", spec_path("engel.alg")])
     assert code == 0
@@ -233,9 +237,11 @@ def test_verify_pushes_the_translation_family_forward_once(monkeypatch):
     assert rings == [coords + tuple(f"{x}'" for x in coords), ("λ",) + coords, coords]
 
 
-def test_verify_makes_three_similarity_checks(monkeypatch):
-    # the translation family, the dilation family and the automorphism:
-    # no check at a sampled point or at a fixed scale
+def test_verify_makes_two_similarity_checks(monkeypatch):
+    # the dilation family and the automorphism: no check at a sampled
+    # point or at a fixed scale.  The translation family is pushed forward
+    # in verify itself, which reads its factor off the same columns as the
+    # homomorphism check
     import carnot.cli as cli
     assert not hasattr(cli, "DILATION_SCALES")
     factors = []
@@ -248,7 +254,7 @@ def test_verify_makes_three_similarity_checks(monkeypatch):
     code, out = run_cli(["verify", spec_path("engel.alg")])
     assert code == 0
     assert "dilation_scales" not in as_dict(out)
-    assert [str(k) for k in factors] == ["1", "λ^2", "None"]
+    assert [str(k) for k in factors] == ["λ^2", "None"]
 
 
 def test_a_misweighted_dilation_family_fails_verify(monkeypatch):
@@ -405,17 +411,24 @@ def _all_pairs_homomorphism(algebra, taucoords, ring, labels):
     return epsilon, failures
 
 
-def realized_coordinates(name):
-    """The prolongation algebra of a named spec and its realized fields in
-    coordinates, as ``run_verify`` passes them to the homomorphism check."""
-    from carnot.group_realization import realize_tau
+def realized_fields(name):
+    """The prolongation algebra of a named spec, its realized fields, its
+    frame and the pushforward of its translation family, as ``run_verify``
+    passes them to the homomorphism check."""
+    from carnot.group_realization import pushforward, realize_tau
     spec = named_spec(name)
     g = spec_algebra(spec)
     g0 = constrain_g0(strata_derivations(g), spec_constraint(spec))
     algebra, _ = full_prolongation(g, g0, max_k=spec.max_k)
-    frame = left_invariant_frame(spec_recipe(spec, g))
-    fields = realize_tau(algebra, frame)
-    return algebra, [frame.to_coords(list(f.components)) for f in fields], frame.ring
+    recipe = spec_recipe(spec, g)
+    frame = left_invariant_frame(recipe)
+    return algebra, realize_tau(algebra, frame), frame, pushforward(recipe.law, frame)
+
+
+def all_pairs_reference(algebra, fields, frame, labels):
+    """The verdict of ``_all_pairs_homomorphism`` on the fields in coordinates."""
+    taucoords = [to_coords(frame, f.components) for f in fields]
+    return _all_pairs_homomorphism(algebra, taucoords, frame.ring, labels)
 
 
 def test_terminating_names_every_bundled_and_saved_tower_that_terminates():
@@ -430,25 +443,26 @@ def test_terminating_names_every_bundled_and_saved_tower_that_terminates():
 @pytest.mark.parametrize("name", TERMINATING + ("r3", "r4", "r5", "r6", "r7", "r8",
                                                 "h1", "h2", "h3"))
 def test_layer_minus_one_pairs_give_the_verdict_of_all_pairs(name):
-    algebra, taucoords, ring = realized_coordinates(name)
+    algebra, fields, frame, translations = realized_fields(name)
     labels = list(algebra.labels)
-    result = _homomorphism_check(algebra, taucoords, ring, labels)
+    result = _homomorphism_check(algebra, fields, frame, translations, labels)
     assert result == (Fraction(-1), [])
-    assert _all_pairs_homomorphism(algebra, taucoords, ring, labels) == result
+    assert all_pairs_reference(algebra, fields, frame, labels) == result
 
 
 @pytest.mark.parametrize("name", ["engel", "heisenberg", "two_centre"])
 def test_a_corrupted_level_field_fails_at_a_layer_minus_one_pair(name):
-    # x1 d/dx2 has degree 1 - 1 = 0: a wrong term of the same degree as the
+    # x1 X2 has degree 1 - 1 = 0: a wrong term of the same degree as the
     # first level field, so the field stays homogeneous
-    algebra, taucoords, ring = realized_coordinates(name)
+    algebra, fields, frame, translations = realized_fields(name)
     labels = list(algebra.labels)
     u = algebra.weights.index(0)
     assert tuple(algebra.negative.weights[:2]) == (-1, -1)
-    taucoords[u] = list(taucoords[u])
-    taucoords[u][1] = taucoords[u][1] + ring.var(0)
-    _, failures = _homomorphism_check(algebra, taucoords, ring, labels)
-    _, reference = _all_pairs_homomorphism(algebra, taucoords, ring, labels)
+    comps = list(fields[u].components)
+    comps[1] = comps[1] + frame.ring.var(0)
+    fields[u] = PolyVectorField(tuple(comps))
+    _, failures = _homomorphism_check(algebra, fields, frame, translations, labels)
+    _, reference = all_pairs_reference(algebra, fields, frame, labels)
     assert failures and set(failures) <= set(reference)
     # a pair fails where the field is bracketed and where it is a bracket
     pairs = [set(re.fullmatch(r"bracket mismatch at \((\w+),(\w+)\)", line).groups())
@@ -458,11 +472,96 @@ def test_a_corrupted_level_field_fails_at_a_layer_minus_one_pair(name):
     assert any(labels[u] in pair for pair in pairs)
 
 
-@pytest.mark.parametrize("name, calls", [("engel", 7), ("heis_x_r", 12), ("free_3_2", 24),
-                                         ("cartan_235", 11), ("two_centre", 34)])
-def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatch, name,
-                                                                     calls):
-    # all pairs were 10, 15, 45, 21 and 55
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "two_centre"])
+def test_each_sign_flip_names_its_pair(name):
+    # the negated first level field flips the sign of every checked pair it
+    # is a member of, or whose bracket it is: one failure line per pair,
+    # each naming it, where one repeated line said that the sign flipped
+    algebra, fields, frame, translations = realized_fields(name)
+    labels = list(algebra.labels)
+    u = algebra.weights.index(0)
+    fields[u] = PolyVectorField(tuple(-f for f in fields[u].components))
+    epsilon, failures = _homomorphism_check(algebra, fields, frame, translations, labels)
+    assert epsilon == -1
+    assert len(set(failures)) == len(failures)
+    horizontal = {labels[a] for a, w in enumerate(algebra.weights) if w == -1}
+    assert {f"homomorphism sign flips at ({x},{labels[u]})" for x in horizontal} <= set(failures)
+    for line in failures:
+        pair = re.fullmatch(r"homomorphism sign flips at \((\w+),(\w+)\)", line).groups()
+        assert set(pair) & horizontal
+
+
+def run_engel_verify():
+    code, out = run_cli(["verify", spec_path("engel.alg")])
+    d = as_dict(out)
+    return code, d, [v for k, v in d.items() if k.startswith("failure_")]
+
+
+def test_a_law_that_moves_the_identity_fails_verify(monkeypatch):
+    # the law shifted by a constant on the central z is L_{x exp(Z)}: every
+    # member preserves the frame, and frame and generators, read off the
+    # parts of the law linear in one point, are unchanged; but L_0 is not
+    # the identity, so the translation family says nothing about [R_v, X_i]
+    import carnot.cli as cli
+
+    def shifted(spec, g, _original=cli.spec_recipe):
+        recipe = _original(spec, g)
+        law = list(recipe.law)
+        law[-1] = law[-1] + 1
+        recipe.__dict__["law"] = tuple(law)
+        return recipe
+    monkeypatch.setattr(cli, "spec_recipe", shifted)
+    code, d, failures = run_engel_verify()
+    assert code == 1
+    assert failures == ["group law does not fix the identity"]
+    assert (d["epsilon"], d["homomorphism_sign_uniform"]) == ("0", "false")
+    assert d["translations_similar"] == "true"
+
+
+def test_translations_that_only_rotate_the_frame_fail_verify(monkeypatch):
+    # the translation columns turned by a quarter turn in the X1, X2 plane
+    # are still a similarity with factor 1, but no longer the identity
+    import carnot.cli as cli
+
+    def turned(pmap, frame, _original=cli.pushforward):
+        cols = _original(pmap, frame)
+        return [cols[1], [-x for x in cols[0]]] + cols[2:]
+    monkeypatch.setattr(cli, "pushforward", turned)
+    code, d, failures = run_engel_verify()
+    assert code == 1
+    assert failures == ["left translations do not preserve the frame"]
+    assert (d["epsilon"], d["homomorphism_sign_uniform"]) == ("0", "false")
+    assert d["translations_similar"] == "true"
+
+
+@pytest.mark.parametrize("name", ["engel", "cartan_235"])
+def test_a_frame_off_its_relations_fails_the_homomorphism_check(name):
+    # a term added below the diagonal of the first deep frame field breaks
+    # the relation that defines it; the law and the horizontal frame
+    # fields stay, so the translation family still fixes the frame
+    from carnot.group_realization import pushforward
+    algebra, fields, frame, _ = realized_fields(name)
+    g = frame.algebra
+    t = next(iter(g.spanned_by))
+    columns = [list(col) for col in frame.columns]
+    columns[t][-1] = columns[t][-1] + frame.ring.var(0) ** (-g.weights[-1] + g.weights[t])
+    stand_in = Frame(frame.recipe, columns)
+    translations = pushforward(frame.recipe.law, stand_in)
+    assert all(x == (1 if i == j else 0) for i, col in enumerate(translations)
+               for j, x in enumerate(col))
+    i, j = next((i, j) for _, i, j in g.spanned_by[t])
+    assert _homomorphism_check(algebra, fields, stand_in, translations, list(algebra.labels)) \
+        == (None, [f"frame bracket [{g.names[i]},{g.names[j]}] is not the algebra's"])
+
+
+@pytest.mark.parametrize("name, calls", [("engel", 2), ("heis_x_r", 1), ("free_3_2", 3),
+                                         ("cartan_235", 3), ("two_centre", 2), ("r8", 0)])
+def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatch, tmp_path,
+                                                                     name, calls):
+    # the pairs with a layer -1 member (7, 12, 24, 11, 34 and 36; all
+    # pairs are 10, 15, 45, 21, 55 and 45) are derivatives along R_x in
+    # frame components, with no bracket of vector fields: what is left is
+    # one frame relation per generation pair, the entries of spanned_by
     import carnot.cli as cli
     counted = []
 
@@ -470,9 +569,19 @@ def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatc
         counted.append(args)
         return _original(*args)
     monkeypatch.setattr(cli, "vf_bracket", counting)
-    code, _ = run_cli(["verify", spec_file(name)])
-    assert code == 0
+    if name in TERMINATING:
+        path = spec_file(name)
+    else:
+        path = tmp_path / f"{name}.alg"
+        path.write_text(scale_family_text(name))
+    code, out = run_cli(["verify", str(path)])
+    d = as_dict(out)
+    assert (d["epsilon"], d["homomorphism_sign_uniform"]) == ("-1", "true")
     assert len(counted) == calls
+    g = spec_algebra(named_spec(name))
+    assert calls == sum(map(len, g.spanned_by.values()))
+    # R^8 ends in FAIL at jet_one_part_zero, after the homomorphism check
+    assert code == (1 if name == "r8" else 0)
 
 
 def test_oracle_engel():

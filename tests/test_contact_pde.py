@@ -19,7 +19,7 @@ from carnot.polynomials import Poly, PolyRing
 from .conftest import (CONFORMAL, TERMINATING, ZERO_G0, apply_rows, basis_vector, components,
                        conformal_g0, dense_action, dense_values_matrix, heisenberg_spec,
                        jet_at, make_abelian, named_algebra_frame, named_spec, rand_point,
-                       residual_polys, sparse_values, values_of)
+                       residual_polys, sparse_values, to_coords, values_of)
 
 
 def unit_frame_field(frame, j):
@@ -85,7 +85,7 @@ def reference_residuals(comps, frame, rows):
     condition row ``{(r, c): a}`` as sum a X_c(f_r) over the untabulated
     derivative."""
     m = frame.horizontal
-    coords = frame.to_coords(list(comps))
+    coords = to_coords(frame, comps)
     out = []
     for i in range(m):
         out.extend(frame.to_frame(vf_bracket(coords, list(frame.columns[i])))[m:])

@@ -9,9 +9,9 @@ from carnot.exact_linalg import Matrix, solve
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateRecipe, Frame, NotRealizable, NotTerminated,
-                                      UnsupportedStep, _flow_generators, _translation_system,
-                                      bch, conformal_factor, dilations,
+from carnot.group_realization import (CoordinateFields, CoordinateRecipe, Frame, NotRealizable,
+                                      NotTerminated, UnsupportedStep, _flow_generators,
+                                      _translation_system, bch, conformal_factor, dilations,
                                       extend_first_layer_automorphism, graded_automorphism,
                                       group_product, left_invariant_frame, pushforward,
                                       realize_tau, similarity_check)
@@ -20,7 +20,7 @@ from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, apply_rows, basis_
                        conformal_g0, dense_bracket, factorwise_automorphism, factorwise_image,
                        flow_generators_reference, group_inverse, jacobian_reference,
                        left_translation, make_abelian, named_algebra_frame, permuted,
-                       rand_point, spec_file, subs_reference, t_extended_ring)
+                       rand_point, spec_file, subs_reference, t_extended_ring, to_coords)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -119,6 +119,10 @@ def test_flow_generators_match_the_t_linear_reference(name):
     recipe = frame.recipe
     assert [list(col) for col in frame.columns] == flow_generators_reference(recipe, False)
     assert _flow_generators(recipe, right=True) == flow_generators_reference(recipe, True)
+    # the recipe reads the right-invariant fields once, in its own ring
+    generators = recipe.right_invariant
+    assert recipe.right_invariant is generators and generators.ring is recipe.ring
+    assert [list(col) for col in generators.columns] == flow_generators_reference(recipe, True)
 
 
 @pytest.mark.parametrize("name", ["engel", "cartan_235", "two_centre", "h2"])
@@ -196,7 +200,7 @@ def test_frame_conversion_roundtrip(engel_frame, rng):
     ring = engel_frame.ring
     comps = [ring.var(0) ** 2, ring.var(2), ring.one(), ring.var(0) * ring.var(1)]
     frame_comps = engel_frame.to_frame(comps)
-    assert engel_frame.to_coords(frame_comps) == comps
+    assert to_coords(engel_frame, frame_comps) == comps
 
 
 # -- tau ----------------------------------------------------------------
@@ -235,7 +239,7 @@ def test_tau_homomorphism_sign_uniform(engel, engel_prolongation, engel_frame, e
     from carnot.contact_pde import vf_bracket
     algebra, _ = engel_prolongation
     ring = engel_frame.ring
-    coords = [engel_frame.to_coords(list(f.components)) for f in engel_tau]
+    coords = [to_coords(engel_frame, f.components) for f in engel_tau]
     eps = None
     for a in range(algebra.dim):
         for b in range(a + 1, algebra.dim):
@@ -280,7 +284,7 @@ def test_tau_realizes_positive_levels():
             assert conformal_defect(field, frame, CONFORMAL).all_zero
             for comp, w in zip(field.components, g.weights):
                 assert all(ring.term_degree(e) == weight - w for e in comp.terms)
-        coords = [frame.to_coords(list(f.components)) for f in fields]
+        coords = [to_coords(frame, f.components) for f in fields]
         for a in range(s.dim):
             for b in range(a + 1, s.dim):
                 expect = [ring.zero()] * g.dim
@@ -295,7 +299,7 @@ def realize_tau_per_column(s, frame):
     g = s.negative
     ring = frame.ring
     generators = flow_generators_reference(frame.recipe, right=True)
-    horizontal = [generators[i] for i in g.layer_indices(1)]
+    table = CoordinateFields(ring, generators)
     xs = [s.sbasis.index(("neg", i)) for i in g.layer_indices(1)]
     fields = []
     for a, key in enumerate(s.sbasis):
@@ -304,9 +308,10 @@ def realize_tau_per_column(s, frame):
             continue
         comps = []
         for j in range(g.dim):
-            monos, system, index = _translation_system(horizontal, ring, key[1] - g.weights[j])
+            monos, system, index = _translation_system(table, g.layer_indices(1),
+                                                       key[1] - g.weights[j])
             rhs = [0] * system.rows
-            for i, x in enumerate(xs):
+            for i, x in zip(g.layer_indices(1), xs):
                 for b, c in s.bracket_table[a][x]:
                     for e, v in fields[b][j].terms.items():
                         rhs[index[(i, e)]] += c * v
