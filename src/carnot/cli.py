@@ -443,6 +443,23 @@ def _commutation_failure(frame: Frame, translations: list[list[Poly]]) -> str | 
     return None
 
 
+def _put(out: dict, key: tuple, x) -> None:
+    out[key] = out[key] + x if key in out else x
+
+
+def _bracket_along(right, v: int, comps: list[dict]) -> dict:
+    """``[R_v, sum_j f_j X_j]`` as frame terms ``{(j, e): c}``, the f_j
+    given by their terms in ``comps``: ``sum_j R_v(f_j) X_j``, read from
+    the derivative table ``right`` of the right-invariant fields.  One
+    call per pair that ``_homomorphism_check`` brackets."""
+    out: dict = {}
+    for j, terms in enumerate(comps):
+        for exp, c in terms.items():
+            for e, d in right.derivative_terms(v, exp):
+                _put(out, (j, e), c * d)
+    return {key: c for key, c in out.items() if c}
+
+
 def _homomorphism_check(algebra, fields: list[PolyVectorField], frame: Frame,
                         translations: list[list[Poly]], labels: list[str]
                         ) -> tuple[Fraction | None, list[str]]:
@@ -500,36 +517,23 @@ def _homomorphism_check(algebra, fields: list[PolyVectorField], frame: Frame,
         return None, [premise]
     right = frame.recipe.right_invariant
     comps = [[f.terms for f in fld.components] for fld in fields]
-
-    def put(out: dict, key: tuple, x) -> None:
-        out[key] = out[key] + x if key in out else x
-
-    def along(x: int, b: int) -> dict:
-        """``[R_x, tau(b)]`` as frame terms ``{(j, e): c}``."""
-        v = algebra.sbasis[x][1]
-        out: dict = {}
-        for j, terms in enumerate(comps[b]):
-            for exp, c in terms.items():
-                for e, d in right.derivative_terms(v, exp):
-                    put(out, (j, e), c * d)
-        return {key: c for key, c in out.items() if c}
-
     epsilon = None
     failures: list[str] = []
     weights = algebra.weights
     for a in range(algebra.dim):
         for b in range(a + 1, algebra.dim):
             if weights[a] == -1:
-                lhs = along(a, b)
+                lhs = _bracket_along(right, algebra.sbasis[a][1], comps[b])
             elif weights[b] == -1:
-                lhs = {key: -c for key, c in along(b, a).items()}
+                lhs = {key: -c for key, c in
+                       _bracket_along(right, algebra.sbasis[b][1], comps[a]).items()}
             else:
                 continue
             rhs: dict = {}
             for i, c in algebra.bracket_table[a][b]:
                 for j, terms in enumerate(comps[i]):
                     for e, x in terms.items():
-                        put(rhs, (j, e), c * x)
+                        _put(rhs, (j, e), c * x)
             rhs = {key: x for key, x in rhs.items() if x}
             if not lhs and not rhs:
                 continue

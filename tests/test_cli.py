@@ -237,24 +237,32 @@ def test_verify_pushes_the_translation_family_forward_once(monkeypatch):
     assert rings == [coords + tuple(f"{x}'" for x in coords), ("λ",) + coords, coords]
 
 
-def test_verify_makes_two_similarity_checks(monkeypatch):
-    # the dilation family and the automorphism: no check at a sampled
-    # point or at a fixed scale.  The translation family is pushed forward
-    # in verify itself, which reads its factor off the same columns as the
-    # homomorphism check
+def test_verify_makes_three_similarity_checks(monkeypatch):
+    # the translation family, the dilation family and the automorphism:
+    # no check at a sampled point or at a fixed scale.  The translation
+    # family is pushed forward in verify itself, which reads its factor off
+    # the same columns as the homomorphism check, so similarity_check runs
+    # on the other two only
     import carnot.cli as cli
+    import carnot.group_realization as group_realization
     assert not hasattr(cli, "DILATION_SCALES")
-    factors = []
-    original = cli.similarity_check
+    factors, similar = [], []
 
-    def counting(pmap, frame):
-        factors.append(original(pmap, frame))
+    def factor(cols, frame, _original=group_realization.conformal_factor):
+        factors.append(_original(cols, frame))
         return factors[-1]
-    monkeypatch.setattr(cli, "similarity_check", counting)
+
+    def similarity(pmap, frame, _original=cli.similarity_check):
+        similar.append(_original(pmap, frame))
+        return similar[-1]
+    monkeypatch.setattr(cli, "conformal_factor", factor)
+    monkeypatch.setattr(group_realization, "conformal_factor", factor)
+    monkeypatch.setattr(cli, "similarity_check", similarity)
     code, out = run_cli(["verify", spec_path("engel.alg")])
     assert code == 0
     assert "dilation_scales" not in as_dict(out)
-    assert [str(k) for k in factors] == ["λ^2", "None"]
+    assert [str(k) for k in factors] == ["1", "λ^2", "None"]
+    assert [str(k) for k in similar] == ["λ^2", "None"]
 
 
 def test_a_misweighted_dilation_family_fails_verify(monkeypatch):
@@ -554,21 +562,26 @@ def test_a_frame_off_its_relations_fails_the_homomorphism_check(name):
         == (None, [f"frame bracket [{g.names[i]},{g.names[j]}] is not the algebra's"])
 
 
-@pytest.mark.parametrize("name, calls", [("engel", 2), ("heis_x_r", 1), ("free_3_2", 3),
-                                         ("cartan_235", 3), ("two_centre", 2), ("r8", 0)])
+@pytest.mark.parametrize("name, calls", [("engel", 7), ("heis_x_r", 12), ("free_3_2", 24),
+                                         ("cartan_235", 11), ("two_centre", 34), ("r8", 324)])
 def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatch, tmp_path,
                                                                      name, calls):
-    # the pairs with a layer -1 member (7, 12, 24, 11, 34 and 36; all
-    # pairs are 10, 15, 45, 21, 55 and 45) are derivatives along R_x in
-    # frame components, with no bracket of vector fields: what is left is
-    # one frame relation per generation pair, the entries of spanned_by
+    # all pairs are 10, 15, 45, 21, 55 and 990.  Each checked pair is
+    # derivatives along R_x in frame components, with no bracket of vector
+    # fields: what is left is one frame relation per generation pair, the
+    # entries of spanned_by
     import carnot.cli as cli
-    counted = []
+    pairs, brackets = [], []
 
-    def counting(*args, _original=cli.vf_bracket):
-        counted.append(args)
+    def along(right, v, comps, _original=cli._bracket_along):
+        pairs.append(v)
+        return _original(right, v, comps)
+
+    def bracket(*args, _original=cli.vf_bracket):
+        brackets.append(args)
         return _original(*args)
-    monkeypatch.setattr(cli, "vf_bracket", counting)
+    monkeypatch.setattr(cli, "_bracket_along", along)
+    monkeypatch.setattr(cli, "vf_bracket", bracket)
     if name in TERMINATING:
         path = spec_file(name)
     else:
@@ -577,9 +590,11 @@ def test_verify_brackets_only_the_pairs_with_a_layer_minus_one_member(monkeypatc
     code, out = run_cli(["verify", str(path)])
     d = as_dict(out)
     assert (d["epsilon"], d["homomorphism_sign_uniform"]) == ("-1", "true")
-    assert len(counted) == calls
+    assert len(pairs) == calls
     g = spec_algebra(named_spec(name))
-    assert calls == sum(map(len, g.spanned_by.values()))
+    assert len(brackets) == sum(map(len, g.spanned_by.values()))
+    assert len(brackets) == {"engel": 2, "heis_x_r": 1, "free_3_2": 3, "cartan_235": 3,
+                             "two_centre": 2, "r8": 0}[name]
     # R^8 ends in FAIL at jet_one_part_zero, after the homomorphism check
     assert code == (1 if name == "r8" else 0)
 
