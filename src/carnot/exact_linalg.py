@@ -13,12 +13,12 @@ once per call; ``solve`` carries every right-hand side it is given
 through that one elimination.  ``nullspace`` eliminates in reverse
 column order and reads the canonical kernel basis straight off that one
 reduction; ``from_vectors`` remains for vectors that do not come from an
-elimination.  ``rref`` scales each row to a primitive integer row,
-touches nonzero entries only, and reduces in a single Gauss–Jordan
-pass, shortest rows first.  What it returns follows the convention too:
-each reduced entry is an ``int`` when its division by the pivot is
-exact, so the results of ``nullspace`` and ``solve`` and the bases of
-a ``Subspace`` hold ints wherever they are integral.  The one report
+elimination.  ``rref`` works on integer rows, touches nonzero entries
+only, and reduces in a single Gauss–Jordan pass, shortest rows first.
+What it returns follows the convention too: each reduced entry is an
+``int`` when its division by the pivot is exact, so the results of
+``nullspace`` and ``solve`` and the bases of a ``Subspace`` hold ints
+wherever they are integral.  The one report
 that shows such values as numbers, the ``g0`` matrices of ``prolong``,
 converts them to ``Fraction`` where it is built
 (``prolongation.degree_zero_matrix``).
@@ -33,6 +33,7 @@ elimination.  A degree-zero map is kept as its values, not as a matrix.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -124,35 +125,53 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _integer_row(row: Mapping[int, Rational], ncols: int) -> dict[int, int]:
-    """``row`` times the lcm of its denominators, divided by its content."""
-    mult = lcm(*(x.denominator for x in row.values()))
-    out = {}
-    for c, x in row.items():
-        if not 0 <= c < ncols:
-            raise ValueError(f"column {c} outside a system of {ncols} columns")
-        if x:
-            out[c] = x.numerator * (mult // x.denominator)
-    return _primitive(out)
+def _integer_row(row: Mapping[int, Rational]) -> dict[int, int]:
+    """An integer multiple of ``row``, as a new dict without zero entries.
+
+    A row of one entry becomes ``{c: 1}``.  An all-``int`` row is taken as
+    it is.  Only a row holding a ``Fraction`` pays for the lcm of its
+    denominators and is divided by its content.
+    """
+    if len(row) == 1:
+        return {c: 1 for c, x in row.items() if x}
+    values = row.values()
+    if Fraction in map(type, values):
+        mult = lcm(*(x.denominator for x in values))
+        out = {c: x.numerator * (mult // x.denominator) for c, x in row.items() if x}
+        return _primitive(out)
+    if 0 in values:
+        return {c: x for c, x in row.items() if x}
+    return dict(row)
 
 
 def _combine(target: dict[int, int], source: dict[int, int], col: int) -> None:
-    # target <- (p/g)*target - (e/g)*source, killing target[col]; stays integral
+    # kill target[col] with the pivot row source, keeping target integral:
+    # a pivot row of one entry says x_col = 0, so the entry is dropped;
+    # target - (e*p)*source for a unit pivot p = ±1, with no scaling;
+    # otherwise (p/g)*target - (e/g)*source, then divided by its content
+    if len(source) == 1:
+        del target[col]
+        return
     p = source[col]
     e = target[col]
-    g = gcd(p, e)
-    m1 = p // g
-    m2 = e // g
-    if m1 != 1:
-        for c in target:
-            target[c] *= m1
+    unit = p == 1 or p == -1
+    if unit:
+        m2 = e * p
+    else:
+        g = gcd(p, e)
+        m1 = p // g
+        m2 = e // g
+        if m1 != 1:
+            for c in target:
+                target[c] *= m1
     for c, s in source.items():
         v = target.get(c, 0) - m2 * s
         if v:
             target[c] = v
         else:
             del target[c]
-    _primitive(target)
+    if not unit:
+        _primitive(target)
 
 
 def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
@@ -172,48 +191,66 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     another row's pivot: the rows are reduced throughout, and at the end
     they are the RREF of the row space.  That form is unique, so the
     order in which the rows are taken does not change the result.
+
+    Each row costs what its nonzeros cost.  An empty row costs nothing.
+    A row of one entry becomes ``{c: 1}``, and an all-``int`` row is used
+    as it is; only a row holding a ``Fraction`` pays for the lcm of its
+    denominators.  A pivot row of one entry clears its column from another
+    row by dropping that entry, a unit pivot ±1 clears without scaling,
+    and any other pivot scales the row it clears and divides out its
+    content.  A reduced row of one entry is ``{p: 1}``, and one whose
+    lead is 1 is copied out as it is.  The rows given are never changed.
     """
     ncols = m.cols
+    rows = sorted(filter(None, m.entries), key=len)
+    _check_columns(rows, ncols)
     pivot_rows: dict[int, dict[int, int]] = {}
     # column -> pivots of the rows that have held it off their pivot
-    holders: dict[int, set[int]] = {}
-    for row in sorted(m.entries, key=len):
-        work = _integer_row(row, ncols)
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for row in rows:
+        work = _integer_row(row)
         # a pivot row holds no other pivot, so clearing one pivot from
         # ``work`` never brings back another
-        for c in [c for c in work if c in pivot_rows]:
+        for c in work.keys() & pivot_rows.keys():
             _combine(work, pivot_rows[c], c)
         if not work:
             continue
         p = min(work)
-        owners = [q for q in holders.pop(p, ()) if p in pivot_rows[q]]
-        for q in owners:
-            _combine(pivot_rows[q], work, p)
-        owners.append(p)
+        owners = [p]
+        for q in holders.pop(p, ()):
+            if p in pivot_rows[q]:
+                _combine(pivot_rows[q], work, p)
+                owners.append(q)
         pivot_rows[p] = work
         for c in work:
             if c != p:
-                holders.setdefault(c, set()).update(owners)
+                holders[c].update(owners)
     pivots = sorted(pivot_rows)
     out = []
     for p in pivots:
         row = pivot_rows[p]
         lead = row[p]
-        reduced = {}
-        for c in sorted(row):
-            q, r = divmod(row[c], lead)
-            reduced[c] = Fraction(row[c], lead) if r else q
+        if len(row) == 1:
+            reduced = {p: 1}
+        elif lead == 1:
+            reduced = {c: row[c] for c in sorted(row)}
+        else:
+            reduced = {}
+            for c in sorted(row):
+                q, r = divmod(row[c], lead)
+                reduced[c] = Fraction(row[c], lead) if r else q
         out.append(reduced)
     out.extend({} for _ in range(m.rows - len(pivots)))
     return SparseRows(out, ncols), len(pivots), pivots
 
 
-def _check_columns(m: SparseRows) -> None:
-    """Raise, naming the caller's column, if a row leaves the system; for
-    eliminations that renumber or append columns before :func:`rref` sees
-    them."""
-    n = m.cols
-    for row in m.entries:
+def _check_columns(rows: Sequence[Mapping[int, Rational]], n: int) -> None:
+    """Raise, naming the first column in row order that lies outside
+    ``range(n)``, if one of ``rows`` leaves a system of ``n`` columns."""
+    if (0 <= min(map(min, filter(None, rows)), default=0)
+            and max(map(max, filter(None, rows)), default=0) < n):
+        return
+    for row in rows:
         for c in row:
             if not 0 <= c < n:
                 raise ValueError(f"column {c} outside a system of {n} columns")
@@ -233,7 +270,7 @@ def solve(m: SparseRows, rhs: Sequence[Sequence[Rational]]) -> list[list[Rationa
     """
     n = m.cols
     # a column past the system would be read as a right-hand side
-    _check_columns(m)
+    _check_columns(m.entries, n)
     aug = [dict(row) for row in m.entries]
     for k, b in enumerate(rhs):
         if len(b) != m.rows:
@@ -321,7 +358,8 @@ def nullspace(m: SparseRows) -> Subspace:
     second elimination is needed.
     """
     n = m.cols
-    _check_columns(m)
+    # named as the caller wrote it, before the columns are reversed
+    _check_columns(m.entries, n)
     last = n - 1
     ech, rank, rpivots = rref(SparseRows([{last - c: x for c, x in row.items()}
                                           for row in m.entries], n))

@@ -185,7 +185,9 @@ def _leibniz_system(g: GradedLieAlgebra, prior_levels: Sequence[Level],
 
     The unknowns are the values of u on every negative basis element;
     every unordered pair of negative basis elements contributes one vector
-    equation in the degree weight(S)+weight(T)+k space.
+    equation in the degree weight(S)+weight(T)+k space.  Only its nonzero
+    rows are handed on: a target coordinate that no term reaches gives the
+    empty equation 0 = 0, and the kernel is the same without it.
     """
     sizes = [_space_dim(g, prior_levels, g.weights[j] + k) for j in range(g.dim)]
     cells = [(j, t) for j in range(g.dim) for t in range(sizes[j])]
@@ -215,7 +217,7 @@ def _leibniz_system(g: GradedLieAlgebra, prior_levels: Sequence[Level],
                 for col, terms in zip(columns[src], images):
                     for t, val in terms:
                         block[t][col] = sign * val
-            rows.extend(block)
+            rows.extend(row for row in block if row)
     return rows, columns, len(cells)
 
 

@@ -10,6 +10,8 @@ import sympy
 from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, nullspace, rref,
                                  solve, sparse_row, span_equal)
 
+from .conftest import assert_int_when_integral
+
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
@@ -293,6 +295,76 @@ def assert_nullspace_matches_sympy(m):
         assert list(ns.pivots) == list(ref_pivots)
 
 
+def assert_solve_matches_sympy(m, sides):
+    """Each side's solution, free variables at zero, read off sympy's rref
+    of the system with that side appended; None iff the side is a pivot."""
+    solutions = solve(m, sides)
+    assert len(solutions) == len(sides)
+    for b, x in zip(sides, solutions):
+        column = sympy.Matrix([[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)]
+                               for v in b])
+        ref, ref_pivots = to_sympy(m).row_join(column).rref()
+        if m.cols in ref_pivots:
+            assert x is None
+            continue
+        expected = [Fraction(0)] * m.cols
+        for i, p in enumerate(ref_pivots):
+            expected[p] = Fraction(int(ref[i, m.cols].p), int(ref[i, m.cols].q))
+        assert x == expected
+        assert_int_when_integral(x)
+
+
+# the coefficient kinds rref takes apart: units, other ints, integral
+# Fractions such as Fraction(4, 2), and non-integral Fractions
+mixed_coefficients = st.one_of(
+    st.sampled_from((1, -1)),
+    st.integers(-6, 6).filter(bool),
+    st.integers(-6, 6).filter(bool).map(lambda k: Fraction(2 * k, 2)),
+    fractions_st.filter(lambda x: x.denominator != 1))
+
+
+@st.composite
+def mixed_systems(draw):
+    """Systems whose rows take every path of rref: empty rows, single
+    entries, all-int rows (often with ±1 pivots) and rows holding integral
+    or non-integral Fractions."""
+    cols = draw(st.integers(2, 10))
+    column = st.integers(0, cols - 1)
+    int_entry = st.one_of(st.sampled_from((1, -1)), st.integers(-6, 6).filter(bool))
+    row_st = st.one_of(
+        st.just({}),
+        st.dictionaries(column, mixed_coefficients, min_size=1, max_size=1),
+        st.dictionaries(column, int_entry, min_size=2, max_size=4),
+        st.dictionaries(column, mixed_coefficients, min_size=2, max_size=4))
+    return SparseRows(draw(st.lists(row_st, min_size=1, max_size=10)), cols)
+
+
+def typed_entries(m):
+    return [[(c, type(x), x) for c, x in row.items()] for row in m.entries]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mixed_systems(), st.data())
+def test_every_row_path_matches_sympy(m, data):
+    given_entries = typed_entries(m)
+    assert_rref_matches_sympy(m)
+    assert_nullspace_matches_sympy(m)
+    # a side in the column space, so that some sides are consistent
+    point = data.draw(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols))
+    sides = [mul_vec(m, point)] + data.draw(st.lists(
+        st.lists(st.one_of(st.just(0), mixed_coefficients), min_size=m.rows, max_size=m.rows),
+        min_size=1, max_size=3))
+    assert_solve_matches_sympy(m, sides)
+    ech, rank, _ = rref(m)
+    rows = ech.entries[:rank] + list(nullspace(m).basis)
+    for row in rows:
+        assert list(row) == sorted(row)
+    if rows:
+        assert_int_when_integral(x for row in rows for x in row.values())
+    # the rows are read, never changed: an all-int row is used as it comes
+    assert typed_entries(m) == given_entries
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(wide_systems())
 def test_rref_matches_sympy(m):
@@ -378,11 +450,13 @@ def test_nullspace_names_the_callers_column_out_of_range():
 def prolongation_systems(name):
     """Every system the prolongation of a spec hands to ``nullspace``: the
     degree-0 Leibniz system, with the g0 conditions added, and the Leibniz
-    system of each level up to the spec's cutoff."""
+    system of each level up to the spec's cutoff.  ``name`` is a bundled
+    spec, one stored in tests/golden, or ``r<n>`` / ``h<n>`` with the
+    conformal g0."""
     import carnot.prolongation as prolongation
-    from carnot.cli import _prolong, parse_spec_file
-    from .conftest import spec_file
-    spec = parse_spec_file(spec_file(name))
+    from carnot.cli import _prolong
+    from .conftest import named_spec
+    spec = named_spec(name)
     return systems_passed_to_nullspace(prolongation, lambda: _prolong(spec, spec.max_k))
 
 
@@ -393,6 +467,19 @@ def test_nullspace_matches_sympy_on_prolongation_systems(name, count):
     assert len(systems) == count
     for m in systems:
         assert_nullspace_matches_sympy(m)
+
+
+@pytest.mark.parametrize("name", ["engel", "heisenberg", "r1", "r2_co2", "r3_co3"]
+                         + [f"r{n}" for n in range(3, 9)] + [f"h{n}" for n in range(1, 4)])
+def test_no_empty_row_reaches_nullspace_from_prolong(name):
+    # a Leibniz target coordinate that no term reaches is the equation
+    # 0 = 0, which is left out rather than handed to the elimination
+    systems = prolongation_systems(name)
+    assert systems
+    for m in systems:
+        assert all(m.entries), name
+        if name in ("r5", "h2"):
+            assert_nullspace_matches_sympy(m)
 
 
 @pytest.mark.parametrize("delta", [0, 3])

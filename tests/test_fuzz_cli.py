@@ -6,6 +6,7 @@ Every input must end in a report or a located message, with exit code 0,
 
 import io
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,6 +14,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from carnot import bundled_spec
 from carnot.cli import main
+
+from .conftest import (FULL_DERIVATIONS, ZERO_G0, cartan_235_spec, free_step_two_spec,
+                       heisenberg_spec, scale_family_text)
 
 COMMANDS = (["validate"], ["prolong"], ["verify"], ["oracle", "--degree", "2"])
 
@@ -151,3 +155,46 @@ def test_malformed_spec_text_ends_in_a_report_or_a_located_error(text):
             argv = [command[0], path, "--max-k", "2", *command[1:]]
             code, _ = run(argv)
             assert code in (0, 1, 2), (argv, text)
+
+
+G0_BODIES = (FULL_DERIVATIONS, "constraint = conformal", ZERO_G0)
+
+
+@st.composite
+def primed_specs(draw):
+    """A valid spec from the generators of ``tests/conftest.py`` with one
+    layer -1 name primed wherever it is used, the primed name, and the line
+    and column of its layer entry."""
+    text = draw(st.one_of(
+        st.builds(free_step_two_spec, st.integers(2, 4), st.sampled_from(G0_BODIES)),
+        st.sampled_from(G0_BODIES).map(cartan_235_spec),
+        st.sampled_from(G0_BODIES).map(heisenberg_spec),
+        st.sampled_from([f"{kind}{n}" for kind in "rh" for n in (1, 2, 3)]).map(
+            scale_family_text)))
+    lines = text.splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith("layer -1 ="))
+    entries = list(re.finditer(r"\S+", lines[lineno - 1].split("=", 1)[1]))
+    entry = draw(st.sampled_from(entries))
+    primed = entry.group(0) + "'"
+    col = len(lines[lineno - 1].split("=", 1)[0]) + 1 + entry.start() + 1
+    text = re.sub(rf"\b{re.escape(entry.group(0))}\b", primed, text)
+    return text, primed, lineno, col
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(primed_specs())
+def test_a_primed_generator_is_a_located_parse_error(case):
+    # a primed name would collide with the primed copy of a coordinate in
+    # the ring of the group law; the parser stops at its layer entry
+    text, primed, lineno, col = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "primed.alg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in ("validate", "verify"):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+                code = main([command, path])
+            assert (code, out.getvalue(), err.getvalue()) == (
+                2, "", f"carnot: {path}:{lineno}:{col}: layer entry {primed!r} is no basis "
+                       "name: a letter, then letters, digits or _\n"), text
