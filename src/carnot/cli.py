@@ -25,8 +25,8 @@ from .exact_linalg import Matrix, exact
 from .graded_lie import GradedLieAlgebra, InvalidAlgebra, build_algebra
 from .prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
                            full_prolongation, strata_derivations)
-from .group_realization import (CoordinateCollision, CoordinateRecipe, Frame, NotRealizable,
-                                PolyVectorField, UnsupportedStep, conformal_factor, dilations,
+from .group_realization import (CoordinateCollision, CoordinateRecipe, Frame, PolyVectorField,
+                                UnsupportedStep, conformal_factor, dilations,
                                 extend_first_layer_automorphism, graded_automorphism,
                                 left_invariant_frame, pushforward, realize_tau,
                                 similarity_check)
@@ -509,8 +509,10 @@ def _homomorphism_check(algebra, fields: list[PolyVectorField], frame: Frame,
       By induction on i + j, ``D(u, v)`` commutes with every ``tau(x)``,
       the right-invariant field R_x.  A field that commutes with every
       R_x is left-invariant, of negative degree, while ``D(u, v)`` is
-      homogeneous of degree i + j >= 0, because ``realize_tau`` builds
-      each field of level i homogeneous of degree i.  So ``D(u, v) = 0``.
+      homogeneous of degree i + j >= 0: ``realize_tau`` sums the field of
+      a level-i element as the g_- part of Ad(p^-1) u, whose component j
+      has weight i + |w_j|, so it is homogeneous of degree i.  So
+      ``D(u, v) = 0``.
     """
     premise = _commutation_failure(frame, translations)
     if premise is not None:
@@ -563,12 +565,7 @@ def run_verify(spec: AlgebraSpec, report: Report, max_k: int,
         return 1
     recipe = spec_recipe(spec, g)
     frame = left_invariant_frame(recipe)
-    try:
-        fields = realize_tau(algebra, frame)
-    except NotRealizable as exc:
-        report.add("overall", "FAIL")
-        report.add("failure", f"NotRealizable: {exc}")
-        return 1
+    fields = realize_tau(algebra, frame)
     labels = list(algebra.labels)
     if extra_fields:
         fields = fields + list(extra_fields)
@@ -689,17 +686,12 @@ def cmd_oracle(spec: AlgebraSpec, report: Report, degree: int, max_k: int) -> in
                 report.add("warning", "cutoff too small: ansatz dimension is below the "
                                       "prolongation total; raise --degree")
             exit_code = 1
-        try:
-            fields = realize_tau(algebra, frame)
-        except NotRealizable:
-            report.add("tau_available", False)
-        else:
-            report.add("tau_available", True)
-            # a realized field above the cutoff has a term no oracle field has
-            match = same_span(solution.fields, fields)
-            report.add("span_match", match)
-            if not match:
-                exit_code = 1
+        report.add("tau_available", True)
+        # a realized field above the cutoff has a term no oracle field has
+        match = same_span(solution.fields, realize_tau(algebra, frame))
+        report.add("span_match", match)
+        if not match:
+            exit_code = 1
     else:
         report.add("levels", list(rep.level_dims))
     report.add("overall", "PASS" if exit_code == 0 else "FAIL")

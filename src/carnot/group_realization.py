@@ -14,11 +14,10 @@ pushed forward once, with its parameters symbolic (x for the
 translations, the scale for the dilations), and tested as one
 polynomial identity in the parameters and the point.  So every
 coefficient is an exact polynomial.  Every vector field is held by its
-components in the left-invariant frame.  The prolongation algebra is
-realized level by level: an element u of level k >= 0 is the unique
-field of degree k whose bracket with the right-invariant field of each
-X in layer -1 is minus the field of [u, X], found by exact linear
-solves, one elimination per level and layer.
+components in the left-invariant frame.  An element u of level k >= 0
+of the prolongation algebra is realized by its action on G_-: the frame
+components of its field at p are the g_- part of Ad(p^-1) u, a finite
+series read from the algebra's bracket table.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Sequence
 
-from .exact_linalg import Matrix, SparseRows, Subspace, exact, solve, sparse_row
+from .exact_linalg import Matrix, Subspace, exact, sparse_row
 from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly, PolyRing, substitute
 
@@ -47,10 +46,6 @@ class CoordinateCollision(ValueError):
 
 class NotTerminated(ValueError):
     """The prolongation was cut off, so there is no finite algebra to realize."""
-
-
-class NotRealizable(ValueError):
-    """No polynomial field of the level's degree has the brackets the algebra asks for."""
 
 
 def bch(g: GradedLieAlgebra, a: Sequence, b: Sequence) -> list:
@@ -135,8 +130,9 @@ class CoordinateRecipe:
     def right_invariant(self) -> "CoordinateFields":
         """The right-invariant field R_j of each basis element e_j, the
         generator of left translations by exp(t e_j), read off :attr:`law`
-        once per recipe: ``realize_tau`` solves against them, and verify
-        brackets with them, through one table of their derivatives."""
+        once per recipe: ``realize_tau`` takes the fields of the negative
+        elements from them, and verify differentiates along them, through
+        one table of their derivatives."""
         return CoordinateFields(self.ring, _flow_generators(self, right=True))
 
 
@@ -321,81 +317,70 @@ def left_invariant_frame(recipe: CoordinateRecipe) -> Frame:
     return Frame(recipe, _flow_generators(recipe, right=False))
 
 
-def _translation_system(generators: CoordinateFields, horizontal: Sequence[int],
-                        degree: int) -> tuple[list, SparseRows, dict]:
-    """The map f -> (R_i f)_i, i over ``horizontal``, on polynomials of
-    weighted degree ``degree``: its columns are the monomials of that
-    degree, and row ``index[(i, e)]`` holds the coefficient of x^e in
-    R_i f.  Each R_i has degree -1."""
-    ring = generators.ring
-    monos = ring.monomials_exact(degree)
-    lower = ring.monomials_exact(degree - 1)
-    index = {key: r for r, key in enumerate((i, e) for i in horizontal for e in lower)}
-    rows: list[dict] = [{} for _ in index]
-    for col, exp in enumerate(monos):
-        for i in horizontal:
-            for e, x in generators.derivative_terms(i, exp):
-                rows[index[(i, e)]][col] = x
-    return monos, SparseRows(rows, len(monos)), index
+def _conjugate(ad: Sequence[dict[int, Poly]], v: dict[int, Poly]) -> dict[int, Poly]:
+    """e^{-ad A} v, the sum over n of (-ad A)^n v / n!, for a sparse s-row
+    v with polynomial entries; ``ad[b]`` is the sparse s-row of [A, e_b].
+    A lies in g_-, so ad A lowers the degree and the series ends."""
+    out = dict(v)
+    n = 0
+    while v:
+        n += 1
+        term: dict = {}
+        for b, y in v.items():
+            for k, x in ad[b].items():
+                term[k] = term[k] + x * y if k in term else x * y
+        scale = Fraction(-1, n)
+        v = {k: p * scale for k, p in term.items() if p}
+        for k, p in v.items():
+            out[k] = out[k] + p if k in out else p
+    return out
 
 
 def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     """One vector field per basis element of the prolongation algebra s, in
-    the basis order of s, in components of ``frame``.
+    the basis order of s, in components of ``frame``; every coefficient is
+    an ``int`` when it is integral and a ``Fraction`` only otherwise.
 
     A negative element e_j is the right-invariant field R_j, the generator
-    of left translations by exp(t e_j), read off the group law.  An
-    element u of level k >= 0 is the unique field V_u of degree k with
-    [V_u, R_X] = -V_[u,X] for every X in layer -1 (unique, because a field
-    commuting with every R_X is left-invariant, of negative degree).
-    Left- and right-invariant fields commute, so for V_u = sum_j f_j X_j
-    this reads R_X(f_j) = (V_[u,X])_j, a linear system over the monomials
-    of weighted degree k + |w_j|.  Levels are solved in increasing order,
-    so V_[u,X] is summed from fields already found.  Every element of a
-    level and every component of one layer share that system, so they are
-    solved together, in one elimination per level and layer.
+    of left translations by exp(t e_j), read off the group law.  s acts on
+    S/P, which contains G_- (Tanaka), and the field of u at p is
+    d/dt exp(tu) p = p exp(t Ad(p^-1) u) modulo P: its frame components
+    are the g_- part of Ad(p^-1) u.  The recipe's point is
+    p = exp(A_1) ... exp(A_r), A_i the sum of x_c e_c over factor i, so
+    Ad(p^-1) u = e^{-ad A_r} ... e^{-ad A_1} u, read from the bracket
+    table of s.  Each series is finite, because ad A lowers the degree;
+    component j of the result has weight k + |w_j| for u in level k, so
+    the field of a level-k element is homogeneous of degree k.
     """
     if s.bracket_table is None:
         raise NotTerminated("realization needs a terminating prolongation")
     g = s.negative
     ring = frame.ring
     zero = ring.zero()
+    negs = [s.sbasis.index(("neg", j)) for j in range(g.dim)]  # e_j of g, in s
+    # per factor A = sum of x_c e_c, the rows [A, e_b] of ad A
+    ads = []
+    for f in frame.recipe.factors:
+        ad: list[dict] = [{} for _ in range(s.dim)]
+        for c in f:
+            x = ring.var(c)
+            for b, row in enumerate(s.bracket_table[negs[c]]):
+                for k, t in row:
+                    ad[b][k] = ad[b][k] + t * x if k in ad[b] else t * x
+        ads.append(ad)
     generators = frame.recipe.right_invariant
-    horizontal = g.layer_indices(1)
-    xs = [s.sbasis.index(("neg", i)) for i in horizontal]  # the same X, in s
-    systems: dict[int, tuple] = {}
-    fields: list[PolyVectorField | None] = [None] * s.dim
-    levels: dict[int, list[int]] = {}
+    fields = []
     for a, key in enumerate(s.sbasis):
         if key[0] == "neg":
-            fields[a] = PolyVectorField(tuple(frame.to_frame(generators.columns[key[1]])))
+            comps = frame.to_frame(generators.columns[key[1]])
         else:
-            levels.setdefault(key[1], []).append(a)
-    for k in sorted(levels):
-        elements = levels[k]
-        comps: dict[tuple[int, int], Poly | None] = {}
-        for depth in range(1, g.step + 1):
-            degree = k + depth
-            if degree not in systems:
-                systems[degree] = _translation_system(generators, horizontal, degree)
-            monos, system, index = systems[degree]
-            keys = [(a, j) for a in elements for j in g.layer_indices(depth)]
-            rhs = []
-            for a, j in keys:
-                b = [0] * system.rows
-                for i, x in zip(horizontal, xs):
-                    target = sum((c * fields[u].components[j] for u, c in s.bracket_table[a][x]),
-                                 zero)
-                    for e, c in target.terms.items():
-                        b[index[(i, e)]] = c
-                rhs.append(b)
-            for key, coeffs in zip(keys, solve(system, rhs)):
-                comps[key] = None if coeffs is None else Poly(ring, dict(zip(monos, coeffs)))
-        for a in elements:
-            field = tuple(comps[(a, j)] for j in range(g.dim))
-            if None in field:
-                raise NotRealizable(f"no field of degree {k} realizes {s.labels[a]}")
-            fields[a] = PolyVectorField(field)
+            v = {a: ring.one()}
+            for ad in ads:
+                v = _conjugate(ad, v)
+            comps = [v.get(i, zero) for i in negs]
+        # the law's products and the series' 1/n! leave integral Fractions
+        fields.append(PolyVectorField(tuple(
+            Poly(ring, {e: exact(c) for e, c in p.terms.items()}) for p in comps)))
     return fields
 
 

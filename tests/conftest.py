@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from carnot.contact_pde import ContactJet
-from carnot.exact_linalg import exact, sparse_row
+from carnot.exact_linalg import SparseRows, exact, solve, sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.polynomials import Poly, PolyRing, substitute
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
@@ -290,6 +290,64 @@ def flow_generators_reference(recipe, right):
         columns.append([Poly(xring, {e[:t_index]: x for e, x in c.terms.items()
                                      if e[t_index] == 1}) for c in prod])
     return columns
+
+
+def translation_system(generators, horizontal, degree):
+    """The map f -> (R_i f)_i, i over ``horizontal``, on polynomials of
+    weighted degree ``degree``, for the coordinate fields ``generators``:
+    its columns are the monomials of that degree, and row ``index[(i, e)]``
+    holds the coefficient of x^e in R_i f.  Each R_i has degree -1."""
+    ring = generators.ring
+    monos = ring.monomials_exact(degree)
+    lower = ring.monomials_exact(degree - 1)
+    index = {key: r for r, key in enumerate((i, e) for i in horizontal for e in lower)}
+    rows = [{} for _ in index]
+    for col, exp in enumerate(monos):
+        for i in horizontal:
+            for e, x in generators.derivative_terms(i, exp):
+                rows[index[(i, e)]][col] = x
+    return monos, SparseRows(rows, len(monos)), index
+
+
+def realize_tau_by_elimination(s, frame):
+    """Reference for ``realize_tau``: the field of a level-k element u is
+    the unique field V_u of degree k with [V_u, R_X] = -V_[u,X] for every
+    X in layer -1, found by exact elimination.  For V_u = sum_j f_j X_j
+    this reads R_X(f_j) = (V_[u,X])_j, a linear system over the monomials
+    of weighted degree k + |w_j|; levels are solved in increasing order,
+    one elimination per level and layer."""
+    g = s.negative
+    ring = frame.ring
+    zero = ring.zero()
+    generators = frame.recipe.right_invariant
+    horizontal = g.layer_indices(1)
+    xs = [s.sbasis.index(("neg", i)) for i in horizontal]  # the same X, in s
+    fields = [None] * s.dim
+    levels = {}
+    for a, key in enumerate(s.sbasis):
+        if key[0] == "neg":
+            fields[a] = frame.to_frame(generators.columns[key[1]])
+        else:
+            levels.setdefault(key[1], []).append(a)
+    for k in sorted(levels):
+        elements = levels[k]
+        for depth in range(1, g.step + 1):
+            monos, system, index = translation_system(generators, horizontal, k + depth)
+            keys = [(a, j) for a in elements for j in g.layer_indices(depth)]
+            rhs = []
+            for a, j in keys:
+                b = [0] * system.rows
+                for i, x in zip(horizontal, xs):
+                    target = sum((c * fields[u][j] for u, c in s.bracket_table[a][x]), zero)
+                    for e, c in target.terms.items():
+                        b[index[(i, e)]] = c
+                rhs.append(b)
+            for (a, j), coeffs in zip(keys, solve(system, rhs)):
+                assert coeffs is not None, (s.labels[a], j)
+                if fields[a] is None:
+                    fields[a] = [None] * g.dim
+                fields[a][j] = Poly(ring, dict(zip(monos, coeffs)))
+    return fields
 
 
 def spec_tower(spec):

@@ -130,21 +130,21 @@ def test_tracer_counts_one_elimination_per_kernel():
     # constructing the algebra makes; validating engel is that check
     # alone, for each of layers -2 and -3.  On verify and oracle too the
     # generation matrix is eliminated only at construction.  verify engel
-    # adds its degree-0 system, g0, level 1, three realization solves and
-    # the rank check of its automorphism, made once, when the first-layer
-    # block is extended; the pushforward of its translation family and its
-    # two similarity checks, of the dilation family and the automorphism,
-    # eliminate nothing.
+    # adds its degree-0 system, g0, level 1 and the rank check of its
+    # automorphism, made once, when the first-layer block is extended; its
+    # realization, a series in the bracket table, the pushforward of its
+    # translation family and its two similarity checks, of the dilation
+    # family and the automorphism, eliminate nothing.
     # oracle cartan_235 --degree 2 solves ansatz blocks -3 .. 1 only:
     # block 1 is zero, so block 2 is known to be zero without an
-    # elimination
+    # elimination; its realization eliminates nothing either
     tracer = import_tracer()
     golden = os.path.join(os.path.dirname(__file__), "golden")
     cases = [(["prolong", os.path.join(golden, "r3_gl.alg")], 3),
              (["prolong", bundled_spec("heisenberg.alg")], 6),
              (["validate", bundled_spec("engel.alg")], 2),
-             (["verify", bundled_spec("engel.alg")], 9),
-             (["oracle", os.path.join(golden, "cartan_235.alg"), "--degree", "2"], 15)]
+             (["verify", bundled_spec("engel.alg")], 6),
+             (["oracle", os.path.join(golden, "cartan_235.alg"), "--degree", "2"], 12)]
     for argv, count in cases:
         with tracer.Tracer() as t, redirect_stdout(io.StringIO()):
             assert main(argv) == 0

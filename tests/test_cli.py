@@ -336,13 +336,15 @@ def test_one_group_law_per_command(monkeypatch, command, spec):
     assert len(calls) == 1
 
 
-def test_realize_tau_eliminates_once_per_level_and_layer(monkeypatch):
-    # heisenberg has levels (2, 2, 1) over two layers: six eliminations,
-    # where one per element and component made 15
+def test_realize_tau_makes_no_rref_call(monkeypatch):
+    # heisenberg has levels (2, 2, 1) over two layers: each level field is
+    # a series in the bracket table, with no elimination, where one per
+    # level and layer made six
     import carnot.cli as cli
     import carnot.exact_linalg as exact_linalg
     calls = []
     inside = []
+    realized = []
 
     def counting_rref(m, _original=exact_linalg.rref):
         calls.append(bool(inside))
@@ -351,13 +353,16 @@ def test_realize_tau_eliminates_once_per_level_and_layer(monkeypatch):
     def marked(*args, _original=cli.realize_tau):
         inside.append(True)
         try:
-            return _original(*args)
+            fields = _original(*args)
+            realized.append(len(fields))
+            return fields
         finally:
             inside.pop()
     monkeypatch.setattr(exact_linalg, "rref", counting_rref)
     monkeypatch.setattr(cli, "realize_tau", marked)
     run_cli(["verify", spec_path("heisenberg.alg")])
-    assert calls.count(True) == 6
+    assert realized == [8]
+    assert calls and calls.count(True) == 0
 
 
 def test_verify_certifies_each_field_as_contact_twice(monkeypatch):

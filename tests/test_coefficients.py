@@ -16,7 +16,8 @@ from carnot.contact_pde import solve_polynomial_conformal
 from carnot.exact_linalg import SparseRows, Subspace, nullspace, rref, solve
 from carnot.group_realization import left_invariant_frame, realize_tau
 from carnot.prolongation import degree_zero_matrix
-from .conftest import BUNDLED, GENERATED, GOLDEN, assert_int_when_integral, spec_file
+from .conftest import (BUNDLED, GENERATED, GOLDEN, TERMINATING, assert_int_when_integral,
+                       named_spec, spec_file)
 
 
 def assert_fractions(values):
@@ -95,8 +96,8 @@ def test_level_actions_are_fractions(name):
 
 
 def test_non_integral_elimination_results_stay_fractions():
-    # on half_constants the realized fields (solve) and the oracle's
-    # fields (nullspace) have non-integral coefficients
+    # on half_constants the realized fields and the oracle's fields
+    # (nullspace) have non-integral coefficients
     spec, g, ders, g0, s = _pipeline("half_constants")
     frame = left_invariant_frame(spec_recipe(spec, g))
     for fields in (realize_tau(s, frame),
@@ -104,6 +105,18 @@ def test_non_integral_elimination_results_stay_fractions():
         coefficients = [c for fld in fields for p in fld.components for c in p.terms.values()]
         assert_int_when_integral(coefficients)
         assert any(type(c) is Fraction for c in coefficients)
+
+
+@pytest.mark.parametrize("name", TERMINATING + ("h2", "h3", "r4", "r8"))
+def test_realized_fields_are_ints_when_integral(name):
+    # the negative fields come from products of the law's Fractions and the
+    # level fields from the series' 1/n!: both make integral Fractions,
+    # which realize_tau hands on as ints
+    spec = named_spec(name)
+    g, ders, g0, s, rep = _prolong(spec, spec.max_k)
+    frame = left_invariant_frame(spec_recipe(spec, g))
+    assert_int_when_integral(c for fld in realize_tau(s, frame)
+                             for p in fld.components for c in p.terms.values())
 
 
 @pytest.mark.parametrize("name", BUNDLED + GENERATED

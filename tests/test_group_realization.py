@@ -9,18 +9,18 @@ from carnot.exact_linalg import Matrix, solve
 from carnot.graded_lie import build_algebra
 from carnot.prolongation import (ProlongationAlgebra, constrain_g0, degree_zero_matrix,
                                  full_prolongation, strata_derivations)
-from carnot.group_realization import (CoordinateFields, CoordinateRecipe, Frame, NotRealizable,
-                                      NotTerminated, UnsupportedStep, _flow_generators,
-                                      _translation_system, bch, conformal_factor, dilations,
-                                      extend_first_layer_automorphism, graded_automorphism,
-                                      group_product, left_invariant_frame, pushforward,
-                                      realize_tau, similarity_check)
+from carnot.group_realization import (CoordinateFields, CoordinateRecipe, Frame, NotTerminated,
+                                      UnsupportedStep, _flow_generators, bch, conformal_factor,
+                                      dilations, extend_first_layer_automorphism,
+                                      graded_automorphism, group_product, left_invariant_frame,
+                                      pushforward, realize_tau, similarity_check)
 from carnot.polynomials import Poly, substitute
-from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, apply_rows, basis_vector,
-                       conformal_g0, dense_bracket, factorwise_automorphism, factorwise_image,
-                       flow_generators_reference, group_inverse, jacobian_reference,
-                       left_translation, make_abelian, named_algebra_frame, permuted,
-                       rand_point, spec_file, subs_reference, t_extended_ring, to_coords)
+from .conftest import (BUNDLED, CONFORMAL, GENERATED, GOLDEN, TERMINATING, apply_rows,
+                       basis_vector, conformal_g0, dense_bracket, factorwise_automorphism,
+                       factorwise_image, flow_generators_reference, group_inverse,
+                       jacobian_reference, left_translation, make_abelian, named_algebra_frame,
+                       named_spec, permuted, rand_point, realize_tau_by_elimination, spec_file,
+                       subs_reference, t_extended_ring, to_coords, translation_system)
 
 
 # -- truncated BCH ------------------------------------------------------
@@ -308,8 +308,8 @@ def realize_tau_per_column(s, frame):
             continue
         comps = []
         for j in range(g.dim):
-            monos, system, index = _translation_system(table, g.layer_indices(1),
-                                                       key[1] - g.weights[j])
+            monos, system, index = translation_system(table, g.layer_indices(1),
+                                                      key[1] - g.weights[j])
             rhs = [0] * system.rows
             for i, x in zip(g.layer_indices(1), xs):
                 for b, c in s.bracket_table[a][x]:
@@ -333,24 +333,48 @@ def test_realize_tau_matches_the_per_column_solve(name):
     assert [list(f.components) for f in fields] == realize_tau_per_column(s, frame)
 
 
-def test_not_realizable_names_the_first_failing_element_in_basis_order():
+@pytest.mark.parametrize("name", TERMINATING + ("r4", "r8", "r16", "h2", "h3", "h8"))
+def test_realize_tau_matches_the_elimination_reference(name):
+    # the series in the bracket table against the unique field of its
+    # degree with the brackets along the right-invariant fields, found by
+    # exact elimination; engel's chart has two factors
+    from carnot.cli import spec_constraint
+    g, frame = named_algebra_frame(name)
+    s, rep = full_prolongation(g, constrain_g0(strata_derivations(g),
+                                               spec_constraint(named_spec(name))))
+    assert rep.terminated
+    fields = realize_tau(s, frame)
+    assert [list(f.components) for f in fields] == realize_tau_by_elimination(s, frame)
+
+
+def test_verify_names_the_pairs_of_a_corrupted_level_bracket():
     # heis_x_r (X3 central): sending X3 to X1 is no derivation, since
-    # [X2, X3] = 0 but [X2, X1] = -Y, so a level-0 element given that
-    # bracket has no field; the first such element in basis order is named
+    # [X2, X3] = 0 but [X2, X1] = -Y.  Given that bracket in both
+    # orientations, a level-0 element still has a field, which is no
+    # realization: the homomorphism check, along the right-invariant fields
+    # read off the law, names the pairs it breaks.  The series reads
+    # [X3, D] only, and the check reads the pairs a < b, so a corrupted
+    # [D, X3] alone would go unseen by both.
     import copy
+    from carnot.cli import _homomorphism_check
     g, frame = named_algebra_frame("heis_x_r")
     s, _ = full_prolongation(g, conformal_g0(g))
     level = [a for a, key in enumerate(s.sbasis) if key[0] == "lev"]
     x1, x3 = (s.sbasis.index(("neg", g.names.index(n))) for n in ("X1", "X3"))
-    assert len(level) == 2
-    for broken, named in (((1,), 1), ((0, 1), 0), ((0,), 0)):
+    translations = pushforward(frame.recipe.law, frame)
+    assert _homomorphism_check(s, realize_tau(s, frame), frame, translations,
+                               list(s.labels)) == (-1, [])
+    for broken, pairs in (((1,), ["X2,D2", "X3,D2"]), ((0,), ["X2,D1", "X3,D1"]),
+                          ((0, 1), ["X2,D1", "X2,D2", "X3,D1", "X3,D2"])):
         t = copy.copy(s)
         t.bracket_table = [list(row) for row in s.bracket_table]
         for b in broken:
-            t.bracket_table[level[b]][x3] = ((x1, Fraction(1)),)
-        with pytest.raises(NotRealizable,
-                           match=rf"^no field of degree 0 realizes {s.labels[level[named]]}$"):
-            realize_tau(t, frame)
+            t.bracket_table[level[b]][x3] = ((x1, 1),)
+            t.bracket_table[x3][level[b]] = ((x1, -1),)
+        fields = realize_tau(t, frame)
+        assert len(fields) == s.dim
+        _, failures = _homomorphism_check(t, fields, frame, translations, list(t.labels))
+        assert failures == [f"bracket mismatch at ({p})" for p in pairs], broken
 
 
 def automorphism_flow_field(frame, dmap):
