@@ -16,7 +16,7 @@ from .group_realization import (CoordinateRecipe, Frame, PolyVectorField, bch, d
                                 group_product, left_invariant_frame, realize_tau,
                                 similarity_check)
 from .contact_pde import (ContactJet, DefectReport, conformal_defect, contact_defect,
-                          jet, jet_jacobi_check, solve_h_system, solve_polynomial_conformal)
+                          jet, jet_jacobi_check, solve_polynomial_conformal)
 
 __version__ = "0.1.0"
 

@@ -18,7 +18,10 @@ the prolongation: it returns the fields of each homogeneous block, and
 :func:`same_span` compares them with the realized fields.  The brute force
 runs up to the first zero block of degree >= 0; from there on a lemma
 (Tanaka's finiteness argument, see :func:`solve_polynomial_conformal`)
-proves every later block zero.
+proves every later block zero.  The paper's Engel computation, a linear
+system in the vertical coefficient h of a contact field, is this brute
+force specialised to the Engel bracket pattern; the tests keep it as a
+reference.
 
 The contact residuals are computed in frame components, without
 coordinates.  The left-invariant frame realizes the algebra,
@@ -50,7 +53,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .exact_linalg import SparseRows, Subspace, nullspace, span_equal
-from .graded_lie import GradedLieAlgebra
 from .polynomials import Poly
 from .group_realization import Frame, PolyVectorField
 from .prolongation import GZeroConstraint, Level
@@ -223,7 +225,6 @@ def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level]) -> ContactJet
     if not contact_defect(V, frame).all_zero:
         raise NotContact("jets are only defined for contact fields")
     g = frame.algebra
-    zero = frame.ring.zero()
     parts: list[list[dict[int, Poly]]] = []
     for k in range(2):
         part = []
@@ -231,8 +232,9 @@ def jet(V: PolyVectorField, frame: Frame, levels: Sequence[Level]) -> ContactJet
             if w + k < 0:
                 sources = [V.components[r] for r in g.layer_indices(-w - k)]
             else:
-                sources = [parts[w + k][i].get(t, zero) for i, t in levels[w + k].pivot_cells]
-            part.append({t: df for t, f in enumerate(sources) if (df := frame.apply(j, f))})
+                sources = [parts[w + k][i].get(t) for i, t in levels[w + k].pivot_cells]
+            # a zero source has a zero derivative: apply X_j to the others only
+            part.append({t: df for t, f in enumerate(sources) if f and (df := frame.apply(j, f))})
         parts.append(part)
     return ContactJet(tuple(tuple(part) for part in parts))
 
@@ -245,78 +247,6 @@ def jet_jacobi_check(j: ContactJet, ders: Level) -> bool:
     for the values of the zero part.
     """
     return ders.coordinates_of_values(j.parts[0]) is not None
-
-
-# -- the Engel h-system ------------------------------------------------
-
-
-def _is_engel_pattern(g: GradedLieAlgebra) -> bool:
-    if g.layer_dims != [2, 1, 1]:
-        return False
-    expect = {(0, 1): ((2, 1),), (0, 2): ((3, 1),)}
-    return all(g.rows[i][j] == expect.get((i, j), ())
-               for i in range(4) for j in range(i + 1, 4))
-
-
-@dataclass(frozen=True)
-class HSystemSolution:
-    subspace: Subspace
-    h_basis: tuple[Poly, ...]
-    fields: tuple[PolyVectorField, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.h_basis)
-
-
-def reconstruct_from_h(frame: Frame, h: Poly) -> PolyVectorField:
-    """The contact field determined by its vertical coefficient h."""
-    x1 = 0
-    y = 2
-    g_coeff = -frame.apply(x1, h)
-    f1 = frame.apply(y, h)
-    f2 = frame.apply(x1, frame.apply(x1, h))
-    return PolyVectorField((f1, f2, g_coeff, h))
-
-
-def solve_h_system(frame: Frame, max_weighted_degree: int = 6,
-                   conformality: bool = True) -> HSystemSolution:
-    """Solutions h of the reduced vertical-coefficient system, with V(h).
-
-    The headline equations are X1^3 h = X2 h = Y^2 h = Z^2 h = 0.  On
-    their own they admit contact fields that are not conformal (a
-    7-dimensional polynomial space); ``conformality`` adds the two
-    horizontal-derivative symmetry conditions of the reconstructed field,
-    cutting the space to the conformal one.
-    """
-    if not _is_engel_pattern(frame.algebra):
-        raise ValueError("the h-system is specific to the Engel bracket pattern")
-    ring = frame.ring
-    monos = ring.monomials_upto(max_weighted_degree)
-
-    def ops(p: Poly) -> list[Poly]:
-        x1, x2, y, z = 0, 1, 2, 3
-        out = [
-            frame.apply(x1, frame.apply(x1, frame.apply(x1, p))),
-            frame.apply(x2, p),
-            frame.apply(y, frame.apply(y, p)),
-            frame.apply(z, frame.apply(z, p)),
-        ]
-        if conformality:
-            f1 = frame.apply(y, p)
-            f2 = frame.apply(x1, frame.apply(x1, p))
-            out.append(frame.apply(x1, f1) - frame.apply(x2, f2))
-            out.append(frame.apply(x2, f1) + frame.apply(x1, f2))
-        return out
-
-    rows = _residual_rows({(eq, e): x for eq, r in enumerate(ops(Poly(ring, {exp: Fraction(1)})))
-                           for e, x in r.terms.items()} for exp in monos)
-    space = nullspace(SparseRows(rows, len(monos)))
-    h_basis = []
-    for v in space.basis:
-        h_basis.append(Poly(ring, {monos[col]: c for col, c in v.items()}))
-    fields = tuple(reconstruct_from_h(frame, h) for h in h_basis)
-    return HSystemSolution(space, tuple(h_basis), fields)
 
 
 # -- bounded-degree ansatz solver --------------------------------------

@@ -361,13 +361,8 @@ def realize_tau(s, frame: Frame) -> list[PolyVectorField]:
     # per factor A = sum of x_c e_c, the rows [A, e_b] of ad A
     ads = []
     for f in frame.recipe.factors:
-        ad: list[dict] = [{} for _ in range(s.dim)]
-        for c in f:
-            x = ring.var(c)
-            for b, row in enumerate(s.bracket_table[negs[c]]):
-                for k, t in row:
-                    ad[b][k] = ad[b][k] + t * x if k in ad[b] else t * x
-        ads.append(ad)
+        a_row = {negs[c]: ring.var(c) for c in f}
+        ads.append([s.bracket_vec(a_row, {b: 1}) for b in range(s.dim)])
     generators = frame.recipe.right_invariant
     fields = []
     for a, key in enumerate(s.sbasis):

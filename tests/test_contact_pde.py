@@ -12,9 +12,8 @@ from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matr
                                  full_prolongation, strata_derivations)
 from carnot.contact_pde import (ContactJet, NotContact, conformal_defect,
                                 conformal_fields_of_degree, conformal_system_residuals,
-                                contact_defect, jet, jet_jacobi_check, reconstruct_from_h,
-                                same_span, solve_h_system, solve_polynomial_conformal,
-                                vf_bracket)
+                                contact_defect, jet, jet_jacobi_check, same_span,
+                                solve_polynomial_conformal, vf_bracket)
 from carnot.polynomials import Poly, PolyRing
 from .conftest import (CONFORMAL, TERMINATING, ZERO_G0, apply_rows, basis_vector, components,
                        conformal_g0, dense_action, dense_values_matrix, heisenberg_spec,
@@ -568,16 +567,69 @@ def test_weighted_derivative_identities_of_conformal_fields(engel_frame, engel_t
 
 
 # -- h-system ------------------------------------------------------------
+#
+# The paper's own Engel computation, kept as a reference: a contact field
+# is determined by its vertical coefficient h, and the conformal ones are
+# the polynomial solutions of a short linear system in h.
+
+
+def is_engel_pattern(g):
+    if g.layer_dims != [2, 1, 1]:
+        return False
+    expect = {(0, 1): ((2, 1),), (0, 2): ((3, 1),)}
+    return all(g.rows[i][j] == expect.get((i, j), ())
+               for i in range(4) for j in range(i + 1, 4))
+
+
+def reconstruct_from_h(frame, h):
+    """The contact field determined by its vertical coefficient h."""
+    x1, y = 0, 2
+    return PolyVectorField((frame.apply(y, h), frame.apply(x1, frame.apply(x1, h)),
+                            -frame.apply(x1, h), h))
+
+
+def solve_h_system(frame, max_weighted_degree=6, conformality=True):
+    """The contact fields V(h) of the solutions h of the reduced
+    vertical-coefficient system, up to ``max_weighted_degree``.
+
+    The headline equations are X1^3 h = X2 h = Y^2 h = Z^2 h = 0.  On
+    their own they admit contact fields that are not conformal (a
+    7-dimensional polynomial space); ``conformality`` adds the two
+    horizontal-derivative symmetry conditions of the reconstructed field,
+    cutting the space to the conformal one.
+    """
+    if not is_engel_pattern(frame.algebra):
+        raise ValueError("the h-system is specific to the Engel bracket pattern")
+    ring = frame.ring
+    monos = ring.monomials_upto(max_weighted_degree)
+    x1, x2, y, z = 0, 1, 2, 3
+
+    def ops(p):
+        out = [frame.apply(x1, frame.apply(x1, frame.apply(x1, p))), frame.apply(x2, p),
+               frame.apply(y, frame.apply(y, p)), frame.apply(z, frame.apply(z, p))]
+        if conformality:
+            f1 = frame.apply(y, p)
+            f2 = frame.apply(x1, frame.apply(x1, p))
+            out.append(frame.apply(x1, f1) - frame.apply(x2, f2))
+            out.append(frame.apply(x2, f1) + frame.apply(x1, f2))
+        return out
+
+    rows = contact_pde._residual_rows(
+        {(eq, e): x for eq, r in enumerate(ops(Poly(ring, {exp: Fraction(1)})))
+         for e, x in r.terms.items()} for exp in monos)
+    space = nullspace(SparseRows(rows, len(monos)))
+    return [reconstruct_from_h(frame, Poly(ring, {monos[col]: c for col, c in v.items()}))
+            for v in space.basis]
 
 
 def test_h_system_dimension(engel_frame):
-    assert solve_h_system(engel_frame).dim == 5
+    assert len(solve_h_system(engel_frame)) == 5
 
 
 def test_h_system_without_conformality_is_larger(engel_frame):
     # the four headline equations alone also admit non-conformal contact
     # fields; this documents why the conformality closure is included
-    assert solve_h_system(engel_frame, conformality=False).dim == 7
+    assert len(solve_h_system(engel_frame, conformality=False)) == 7
 
 
 def test_h_system_reconstructions(engel_frame, engel_tau):
@@ -588,11 +640,11 @@ def test_h_system_reconstructions(engel_frame, engel_tau):
 
 def test_h_system_bound_independence(engel_frame):
     for bound in (3, 4, 5, 7):
-        assert solve_h_system(engel_frame, bound).dim == 5
+        assert len(solve_h_system(engel_frame, bound)) == 5
 
 
 def test_h_system_fields_are_conformal(engel_frame):
-    for field in solve_h_system(engel_frame).fields:
+    for field in solve_h_system(engel_frame):
         assert conformal_defect(field, engel_frame, CONFORMAL).all_zero
 
 
