@@ -10,9 +10,10 @@ linear system is a :class:`SparseRows`: each row is a mapping
 together with the column count.  One kernel, :func:`rref`, eliminates:
 ``nullspace``, ``solve`` and ``Subspace.from_vectors`` all go through it,
 once per call; ``solve`` carries every right-hand side it is given
-through that one elimination.  ``nullspace`` eliminates in reverse
-column order and reads the canonical kernel basis straight off that one
-reduction; ``from_vectors`` remains for vectors that do not come from an
+through that one elimination.  ``nullspace`` hands the caller's system
+to ``rref`` as it is, each row taking its largest column as its pivot,
+and reads the canonical kernel basis straight off that one reduction;
+``from_vectors`` remains for vectors that do not come from an
 elimination.  ``rref`` works on integer rows, touches nonzero entries
 only, and reduces in a single Gauss–Jordan pass, shortest rows first.
 What it returns follows the convention too: each reduced entry is an
@@ -174,7 +175,7 @@ def _combine(target: dict[int, int], source: dict[int, int], col: int) -> None:
         _primitive(target)
 
 
-def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
+def rref(m: SparseRows, *, descending: bool = False) -> tuple[SparseRows, int, list[int]]:
     """Reduced row-echelon form of ``m``, in one Gauss–Jordan pass.
 
     Returns ``(echelon, rank, pivots)`` where ``pivots`` lists the pivot
@@ -192,6 +193,13 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     they are the RREF of the row space.  That form is unique, so the
     order in which the rows are taken does not change the result.
 
+    With ``descending`` each row takes its largest remaining column as
+    its pivot instead: the result is the RREF of the row space with the
+    columns taken in reverse order, each row's pivot its largest column
+    and every other entry at a free column below it.  The rows are still
+    returned in ascending pivot order, but the columns within a row are
+    left in the order the elimination made them.
+
     Each row costs what its nonzeros cost.  An empty row costs nothing.
     A row of one entry becomes ``{c: 1}``, and an all-``int`` row is used
     as it is; only a row holding a ``Fraction`` pays for the lcm of its
@@ -200,14 +208,18 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
     and any other pivot scales the row it clears and divides out its
     content.  A reduced row of one entry is ``{p: 1}``, and one whose
     lead is 1 is copied out as it is.  The rows given are never changed.
+
+    The column range is checked once, on the reduction: every column a
+    row of ``m`` holds is a pivot or is held off a pivot by some pivot
+    row, so the system leaves ``range(cols)`` iff those columns do.  The
+    error names the first such column in the caller's row order.
     """
     ncols = m.cols
-    rows = sorted(filter(None, m.entries), key=len)
-    _check_columns(rows, ncols)
+    lead_of = max if descending else min
     pivot_rows: dict[int, dict[int, int]] = {}
     # column -> pivots of the rows that have held it off their pivot
     holders: defaultdict[int, set[int]] = defaultdict(set)
-    for row in rows:
+    for row in sorted(filter(None, m.entries), key=len):
         work = _integer_row(row)
         # a pivot row holds no other pivot, so clearing one pivot from
         # ``work`` never brings back another
@@ -215,7 +227,7 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
             _combine(work, pivot_rows[c], c)
         if not work:
             continue
-        p = min(work)
+        p = lead_of(work)
         owners = [p]
         for q in holders.pop(p, ()):
             if p in pivot_rows[q]:
@@ -226,6 +238,9 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
             if c != p:
                 holders[c].update(owners)
     pivots = sorted(pivot_rows)
+    if pivots and not (0 <= pivots[0] and pivots[-1] < ncols
+                       and 0 <= min(holders, default=0) and max(holders, default=0) < ncols):
+        _check_columns(m.entries, ncols)
     out = []
     for p in pivots:
         row = pivot_rows[p]
@@ -233,10 +248,12 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
         if len(row) == 1:
             reduced = {p: 1}
         elif lead == 1:
-            reduced = {c: row[c] for c in sorted(row)}
+            # copied even when descending: the work row keeps the hash table
+            # it grew to during the elimination, and raised the peak memory
+            reduced = dict(row) if descending else {c: row[c] for c in sorted(row)}
         else:
             reduced = {}
-            for c in sorted(row):
+            for c in (row if descending else sorted(row)):
                 q, r = divmod(row[c], lead)
                 reduced[c] = Fraction(row[c], lead) if r else q
         out.append(reduced)
@@ -245,14 +262,15 @@ def rref(m: SparseRows) -> tuple[SparseRows, int, list[int]]:
 
 
 def _check_columns(rows: Sequence[Mapping[int, Rational]], n: int) -> None:
-    """Raise, naming the first column in row order that lies outside
-    ``range(n)``, if one of ``rows`` leaves a system of ``n`` columns."""
+    """Raise, naming the first column in row order whose entry is nonzero
+    and lies outside ``range(n)``, if one of ``rows`` leaves a system of
+    ``n`` columns.  A zero entry is no entry, wherever it sits."""
     if (0 <= min(map(min, filter(None, rows)), default=0)
             and max(map(max, filter(None, rows)), default=0) < n):
         return
     for row in rows:
-        for c in row:
-            if not 0 <= c < n:
+        for c, x in row.items():
+            if x and not 0 <= c < n:
                 raise ValueError(f"column {c} outside a system of {n} columns")
 
 
@@ -348,30 +366,25 @@ class Subspace:
 def nullspace(m: SparseRows) -> Subspace:
     """Exact kernel of ``m`` with canonical echelon basis, from one elimination.
 
-    The system is reduced with its columns in reverse order (column c is
-    taken as ``cols - 1 - c``), so each reduced row holds its pivot as
-    its largest column, and off it only free columns below the pivot.
-    The kernel vector of a free column f is 1 at f and minus each row's
-    entry at f at that row's pivot: its smallest column is f, and it has
-    no entry at any other free column.  Those vectors are the reduced
-    echelon basis of the kernel, with the free columns as pivots, so no
-    second elimination is needed.
+    ``m`` is reduced as it is, each row taking its largest column as its
+    pivot (``rref(m, descending=True)``), so each reduced row holds off
+    its pivot only free columns below it.  The kernel vector of a free
+    column f is 1 at f and minus each row's entry at f at that row's
+    pivot: its smallest column is f, and it has no entry at any other
+    free column.  Those vectors are the reduced echelon basis of the
+    kernel, with the free columns as pivots, so no second elimination is
+    needed.
     """
     n = m.cols
-    # named as the caller wrote it, before the columns are reversed
-    _check_columns(m.entries, n)
-    last = n - 1
-    ech, rank, rpivots = rref(SparseRows([{last - c: x for c, x in row.items()}
-                                          for row in m.entries], n))
-    pivot_set = {last - p for p in rpivots}
+    ech, _, pivots = rref(m, descending=True)
+    pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     vectors = {f: {f: 1} for f in free}
     # pivots ascending, so each vector's columns stay in ascending order
-    for rp, row in zip(reversed(rpivots), reversed(ech.entries[:rank])):
-        p = last - rp
+    for p, row in zip(pivots, ech.entries):
         for c, x in row.items():
-            if c != rp:
-                vectors[last - c][p] = -x
+            if c != p:
+                vectors[c][p] = -x
     return Subspace(n, [vectors[f] for f in free], free)
 
 

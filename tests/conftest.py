@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from carnot.contact_pde import ContactJet
-from carnot.exact_linalg import SparseRows, exact, solve, sparse_row
+from carnot.exact_linalg import SparseRows, Subspace, exact, rref, solve, sparse_row
 from carnot.graded_lie import GradedLieAlgebra, build_algebra
 from carnot.polynomials import Poly, PolyRing, substitute
 from carnot.prolongation import (GZeroConstraint, constrain_g0, degree_zero_matrix,
@@ -141,6 +141,28 @@ def assert_int_when_integral(coefficients):
     assert coefficients
     for c in coefficients:
         assert type(c) is (int if c.denominator == 1 else Fraction), (c, type(c))
+
+
+def nullspace_by_reversed_copy(m):
+    """Reference for ``nullspace``: the kernel read off the ascending
+    ``rref`` of a copy of ``m`` with its columns reversed (column c taken
+    as ``cols - 1 - c``).  Each reduced row of the copy holds its pivot as
+    its smallest column, so in the caller's columns the pivot is the
+    largest; the kernel vector of a free column f is 1 at f and minus each
+    row's entry at f at that row's pivot."""
+    n = m.cols
+    last = n - 1
+    ech, rank, rpivots = rref(SparseRows([{last - c: x for c, x in row.items()}
+                                          for row in m.entries], n))
+    pivot_set = {last - p for p in rpivots}
+    free = [c for c in range(n) if c not in pivot_set]
+    vectors = {f: {f: 1} for f in free}
+    for rp, row in zip(reversed(rpivots), reversed(ech.entries[:rank])):
+        p = last - rp
+        for c, x in row.items():
+            if c != rp:
+                vectors[last - c][p] = -x
+    return Subspace(n, [vectors[f] for f in free], free)
 
 
 def conformal_g0(g):

@@ -10,7 +10,7 @@ import sympy
 from carnot.exact_linalg import (AmbientMismatch, Matrix, SparseRows, Subspace, nullspace, rref,
                                  solve, sparse_row, span_equal)
 
-from .conftest import assert_int_when_integral
+from .conftest import BUNDLED, assert_int_when_integral, nullspace_by_reversed_copy
 
 fractions_st = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -437,14 +437,49 @@ def test_column_out_of_range_raises_in_any_row():
 
 
 def test_nullspace_names_the_callers_column_out_of_range():
-    # nullspace eliminates with its columns reversed; the message still
-    # names the column as the caller wrote it
+    # the range is checked once, on the reduction; the message names the
+    # column as the caller wrote it, whichever row it sits in
     m = cartan_residual_system(3)
     for bad in (m.cols, -1):
         for rows in ([{bad: Fraction(1)}] + m.entries, m.entries + [{0: 1, bad: 2}]):
             with pytest.raises(ValueError, match=rf"^column {bad} outside a system of "
                                                  rf"{m.cols} columns$"):
                 nullspace(SparseRows(rows, m.cols))
+
+
+def eliminations(rows, n):
+    """The four ways into the elimination, each on ``rows`` over ``n`` columns."""
+    return {"rref": lambda: rref(SparseRows(rows, n)),
+            "nullspace": lambda: nullspace(SparseRows(rows, n)),
+            "solve": lambda: solve(SparseRows(rows, n), [[0] * len(rows)]),
+            "from_vectors": lambda: Subspace.from_vectors(rows, n)}
+
+
+@pytest.mark.parametrize("rows, bad", [
+    # taken shortest first, {4: 1} would be reached before column 5
+    ([{0: 1, 1: 1, 5: 1}, {4: 1}], 5),
+    ([{4: 1}, {0: 1, 1: 1, 5: 1}], 4),
+    ([{0: 1, 1: 2}, {1: 1, -1: 3}, {2: 1, 7: 1}], -1),
+    # the bad column cancels: the second row reduces to zero
+    ([{0: 1, 4: 1}, {0: 1, 4: 1}], 4),
+    # the bad column cancels from the second row, and is a pivot
+    ([{0: 1, 4: 1}, {0: 2, 4: 1}], 4),
+], ids=["first_row", "second_row", "negative", "cancels_to_zero", "cancels_to_pivot"])
+def test_every_elimination_names_the_callers_first_bad_column(rows, bad):
+    for call in eliminations(rows, 4).values():
+        with pytest.raises(ValueError, match=rf"^column {bad} outside a system of 4 columns$"):
+            call()
+
+
+def test_a_zero_entry_outside_the_columns_is_no_entry():
+    # a row maps columns to its nonzero entries; a zero is taken as absent
+    rows = [{0: 1, 1: 1, 4: 0}, {1: 2, -1: Fraction(0)}]
+    clean = [{0: 1, 1: 1}, {1: 2}]
+    got, want = eliminations(rows, 4), eliminations(clean, 4)
+    assert got["rref"]()[0].entries == want["rref"]()[0].entries
+    assert got["nullspace"]() == want["nullspace"]()
+    assert got["solve"]() == want["solve"]()
+    assert got["from_vectors"]() == want["from_vectors"]()
 
 
 def prolongation_systems(name):
@@ -469,8 +504,11 @@ def test_nullspace_matches_sympy_on_prolongation_systems(name, count):
         assert_nullspace_matches_sympy(m)
 
 
-@pytest.mark.parametrize("name", ["engel", "heisenberg", "r1", "r2_co2", "r3_co3"]
-                         + [f"r{n}" for n in range(3, 9)] + [f"h{n}" for n in range(1, 4)])
+# the bundled specs and the scale families R^3-R^8, H_1-H_3
+PROLONGED = list(BUNDLED) + [f"r{n}" for n in range(3, 9)] + [f"h{n}" for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("name", PROLONGED)
 def test_no_empty_row_reaches_nullspace_from_prolong(name):
     # a Leibniz target coordinate that no term reaches is the equation
     # 0 = 0, which is left out rather than handed to the elimination
@@ -498,19 +536,77 @@ def test_nullspace_matches_sympy_on_edge_cases(m):
     assert_nullspace_matches_sympy(m)
 
 
-@pytest.mark.parametrize("call, shape", [
-    (lambda: nullspace(sparse([[1, 2], [3, 4]], 2)), (2, 2)),
-    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[Fraction(1), Fraction(2)]]), (2, 3)),
-    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[1, 2], [0, 1], [5, 0]]), (2, 5)),
-    (lambda: Subspace.from_vectors([{0: 1}, {1: 2}], 3), (2, 3)),
+# -- the descending reduction against the reversed-copy reference ----------
+
+
+def assert_nullspace_matches_reversed_copy(m):
+    """``nullspace(m)`` equals the reference in basis, pivots, coefficient
+    types and column order, and its columns ascend."""
+    got, ref = nullspace(m), nullspace_by_reversed_copy(m)
+    assert (got.ambient_dim, got.pivots) == (ref.ambient_dim, ref.pivots)
+    assert typed_entries(SparseRows(got.basis, m.cols)) == \
+        typed_entries(SparseRows(ref.basis, m.cols))
+    assert all(list(v) == sorted(v) for v in got.basis)
+    if got.basis:
+        assert_int_when_integral(x for v in got.basis for x in v.values())
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(mixed_systems())
+def test_nullspace_matches_the_reversed_copy(m):
+    assert_nullspace_matches_reversed_copy(m)
+
+
+@pytest.mark.parametrize("name", PROLONGED)
+def test_nullspace_matches_the_reversed_copy_on_prolongation_systems(name):
+    systems = prolongation_systems(name)
+    assert systems
+    for m in systems:
+        assert_nullspace_matches_reversed_copy(m)
+
+
+def oracle_block_systems(name, degree):
+    """Every residual system the oracle of a spec solves up to ``degree``."""
+    import carnot.contact_pde as contact_pde
+    from carnot.cli import spec_constraint
+    from .conftest import named_algebra_frame, named_spec
+    _, frame = named_algebra_frame(name)
+    constraint = spec_constraint(named_spec(name))
+    return systems_passed_to_nullspace(
+        contact_pde, lambda: contact_pde.solve_polynomial_conformal(frame, constraint, degree))
+
+
+# the oracle jobs of the benchmark's fields workload
+@pytest.mark.parametrize("name, degree", [
+    ("engel", 6), ("heis_x_r", 3), ("free_3_2", 3), ("cartan_235", 3), ("two_centre", 3)])
+def test_nullspace_matches_the_reversed_copy_on_oracle_blocks(name, degree):
+    systems = oracle_block_systems(name, degree)
+    assert systems
+    for m in systems:
+        assert_nullspace_matches_reversed_copy(m)
+
+
+# the caller's own system, which nullspace must hand to rref uncopied
+OWN_SYSTEM = sparse([[1, 2], [3, 4]], 2)
+
+
+@pytest.mark.parametrize("call, shape, keywords", [
+    (lambda: nullspace(OWN_SYSTEM), (2, 2), {"descending": True}),
+    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[Fraction(1), Fraction(2)]]), (2, 3), {}),
+    (lambda: solve(sparse([[1, 2], [3, 4]], 2), [[1, 2], [0, 1], [5, 0]]), (2, 5), {}),
+    (lambda: Subspace.from_vectors([{0: 1}, {1: 2}], 3), (2, 3), {}),
 ], ids=["nullspace", "solve", "solve_several", "from_vectors"])
-def test_elimination_goes_through_the_module_rref(monkeypatch, call, shape):
+def test_elimination_goes_through_the_module_rref(monkeypatch, call, shape, keywords):
     # the benchmark times every elimination by wrapping exact_linalg.rref;
     # each makes exactly one call, on the caller's own system (augmented by
-    # every right-hand side, for solve)
+    # every right-hand side, for solve); only nullspace asks for the
+    # descending pivots, and it hands over the very object it was given
     import carnot.exact_linalg as exact_linalg
     calls = []
     original = exact_linalg.rref
-    monkeypatch.setattr(exact_linalg, "rref", lambda m: calls.append(m) or original(m))
+    monkeypatch.setattr(exact_linalg, "rref",
+                        lambda m, **kw: calls.append((m, kw)) or original(m, **kw))
     call()
-    assert [(m.rows, m.cols) for m in calls] == [shape]
+    assert [((m.rows, m.cols), kw) for m, kw in calls] == [(shape, keywords)]
+    if keywords:
+        assert calls[0][0] is OWN_SYSTEM
